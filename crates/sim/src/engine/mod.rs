@@ -32,10 +32,11 @@
 //! ## Scale
 //!
 //! The engine is built to stay fast from 32 to 100K ranks: events live in a
-//! [`queue::EventQueue`] (calendar queue at scale, heap below), per-rank and
-//! per-message state in flat arenas, and channels in a dense free-listed
-//! table sized by *in-flight* traffic rather than by every channel ever
-//! used. See DESIGN.md §12 for the memory layout.
+//! calendar [`queue::EventQueue`] at every rank count, per-rank and
+//! per-message state in flat arenas, and channels in one hash map sized by
+//! *in-flight* traffic rather than by every channel ever used, so matching
+//! costs the same however many peers a rank has outstanding. See DESIGN.md
+//! §12 for the memory layout.
 //!
 //! A single run can also execute across threads with [`run_par`] /
 //! [`run_auto`]: ranks are partitioned along node boundaries and each

@@ -13,14 +13,15 @@
 //!   slots live in one flat arena indexed by per-rank prefix offsets, RNGs
 //!   are materialized only when a noise model is active, and payload slots
 //!   only when dataflow tracking is on;
-//! * channels `(src, dst, tag)` are dense [`Chan`] records in a free-listed
-//!   table bucketed by destination rank, with FIFO queues as intrusive
-//!   lists over two shared node arenas — an emptied channel returns its
-//!   record and its bucket entry, so the table tracks in-flight traffic
-//!   instead of growing with every distinct channel ever used (the seed
-//!   engine's dominant memory cost at 100K ranks);
+//! * channels `(src, dst, tag)` are [`Chan`] records in one hash map keyed
+//!   by the packed channel key, with FIFO queues as intrusive lists over
+//!   two shared node arenas — an emptied channel leaves the map, so the
+//!   table tracks in-flight traffic instead of growing with every distinct
+//!   channel ever used (the seed engine's dominant memory cost at 100K
+//!   ranks);
 //! * messages live in a free-listed arena, as before.
 
+use std::collections::hash_map::Entry;
 use std::collections::HashMap;
 
 use rand::SeedableRng;
@@ -162,9 +163,9 @@ fn chan_key(src: u32, dst: u32, tag: Tag) -> ChanKey {
     ((src as u128) << 96) | ((dst as u128) << 64) | tag as u128
 }
 
-/// Multiply-xor hasher (FxHash-style) for the uid map. SipHash dominated
-/// the map profile; keys are program-controlled, not attacker-controlled,
-/// so a non-DoS-resistant hash is fine here.
+/// Multiply-xor hasher (FxHash-style) for the channel and uid maps.
+/// SipHash dominated the map profile; keys are program-controlled, not
+/// attacker-controlled, so a non-DoS-resistant hash is fine here.
 #[derive(Default)]
 struct ChanHasher {
     hash: u64,
@@ -180,7 +181,11 @@ const INLINE_DEPTH_MAX: u32 = 64;
 impl std::hash::Hasher for ChanHasher {
     #[inline]
     fn finish(&self) -> u64 {
-        self.hash
+        // The multiply carries input bits only upwards, so the low bits the
+        // map indexes by would ignore `src` (the key's high word) and every
+        // channel into one rank would probe from the same bucket. Rotating
+        // brings the fully mixed high bits down.
+        self.hash.rotate_left(26)
     }
 
     #[inline]
@@ -214,27 +219,17 @@ struct Chan {
     po_tail: u32,
 }
 
-/// Dense channel table: live channels bucketed by local destination rank,
-/// with two node arenas backing the per-channel FIFO queues. A channel's
-/// bucket entry is dropped as soon as both queues drain, so the table
-/// tracks in-flight traffic only.
+/// Live channels in one map keyed by the packed [`ChanKey`], with two node
+/// arenas backing the per-channel FIFO queues. A channel's entry is removed
+/// as soon as both queues drain, so the table tracks in-flight traffic only.
 ///
-/// A rank has only a handful of channels in flight at any instant, so one
-/// short walk of a per-rank list — with the [`Chan`] record stored *inline*
-/// in the node — beats a global hash map (whose random-probe misses were
-/// ~15% of the 10K-rank profile) and also beats an index into a separate
-/// channel arena (a second dependent miss). The lists are intrusive into
-/// one shared node arena rather than per-rank `Vec`s: with 10K+ ranks the
-/// per-run churn of one heap allocation per rank was itself visible in the
-/// profile. Destination ranks are always partition-local (cross-partition
-/// sends match on the destination side), so the head index is `dst - r0`.
+/// A destination can hold hundreds of live channels at once — a linear
+/// alltoall posts a receive from every peer before any send arrives — so
+/// matching must not depend on how many channels share a rank: one hash
+/// probe finds the [`Chan`], stored inline in the map.
+#[derive(Default)]
 struct ChanTable {
-    r0: u32,
-    /// Head of each local destination rank's live-channel list (`NIL` = none).
-    by_dst: Vec<u32>,
-    /// `((key, channel), next)` nodes of the per-destination lists.
-    chan_nodes: Vec<((ChanKey, Chan), u32)>,
-    free_chan_nodes: Vec<u32>,
+    live: HashMap<ChanKey, Chan, ChanHash>,
     /// `(message index, next)` nodes for the `incoming` lists.
     msg_nodes: Vec<(u32, u32)>,
     free_msg_nodes: Vec<u32>,
@@ -259,63 +254,18 @@ fn alloc_node<T: Copy>(nodes: &mut Vec<(T, u32)>, free: &mut Vec<u32>, v: T) -> 
 }
 
 impl ChanTable {
-    fn new(r0: u32, n: usize) -> ChanTable {
-        ChanTable {
-            r0,
-            by_dst: vec![NIL; n],
-            chan_nodes: Vec::new(),
-            free_chan_nodes: Vec::new(),
-            msg_nodes: Vec::new(),
-            free_msg_nodes: Vec::new(),
-            recv_nodes: Vec::new(),
-            free_recv_nodes: Vec::new(),
-        }
-    }
-
-    /// Find `key` in its destination's channel list. Returns the node and
-    /// its predecessor (`NIL` when the node is the head / key is absent).
-    #[inline]
-    fn find(&self, key: ChanKey) -> (usize, u32, u32) {
-        let dst = ((key >> 64) & 0xFFFF_FFFF) as u32;
-        let slot = (dst - self.r0) as usize;
-        let (mut prev, mut cur) = (NIL, self.by_dst[slot]);
-        while cur != NIL {
-            let ((k, _), next) = self.chan_nodes[cur as usize];
-            if k == key {
-                break;
-            }
-            prev = cur;
-            cur = next;
-        }
-        (slot, prev, cur)
-    }
-
-    /// Unlink a drained channel node and return it to the free list.
-    #[inline]
-    fn release(&mut self, slot: usize, prev: u32, cur: u32) {
-        let next = self.chan_nodes[cur as usize].1;
-        if prev == NIL {
-            self.by_dst[slot] = next;
-        } else {
-            self.chan_nodes[prev as usize].1 = next;
-        }
-        self.free_chan_nodes.push(cur);
-    }
-
     /// A send arrives on `key`: pop the oldest posted receive if one exists,
-    /// otherwise append `msg` to the channel's incoming list. One list walk
-    /// total, including the empty-channel release.
+    /// otherwise append `msg` to the channel's incoming list.
     fn send_arrives(&mut self, key: ChanKey, msg: u32) -> Option<RecvInfo> {
-        let (slot, prev, cur) = self.find(key);
-        if cur == NIL {
-            let n = alloc_node(&mut self.msg_nodes, &mut self.free_msg_nodes, msg);
-            let chan = Chan { in_head: n, in_tail: n, po_head: NIL, po_tail: NIL };
-            let cn = alloc_node(&mut self.chan_nodes, &mut self.free_chan_nodes, (key, chan));
-            self.chan_nodes[cn as usize].1 = self.by_dst[slot];
-            self.by_dst[slot] = cn;
-            return None;
-        }
-        let c = &mut self.chan_nodes[cur as usize].0 .1;
+        let mut o = match self.live.entry(key) {
+            Entry::Vacant(v) => {
+                let n = alloc_node(&mut self.msg_nodes, &mut self.free_msg_nodes, msg);
+                v.insert(Chan { in_head: n, in_tail: n, po_head: NIL, po_tail: NIL });
+                return None;
+            }
+            Entry::Occupied(o) => o,
+        };
+        let c = o.get_mut();
         let head = c.po_head;
         if head != NIL {
             let (info, next) = self.recv_nodes[head as usize];
@@ -324,13 +274,12 @@ impl ChanTable {
                 c.po_tail = NIL;
             }
             if c.in_head == NIL && c.po_head == NIL {
-                self.release(slot, prev, cur);
+                o.remove();
             }
             self.free_recv_nodes.push(head);
             return Some(info);
         }
         let n = alloc_node(&mut self.msg_nodes, &mut self.free_msg_nodes, msg);
-        let c = &mut self.chan_nodes[cur as usize].0 .1;
         if c.in_tail == NIL {
             c.in_head = n;
         } else {
@@ -343,16 +292,15 @@ impl ChanTable {
     /// A receive arrives on `key`: pop the oldest unmatched send if one
     /// exists, otherwise append `info` to the channel's posted list.
     fn recv_arrives(&mut self, key: ChanKey, info: RecvInfo) -> Option<u32> {
-        let (slot, prev, cur) = self.find(key);
-        if cur == NIL {
-            let n = alloc_node(&mut self.recv_nodes, &mut self.free_recv_nodes, info);
-            let chan = Chan { in_head: NIL, in_tail: NIL, po_head: n, po_tail: n };
-            let cn = alloc_node(&mut self.chan_nodes, &mut self.free_chan_nodes, (key, chan));
-            self.chan_nodes[cn as usize].1 = self.by_dst[slot];
-            self.by_dst[slot] = cn;
-            return None;
-        }
-        let c = &mut self.chan_nodes[cur as usize].0 .1;
+        let mut o = match self.live.entry(key) {
+            Entry::Vacant(v) => {
+                let n = alloc_node(&mut self.recv_nodes, &mut self.free_recv_nodes, info);
+                v.insert(Chan { in_head: NIL, in_tail: NIL, po_head: n, po_tail: n });
+                return None;
+            }
+            Entry::Occupied(o) => o,
+        };
+        let c = o.get_mut();
         let head = c.in_head;
         if head != NIL {
             let (msg, next) = self.msg_nodes[head as usize];
@@ -361,13 +309,12 @@ impl ChanTable {
                 c.in_tail = NIL;
             }
             if c.in_head == NIL && c.po_head == NIL {
-                self.release(slot, prev, cur);
+                o.remove();
             }
             self.free_msg_nodes.push(head);
             return Some(msg);
         }
         let n = alloc_node(&mut self.recv_nodes, &mut self.free_recv_nodes, info);
-        let c = &mut self.chan_nodes[cur as usize].0 .1;
         if c.po_tail == NIL {
             c.po_head = n;
         } else {
@@ -379,7 +326,7 @@ impl ChanTable {
 
     /// Arena slots ever allocated (capacity high-water mark).
     fn arena_slots(&self) -> usize {
-        self.msg_nodes.len() + self.recv_nodes.len() + self.chan_nodes.len()
+        self.msg_nodes.len() + self.recv_nodes.len() + self.live.capacity()
     }
 }
 
@@ -561,7 +508,7 @@ impl<'a> Part<'a> {
             Vec::new()
         };
 
-        let queue = EventQueue::auto(n, platform.inter.latency);
+        let queue = EventQueue::for_gap(platform.inter.latency);
 
         // Per-rank stall plan: local ranks' stalls, flattened and sorted by
         // (rank, start). The sort key is execution-independent, so every
@@ -625,7 +572,7 @@ impl<'a> Part<'a> {
             req_base,
             slots,
             queue,
-            chans: ChanTable::new(r0 as u32, n),
+            chans: ChanTable::default(),
             msgs: Vec::new(),
             free_msgs: Vec::new(),
             egress_free: vec![0.0; nnodes],

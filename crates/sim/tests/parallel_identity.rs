@@ -5,10 +5,10 @@
 //! Its contract is not "statistically equivalent" but *bitwise equal output
 //! at any partition count* — every `f64` in the outcome compared via
 //! `to_bits`, every count exactly equal. These tests pin that contract at
-//! 10K ranks (where the scale machinery — calendar queue, startup sweep,
-//! handoff batching — is actually engaged) and under noise + dataflow
-//! tracking + message recording (where every optional subsystem must stay
-//! deterministic too).
+//! 10K ranks (where the scale machinery — startup sweep, handoff batching —
+//! is actually engaged), on a many-channel linear alltoall, and under
+//! noise + dataflow tracking + message recording (where every optional
+//! subsystem must stay deterministic too).
 
 use pap_sim::{
     run_auto, run_par, run_ref, FaultSpec, Job, NoiseModel, Op, Platform, RankProgram, RunOutcome,
@@ -57,6 +57,26 @@ fn rdb_exchange(p: usize, bytes: u64) -> Job {
         k <<= 1;
     }
     Job::new(programs.into_iter().map(RankProgram::from_ops).collect())
+}
+
+/// Flat linear alltoall (the collectives registry's Alltoall ID 1, without
+/// the data-movement ops): every rank posts a receive from and a send to
+/// each peer at ring distance `k`, then waits on all of them. Each rank has
+/// p − 1 channels live at once, so channel matching is exercised at its
+/// widest.
+fn linear_alltoall(p: usize, bytes: u64) -> Job {
+    let programs = (0..p)
+        .map(|me| {
+            let mut ops = Vec::with_capacity(2 * p - 1);
+            for k in 1..p {
+                ops.push(Op::irecv((me + p - k) % p, 0, 0, 2 * (k - 1)));
+                ops.push(Op::isend((me + k) % p, 0, bytes, 0, 2 * (k - 1) + 1));
+            }
+            ops.push(Op::waitall((0..2 * (p - 1)).collect()));
+            RankProgram::from_ops(ops)
+        })
+        .collect();
+    Job::new(programs)
 }
 
 /// Bitwise equality of two outcomes: every float compared via `to_bits`.
@@ -222,4 +242,27 @@ fn run_auto_follows_thread_setting() {
     let auto = run_auto(&platform, &job, &cfg).expect("auto run");
     pap_parallel::set_threads(1);
     assert_bit_identical(&seq, &auto, "run_auto threads=3");
+}
+
+/// A many-channel job: 512-rank linear alltoall of 1 KiB blocks, where every
+/// destination holds up to 511 live channels. Counts and makespan are pinned
+/// to the values the engine produced before channel matching was
+/// hash-indexed, and the partitioned run must stay byte-identical.
+#[test]
+fn linear_alltoall_512_is_pinned_and_byte_identical() {
+    let p = 512;
+    let platform = scaled_simcluster(p);
+    let job = linear_alltoall(p, 1024);
+    let cfg = SimConfig::default();
+    let seq = run_ref(&platform, &job, &cfg).expect("sequential run");
+    assert_eq!(seq.events, 491_520, "events");
+    assert_eq!(seq.messages, 261_632, "messages");
+    assert_eq!(
+        seq.makespan().to_bits(),
+        0x3f89_c6ff_e38d_75fe,
+        "makespan {:e}",
+        seq.makespan()
+    );
+    let par = run_par(&platform, &job, &cfg, 2).expect("parallel run");
+    assert_bit_identical(&seq, &par, "linear alltoall p=512 parts=2");
 }
