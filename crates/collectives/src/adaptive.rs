@@ -20,7 +20,7 @@
 //! the pattern is known and pronounced, which the included example and
 //! tests demonstrate.
 
-use pap_sim::data::Value;
+use pap_sim::data::SlotInit;
 use pap_sim::Op;
 
 use crate::spec::{BuildError, Built, CollSpec};
@@ -53,7 +53,7 @@ pub fn build_arrival_aware_reduce(spec: &CollSpec, p: usize, delays: &[f64]) -> 
     let groups: Vec<&[usize]> = order.chunks(GROUP).collect();
 
     let mut ops_of: Vec<Vec<Op>> = (0..p)
-        .map(|me| vec![Op::InitSlot { slot: 0, value: Value::reduce_input(me, 0, 1) }])
+        .map(|me| vec![Op::InitSlot { slot: 0, init: SlotInit::reduce_input(me, 0, 1) }])
         .collect();
 
     let mut prev_group_root: Option<usize> = None;

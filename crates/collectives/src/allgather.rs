@@ -10,7 +10,7 @@
 //! Slot convention: slot 0 = result (grows as blocks arrive), slot 1 =
 //! receive temp.
 
-use pap_sim::data::{BlockFilter, Value};
+use pap_sim::data::{BlockFilter, SlotInit};
 use pap_sim::Op;
 
 use crate::registry::CollectiveKind;
@@ -84,7 +84,7 @@ fn bruck(spec: &CollSpec, p: usize) -> Built {
     let m = spec.bytes;
     let mut rank_ops = Vec::with_capacity(p);
     for me in 0..p {
-        let mut ops = vec![Op::InitSlot { slot: 0, value: Value::movement_block(me, me as u32) }];
+        let mut ops = vec![Op::InitSlot { slot: 0, init: SlotInit::movement_block(me, me as u32) }];
         let mut k = 0u32;
         while (1usize << k) < p {
             let d = 1usize << k;
@@ -124,7 +124,7 @@ fn recursive_doubling(spec: &CollSpec, p: usize) -> Built {
     let steps = p.trailing_zeros() as usize;
     let mut rank_ops = Vec::with_capacity(p);
     for me in 0..p {
-        let mut ops = vec![Op::InitSlot { slot: 0, value: Value::movement_block(me, me as u32) }];
+        let mut ops = vec![Op::InitSlot { slot: 0, init: SlotInit::movement_block(me, me as u32) }];
         for k in 0..steps {
             let d = 1usize << k;
             let partner = me ^ d;
@@ -147,7 +147,7 @@ fn ring(spec: &CollSpec, p: usize) -> Built {
     for me in 0..p {
         let right = (me + 1) % p;
         let left = (me + p - 1) % p;
-        let mut ops = vec![Op::InitSlot { slot: 0, value: Value::movement_block(me, me as u32) }];
+        let mut ops = vec![Op::InitSlot { slot: 0, init: SlotInit::movement_block(me, me as u32) }];
         for t in 0..p.saturating_sub(1) {
             let send_origin = (me + p - t) % p;
             let tag = spec.tag_base + t as u64;
@@ -222,7 +222,7 @@ fn neighbor_exchange(spec: &CollSpec, p: usize) -> Built {
 
     let mut rank_ops = Vec::with_capacity(p);
     for me in 0..p {
-        let mut ops = vec![Op::InitSlot { slot: 0, value: Value::movement_block(me, me as u32) }];
+        let mut ops = vec![Op::InitSlot { slot: 0, init: SlotInit::movement_block(me, me as u32) }];
         for s in 0..steps {
             let partner = partner_of[s][me];
             let (start, len) = send_windows[s][me];

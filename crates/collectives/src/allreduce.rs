@@ -11,7 +11,7 @@
 //!
 //! Slot convention: slot 0 = accumulator/result, slot 1 = receive temp.
 
-use pap_sim::data::{BlockFilter, Value};
+use pap_sim::data::{BlockFilter, SlotInit};
 use pap_sim::Op;
 
 use crate::registry::CollectiveKind;
@@ -74,7 +74,7 @@ fn recursive_doubling(spec: &CollSpec, p: usize) -> Built {
     let bytes = spec.bytes;
     let mut rank_ops = Vec::with_capacity(p);
     for me in 0..p {
-        let mut ops = vec![Op::InitSlot { slot: 0, value: Value::reduce_input(me, 0, 1) }];
+        let mut ops = vec![Op::InitSlot { slot: 0, init: SlotInit::reduce_input(me, 0, 1) }];
         if me >= p2 {
             ops.push(Op::send(me - p2, spec.tag_base, bytes, 0));
             ops.push(Op::recv(me - p2, spec.tag_base + 100, 0));
@@ -117,7 +117,7 @@ fn ring(spec: &CollSpec, p: usize, phases: usize) -> Built {
     for me in 0..p {
         let right = (me + 1) % p;
         let left = (me + p - 1) % p;
-        let mut ops = vec![Op::InitSlot { slot: 0, value: Value::reduce_input(me, 0, nseg as u32) }];
+        let mut ops = vec![Op::InitSlot { slot: 0, init: SlotInit::reduce_input(me, 0, nseg as u32) }];
         if p == 1 {
             rank_ops.push(ops);
             continue;
@@ -183,7 +183,7 @@ fn rabenseifner(spec: &CollSpec, p: usize) -> Built {
 
     let mut rank_ops = Vec::with_capacity(p);
     for me in 0..p {
-        let mut ops = vec![Op::InitSlot { slot: 0, value: Value::reduce_input(me, 0, p2 as u32) }];
+        let mut ops = vec![Op::InitSlot { slot: 0, init: SlotInit::reduce_input(me, 0, p2 as u32) }];
         if me >= p2 {
             ops.push(Op::send(me - p2, spec.tag_base, spec.bytes, 0));
             ops.push(Op::recv(me - p2, spec.tag_base + 100, 0));

@@ -7,7 +7,7 @@
 //! the working buffer), slot 1 = outgoing blocks, slot 2 = receive temp,
 //! slots `4..4+p` = per-peer receive buffers (linear variants).
 
-use pap_sim::data::{BlockFilter, Value};
+use pap_sim::data::{BlockFilter, SlotInit};
 use pap_sim::Op;
 
 use crate::spec::{BuildError, Built, CollSpec};
@@ -33,9 +33,9 @@ fn linear(spec: &CollSpec, p: usize, window: usize) -> Built {
     let mut rank_ops = Vec::with_capacity(p);
     for me in 0..p {
         let mut ops = vec![
-            Op::InitSlot { slot: 1, value: Value::movement_blocks(me, 0, p as u32) },
+            Op::InitSlot { slot: 1, init: SlotInit::movement_blocks(me, 0, p as u32) },
             // Local copy of the block destined to myself.
-            Op::InitSlot { slot: 0, value: Value::movement_block(me, me as u32) },
+            Op::InitSlot { slot: 0, init: SlotInit::movement_block(me, me as u32) },
         ];
         // Distance k pairs a receive from (me-k) with a send to (me+k), so
         // every batch's receives are satisfied by the same batch of the
@@ -77,8 +77,8 @@ fn pairwise(spec: &CollSpec, p: usize) -> Built {
     let mut rank_ops = Vec::with_capacity(p);
     for me in 0..p {
         let mut ops = vec![
-            Op::InitSlot { slot: 1, value: Value::movement_blocks(me, 0, p as u32) },
-            Op::InitSlot { slot: 0, value: Value::movement_block(me, me as u32) },
+            Op::InitSlot { slot: 1, init: SlotInit::movement_blocks(me, 0, p as u32) },
+            Op::InitSlot { slot: 0, init: SlotInit::movement_block(me, me as u32) },
         ];
         for t in 1..p {
             let sendto = (me + t) % p;
@@ -113,7 +113,7 @@ fn bruck(spec: &CollSpec, p: usize) -> Built {
         // Slot 0 holds all blocks currently resident here; starts with my
         // own p outgoing blocks (own block (me, me) included, position 0,
         // never sent).
-        let mut ops = vec![Op::InitSlot { slot: 0, value: Value::movement_blocks(me, 0, p as u32) }];
+        let mut ops = vec![Op::InitSlot { slot: 0, init: SlotInit::movement_blocks(me, 0, p as u32) }];
         for k in 0..rounds {
             let d = 1usize << k;
             if d >= p {

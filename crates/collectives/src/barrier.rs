@@ -1,7 +1,7 @@
 //! `MPI_Barrier`: dissemination barrier (used by the harness's harmonized
 //! starts and by "linear with sync"-style pacing).
 
-use pap_sim::{Op, Value};
+use pap_sim::{Op, SlotInit};
 
 use crate::spec::{BuildError, Built, CollSpec};
 
@@ -23,7 +23,7 @@ fn dissemination(spec: &CollSpec, p: usize) -> Built {
             // Signal payload: the 1-byte tokens are sent from slot 0, which
             // must hold a defined (empty) value rather than read an
             // uninitialized slot (pap-lint: UseBeforeInit).
-            ops.push(Op::InitSlot { slot: 0, value: Value::empty() });
+            ops.push(Op::InitSlot { slot: 0, init: SlotInit::Empty });
         }
         let mut k = 0u32;
         while (1usize << k) < p {

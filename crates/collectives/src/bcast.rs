@@ -7,7 +7,7 @@
 //!
 //! Slot convention: slot 0 = result, slot 1 = receive temp.
 
-use pap_sim::data::{BlockFilter, Value};
+use pap_sim::data::{BlockFilter, SlotInit};
 use pap_sim::Op;
 
 use crate::spec::{BuildError, Built, CollSpec};
@@ -54,7 +54,7 @@ fn tree_bcast(
         let node = tree_of(v);
         let mut ops = Vec::new();
         if me == spec.root && init_movement {
-            ops.push(Op::InitSlot { slot: 0, value: Value::movement_blocks(spec.root, 0, nseg as u32) });
+            ops.push(Op::InitSlot { slot: 0, init: SlotInit::movement_blocks(spec.root, 0, nseg as u32) });
         }
         let mut req = 0usize;
         for (s, &seg_bytes) in segs.iter().enumerate() {

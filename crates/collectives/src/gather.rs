@@ -6,7 +6,7 @@
 //!
 //! Slot convention: slot 0 = accumulation/result, slot 1 = receive temp.
 
-use pap_sim::data::Value;
+use pap_sim::data::SlotInit;
 use pap_sim::Op;
 
 use crate::spec::{BuildError, Built, CollSpec};
@@ -27,7 +27,7 @@ fn linear(spec: &CollSpec, p: usize) -> Built {
     let m = spec.bytes;
     let mut rank_ops = Vec::with_capacity(p);
     for me in 0..p {
-        let mut ops = vec![Op::InitSlot { slot: 0, value: Value::movement_block(me, me as u32) }];
+        let mut ops = vec![Op::InitSlot { slot: 0, init: SlotInit::movement_block(me, me as u32) }];
         if me == spec.root {
             for i in 0..p {
                 if i == spec.root {
@@ -52,7 +52,7 @@ fn binomial(spec: &CollSpec, p: usize) -> Built {
     for me in 0..p {
         let v = topo::vrank(me, spec.root, p);
         let node = topo::binomial(v, p);
-        let mut ops = vec![Op::InitSlot { slot: 0, value: Value::movement_block(me, me as u32) }];
+        let mut ops = vec![Op::InitSlot { slot: 0, init: SlotInit::movement_block(me, me as u32) }];
         // Children in *decreasing* distance order: the largest subtree is
         // received first (it was sent last, so this ordering pipelines).
         for &cv in node.children.iter().rev() {

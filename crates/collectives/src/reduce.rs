@@ -7,7 +7,7 @@
 //!
 //! Slot convention: slot 0 = accumulator/result, slot 1 = receive temp.
 
-use pap_sim::data::{BlockFilter, Value};
+use pap_sim::data::{BlockFilter, SlotInit};
 use pap_sim::Op;
 
 use crate::spec::{BuildError, Built, CollSpec};
@@ -37,7 +37,7 @@ fn tree_reduce(spec: &CollSpec, p: usize, segmented: bool, tree_of: impl Fn(usiz
         let v = topo::vrank(me, spec.root, p);
         let node = tree_of(v);
         let mut ops = Vec::with_capacity(2 + nseg * (node.children.len() * 2 + 1));
-        ops.push(Op::InitSlot { slot: 0, value: Value::reduce_input(me, 0, nseg as u32) });
+        ops.push(Op::InitSlot { slot: 0, init: SlotInit::reduce_input(me, 0, nseg as u32) });
         for (s, &seg_bytes) in segs.iter().enumerate() {
             let tag = spec.tag_base + s as u64;
             for &cv in &node.children {
@@ -73,7 +73,7 @@ fn in_order_binary(spec: &CollSpec, p: usize) -> Built {
     let mut rank_ops = Vec::with_capacity(p);
     for me in 0..p {
         let node = topo::in_order_binary(me, p);
-        let mut ops = vec![Op::InitSlot { slot: 0, value: Value::reduce_input(me, 0, 1) }];
+        let mut ops = vec![Op::InitSlot { slot: 0, init: SlotInit::reduce_input(me, 0, 1) }];
         for &child in &node.children {
             ops.push(Op::recv(child, spec.tag_base, 1));
             ops.push(Op::ReduceLocal { from: 1, into: 0, bytes });
@@ -115,7 +115,7 @@ fn rabenseifner(spec: &CollSpec, p: usize) -> Built {
     for me in 0..p {
         let v = topo::vrank(me, spec.root, p);
         let act = |w: usize| topo::actual(w, spec.root, p);
-        let mut ops = vec![Op::InitSlot { slot: 0, value: Value::reduce_input(me, 0, p2 as u32) }];
+        let mut ops = vec![Op::InitSlot { slot: 0, init: SlotInit::reduce_input(me, 0, p2 as u32) }];
 
         if v >= p2 {
             // Excess rank: contribute the whole vector to the partner, done.

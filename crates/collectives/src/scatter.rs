@@ -7,7 +7,7 @@
 //! Slot convention: slot 0 = result (own block), slot 1 = staging buffer
 //! (subtree windows in transit).
 
-use pap_sim::data::{BlockFilter, Value};
+use pap_sim::data::{BlockFilter, SlotInit};
 use pap_sim::Op;
 
 use crate::gather::subtree_size;
@@ -30,9 +30,9 @@ fn linear(spec: &CollSpec, p: usize) -> Built {
     for me in 0..p {
         let mut ops = Vec::new();
         if me == spec.root {
-            ops.push(Op::InitSlot { slot: 1, value: Value::movement_blocks(spec.root, 0, p as u32) });
+            ops.push(Op::InitSlot { slot: 1, init: SlotInit::movement_blocks(spec.root, 0, p as u32) });
             // Own block.
-            ops.push(Op::InitSlot { slot: 0, value: Value::movement_block(spec.root, spec.root as u32) });
+            ops.push(Op::InitSlot { slot: 0, init: SlotInit::movement_block(spec.root, spec.root as u32) });
             for i in 0..p {
                 if i == spec.root {
                     continue;
@@ -64,7 +64,7 @@ fn binomial(spec: &CollSpec, p: usize) -> Built {
         let node = topo::binomial(v, p);
         let mut ops = Vec::new();
         if me == spec.root {
-            ops.push(Op::InitSlot { slot: 1, value: Value::movement_blocks(spec.root, 0, p as u32) });
+            ops.push(Op::InitSlot { slot: 1, init: SlotInit::movement_blocks(spec.root, 0, p as u32) });
         } else {
             // Receive my subtree's window into the staging slot.
             let parent = topo::actual(node.parent.expect("non-root has parent"), spec.root, p);

@@ -157,14 +157,14 @@ mod tests {
         // rank 0 sends tag 1 / recvs tag 2; rank 1 mirrors.
         let mut p0 = RankProgram::new();
         p0.push_anon(vec![
-            Op::InitSlot { slot: 0, value: pap_sim::Value::empty() },
+            Op::InitSlot { slot: 0, init: pap_sim::SlotInit::Empty },
             Op::isend(1, 1, 8, 0, 0),
             Op::irecv(1, 2, 1, 1),
             Op::waitall(vec![0, 1]),
         ]);
         let mut p1 = RankProgram::new();
         p1.push_anon(vec![
-            Op::InitSlot { slot: 0, value: pap_sim::Value::empty() },
+            Op::InitSlot { slot: 0, init: pap_sim::SlotInit::Empty },
             Op::isend(0, 2, 8, 0, 0),
             Op::irecv(0, 1, 1, 1),
             Op::waitall(vec![0, 1]),

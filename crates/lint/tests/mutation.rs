@@ -17,7 +17,7 @@
 use pap_collectives::registry::algorithms;
 use pap_collectives::{build, CollSpec, CollectiveKind};
 use pap_lint::{lint_job, DiagClass, LintConfig};
-use pap_sim::{Job, Op, RankProgram, Value};
+use pap_sim::{Job, Op, RankProgram, SlotInit};
 use proptest::prelude::*;
 
 const EAGER: u64 = 16 * 1024;
@@ -186,12 +186,12 @@ proptest! {
 fn clean_exchange(bytes: u64) -> Vec<Vec<Op>> {
     vec![
         vec![
-            Op::InitSlot { slot: 0, value: Value::empty() },
+            Op::InitSlot { slot: 0, init: SlotInit::Empty },
             Op::send(1, 1, bytes, 0),
             Op::recv(1, 2, 1),
         ],
         vec![
-            Op::InitSlot { slot: 0, value: Value::empty() },
+            Op::InitSlot { slot: 0, init: SlotInit::Empty },
             Op::recv(0, 1, 1),
             Op::send(0, 2, bytes, 0),
         ],
@@ -228,7 +228,7 @@ fn retagging_onto_a_live_channel_is_a_tag_conflict() {
     // Clean: two messages 0 -> 1 on distinct tags.
     let clean = vec![
         vec![
-            Op::InitSlot { slot: 0, value: Value::empty() },
+            Op::InitSlot { slot: 0, init: SlotInit::Empty },
             Op::isend(1, 1, 8, 0, 0),
             Op::isend(1, 2, 8, 0, 1),
             Op::waitall(vec![0, 1]),
@@ -270,7 +270,7 @@ fn reposting_a_live_request_is_request_reuse() {
             Op::waitall(vec![0, 1]),
         ],
         vec![
-            Op::InitSlot { slot: 0, value: Value::empty() },
+            Op::InitSlot { slot: 0, init: SlotInit::Empty },
             Op::send(0, 1, 8, 0),
             Op::send(0, 2, 8, 0),
         ],
@@ -303,7 +303,7 @@ fn clearing_before_the_send_is_send_from_cleared_slot() {
 #[test]
 fn double_init_is_a_dead_store() {
     let mut corrupted = clean_exchange(64);
-    corrupted[0].insert(1, Op::InitSlot { slot: 0, value: Value::empty() });
+    corrupted[0].insert(1, Op::InitSlot { slot: 0, init: SlotInit::Empty });
     let report = lint_job(&job_of(corrupted), &cfg());
     assert!(report.has(DiagClass::DeadStore), "{}", report.render());
     assert!(report.is_clean(), "a dead store alone is a warning: {}", report.render());
@@ -332,11 +332,11 @@ fn self_send_and_bad_peer_are_reported() {
 fn reduce_size_disagreement_is_a_size_mismatch() {
     let clean = vec![
         vec![
-            Op::InitSlot { slot: 0, value: Value::empty() },
+            Op::InitSlot { slot: 0, init: SlotInit::Empty },
             Op::send(1, 1, 32, 0),
         ],
         vec![
-            Op::InitSlot { slot: 0, value: Value::empty() },
+            Op::InitSlot { slot: 0, init: SlotInit::Empty },
             Op::recv(0, 1, 1),
             Op::ReduceLocal { from: 1, into: 0, bytes: 32 },
         ],
@@ -352,13 +352,13 @@ fn reduce_size_disagreement_is_a_size_mismatch() {
 fn touching_a_pending_irecv_slot_is_a_hazard() {
     let clean = vec![
         vec![
-            Op::InitSlot { slot: 0, value: Value::empty() },
+            Op::InitSlot { slot: 0, init: SlotInit::Empty },
             Op::irecv(1, 1, 1, 0),
             Op::waitall(vec![0]),
             Op::send(1, 2, 8, 1),
         ],
         vec![
-            Op::InitSlot { slot: 0, value: Value::empty() },
+            Op::InitSlot { slot: 0, init: SlotInit::Empty },
             Op::send(0, 1, 8, 0),
             Op::recv(0, 2, 1),
         ],
@@ -378,7 +378,7 @@ fn unwaited_request_is_reported() {
             Op::waitall(vec![0]),
         ],
         vec![
-            Op::InitSlot { slot: 0, value: Value::empty() },
+            Op::InitSlot { slot: 0, init: SlotInit::Empty },
             Op::send(0, 1, 8, 0),
         ],
     ];

@@ -1,9 +1,9 @@
 //! Compiled form of a [`Job`]: the engine's cache-dense op stream.
 //!
 //! [`crate::program::Op`] is a builder-friendly enum — per-op `Vec`s for
-//! WaitAll request lists, inline [`BlockFilter`]s, owned [`Value`]s — and at
-//! 10K+ ranks the engine pays for that comfort on every activation: each op
-//! is ~2 cache lines, and every WaitAll chases a separate heap allocation
+//! WaitAll request lists, inline [`BlockFilter`]s — and at 10K+ ranks the
+//! engine pays for that comfort on every activation: each op is ~2 cache
+//! lines, and every WaitAll chases a separate heap allocation
 //! for its request list. [`CompiledJob`] flattens the whole job once per
 //! job (lazily, cached) into arena/SoA form:
 //!
@@ -14,8 +14,9 @@
 //!   `(off, len)` — the per-rank slices are read in program order, so they
 //!   ride the same cache stream as the ops;
 //! * block filters deduplicated into a small table (most sends transfer
-//!   the whole slot and carry no filter at all); `InitSlot` values in a
-//!   side table so `COp` stays `Copy`;
+//!   the whole slot and carry no filter at all); `InitSlot` carries its
+//!   `Copy` [`SlotInit`] descriptor inline;
+//! * per-rank request-arena sizes, counted in the same pass;
 //! * segment boundaries and labels in a flat per-rank segment table, only
 //!   touched when a segment completes.
 //!
@@ -24,7 +25,7 @@
 
 use std::collections::HashMap;
 
-use crate::data::{BlockFilter, Value};
+use crate::data::{BlockFilter, SlotInit};
 use crate::program::{Job, Label, Op};
 use crate::time::SimTime;
 
@@ -32,8 +33,8 @@ use crate::time::SimTime;
 pub(crate) const CNIL: u32 = u32::MAX;
 
 /// Compact fixed-size op. See the module docs; field meanings mirror
-/// [`crate::program::Op`] with indices narrowed to `u32` and rare payloads
-/// (filters, values) moved to side tables in [`CompiledJob`].
+/// [`crate::program::Op`] with indices narrowed to `u32` and block filters
+/// moved to a side table in [`CompiledJob`].
 #[derive(Debug, Clone, Copy)]
 pub(crate) enum COp {
     Compute { seconds: SimTime, noisy: bool },
@@ -49,7 +50,7 @@ pub(crate) enum COp {
     OverwriteMove { from: u32, into: u32 },
     DropBlocks { slot: u32, filter: u32 },
     CopySlot { from: u32, into: u32 },
-    InitSlot { slot: u32, value: u32 },
+    InitSlot { slot: u32, init: SlotInit },
     ClearSlot { slot: u32 },
 }
 
@@ -85,8 +86,8 @@ pub(crate) struct CompiledJob {
     pub wait_reqs: Vec<u32>,
     /// Deduplicated non-trivial block filters.
     pub filters: Vec<BlockFilter>,
-    /// `InitSlot` payloads.
-    pub values: Vec<Value>,
+    /// Requests needed per rank (max referenced request + 1).
+    pub req_counts: Vec<u32>,
 }
 
 /// Narrow a builder-side `usize` to the engine's `u32` indices. Saturates:
@@ -102,6 +103,7 @@ impl CompiledJob {
         let mut c = CompiledJob::default();
         c.rank_ops.reserve(job.programs.len() + 1);
         c.rank_segs.reserve(job.programs.len() + 1);
+        c.req_counts.reserve(job.programs.len());
         c.ops.reserve(job.total_ops());
         let mut filter_ids: HashMap<BlockFilter, u32> = HashMap::new();
         let mut filter_id = |filters: &mut Vec<BlockFilter>, f: BlockFilter| -> u32 {
@@ -117,32 +119,28 @@ impl CompiledJob {
         for prog in &job.programs {
             c.rank_ops.push(c.ops.len() as u32);
             c.rank_segs.push(c.segs.len() as u32);
+            let mut max_req = None;
             for seg in &prog.segments {
                 for op in &seg.ops {
+                    max_req = max_req.max(op.max_req());
+                    let req = match *op {
+                        Op::Isend { req, .. } | Op::Irecv { req, .. } => narrow(req),
+                        _ => CNIL,
+                    };
                     let cop = match *op {
                         Op::Compute { seconds, noisy } => COp::Compute { seconds, noisy },
                         Op::SleepUntil { time } => COp::SleepUntil { time },
-                        Op::Send { to, tag, bytes, slot, filter } => COp::Send {
+                        Op::Send { to, tag, bytes, slot, filter }
+                        | Op::Isend { to, tag, bytes, slot, filter, .. } => COp::Send {
                             to: narrow(to),
                             slot: narrow(slot),
                             tag,
                             bytes,
                             filter: filter_id(&mut c.filters, filter),
-                            req: CNIL,
+                            req,
                         },
-                        Op::Isend { to, tag, bytes, slot, filter, req } => COp::Send {
-                            to: narrow(to),
-                            slot: narrow(slot),
-                            tag,
-                            bytes,
-                            filter: filter_id(&mut c.filters, filter),
-                            req: narrow(req),
-                        },
-                        Op::Recv { from, tag, slot } => {
-                            COp::Recv { from: narrow(from), slot: narrow(slot), tag, req: CNIL }
-                        }
-                        Op::Irecv { from, tag, slot, req } => {
-                            COp::Recv { from: narrow(from), slot: narrow(slot), tag, req: narrow(req) }
+                        Op::Recv { from, tag, slot } | Op::Irecv { from, tag, slot, .. } => {
+                            COp::Recv { from: narrow(from), slot: narrow(slot), tag, req }
                         }
                         Op::WaitAll { ref reqs } => {
                             let off = c.wait_reqs.len() as u32;
@@ -165,10 +163,7 @@ impl CompiledJob {
                         Op::CopySlot { from, into } => {
                             COp::CopySlot { from: narrow(from), into: narrow(into) }
                         }
-                        Op::InitSlot { slot, ref value } => {
-                            c.values.push(value.clone());
-                            COp::InitSlot { slot: narrow(slot), value: (c.values.len() - 1) as u32 }
-                        }
+                        Op::InitSlot { slot, init } => COp::InitSlot { slot: narrow(slot), init },
                         Op::ClearSlot { slot } => COp::ClearSlot { slot: narrow(slot) },
                     };
                     c.ops.push(cop);
@@ -180,6 +175,7 @@ impl CompiledJob {
                     labelled: seg.label.is_some(),
                 });
             }
+            c.req_counts.push(max_req.map_or(0, |m| m as u32 + 1));
         }
         c.rank_ops.push(c.ops.len() as u32);
         c.rank_segs.push(c.segs.len() as u32);
@@ -227,6 +223,9 @@ mod tests {
         assert!(matches!(c.ops[0], COp::Recv { from: 1, slot: 0, tag: 7, req: 0 }));
         assert!(matches!(c.ops[2], COp::WaitAll { off: 0, len: 2 }));
         assert_eq!(c.wait_reqs, vec![0, 1]);
+        // Request arenas are sized in the same pass, as `reqs_needed` would.
+        assert_eq!(c.req_counts, vec![2, 0]);
+        assert_eq!((job.reqs_needed(0), job.reqs_needed(1)), (2, 0));
         // Blocking send gets the CNIL request, its filter lands in the table.
         match c.ops[4] {
             COp::Send { to: 0, filter, req: CNIL, .. } => {

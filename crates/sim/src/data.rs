@@ -33,18 +33,12 @@ impl RankSet {
 
     /// Singleton set `{rank}`.
     pub fn singleton(rank: usize) -> Self {
-        let mut s = Self::new();
-        s.insert(rank);
-        s
+        std::iter::once(rank).collect()
     }
 
     /// Set `{0, 1, …, p-1}`.
     pub fn full(p: usize) -> Self {
-        let mut s = Self::new();
-        for r in 0..p {
-            s.insert(r);
-        }
-        s
+        (0..p).collect()
     }
 
     /// Insert a rank. Returns `true` if it was newly inserted.
@@ -178,6 +172,64 @@ impl BlockFilter {
     }
 }
 
+/// Initial content of a slot: a `Copy` descriptor that the engine turns into
+/// a payload ([`SlotInit::value`]) only when it tracks data, so timing-only
+/// runs of 10K-rank schedules never allocate input payloads.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SlotInit {
+    /// No blocks.
+    Empty,
+    /// The reduction input of `rank`: segments `lo..hi`, each block
+    /// `(0, s)` contributed by `{rank}`.
+    Reduce {
+        /// Contributing rank.
+        rank: u32,
+        /// First segment.
+        lo: u32,
+        /// One past the last segment.
+        hi: u32,
+    },
+    /// Movement blocks `(origin, i)` for `i in lo..hi`, each owned by
+    /// `{origin}`.
+    Movement {
+        /// Owning rank.
+        origin: u32,
+        /// First block index.
+        lo: u32,
+        /// One past the last block index.
+        hi: u32,
+    },
+}
+
+impl SlotInit {
+    /// The input contribution of `rank` for reduction segments
+    /// `seg_lo..seg_hi`: each segment maps to `{rank}`.
+    pub fn reduce_input(rank: usize, seg_lo: u32, seg_hi: u32) -> Self {
+        SlotInit::Reduce { rank: rank as u32, lo: seg_lo, hi: seg_hi }
+    }
+
+    /// A movement block `(origin, index)` owned by `origin`.
+    pub fn movement_block(origin: usize, index: u32) -> Self {
+        Self::movement_blocks(origin, index, index + 1)
+    }
+
+    /// Several movement blocks from one origin: indices `lo..hi`.
+    pub fn movement_blocks(origin: usize, lo: u32, hi: u32) -> Self {
+        SlotInit::Movement { origin: origin as u32, lo, hi }
+    }
+
+    /// Build the payload this descriptor stands for.
+    pub fn value(self) -> Value {
+        let (coord0, owner, lo, hi) = match self {
+            SlotInit::Empty => return Value::empty(),
+            SlotInit::Reduce { rank, lo, hi } => (0, rank, lo, hi),
+            SlotInit::Movement { origin, lo, hi } => (origin, origin, lo, hi),
+        };
+        let owner = RankSet::singleton(owner as usize);
+        Value::from_map((lo..hi).map(|i| ((coord0, i), owner.clone())).collect())
+    }
+}
+
 /// Abstract content of one buffer slot.
 ///
 /// The block map is `Arc`-backed copy-on-write: cloning a `Value` (payload
@@ -203,32 +255,6 @@ impl Value {
     #[inline]
     fn blocks_mut(&mut self) -> &mut BTreeMap<BlockCoord, RankSet> {
         Arc::make_mut(&mut self.blocks)
-    }
-
-    /// The input contribution of `rank` for reduction segments
-    /// `seg_lo..seg_hi`: each segment maps to `{rank}`.
-    pub fn reduce_input(rank: usize, seg_lo: u32, seg_hi: u32) -> Self {
-        let mut blocks = BTreeMap::new();
-        for s in seg_lo..seg_hi {
-            blocks.insert((0, s), RankSet::singleton(rank));
-        }
-        Self::from_map(blocks)
-    }
-
-    /// A movement block `(origin, index)` owned by `origin`.
-    pub fn movement_block(origin: usize, index: u32) -> Self {
-        let mut blocks = BTreeMap::new();
-        blocks.insert((origin as u32, index), RankSet::singleton(origin));
-        Self::from_map(blocks)
-    }
-
-    /// Several movement blocks from one origin: indices `lo..hi`.
-    pub fn movement_blocks(origin: usize, lo: u32, hi: u32) -> Self {
-        let mut blocks = BTreeMap::new();
-        for i in lo..hi {
-            blocks.insert((origin as u32, i), RankSet::singleton(origin));
-        }
-        Self::from_map(blocks)
     }
 
     /// Number of blocks held.
@@ -262,42 +288,27 @@ impl Value {
     /// Returns `Err` with a description on double-count; the merge still
     /// proceeds (so downstream checks see the union).
     pub fn reduce_from(&mut self, other: &Value) -> Result<(), String> {
-        if self.is_empty() {
-            // No overlap possible: share the other side's map.
-            self.blocks = Arc::clone(&other.blocks);
-            return Ok(());
-        }
-        let mut err = None;
-        let blocks = Arc::make_mut(&mut self.blocks);
-        for (coord, set) in other.blocks.iter() {
-            match blocks.get_mut(coord) {
-                Some(existing) => {
-                    if existing.intersects(set) && err.is_none() {
-                        err = Some(format!(
-                            "double-counted contribution in block {coord:?}: {:?} ∩ {:?}",
-                            existing.iter().collect::<Vec<_>>(),
-                            set.iter().collect::<Vec<_>>()
-                        ));
-                    }
-                    existing.union_with(set);
-                }
-                None => {
-                    blocks.insert(*coord, set.clone());
-                }
-            }
-        }
-        match err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        self.union_from(other, "double-counted contribution in block", "∩", RankSet::intersects)
     }
 
     /// Movement merge: union of block maps. A block arriving twice with the
     /// *same* contributors is idempotent; differing contributors are an
     /// error (two different things claiming the same coordinate).
     pub fn merge_from(&mut self, other: &Value) -> Result<(), String> {
+        self.union_from(other, "conflicting content for block", "vs", |a, b| a != b)
+    }
+
+    /// Per-block union of `other` into `self`. The first block whose two
+    /// contributor sets `clash` is reported as `"{what} {coord}: {a} {sep} {b}"`.
+    fn union_from(
+        &mut self,
+        other: &Value,
+        what: &str,
+        sep: &str,
+        clash: impl Fn(&RankSet, &RankSet) -> bool,
+    ) -> Result<(), String> {
         if self.is_empty() {
-            // No conflict possible: share the other side's map.
+            // Nothing to clash with: share the other side's map.
             self.blocks = Arc::clone(&other.blocks);
             return Ok(());
         }
@@ -305,14 +316,10 @@ impl Value {
         let blocks = Arc::make_mut(&mut self.blocks);
         for (coord, set) in other.blocks.iter() {
             match blocks.get_mut(coord) {
-                Some(existing) if existing == set => {}
                 Some(existing) => {
-                    if err.is_none() {
-                        err = Some(format!(
-                            "conflicting content for block {coord:?}: {:?} vs {:?}",
-                            existing.iter().collect::<Vec<_>>(),
-                            set.iter().collect::<Vec<_>>()
-                        ));
+                    if err.is_none() && clash(existing, set) {
+                        let (a, b): (Vec<_>, Vec<_>) = (existing.iter().collect(), set.iter().collect());
+                        err = Some(format!("{what} {coord:?}: {a:?} {sep} {b:?}"));
                     }
                     existing.union_with(set);
                 }
@@ -321,10 +328,7 @@ impl Value {
                 }
             }
         }
-        match err {
-            Some(e) => Err(e),
-            None => Ok(()),
-        }
+        err.map_or(Ok(()), Err)
     }
 
     /// Extract a sub-value containing only blocks with coordinates for which
@@ -402,8 +406,8 @@ mod tests {
 
     #[test]
     fn reduce_merge_unions_contributions() {
-        let mut a = Value::reduce_input(0, 0, 4);
-        let b = Value::reduce_input(1, 0, 4);
+        let mut a = SlotInit::reduce_input(0, 0, 4).value();
+        let b = SlotInit::reduce_input(1, 0, 4).value();
         a.reduce_from(&b).unwrap();
         for s in 0..4 {
             assert!(a.get((0, s)).unwrap().is_full(2));
@@ -412,16 +416,16 @@ mod tests {
 
     #[test]
     fn reduce_merge_detects_double_count() {
-        let mut a = Value::reduce_input(0, 0, 1);
-        let b = Value::reduce_input(0, 0, 1);
+        let mut a = SlotInit::reduce_input(0, 0, 1).value();
+        let b = SlotInit::reduce_input(0, 0, 1).value();
         assert!(a.reduce_from(&b).is_err());
     }
 
     #[test]
     fn movement_merge_detects_conflicts_and_idempotence() {
-        let mut a = Value::movement_block(0, 3);
+        let mut a = SlotInit::movement_block(0, 3).value();
         // Same block again: fine.
-        a.merge_from(&Value::movement_block(0, 3)).unwrap();
+        a.merge_from(&SlotInit::movement_block(0, 3).value()).unwrap();
         // A block claiming the same coordinate with other contributors: error.
         let mut rogue = Value::empty();
         rogue.set((0, 3), RankSet::singleton(7));
@@ -430,7 +434,7 @@ mod tests {
 
     #[test]
     fn filtered_selects_blocks() {
-        let v = Value::movement_blocks(2, 0, 10);
+        let v = SlotInit::movement_blocks(2, 0, 10).value();
         let f = v.filtered(|(_, i)| i < 3);
         assert_eq!(f.len(), 3);
         assert!(f.get((2, 2)).is_some());
@@ -466,7 +470,7 @@ mod tests {
 
     #[test]
     fn overwrite_and_drop() {
-        let mut v = Value::movement_blocks(0, 0, 4);
+        let mut v = SlotInit::movement_blocks(0, 0, 4).value();
         let mut repl = Value::empty();
         repl.set((0, 1), RankSet::singleton(9));
         v.overwrite_from(&repl);
@@ -476,9 +480,33 @@ mod tests {
         assert!(v.get((0, 2)).is_some() && v.get((0, 0)).is_none());
     }
 
+    /// Reference construction: one `set` per block, each with its own
+    /// singleton contributor set.
+    fn eager(coord0: u32, owner: usize, lo: u32, hi: u32) -> Value {
+        let mut v = Value::empty();
+        (lo..hi).for_each(|i| v.set((coord0, i), RankSet::singleton(owner)));
+        v
+    }
+
+    #[test]
+    fn slot_init_matches_eager_construction() {
+        // 63/64 straddle a bitset word boundary; 10239 is the top rank of
+        // the 10K-rank benchmark jobs. `lo == hi` builds an empty value.
+        for rank in [0usize, 63, 64, 130, 10239] {
+            let r = rank as u32;
+            assert_eq!(SlotInit::reduce_input(rank, 0, 128).value(), eager(0, rank, 0, 128));
+            assert_eq!(SlotInit::reduce_input(rank, 5, 9).value(), eager(0, rank, 5, 9));
+            assert_eq!(SlotInit::movement_block(rank, r).value(), eager(r, rank, r, r + 1));
+            assert_eq!(SlotInit::movement_blocks(rank, 0, 130).value(), eager(r, rank, 0, 130));
+            assert!(SlotInit::reduce_input(rank, 7, 7).value().is_empty());
+            assert!(SlotInit::movement_blocks(rank, 3, 3).value().is_empty());
+        }
+        assert_eq!(SlotInit::Empty.value(), Value::empty());
+    }
+
     #[test]
     fn reduce_input_spans_segments() {
-        let v = Value::reduce_input(3, 2, 5);
+        let v = SlotInit::reduce_input(3, 2, 5).value();
         assert_eq!(v.len(), 3);
         assert!(v.get((0, 2)).unwrap().contains(3));
         assert!(v.get((0, 1)).is_none());

@@ -396,6 +396,7 @@ fn assemble(parts: Vec<Part>, cfg: &SimConfig) -> Result<RunOutcome, SimError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::data::SlotInit;
     use crate::noise::NoiseModel;
     use crate::program::{Op, RankProgram};
 
@@ -459,8 +460,8 @@ mod tests {
     fn fifo_matching_two_messages_same_tag() {
         let out = run2(
             vec![
-                Op::InitSlot { slot: 0, value: Value::movement_block(0, 0) },
-                Op::InitSlot { slot: 1, value: Value::movement_block(0, 1) },
+                Op::InitSlot { slot: 0, init: SlotInit::movement_block(0, 0) },
+                Op::InitSlot { slot: 1, init: SlotInit::movement_block(0, 1) },
                 Op::send(1, 5, 64, 0),
                 Op::send(1, 5, 64, 1),
             ],
@@ -673,11 +674,11 @@ mod tests {
     fn dataflow_payload_travels() {
         let out = run2(
             vec![
-                Op::InitSlot { slot: 0, value: Value::reduce_input(0, 0, 4) },
+                Op::InitSlot { slot: 0, init: SlotInit::reduce_input(0, 0, 4) },
                 Op::send(1, 1, 1024, 0),
             ],
             vec![
-                Op::InitSlot { slot: 0, value: Value::reduce_input(1, 0, 4) },
+                Op::InitSlot { slot: 0, init: SlotInit::reduce_input(1, 0, 4) },
                 Op::recv(0, 1, 1),
                 Op::ReduceLocal { from: 1, into: 0, bytes: 1024 },
             ],
@@ -693,8 +694,8 @@ mod tests {
     fn double_reduce_is_reported() {
         let out = run2(
             vec![
-                Op::InitSlot { slot: 0, value: Value::reduce_input(0, 0, 1) },
-                Op::InitSlot { slot: 1, value: Value::reduce_input(0, 0, 1) },
+                Op::InitSlot { slot: 0, init: SlotInit::reduce_input(0, 0, 1) },
+                Op::InitSlot { slot: 1, init: SlotInit::reduce_input(0, 0, 1) },
                 Op::ReduceLocal { from: 1, into: 0, bytes: 8 },
             ],
             vec![],

@@ -465,12 +465,11 @@ impl<'a> Part<'a> {
         let node0 = platform.node_of(r0);
         let nnodes = platform.node_of(r1 - 1) + 1 - node0;
 
-        let req_counts = job.req_counts();
         let comp = job.compiled();
         let mut ranks = Vec::with_capacity(n);
         let mut req_base = Vec::with_capacity(n + 1);
         let mut nreqs = 0u32;
-        for (g, &rc) in req_counts.iter().enumerate().take(r1).skip(r0) {
+        for (g, &rc) in comp.req_counts.iter().enumerate().take(r1).skip(r0) {
             req_base.push(nreqs);
             nreqs += rc;
             let (s0, s1) = (comp.rank_segs[g], comp.rank_segs[g + 1]);
@@ -1081,54 +1080,44 @@ impl<'a> Part<'a> {
                 self.step(l);
                 true
             }
-            COp::MergeMove { from, into } => {
+            COp::MergeMove { .. }
+            | COp::OverwriteMove { .. }
+            | COp::DropBlocks { .. }
+            | COp::CopySlot { .. }
+            | COp::InitSlot { .. }
+            | COp::ClearSlot { .. } => {
+                // Zero-cost slot ops change payloads only.
                 if self.cfg.track_data {
-                    let src = self.slots[l][from as usize].clone();
-                    if let Err(e) = self.slots[l][into as usize].merge_from(&src) {
-                        self.data_error(l, e);
-                    }
+                    self.apply_slot_op(l, *op);
                 }
                 self.step(l);
                 true
+            }
+        }
+    }
+
+    /// Apply a zero-cost slot op to rank `l`'s payloads (tracked runs only).
+    fn apply_slot_op(&mut self, l: usize, op: COp) {
+        let slots = &mut self.slots[l];
+        match op {
+            COp::MergeMove { from, into } => {
+                let src = slots[from as usize].clone();
+                if let Err(e) = slots[into as usize].merge_from(&src) {
+                    self.data_error(l, e);
+                }
             }
             COp::OverwriteMove { from, into } => {
-                if self.cfg.track_data {
-                    let src = self.slots[l][from as usize].clone();
-                    self.slots[l][into as usize].overwrite_from(&src);
-                }
-                self.step(l);
-                true
+                let src = slots[from as usize].clone();
+                slots[into as usize].overwrite_from(&src);
             }
             COp::DropBlocks { slot, filter } => {
-                if self.cfg.track_data {
-                    let f = self.filter(filter);
-                    self.slots[l][slot as usize].drop_matching(f);
-                }
-                self.step(l);
-                true
+                let f = self.filter(filter);
+                self.slots[l][slot as usize].drop_matching(f);
             }
-            COp::CopySlot { from, into } => {
-                if self.cfg.track_data {
-                    let src = self.slots[l][from as usize].clone();
-                    self.slots[l][into as usize] = src;
-                }
-                self.step(l);
-                true
-            }
-            COp::InitSlot { slot, value } => {
-                if self.cfg.track_data {
-                    self.slots[l][slot as usize] = self.comp.values[value as usize].clone();
-                }
-                self.step(l);
-                true
-            }
-            COp::ClearSlot { slot } => {
-                if self.cfg.track_data {
-                    self.slots[l][slot as usize] = Value::empty();
-                }
-                self.step(l);
-                true
-            }
+            COp::CopySlot { from, into } => slots[into as usize] = slots[from as usize].clone(),
+            COp::InitSlot { slot, init } => slots[slot as usize] = init.value(),
+            COp::ClearSlot { slot } => slots[slot as usize] = Value::empty(),
+            _ => unreachable!("not a slot op: {op:?}"),
         }
     }
 
@@ -1209,14 +1198,10 @@ impl<'a> Part<'a> {
             m => m.wire_factor(&mut self.rngs[l]),
         };
         let eager = self.platform.is_eager(bytes);
-        let payload = if self.cfg.track_data {
-            Some(match self.filter(filter) {
-                BlockFilter::All => self.slots[l][slot].clone(),
-                f => self.slots[l][slot].filtered(|c| f.matches(c)),
-            })
-        } else {
-            None
-        };
+        let payload = self.cfg.track_data.then(|| match self.filter(filter) {
+            BlockFilter::All => self.slots[l][slot].clone(),
+            f => self.slots[l][slot].filtered(|c| f.matches(c)),
+        });
         let uid = ((rank as u64) << 40) | self.send_seq[l];
         self.send_seq[l] += 1;
         self.messages += 1;

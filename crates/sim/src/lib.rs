@@ -59,7 +59,7 @@ pub mod program;
 pub mod time;
 pub mod timeline;
 
-pub use data::{RankSet, Value};
+pub use data::{RankSet, SlotInit, Value};
 pub use engine::{run, run_auto, run_par, run_ref, RunOutcome, SimError};
 pub use fault::{FaultSpec, LinkFault, NoiseStorm, RankCrash, RankStall, ANY_NODE};
 pub use noise::NoiseModel;

@@ -6,7 +6,7 @@
 //! *enters* and *exits* that segment — this is exactly the "process arrival
 //! time" and "exit time" of the paper (§II-A).
 
-use crate::data::{BlockFilter, Value};
+use crate::data::{BlockFilter, SlotInit};
 use crate::time::SimTime;
 
 /// Index of a buffer slot within a rank's slot table.
@@ -176,12 +176,13 @@ pub enum Op {
         /// Destination slot.
         into: Slot,
     },
-    /// Initialize a slot with a literal value (rank inputs).
+    /// Initialize a slot (rank inputs). The content is a descriptor; the
+    /// engine builds the payload only when it tracks data.
     InitSlot {
         /// Slot to initialize.
         slot: Slot,
         /// Initial content.
-        value: Value,
+        init: SlotInit,
     },
     /// Empty a slot.
     ClearSlot {
@@ -424,26 +425,18 @@ impl RankProgram {
 pub struct Job {
     /// Per-rank programs; `programs.len()` is the number of ranks.
     pub programs: Vec<RankProgram>,
-    /// Per-rank request-arena sizes, computed lazily on first run. At 10K+
-    /// ranks the full-program scan is a measurable slice of a single run,
-    /// and jobs are routinely re-run (sweeps, repetitions, partitions), so
-    /// the result is cached. `programs` must not be mutated after the
-    /// first run of the job.
-    req_counts: std::sync::OnceLock<Vec<u32>>,
     /// Flattened engine form (see [`crate::compiled`]), built lazily on the
-    /// first run and shared by all later runs and partitions. Same caching
-    /// contract as `req_counts`.
+    /// first run and shared by all later runs and partitions. At 10K+ ranks
+    /// the full-program scan is a measurable slice of a single run, and jobs
+    /// are routinely re-run (sweeps, repetitions, partitions), so the result
+    /// is cached: `programs` must not be mutated after the first run.
     compiled: std::sync::OnceLock<crate::compiled::CompiledJob>,
 }
 
 impl Job {
     /// Build a job from per-rank programs.
     pub fn new(programs: Vec<RankProgram>) -> Self {
-        Job {
-            programs,
-            req_counts: std::sync::OnceLock::new(),
-            compiled: std::sync::OnceLock::new(),
-        }
+        Job { programs, compiled: std::sync::OnceLock::new() }
     }
 
     /// Number of ranks.
@@ -459,13 +452,6 @@ impl Job {
     /// Requests needed per rank (max referenced request + 1).
     pub fn reqs_needed(&self, rank: usize) -> usize {
         self.programs[rank].max_req().map_or(0, |m| m + 1)
-    }
-
-    /// Requests needed for every rank (cached; see [`Job`] field docs).
-    pub fn req_counts(&self) -> &[u32] {
-        self.req_counts.get_or_init(|| {
-            self.programs.iter().map(|p| p.max_req().map_or(0, |m| m as u32 + 1)).collect()
-        })
     }
 
     /// The flattened engine form (cached; see [`crate::compiled`]).
@@ -548,6 +534,6 @@ mod tests {
         assert_eq!(Op::MergeMove { from: 7, into: 1 }.max_slot(), Some(7));
         assert_eq!(Op::ClearSlot { slot: 4 }.max_slot(), Some(4));
         assert_eq!(Op::compute(1.0).max_slot(), None);
-        assert_eq!(Op::InitSlot { slot: 3, value: Value::empty() }.max_slot(), Some(3));
+        assert_eq!(Op::InitSlot { slot: 3, init: SlotInit::Empty }.max_slot(), Some(3));
     }
 }

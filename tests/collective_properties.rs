@@ -149,6 +149,17 @@ proptest! {
     }
 }
 
+/// Build `spec` for `p` ranks, run it with dataflow tracking and verify the
+/// result, panicking with the algorithm, rank count and root on failure.
+fn run_tracked_and_verify(spec: &CollSpec, p: usize) {
+    let ctx = format!("{} A{} p={p} root={}", spec.kind, spec.alg, spec.root);
+    let built = build(spec, p).unwrap_or_else(|e| panic!("{ctx}: {e}"));
+    let programs = built.rank_ops.into_iter().map(RankProgram::from_ops).collect();
+    let out = run(&Platform::simcluster(p), Job::new(programs), &SimConfig::tracking())
+        .unwrap_or_else(|e| panic!("{ctx}: {e}"));
+    verify(spec, p, &out).unwrap_or_else(|e| panic!("{ctx}: {e}"));
+}
+
 /// Deterministic companion to `any_collective_completes_and_verifies`:
 /// proptest *samples* the parameter space, this sweeps the corner that has
 /// historically broken collective implementations — non-power-of-two
@@ -160,16 +171,7 @@ fn every_algorithm_handles_awkward_p_and_all_roots() {
         for a in algorithms(kind) {
             for p in [3usize, 6, 9] {
                 for root in 0..p {
-                    let spec = CollSpec::new(kind, a.id, 96).with_root(root);
-                    let built = build(&spec, p)
-                        .unwrap_or_else(|e| panic!("{kind} A{} p={p} root={root}: {e}", a.id));
-                    let programs =
-                        built.rank_ops.into_iter().map(RankProgram::from_ops).collect();
-                    let platform = Platform::simcluster(p);
-                    let out = run(&platform, Job::new(programs), &SimConfig::tracking())
-                        .unwrap_or_else(|e| panic!("{kind} A{} p={p} root={root}: {e}", a.id));
-                    verify(&spec, p, &out)
-                        .unwrap_or_else(|e| panic!("{kind} A{} p={p} root={root}: {e}", a.id));
+                    run_tracked_and_verify(&CollSpec::new(kind, a.id, 96).with_root(root), p);
                 }
             }
         }
@@ -196,5 +198,23 @@ fn noise_preserves_clear_algorithm_ordering() {
         let linear =
             measure(&platform, &CollSpec::new(CollectiveKind::Alltoall, 1, 8), &nodelay, &cfg).unwrap();
         assert!(bruck.mean_last() < linear.mean_last(), "seed {seed} flipped a 5x ordering");
+    }
+}
+
+/// The sweeps above stop below 64 ranks, so every contributor set they
+/// verify fits in one bitset word. Past 64 ranks `RankSet`s span several
+/// words: run every registered algorithm tracked at 65 and 130 ranks,
+/// rooted at both ends, with a size that spans several segments.
+#[test]
+fn every_algorithm_verifies_past_one_bitset_word() {
+    for kind in ALL_KINDS {
+        for a in algorithms(kind) {
+            for p in [65usize, 130] {
+                for root in [0, p - 1] {
+                    let spec = CollSpec::new(kind, a.id, 4096).with_root(root).with_seg_bytes(1024);
+                    run_tracked_and_verify(&spec, p);
+                }
+            }
+        }
     }
 }

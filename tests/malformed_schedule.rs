@@ -57,7 +57,7 @@ fn verification_catches_double_count() {
     let spec = CollSpec::new(CollectiveKind::Reduce, 1, 64);
     let mut built = build(&spec, p).unwrap();
     // Rank 0 (the root) folds its own input in twice.
-    built.rank_ops[0].push(Op::InitSlot { slot: 2, value: pap::sim::Value::reduce_input(0, 0, 1) });
+    built.rank_ops[0].push(Op::InitSlot { slot: 2, init: pap::sim::SlotInit::reduce_input(0, 0, 1) });
     built.rank_ops[0].push(Op::ReduceLocal { from: 2, into: 0, bytes: 64 });
     let programs = built.rank_ops.into_iter().map(RankProgram::from_ops).collect();
     let out = run(&Platform::simcluster(p), Job::new(programs), &SimConfig::tracking()).unwrap();
