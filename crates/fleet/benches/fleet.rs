@@ -3,7 +3,7 @@
 //! batches spread across shards.
 //!
 //! Cold cells cycle `(collective, ranks)` pairs that were never tuned, so
-//! every query pays the full inline model sweep on whichever shard the ring
+//! every query pays the full model sweep on whichever shard the ring
 //! routes it to. Only the paper's collectives are used — other kinds carry
 //! no experiment algorithms and would be rejected, not computed.
 
@@ -41,7 +41,7 @@ fn cold_query(i: usize) -> QueryRequest {
 }
 
 /// Cold misses one round trip at a time — every query pays its own wire
-/// overhead on top of the inline sweep.
+/// overhead on top of the sweep.
 fn bench_cold(c: &mut Criterion, name: &str, shards: usize) {
     let (fleet, mut client) = start(shards, false);
     let next = Cell::new(0usize);
@@ -61,7 +61,7 @@ fn bench_cold(c: &mut Criterion, name: &str, shards: usize) {
 
 /// Cold misses in routed batches — the client groups by owning shard and
 /// pipelines each shard's sub-batch, so the wire cost amortizes and every
-/// shard's inline sweeps stream back to back. This is how a tracing MPI
+/// shard's sweeps stream back to back. This is how a tracing MPI
 /// library would actually warm a fleet.
 fn bench_cold_batch(c: &mut Criterion, name: &str, shards: usize) {
     const BATCH: usize = 32;

@@ -1,4 +1,4 @@
-//! Fleet assembly: spawn N event-driven shards, warm-replicating shard 0's
+//! Fleet assembly: spawn N shards, warm-replicating shard 0's
 //! evidence into the rest.
 //!
 //! Shard 0 seeds per the base config (snapshot file or startup tuning
@@ -12,9 +12,8 @@
 use std::net::SocketAddr;
 use std::sync::atomic::Ordering;
 
-use pap_service::{build_store, ServeConfig};
+use pap_service::{build_store, ServeConfig, Server};
 
-use crate::node::FleetNode;
 use crate::replication::replicate_from;
 
 /// How to start a fleet.
@@ -28,10 +27,10 @@ pub struct FleetConfig {
     pub base: ServeConfig,
 }
 
-/// A running fleet of event-driven shards.
+/// A running fleet of shards.
 pub struct Fleet {
     addrs: Vec<SocketAddr>,
-    nodes: Vec<Option<FleetNode>>,
+    nodes: Vec<Option<Server>>,
 }
 
 impl Fleet {
@@ -55,7 +54,7 @@ impl Fleet {
 
         let mut cfg0 = cfg.base.clone();
         cfg0.addr = shard_addr(0).to_string();
-        let first = FleetNode::start(cfg0)?;
+        let first = Server::start(cfg0)?;
         let donor = first.local_addr();
 
         let mut addrs = vec![donor];
@@ -75,7 +74,7 @@ impl Fleet {
                 // shard starts hot and never tuned.
                 stats.snapshot_loaded.store(true, Ordering::Relaxed);
             }
-            let node = FleetNode::serve(&ci, stats, store)?;
+            let node = Server::serve(&ci, stats, store)?;
             addrs.push(node.local_addr());
             nodes.push(Some(node));
         }
@@ -93,8 +92,8 @@ impl Fleet {
         self.nodes.len()
     }
 
-    /// Borrow a live shard's node.
-    pub fn node(&self, shard: usize) -> Option<&FleetNode> {
+    /// Borrow a live shard's server.
+    pub fn node(&self, shard: usize) -> Option<&Server> {
         self.nodes.get(shard).and_then(|n| n.as_ref())
     }
 

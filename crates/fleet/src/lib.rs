@@ -2,8 +2,8 @@
 //! `pap-service`.
 //!
 //! One `papd` answers selection queries for one machine. A *fleet* scales
-//! that out: N shards, each an event-driven [`node::FleetNode`] speaking
-//! the unchanged wire protocol, with queries routed by consistent hashing
+//! that out: N shards, each a [`pap_service::Server`] speaking the
+//! unchanged wire protocol, with queries routed by consistent hashing
 //! over `(machine, collective, ranks)` so every tuning cell's cache lives
 //! on exactly one shard. Booting shards warm-replicate the donor shard's
 //! L2 evidence over the wire and answer their first query from L2;
@@ -11,7 +11,6 @@
 //! clockwise on the ring when a shard dies.
 //!
 //! * [`ring`] — the consistent-hash ring (FNV-1a, 64 vnodes/shard).
-//! * [`node`] — the epoll readiness loop replacing thread-per-connection.
 //! * [`replication`] — paged L2 drain over `Replicate` frames.
 //! * [`fleet`] — spawn/kill/join of a shard set.
 //! * [`client`] — routing, retry, failover, batches, aggregated stats.
@@ -22,14 +21,12 @@
 
 pub mod client;
 pub mod fleet;
-pub mod node;
 pub mod replication;
 pub mod ring;
 pub mod stats;
 
 pub use client::FleetClient;
 pub use fleet::{Fleet, FleetConfig};
-pub use node::FleetNode;
 pub use replication::replicate_from;
 pub use ring::Ring;
 pub use stats::aggregate_stats;

@@ -1,8 +1,8 @@
 //! End-to-end fleet tests over real sockets: warm replication, shard-kill
-//! recovery, aggregated stats, and event-loop connection scale.
+//! recovery and aggregated stats.
 
 use pap_collectives::CollectiveKind;
-use pap_fleet::{Fleet, FleetClient, FleetConfig, FleetNode};
+use pap_fleet::{Fleet, FleetClient, FleetConfig};
 use pap_service::{Client, QueryRequest, ServeConfig, Tier};
 
 fn base(tune: bool) -> ServeConfig {
@@ -114,30 +114,4 @@ fn shard_kill_recovery_loses_zero_queries() {
     assert!(agg.connections >= 3, "one client connection per surviving shard");
 
     fleet.join_all();
-}
-
-/// The event-driven node holds ≥ 1024 concurrent connections on one
-/// thread — the scale the thread-per-connection frontend cannot reach —
-/// and serves every one of them.
-#[test]
-fn event_node_sustains_1024_concurrent_connections() {
-    const CONNS: usize = 1100;
-    let node = FleetNode::start(base(false)).expect("node start");
-    let addr = node.local_addr();
-
-    let mut clients: Vec<Client> = Vec::with_capacity(CONNS);
-    for i in 0..CONNS {
-        clients.push(Client::connect(addr).unwrap_or_else(|e| panic!("connect #{i}: {e}")));
-    }
-    // Every connection is live and served while all the others stay open.
-    for (i, c) in clients.iter_mut().enumerate() {
-        c.ping().unwrap_or_else(|e| panic!("ping #{i}: {e}"));
-    }
-    let stats = clients[0].stats().expect("stats");
-    assert!(stats.connections >= CONNS as u64, "accepted {}", stats.connections);
-    assert_eq!(stats.endpoints.ping, CONNS as u64);
-
-    drop(clients);
-    node.stop();
-    node.join();
 }

@@ -1,7 +1,8 @@
 //! Loopback query throughput of `papd` (numbers land in
 //! BENCH_service.json): pipelined batches over one TCP connection against
 //! three cache regimes — warm L1, L2-only (L1 disabled), and cold cells
-//! (every query misses and is computed inline from the model backend).
+//! (every query misses and is computed from the model backend on the
+//! server's compute pool).
 
 use std::cell::Cell;
 

@@ -7,6 +7,10 @@
 //! papd [--addr A] [--snapshot F] [--backend {sim,model}] [--threads N]
 //!      [--machine M] [--ranks N] [--l1 N] [--refine-threads N] [--no-tune]
 //! ```
+//!
+//! `--threads` sizes the compute pool that runs cold cells and
+//! calibrations (default 0 = one worker per core); every connection is
+//! served by the one event loop.
 
 use std::io::Write;
 use std::process::ExitCode;
@@ -46,7 +50,8 @@ fn run(raw: &[String]) -> Result<(), String> {
                 println!(
                     "usage: papd [--addr A] [--snapshot F] [--backend {{sim,model}}] \
                      [--threads N] [--machine M] [--ranks N] [--policy P] [--l1 N] \
-                     [--refine-threads N] [--no-tune]"
+                     [--refine-threads N] [--no-tune]\n\
+                     --threads N sizes the cold-compute pool (default 0 = one worker per core)"
                 );
                 return Ok(());
             }

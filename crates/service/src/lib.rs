@@ -8,12 +8,14 @@
 //! arriving?"* — the deployment story for arrival-pattern-aware selection.
 //!
 //! * [`proto`] — the versioned newline-delimited-JSON wire protocol.
-//! * [`server`] — `papd` itself: bounded thread pools, tiered resolution,
-//!   graceful shutdown, observability counters.
+//! * [`server`] — `papd` itself: one epoll event loop for every
+//!   connection, slow frames (cold cells, calibration) on a bounded compute
+//!   pool, graceful shutdown that drains in-flight frames.
 //! * [`store`] — the tier logic: **L1** (LRU of resolved answers, guarded
 //!   by evidence generations) → **L2** (precomputed benchmark matrices,
-//!   exact then nearest-size) → **L3** (inline model computation plus
-//!   background simulator refinement that upgrades cells in place).
+//!   exact then nearest-size) → **L3** (cold cells computed with the model
+//!   backend, plus background simulator refinement that upgrades cells in
+//!   place).
 //! * [`snapshot`] — the warm-restart format shared with `papctl tune
 //!   --out`: decisions *and* their evidence matrices, so a restarted
 //!   daemon re-applies any policy without re-tuning.
@@ -30,6 +32,7 @@
 
 pub mod cache;
 pub mod client;
+mod dispatch;
 pub mod proto;
 pub mod server;
 pub mod snapshot;
@@ -42,9 +45,7 @@ pub use proto::{
     ErrorReply, QueryAnswer, QueryRequest, ReplicaCell, ReplicaDump, Reply, ReplyEnvelope, Request,
     RequestEnvelope, StatsReport, Tier, MAX_FRAME_BYTES, PROTO_VERSION,
 };
-pub use server::{
-    build_store, install_signal_shutdown, Dispatcher, ServeConfig, Server, ShutdownHandle,
-    REPLICA_PAGE_MAX,
-};
+pub use dispatch::REPLICA_PAGE_MAX;
+pub use server::{build_store, install_signal_shutdown, ServeConfig, Server, ShutdownHandle};
 pub use snapshot::{Snapshot, SnapshotCell, SNAPSHOT_FORMAT};
 pub use store::{measure_fault_matrix, CellKey, DefaultPolicy, TierStore};

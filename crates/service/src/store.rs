@@ -7,8 +7,9 @@
 //!   cells (full [`BenchMatrix`]es), seeded from a startup tuning sweep or a
 //!   warm-restart snapshot. Misses on exact message size fall back to the
 //!   nearest cell in log-space, mirroring [`pap_core::TuningTable::lookup`].
-//! * **L3** — on-demand refinement: a cold cell is computed inline with the
-//!   cheap analytical backend (the query is answered immediately) and, when
+//! * **L3** — on-demand refinement: a cold cell is computed with the cheap
+//!   analytical backend ([`TierStore::compute_miss`], which `papd` runs on
+//!   its compute pool; [`TierStore::lookup`] is the cache-only half) and, when
 //!   enabled, a background worker re-measures it with the event-driven
 //!   simulator and *upgrades* the cell. Upgrades bump the cell generation,
 //!   which invalidates derived L1 entries; a refinement that observes a
@@ -131,7 +132,7 @@ pub struct TierStore {
     refining: Mutex<HashSet<CellKey>>,
     stats: Arc<Stats>,
     default_policy: DefaultPolicy,
-    /// Backend for inline cold-cell computation.
+    /// Backend for cold-cell computation.
     compute_backend: Backend,
     /// Whether background sim refinement is enabled.
     refine_enabled: bool,
@@ -362,12 +363,39 @@ impl TierStore {
         Ok((answer, tickets))
     }
 
-    /// Resolve one query through the tiers.
+    /// Resolve one query through the tiers: [`TierStore::lookup`], then
+    /// [`TierStore::compute_miss`] when the caches cannot answer.
     ///
     /// Returns the answer plus, when a background sim refinement should be
     /// scheduled for the evidence cell, that cell's key (the caller owns the
     /// worker pool). Errors are client errors (`BadRequest`).
     pub fn resolve(&self, q: &QueryRequest) -> Result<(QueryAnswer, Option<CellKey>), String> {
+        match self.lookup(q)? {
+            Some(hit) => Ok(hit),
+            None => self.compute_miss(q),
+        }
+    }
+
+    /// The cheap tiers: L1, then L2 (exact, then nearest size). `Ok(None)`
+    /// means the answer needs measurement — a cold cell, or fault evidence
+    /// a fault-robust query must add to an L2 cell. Counts a tier only on a
+    /// hit.
+    pub fn lookup(&self, q: &QueryRequest) -> Result<Option<(QueryAnswer, Option<CellKey>)>, String> {
+        self.resolve_tiers(q, false)
+    }
+
+    /// The measuring half of [`TierStore::resolve`]: re-check the caches (a
+    /// racing query may have published the cell meanwhile), then compute
+    /// what they lack.
+    pub fn compute_miss(&self, q: &QueryRequest) -> Result<(QueryAnswer, Option<CellKey>), String> {
+        Ok(self.resolve_tiers(q, true)?.expect("a measuring resolution always answers"))
+    }
+
+    fn resolve_tiers(
+        &self,
+        q: &QueryRequest,
+        measure: bool,
+    ) -> Result<Option<(QueryAnswer, Option<CellKey>)>, String> {
         let machine_id: MachineId = q.machine.parse()?;
         let machine = machine_id.name().to_string();
         if q.ranks < 2 {
@@ -441,14 +469,18 @@ impl TierStore {
         let l1_key = L1Key { cell: key.clone(), policy: policy_label.clone() };
         if let Some(hit) = self.l1_lookup(&l1_key) {
             self.stats.l1_hit();
-            return Ok((
+            return Ok(Some((
                 answer(hit.alg, Tier::L1, hit.exact, &hit.evidence, &hit.backend, hit.generation, false),
                 None,
-            ));
+            )));
         }
 
         // L2: precomputed evidence, exact then nearest-size.
         if let Some((evidence_key, mut cell, exact)) = self.l2_lookup(&key) {
+            let fault_robust = matches!(policy, SelectionPolicy::FaultRobust { .. });
+            if fault_robust && cell.faults.is_none() && !measure {
+                return Ok(None);
+            }
             let alg = self.select_in_cell(machine_id, &evidence_key, &mut cell, &policy)?;
             if exact {
                 self.stats.l2_exact_hit();
@@ -467,15 +499,18 @@ impl TierStore {
                 },
             );
             let tier = if exact { Tier::L2 } else { Tier::L2Near };
-            return Ok((
+            return Ok(Some((
                 answer(alg, tier, exact, &evidence_key, &cell.backend, cell.generation, refine),
                 refine.then_some(evidence_key),
-            ));
+            )));
+        }
+        if !measure {
+            return Ok(None);
         }
 
-        // Miss: compute the cell inline with the cheap backend, publish it
-        // as L2 evidence, and (optionally) hand the caller a refinement
-        // ticket so the simulator can upgrade it in the background.
+        // Miss: compute the cell with the cheap backend, publish it as L2
+        // evidence, and (optionally) hand the caller a refinement ticket so
+        // the simulator can upgrade it in the background.
         self.stats.tier_miss();
         let backend = self.compute_backend;
         let matrix = self.compute_matrix(machine_id, &key, backend)?;
@@ -520,10 +555,10 @@ impl TierStore {
                 generation,
             },
         );
-        Ok((
+        Ok(Some((
             answer(alg, Tier::Computed, true, &key, &backend.to_string(), generation, refine),
             refine.then_some(key),
-        ))
+        )))
     }
 
     /// Re-measure `key` with the simulator and upgrade the cell if it is

@@ -1,7 +1,8 @@
 //! End-to-end tests for `papd` over real loopback TCP: arrival-pattern-aware
 //! selection consistent with the offline `select()`, warm restart from a
 //! snapshot, the error surface of the wire protocol, pipelining, background
-//! refinement, and graceful shutdown.
+//! refinement, slow frames off the event loop, connection scale, and
+//! graceful shutdown.
 
 use std::path::PathBuf;
 use std::time::{Duration, Instant};
@@ -10,7 +11,7 @@ use pap_arrival::{classify_delays, generate, Shape};
 use pap_collectives::CollectiveKind;
 use pap_core::selection::{select, SelectionPolicy};
 use pap_core::tuner::{tune_machine, TunePlan};
-use pap_microbench::BenchConfig;
+use pap_microbench::{Backend, BenchConfig};
 use pap_service::{
     decode_request, Client, ErrorCode, QueryRequest, Reply, Request, ServeConfig, Server, Snapshot,
     Tier, PROTO_VERSION,
@@ -351,6 +352,109 @@ fn graceful_shutdown_drains_and_stops_accepting() {
         }
     }
     assert!(refused, "daemon kept serving after graceful shutdown");
+}
+
+/// `stop()` while pipelined frames are in flight loses none of them: the
+/// drain reads what the kernel already holds on every connection, serves
+/// it — waiting for cold cells on the compute pool — and flushes before
+/// closing. Repeated, because a lost reply depends on where the loop is
+/// when the stop lands.
+#[test]
+fn stop_drains_pipelined_frames() {
+    for round in 0..6 {
+        let (server, first) = start(|_| {});
+        let mut clients = vec![first];
+        clients.extend((0..3).map(|_| Client::connect(server.local_addr()).expect("connect")));
+        let mut pending = Vec::new();
+        for (i, c) in clients.iter_mut().enumerate() {
+            // Warm, cold (ranks never tuned), warm: the last frame waits
+            // behind the cold one's pool job.
+            let cold = QueryRequest { ranks: 4 + 4 * round + i, ..query(1024) };
+            let ids: Vec<u64> = [query(1024), cold, query(8)]
+                .into_iter()
+                .map(|q| c.send(Request::Query(q)).expect("send"))
+                .collect();
+            pending.push(ids);
+        }
+        server.stop();
+        for (i, (c, ids)) in clients.iter_mut().zip(pending).enumerate() {
+            for id in ids {
+                let env = c
+                    .recv()
+                    .unwrap_or_else(|e| panic!("round {round}: reply {id} on client {i} lost: {e}"));
+                assert_eq!(env.id, id, "round {round}: replies must keep request order");
+                assert!(matches!(env.reply, Reply::Answer(_)), "round {round}: {:?}", env.reply);
+            }
+        }
+        server.join();
+    }
+}
+
+/// A cold cell's sweep runs on the compute pool, not the event loop: while
+/// connection A waits for it, connection B is served, and A's replies
+/// still come back in request order. Order-based: B's `Pong` and a stats
+/// read showing A's cell unpublished both precede A's answer.
+#[test]
+fn cold_compute_does_not_block_other_connections() {
+    let (server, mut b) = start(|cfg| {
+        cfg.backend = Backend::Sim;
+        cfg.tune_at_startup = false;
+    });
+    let mut a = Client::connect(server.local_addr()).expect("connect A");
+    let cold = QueryRequest {
+        collective: CollectiveKind::Alltoall,
+        bytes: 64 * 1024,
+        ranks: 128,
+        ..query(0)
+    };
+    let query_id = a.send(Request::Query(cold)).expect("send cold query");
+    let ping_id = a.send(Request::Ping).expect("pipeline ping");
+
+    // Wait until A's query has landed (decoded and handed to the pool).
+    let deadline = Instant::now() + Duration::from_secs(30);
+    while server.stats().report().endpoints.query == 0 {
+        assert!(Instant::now() < deadline, "A's query never landed");
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    b.ping().expect("B is served while A's cell computes");
+    let during = b.stats().expect("stats while A's cell computes");
+    assert_eq!(during.l2_cells, 0, "B must be answered before A's cold cell is published");
+
+    let first = a.recv().expect("A's answer");
+    assert_eq!(first.id, query_id, "A's replies must keep request order");
+    match first.reply {
+        Reply::Answer(ans) => assert_eq!(ans.tier, Tier::Computed),
+        other => panic!("expected A's answer, got {other:?}"),
+    }
+    let second = a.recv().expect("A's pong");
+    assert_eq!(second.id, ping_id);
+    assert!(matches!(second.reply, Reply::Pong));
+    stop(server, &mut b);
+}
+
+/// One event loop holds well over 1024 concurrent connections (the
+/// default soft fd limit) and serves every one of them while all the
+/// others stay open — no connection waits for a free worker thread.
+#[test]
+fn event_node_sustains_1024_concurrent_connections() {
+    const CONNS: usize = 1100;
+    let (server, mut control) = start(|cfg| cfg.tune_at_startup = false);
+    let addr = server.local_addr();
+
+    let mut clients: Vec<Client> = Vec::with_capacity(CONNS);
+    for i in 0..CONNS {
+        clients.push(Client::connect(addr).unwrap_or_else(|e| panic!("connect #{i}: {e}")));
+    }
+    // Every connection is live and served while all the others stay open.
+    for (i, c) in clients.iter_mut().enumerate() {
+        c.ping().unwrap_or_else(|e| panic!("ping #{i}: {e}"));
+    }
+    let stats = clients[0].stats().expect("stats");
+    assert!(stats.connections > CONNS as u64, "accepted {}", stats.connections);
+    assert_eq!(stats.endpoints.ping, CONNS as u64);
+
+    drop(clients);
+    stop(server, &mut control);
 }
 
 /// The crate-root re-exports stay wired to the protocol version the client

@@ -32,7 +32,8 @@
 //! ```
 //!
 //! All commands accept `--threads N` to bound the parallel fan-out
-//! (default: `PAP_THREADS` env, else all cores; 1 forces sequential).
+//! (default: `PAP_THREADS` env, else all cores; 1 forces sequential); for
+//! `serve` it sizes the pool that computes cold cells and calibrations.
 //! `bench`/`sweep`/`tune` accept `--backend {sim,model}`: `sim` (default)
 //! resolves every cell through the event-driven simulator, `model` through
 //! the closed-form analytical cost models of `pap-model` (orders of
@@ -48,8 +49,9 @@
 //!
 //! `tune --out FILE` writes the full evidence snapshot (decisions + their
 //! benchmark matrices) in the format `papctl serve --snapshot FILE` loads
-//! for a warm restart. `serve` runs `papd`, the online selection daemon;
-//! `query` is the reference protocol client (see `pap-service`).
+//! for a warm restart. `serve` runs `papd`, the online selection daemon
+//! (one event loop serves every connection; slow frames run on the compute
+//! pool); `query` is the reference protocol client (see `pap-service`).
 
 use std::process::ExitCode;
 use std::str::FromStr;
@@ -196,7 +198,8 @@ fn main() -> ExitCode {
 const USAGE: &str = "usage: papctl <machines|algorithms|pattern|bench|sweep|tune|profile|serve|fleet|query|calibrate|ft|trace|lint|repair|help> …
 global flags: --threads N   worker threads for sweep/tune fan-out
                             (default: PAP_THREADS env, else all cores; 1 = sequential);
-                            for `serve`, also the connection-pool size
+                            for `serve`, the cold-compute pool size (cold cells
+                            and calibrations; connections share one event loop)
 bench/sweep/tune flags: --backend {sim,model}
                             sim   = event-driven simulator (default)
                             model = closed-form analytical LogGP models
@@ -595,7 +598,6 @@ fn serve_config_from(args: &Args) -> Result<ServeConfig, String> {
             Some(p) => p.parse::<DefaultPolicy>()?,
             None => defaults.default_policy,
         },
-        read_timeout: defaults.read_timeout,
         tune_at_startup: !args.has("no-tune"),
     })
 }

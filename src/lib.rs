@@ -34,11 +34,13 @@
 //!   lifecycle, slot dataflow
 //! * [`service`] — `papd`, the online selection daemon (`papctl serve` /
 //!   `papctl query`): tiered caching over precomputed tuning evidence,
-//!   arrival-sample classification, background sim refinement
+//!   arrival-sample classification, background sim refinement; one epoll
+//!   event loop serves every connection, cold cells run on a compute pool
 //! * [`sysio`] — std-only OS plumbing for the serving tier: epoll
 //!   readiness polling, signal-driven shutdown flags, fd-limit control
 //! * [`fleet`] — sharded serving tier (`papctl fleet …`): consistent-hash
-//!   routing, warm shard-to-shard replication, event-driven nodes
+//!   routing, warm shard-to-shard replication; each shard is a `service`
+//!   daemon
 //!
 //! See `examples/quickstart.rs` for a five-minute tour and DESIGN.md for the
 //! experiment index.
