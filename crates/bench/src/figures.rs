@@ -1,5 +1,5 @@
 //! One driver per table/figure of the paper. Each returns the rendered
-//! text; the `src/bin/*` wrappers print it.
+//! text; `papctl figures <name>` prints it.
 
 use pap_apps::{run_ft, FtConfig};
 use pap_arrival::{generate, Shape};

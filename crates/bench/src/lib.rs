@@ -1,9 +1,9 @@
 //! # pap-bench — experiment drivers
 //!
-//! One driver per table/figure of the paper; each `src/bin/figN.rs` binary
-//! is a thin wrapper that parses a [`Scale`] and prints the driver's output.
-//! Drivers are ordinary library functions so the integration test suite can
-//! execute them at reduced scale.
+//! One driver per table/figure of the paper, plus the engine scalability
+//! probe [`scale_table`]. `papctl figures <name>` parses a [`Scale`] and
+//! prints a driver's output; the drivers are ordinary library functions so
+//! the integration test suite can execute them at reduced scale.
 //!
 //! Scale defaults are sized for a single-core CI-class machine
 //! (256 ranks); pass `--full` for the paper's 32×32 = 1024 ranks.
@@ -12,10 +12,13 @@
 #![warn(missing_docs)]
 
 pub mod figures;
+mod scale;
 
 pub use figures::*;
+pub use scale::scale_table;
 
-/// Experiment scale knobs, parsed from CLI args.
+/// Experiment scale knobs (`papctl figures … --ranks N --nrep N --seed N
+/// --quick | --full`).
 #[derive(Debug, Clone, Copy)]
 pub struct Scale {
     /// MPI ranks (paper: 1024 = 32 nodes × 32 cores).
@@ -35,72 +38,8 @@ impl Default for Scale {
 }
 
 impl Scale {
-    /// Parse `--ranks N`, `--nrep N`, `--seed N`, `--quick`, `--full` from
-    /// an argument list (unknown arguments are ignored so binaries can add
-    /// their own).
-    pub fn from_args(args: &[String]) -> Scale {
-        let mut s = Scale::default();
-        let mut it = args.iter().peekable();
-        while let Some(a) = it.next() {
-            match a.as_str() {
-                "--ranks" => {
-                    if let Some(v) = it.next().and_then(|v| v.parse().ok()) {
-                        s.ranks = v;
-                    }
-                }
-                "--nrep" => {
-                    if let Some(v) = it.next().and_then(|v| v.parse().ok()) {
-                        s.nrep = v;
-                    }
-                }
-                "--seed" => {
-                    if let Some(v) = it.next().and_then(|v| v.parse().ok()) {
-                        s.seed = v;
-                    }
-                }
-                "--quick" => s.quick = true,
-                "--full" => {
-                    s.ranks = 1024;
-                    s.quick = false;
-                }
-                _ => {}
-            }
-        }
-        s
-    }
-
     /// A tiny scale for integration tests.
     pub fn tiny() -> Scale {
         Scale { ranks: 16, nrep: 2, quick: true, seed: 7 }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    fn args(v: &[&str]) -> Vec<String> {
-        v.iter().map(|s| s.to_string()).collect()
-    }
-
-    #[test]
-    fn parses_flags() {
-        let s = Scale::from_args(&args(&["--ranks", "64", "--nrep", "5", "--quick", "--seed", "9"]));
-        assert_eq!(s.ranks, 64);
-        assert_eq!(s.nrep, 5);
-        assert!(s.quick);
-        assert_eq!(s.seed, 9);
-    }
-
-    #[test]
-    fn full_implies_1024() {
-        let s = Scale::from_args(&args(&["--full"]));
-        assert_eq!(s.ranks, 1024);
-    }
-
-    #[test]
-    fn ignores_unknown() {
-        let s = Scale::from_args(&args(&["--whatever", "--ranks", "32"]));
-        assert_eq!(s.ranks, 32);
     }
 }

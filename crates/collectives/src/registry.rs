@@ -29,6 +29,13 @@ impl CollectiveKind {
     pub const PAPER: [CollectiveKind; 3] =
         [CollectiveKind::Reduce, CollectiveKind::Allreduce, CollectiveKind::Alltoall];
 
+    /// Every collective, in declaration order.
+    pub const ALL: [CollectiveKind; 8] = [
+        CollectiveKind::Reduce, CollectiveKind::Allreduce, CollectiveKind::Alltoall,
+        CollectiveKind::Bcast, CollectiveKind::Barrier, CollectiveKind::Allgather,
+        CollectiveKind::Gather, CollectiveKind::Scatter,
+    ];
+
     /// MPI-style name.
     pub fn name(self) -> &'static str {
         match self {
@@ -175,16 +182,7 @@ mod tests {
 
     #[test]
     fn ids_unique_and_sorted_per_kind() {
-        for kind in [
-            CollectiveKind::Reduce,
-            CollectiveKind::Allreduce,
-            CollectiveKind::Alltoall,
-            CollectiveKind::Bcast,
-            CollectiveKind::Barrier,
-            CollectiveKind::Allgather,
-            CollectiveKind::Gather,
-            CollectiveKind::Scatter,
-        ] {
+        for kind in CollectiveKind::ALL {
             let algs = algorithms(kind);
             assert!(!algs.is_empty());
             for w in algs.windows(2) {

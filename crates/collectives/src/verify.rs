@@ -191,16 +191,7 @@ mod tests {
     fn exhaustive_correctness_sweep() {
         let sizes = [1u64, 64, 8 * 1024, 64 * 1024];
         let counts = [1usize, 2, 3, 4, 5, 7, 8, 12, 16, 17];
-        for kind in [
-            CollectiveKind::Reduce,
-            CollectiveKind::Allreduce,
-            CollectiveKind::Alltoall,
-            CollectiveKind::Bcast,
-            CollectiveKind::Barrier,
-            CollectiveKind::Allgather,
-            CollectiveKind::Gather,
-            CollectiveKind::Scatter,
-        ] {
+        for kind in CollectiveKind::ALL {
             for alg in algorithms(kind) {
                 for &p in &counts {
                     for &bytes in &sizes {

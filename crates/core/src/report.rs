@@ -1,5 +1,5 @@
-//! Plain-text rendering of the paper's figure semantics (the figure
-//! binaries in `pap-bench` print these).
+//! Plain-text rendering of the paper's figure semantics (the `pap-bench`
+//! drivers behind `papctl figures` print these).
 
 use crate::matrix::BenchMatrix;
 

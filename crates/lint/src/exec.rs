@@ -86,7 +86,7 @@ pub(crate) fn check(
         return diags; // A real deadlock subsumes the fragility question.
     }
     let completed = actual.stalled.iter().all(Option::is_none);
-    if completed && cfg.check_fragility {
+    if completed {
         let rdv = execute(flat, matching, None, None);
         if let Some(d) = cycle_diagnostic(flat, &rdv, DiagClass::ProtocolFragility, cfg.eager_threshold) {
             diags.push(d);

@@ -348,7 +348,7 @@ impl FaultSweepSummary {
 /// worker pool; the result is deterministic and order-independent.
 pub fn sweep_faults(cfg: &FaultSweepConfig) -> FaultSweepSummary {
     use pap_collectives::registry::{algorithm, algorithms};
-    use pap_collectives::{build, CollSpec};
+    use pap_collectives::{build, CollSpec, CollectiveKind};
     use pap_sim::RankProgram;
 
     struct Case {
@@ -358,7 +358,7 @@ pub fn sweep_faults(cfg: &FaultSweepConfig) -> FaultSweepSummary {
         bytes: u64,
     }
     let mut cases = Vec::new();
-    for kind in crate::sweep::KINDS {
+    for kind in CollectiveKind::ALL {
         for a in algorithms(kind) {
             for &p in &cfg.ranks {
                 for &bytes in &cfg.sizes {
@@ -368,7 +368,7 @@ pub fn sweep_faults(cfg: &FaultSweepConfig) -> FaultSweepSummary {
         }
     }
 
-    let lint_cfg = LintConfig { eager_threshold: cfg.eager_threshold, check_fragility: true };
+    let lint_cfg = LintConfig { eager_threshold: cfg.eager_threshold };
     let rows: Vec<FaultCaseRow> = pap_parallel::par_map(&cases, |_, case| {
         let root = 0usize;
         let spec = CollSpec::new(case.kind, case.alg, case.bytes)
@@ -427,7 +427,7 @@ pub fn sweep_faults(cfg: &FaultSweepConfig) -> FaultSweepSummary {
                     collective: key.0,
                     alg: row.alg,
                     name: algorithm(
-                        crate::sweep::KINDS
+                        CollectiveKind::ALL
                             .iter()
                             .copied()
                             .find(|k| k.name() == row.collective)

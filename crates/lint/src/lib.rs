@@ -44,8 +44,7 @@
 //!   and eager-straddling sizes (`papctl lint`);
 //! * [`sweep_faults`] — registry-wide crash cones, blast radii and
 //!   certified victim repairs (`papctl lint --faults`);
-//! * [`certified_repair`] — one repair, certified (`papctl repair`);
-//! * `BenchConfig::lint` in `pap-microbench` — opt-in pre-run check.
+//! * [`certified_repair`] — one repair, certified (`papctl repair`).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -76,22 +75,19 @@ pub struct LintConfig {
     /// complete without a matching receive (mirrors
     /// `Platform::eager_threshold`).
     pub eager_threshold: u64,
-    /// Also run the all-rendezvous pass that detects
-    /// [`DiagClass::ProtocolFragility`].
-    pub check_fragility: bool,
 }
 
 impl Default for LintConfig {
     fn default() -> Self {
         // 16 KiB: the simcluster/hydra eager threshold.
-        LintConfig { eager_threshold: 16 * 1024, check_fragility: true }
+        LintConfig { eager_threshold: 16 * 1024 }
     }
 }
 
 impl LintConfig {
     /// Configuration matching a platform's protocol split.
     pub fn for_platform(platform: &Platform) -> Self {
-        LintConfig { eager_threshold: platform.eager_threshold, ..Default::default() }
+        LintConfig { eager_threshold: platform.eager_threshold }
     }
 }
 

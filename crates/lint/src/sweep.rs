@@ -9,17 +9,6 @@ use serde::{Deserialize, Serialize};
 use crate::{lint_job, LintConfig};
 
 /// All kinds, in registry order.
-pub(crate) const KINDS: [CollectiveKind; 8] = [
-    CollectiveKind::Reduce,
-    CollectiveKind::Allreduce,
-    CollectiveKind::Alltoall,
-    CollectiveKind::Bcast,
-    CollectiveKind::Barrier,
-    CollectiveKind::Allgather,
-    CollectiveKind::Gather,
-    CollectiveKind::Scatter,
-];
-
 /// Whether the builders of a kind consume `spec.root` (rooted collectives,
 /// plus Allreduce whose reduce+bcast composition routes through the root).
 pub(crate) fn uses_root(kind: CollectiveKind) -> bool {
@@ -169,7 +158,7 @@ struct Case {
 /// order-independent.
 pub fn sweep_registry(cfg: &SweepConfig) -> SweepSummary {
     let mut cases = Vec::new();
-    for kind in KINDS {
+    for kind in CollectiveKind::ALL {
         for a in algorithms(kind) {
             for &p in &cfg.ranks {
                 let roots: Vec<usize> = if uses_root(kind) { (0..p).collect() } else { vec![0] };
@@ -182,8 +171,7 @@ pub fn sweep_registry(cfg: &SweepConfig) -> SweepSummary {
         }
     }
 
-    let lint_cfg =
-        LintConfig { eager_threshold: cfg.eager_threshold, check_fragility: true };
+    let lint_cfg = LintConfig { eager_threshold: cfg.eager_threshold };
     let seg_bytes = cfg.seg_bytes;
     let results: Vec<(usize, usize, Vec<String>)> = pap_parallel::par_map(&cases, |_, case| {
         let spec = CollSpec::new(case.kind, case.alg, case.bytes)

@@ -23,7 +23,7 @@ use proptest::prelude::*;
 const EAGER: u64 = 16 * 1024;
 
 fn cfg() -> LintConfig {
-    LintConfig { eager_threshold: EAGER, check_fragility: true }
+    LintConfig { eager_threshold: EAGER }
 }
 
 fn job_of(programs: Vec<Vec<Op>>) -> Job {
@@ -52,27 +52,16 @@ fn registry_ops(
     build(&spec, p).ok().map(|b| b.rank_ops)
 }
 
-const KINDS: [CollectiveKind; 8] = [
-    CollectiveKind::Reduce,
-    CollectiveKind::Allreduce,
-    CollectiveKind::Alltoall,
-    CollectiveKind::Bcast,
-    CollectiveKind::Barrier,
-    CollectiveKind::Allgather,
-    CollectiveKind::Gather,
-    CollectiveKind::Scatter,
-];
-
 fn case_strategy() -> impl Strategy<Value = (CollectiveKind, usize, usize, usize, u64, usize)> {
     (
-        0usize..KINDS.len(),
+        0usize..CollectiveKind::ALL.len(),
         any::<usize>(),
         4usize..=16,
         any::<usize>(),
         prop_oneof![Just(64u64), Just(EAGER + 4096)],
         any::<usize>(),
     )
-        .prop_map(|(k, a, p, r, bytes, pick)| (KINDS[k], a, p, r % p, bytes, pick))
+        .prop_map(|(k, a, p, r, bytes, pick)| (CollectiveKind::ALL[k], a, p, r % p, bytes, pick))
 }
 
 /// All `(rank, seg, op)` coordinates in `ops` whose op satisfies `f`.

@@ -264,17 +264,8 @@ fn fault_sweep_certifies_every_produced_repair() {
 }
 
 fn kind_by_name(name: &str) -> CollectiveKind {
-    [
-        CollectiveKind::Reduce,
-        CollectiveKind::Allreduce,
-        CollectiveKind::Alltoall,
-        CollectiveKind::Bcast,
-        CollectiveKind::Barrier,
-        CollectiveKind::Allgather,
-        CollectiveKind::Gather,
-        CollectiveKind::Scatter,
-    ]
-    .into_iter()
-    .find(|k| k.name() == name)
-    .unwrap_or_else(|| panic!("unknown collective {name}"))
+    CollectiveKind::ALL
+        .into_iter()
+        .find(|k| k.name() == name)
+        .unwrap_or_else(|| panic!("unknown collective {name}"))
 }

@@ -57,10 +57,6 @@ pub struct BenchConfig {
     pub hca3: Hca3Config,
     /// Prediction backend: event-driven simulator or analytical model.
     pub backend: Backend,
-    /// Opt-in pre-run static check: lint the built job with `pap-lint`
-    /// (matched against the platform's eager threshold) before the first
-    /// simulator run and fail the cell on any error-severity finding.
-    pub lint: bool,
     /// Runtime faults injected into every repetition (crashes, stalls, link
     /// slowdown windows, noise storms). Fault timestamps are absolute
     /// simulated time; the measured collective starts at [`START_TARGET`]
@@ -83,7 +79,6 @@ impl Default for BenchConfig {
             clock_sync: false,
             hca3: Hca3Config::default(),
             backend: Backend::Sim,
-            lint: false,
             faults: FaultSpec::none(),
         }
     }
@@ -111,12 +106,6 @@ impl BenchConfig {
     /// Replace the prediction backend.
     pub fn with_backend(mut self, backend: Backend) -> Self {
         self.backend = backend;
-        self
-    }
-
-    /// Enable the pre-run static lint (see [`BenchConfig::lint`]).
-    pub fn with_lint(mut self) -> Self {
-        self.lint = true;
         self
     }
 
@@ -152,9 +141,6 @@ pub enum BenchError {
         /// Number of ranks on the platform.
         ranks: usize,
     },
-    /// The pre-run static check found error-severity defects
-    /// (`BenchConfig::lint`); the rendered report is attached.
-    Lint(String),
     /// Fault injection was requested with the analytical model backend,
     /// which has no representation of runtime faults.
     FaultsNeedSim,
@@ -169,7 +155,6 @@ impl std::fmt::Display for BenchError {
             BenchError::PatternMismatch { pattern, ranks } => {
                 write!(f, "pattern has {pattern} delays but platform has {ranks} ranks")
             }
-            BenchError::Lint(report) => write!(f, "pre-run lint failed:\n{report}"),
             BenchError::FaultsNeedSim => {
                 write!(f, "fault injection requires the sim backend (model has no fault model)")
             }
@@ -299,14 +284,6 @@ fn measure_inner(
         programs.push(prog);
     }
     let job = Job::new(programs);
-
-    if cfg.lint {
-        let lint_cfg = pap_lint::LintConfig::for_platform(platform);
-        let report = pap_lint::lint_job(&job, &lint_cfg);
-        if !report.is_clean() {
-            return Err(BenchError::Lint(report.render()));
-        }
-    }
 
     let mut reps = Vec::with_capacity(cfg.nrep);
     for rep in 0..cfg.nrep {
@@ -439,14 +416,12 @@ mod tests {
     }
 
     #[test]
-    fn pre_run_lint_passes_registry_schedules_and_changes_nothing() {
-        let platform = Platform::simcluster(8);
-        let spec = CollSpec::new(CollectiveKind::Allreduce, 4, 2048);
-        let pat = pattern(Shape::NoDelay, 8, 0.0);
-        let plain = measure(&platform, &spec, &pat, &BenchConfig::simulation()).unwrap();
-        let linted =
-            measure(&platform, &spec, &pat, &BenchConfig::simulation().with_lint()).unwrap();
-        assert_eq!(plain.mean_last(), linted.mean_last(), "lint must be observation-free");
+    fn backend_names_round_trip() {
+        for b in [Backend::Sim, Backend::Model] {
+            assert_eq!(b.to_string().parse::<Backend>().unwrap(), b);
+        }
+        assert_eq!("model".parse::<Backend>().unwrap(), Backend::Model);
+        assert!("quantum".parse::<Backend>().is_err());
     }
 
     #[test]

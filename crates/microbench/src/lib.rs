@@ -25,7 +25,6 @@
 pub mod adaptive;
 pub mod faultgrid;
 pub mod harness;
-pub mod predictor;
 pub mod profile;
 pub mod stats;
 pub mod sweep;
@@ -35,7 +34,6 @@ pub use faultgrid::{
     fault_sweep, standard_grid, FaultCell, FaultScenario, FaultSweepResult, FAULT_GRID_VERSION,
 };
 pub use harness::{measure, Backend, BenchConfig, BenchError, Measurement, START_TARGET};
-pub use predictor::{predictor_for, ModelPredictor, Predictor, SimPredictor};
 pub use profile::{profile, profile_with_faults, Profile};
 pub use stats::RunStats;
 pub use sweep::{calibrate_avg_runtime, no_delay_runtime, sweep, SkewPolicy, SweepCell, SweepResult};

@@ -271,20 +271,9 @@ mod tests {
         Platform::preset(MachineId::SimCluster, p)
     }
 
-    const ALL_KINDS: [CollectiveKind; 8] = [
-        CollectiveKind::Reduce,
-        CollectiveKind::Allreduce,
-        CollectiveKind::Alltoall,
-        CollectiveKind::Bcast,
-        CollectiveKind::Barrier,
-        CollectiveKind::Allgather,
-        CollectiveKind::Gather,
-        CollectiveKind::Scatter,
-    ];
-
     #[test]
     fn every_registered_algorithm_has_a_model() {
-        for kind in ALL_KINDS {
+        for kind in CollectiveKind::ALL {
             for alg in algorithms(kind) {
                 for p in [1usize, 2, 3, 4, 5, 8, 13, 64] {
                     let pf = platform(p);
@@ -309,7 +298,7 @@ mod tests {
             "test",
             (0..16).map(|r| r as f64 * 1e-6).collect::<Vec<_>>(),
         );
-        for kind in ALL_KINDS {
+        for kind in CollectiveKind::ALL {
             for alg in algorithms(kind) {
                 let spec = CollSpec::new(kind, alg.id, 1024);
                 let pred = predict(&pf, &spec, &pattern).unwrap();
@@ -328,7 +317,7 @@ mod tests {
         // Delaying one rank can only delay (or leave unchanged) the final
         // exit time — a basic sanity property of any arrival-aware model.
         let pf = platform(8);
-        for kind in ALL_KINDS {
+        for kind in CollectiveKind::ALL {
             for alg in algorithms(kind) {
                 let spec = CollSpec::new(kind, alg.id, 2048);
                 let base = predict_exits(&pf, &spec, &[0.0; 8]).unwrap();

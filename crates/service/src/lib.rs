@@ -21,6 +21,8 @@
 //!   daemon re-applies any policy without re-tuning.
 //! * [`client`] — the reference protocol client used by `papctl query`,
 //!   the tests, and the loopback benchmark.
+//! * [`cli`] — the strict flag parser every `papctl` command and `papd`
+//!   use, and the one serve entry (`papd`, `papctl serve`).
 //!
 //! Queries carrying per-rank arrival samples are classified against the
 //! paper's Fig. 3 shapes ([`pap_arrival::classify_delays`]) and answered
@@ -31,6 +33,7 @@
 #![warn(missing_docs)]
 
 pub mod cache;
+pub mod cli;
 pub mod client;
 mod dispatch;
 pub mod proto;

@@ -38,10 +38,10 @@
 //! costs the same however many peers a rank has outstanding. See DESIGN.md
 //! §12 for the memory layout.
 //!
-//! A single run can also execute across threads with [`run_par`] /
-//! [`run_auto`]: ranks are partitioned along node boundaries and each
-//! partition is advanced window-by-window under conservative lookahead (the
-//! inter-node link latency). Events are keyed by an execution-independent
+//! A single run can also execute across threads with [`run_par`]: ranks
+//! are partitioned along node boundaries and each partition is advanced
+//! window-by-window under conservative lookahead (the inter-node link
+//! latency). Events are keyed by an execution-independent
 //! canonical order (see [`queue`]), which makes the parallel result
 //! **byte-identical** to the sequential one at any thread count.
 
@@ -218,16 +218,6 @@ pub fn run_par(
     cfg: &SimConfig,
     parts: usize,
 ) -> Result<RunOutcome, SimError> {
-    run_parts(platform, job, cfg, parts)
-}
-
-/// [`run_par`] with the partition count taken from the `pap-parallel`
-/// thread configuration (`PAP_THREADS` / `set_threads`).
-///
-/// Inside a `pap-parallel` worker (sweeps already parallelize *across*
-/// runs) this stays sequential instead of oversubscribing the machine.
-pub fn run_auto(platform: &Platform, job: &Job, cfg: &SimConfig) -> Result<RunOutcome, SimError> {
-    let parts = if pap_parallel::in_worker() { 1 } else { pap_parallel::threads() };
     run_parts(platform, job, cfg, parts)
 }
 

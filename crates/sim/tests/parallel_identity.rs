@@ -11,7 +11,7 @@
 //! subsystem must stay deterministic too).
 
 use pap_sim::{
-    run_auto, run_par, run_ref, FaultSpec, Job, NoiseModel, Op, Platform, RankProgram, RunOutcome,
+    run_par, run_ref, FaultSpec, Job, NoiseModel, Op, Platform, RankProgram, RunOutcome,
     SimConfig, ANY_NODE,
 };
 
@@ -227,21 +227,6 @@ fn fault_spec_none_is_byte_identical_to_no_faults() {
     assert_bit_identical(&plain, &none_ref, "FaultSpec::none() run_ref");
     let none_par = run_par(&platform, &job, &none_cfg, 4).expect("none() run_par");
     assert_bit_identical(&plain, &none_par, "FaultSpec::none() run_par");
-}
-
-/// `run_auto` takes its partition count from the `pap-parallel` thread
-/// setting — the `PAP_THREADS` plumbing used by papd/papctl.
-#[test]
-fn run_auto_follows_thread_setting() {
-    let p = 1_024;
-    let platform = scaled_simcluster(p);
-    let job = binomial_bcast(p, 512);
-    let cfg = SimConfig::default();
-    let seq = run_ref(&platform, &job, &cfg).expect("sequential run");
-    pap_parallel::set_threads(3);
-    let auto = run_auto(&platform, &job, &cfg).expect("auto run");
-    pap_parallel::set_threads(1);
-    assert_bit_identical(&seq, &auto, "run_auto threads=3");
 }
 
 /// A many-channel job: 512-rank linear alltoall of 1 KiB blocks, where every

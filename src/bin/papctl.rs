@@ -29,11 +29,17 @@
 //! papctl lint --faults [--json] [--ranks 8,12,32] [--eager BYTES]
 //! papctl repair <collective> <alg> --fault crash:R [--ranks N] [--bytes B]
 //!               [--root R] [--eager BYTES] [--seg-bytes BYTES]
+//! papctl figures <name> [--ranks N] [--nrep N] [--seed N] [--quick | --full]
 //! ```
 //!
-//! All commands accept `--threads N` to bound the parallel fan-out
-//! (default: `PAP_THREADS` env, else all cores; 1 forces sequential); for
-//! `serve` it sizes the pool that computes cold cells and calibrations.
+//! Flags parse strictly ([`pap::service::cli::Args`]): a flag the command
+//! does not take, a surplus positional or a value that does not parse is an
+//! error naming it, raised before the command does any work.
+//!
+//! All commands accept `--threads N`, also before the command name, to
+//! bound the parallel fan-out (default: `PAP_THREADS` env, else all cores;
+//! 1 forces sequential); for `serve` it sizes the pool that computes cold
+//! cells and calibrations.
 //! `bench`/`sweep`/`tune` accept `--backend {sim,model}`: `sim` (default)
 //! resolves every cell through the event-driven simulator, `model` through
 //! the closed-form analytical cost models of `pap-model` (orders of
@@ -52,12 +58,16 @@
 //! for a warm restart. `serve` runs `papd`, the online selection daemon
 //! (one event loop serves every connection; slow frames run on the compute
 //! pool); `query` is the reference protocol client (see `pap-service`).
+//!
+//! `figures` regenerates the paper's tables and figures through the
+//! `pap-bench` drivers (see EXPERIMENTS.md; an unknown name lists the
+//! valid ones).
 
 use std::process::ExitCode;
-use std::str::FromStr;
 
 use pap::apps::{run_ft, FtConfig};
 use pap::arrival::{generate, render_pattern_file, Shape};
+use pap::bench::{self, Scale};
 use pap::collectives::registry::{algorithms, experiment_ids};
 use pap::collectives::{CollSpec, CollectiveKind};
 use pap::core::report::render_normalized_table;
@@ -74,82 +84,47 @@ use pap::microbench::{
     Backend, BenchConfig, SkewPolicy,
 };
 use pap::calibrate::{fit_probe, selection_agreement, synthesize_probe, Probe, ProbeConfig, CHECK_RANKS};
-use pap::service::{
-    measure_fault_matrix, Client, DefaultPolicy, QueryRequest, ServeConfig, Server, Snapshot,
-};
+use pap::service::cli::{run_daemon, serve_config, serve_spec, Args, Spec};
+use pap::service::{measure_fault_matrix, Client, QueryRequest, Snapshot};
 use pap::sim::{
     register_custom_platform, run_ref, FaultSpec, Job, MachineId, Platform, RankProgram, SimConfig,
     SimError,
 };
 use pap::tracer::{ideal_observer, CollectiveTrace, TracerConfig};
 
-struct Args {
-    positional: Vec<String>,
-    flags: Vec<(String, Option<String>)>,
-}
-
-impl Args {
-    fn parse(raw: Vec<String>) -> Args {
-        let mut positional = Vec::new();
-        let mut flags = Vec::new();
-        let mut it = raw.into_iter().peekable();
-        while let Some(a) = it.next() {
-            if let Some(name) = a.strip_prefix("--") {
-                let value = if it.peek().is_some_and(|n| !n.starts_with("--")) { it.next() } else { None };
-                flags.push((name.to_string(), value));
-            } else {
-                positional.push(a);
-            }
-        }
-        Args { positional, flags }
-    }
-
-    fn flag<T: FromStr>(&self, name: &str, default: T) -> T {
-        self.flags
-            .iter()
-            .find(|(n, _)| n == name)
-            .and_then(|(_, v)| v.as_deref())
-            .and_then(|v| v.parse().ok())
-            .unwrap_or(default)
-    }
-
-    fn pos(&self, i: usize) -> Result<&str, String> {
-        self.positional.get(i).map(String::as_str).ok_or_else(|| "missing argument".to_string())
-    }
-
-    /// The value of `--name`, if the flag was given with one.
-    fn opt(&self, name: &str) -> Option<&str> {
-        self.flags.iter().find(|(n, _)| n == name).and_then(|(_, v)| v.as_deref())
-    }
-
-    /// Whether `--name` was given at all (with or without a value).
-    fn has(&self, name: &str) -> bool {
-        self.flags.iter().any(|(n, _)| n == name)
-    }
-}
-
 fn main() -> ExitCode {
     let raw: Vec<String> = std::env::args().skip(1).collect();
     if raw.is_empty() {
-        eprintln!("{}", USAGE);
+        eprintln!("{USAGE}");
         return ExitCode::FAILURE;
     }
-    // Parse flags before picking the command so the global `--threads` flag
-    // may appear anywhere: `papctl --threads 2 sweep …` and
-    // `papctl sweep … --threads 2` both work.
-    let mut args = Args::parse(raw);
-    if args.positional.is_empty() {
-        if args.flags.iter().any(|(n, _)| n == "help") {
-            println!("{USAGE}");
-            return ExitCode::SUCCESS;
+    match run(raw) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("papctl: {e}");
+            ExitCode::FAILURE
         }
-        eprintln!("{}", USAGE);
-        return ExitCode::FAILURE;
     }
-    let cmd = args.positional.remove(0);
+}
+
+/// Split off the command (two words for `fleet` and `figures`), parse the
+/// rest against its [`Spec`], and run it.
+fn run(mut raw: Vec<String>) -> Result<(), String> {
+    // The global `--threads N` may also precede the command:
+    // `papctl --threads 2 sweep …` and `papctl sweep … --threads 2` both work.
+    let lead: Vec<String> =
+        if raw[0] == "--threads" { raw.drain(..raw.len().min(2)).collect() } else { Vec::new() };
+    if raw.is_empty() {
+        return Err(format!("missing command\n{USAGE}"));
+    }
+    let mut cmd = raw.remove(0);
+    if matches!(cmd.as_str(), "fleet" | "figures") && raw.first().is_some_and(|a| !a.starts_with("--")) {
+        cmd = format!("{cmd} {}", raw.remove(0));
+    }
+    let args = Args::parse(lead.into_iter().chain(raw).collect(), &spec(&cmd)?)?;
     // Global knob: worker threads for the sweep/tune fan-out. 0 keeps the
     // default (PAP_THREADS env, else all cores); 1 forces sequential runs.
-    let threads = args.flag("threads", 0usize);
+    let threads = args.flag("threads", 0usize)?;
     if threads > 0 {
         pap::parallel::set_threads(threads);
     }
@@ -169,8 +144,7 @@ fn main() -> ExitCode {
         "sweep" => cmd_sweep(&args),
         "tune" => cmd_tune(&args),
         "profile" => cmd_profile(&args),
-        "serve" => cmd_serve(&args),
-        "fleet" => cmd_fleet(&args),
+        "serve" => serve_config(&args).and_then(run_daemon),
         "query" => cmd_query(&args),
         "calibrate" => cmd_calibrate(&args),
         "ft" => cmd_ft(&args),
@@ -181,22 +155,87 @@ fn main() -> ExitCode {
             println!("{USAGE}");
             Ok(())
         }
-        other => Err(format!("unknown command '{other}'\n{USAGE}")),
+        other => match other.split_once(' ') {
+            Some(("fleet", sub)) => cmd_fleet(sub, &args),
+            _ => cmd_figures(other.trim_start_matches("figures "), &args),
+        },
     };
     if local_metrics {
         eprint!("{}", pap::obs::global().snapshot().render_table());
     }
-    match result {
-        Ok(()) => ExitCode::SUCCESS,
-        Err(e) => {
-            eprintln!("papctl: {e}");
-            ExitCode::FAILURE
-        }
-    }
+    result
 }
 
-const USAGE: &str = "usage: papctl <machines|algorithms|pattern|bench|sweep|tune|profile|serve|fleet|query|calibrate|ft|trace|lint|repair|help> …
-global flags: --threads N   worker threads for sweep/tune fan-out
+/// The paper's tables and figures, plus the engine scale probe, by name.
+const FIGURES: &[&str] = &[
+    "table1", "table2", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9",
+    "figs789", "ext_allgather", "ext_skew_factor", "scale_table",
+];
+
+/// [`Scale`] flags of the figure drivers.
+const SCALE_VALUES: &[&str] = &["ranks", "nrep", "seed"];
+const SCALE_SWITCHES: &[&str] = &["quick", "full"];
+
+/// What each command takes. Every command also takes the global `--threads`.
+fn spec(cmd: &str) -> Result<Spec, String> {
+    let s = match cmd {
+        "machines" | "help" | "--help" | "-h" => Spec::new(&[]),
+        "algorithms" => Spec::new(&["collective"]),
+        "pattern" => Spec::new(&["shape", "ranks", "skew_us"]).values(&["seed"]),
+        "bench" => Spec::new(&["machine", "collective", "alg", "bytes"])
+            .values(&["ranks", "shape", "skew-us", "nrep", "seed", "backend"])
+            .switches(&["metrics"]),
+        "sweep" => Spec::new(&["machine", "collective", "bytes"])
+            .values(&["ranks", "nrep", "backend", "max-degradation"])
+            .switches(&["json", "faults", "metrics"]),
+        "tune" => Spec::new(&["machine"])
+            .values(&["ranks", "nrep", "backend", "out"])
+            .switches(&["faults", "metrics"]),
+        "profile" => Spec::new(&["collective"])
+            .values(&["pattern", "machine", "ranks", "bytes", "alg", "skew-us", "seed", "out", "fault"])
+            .switches(&["check", "metrics"]),
+        "serve" => serve_spec(),
+        "query" => Spec::new(&["machine", "collective", "bytes"])
+            .values(&["addr", "ranks", "arrivals"])
+            .switches(&["json", "stats", "metrics", "ping", "shutdown"]),
+        "calibrate" => Spec::new(&[])
+            .values(&["from", "probe-json", "name", "ranks", "reps", "seed", "out", "addr"])
+            .switches(&["no-noise", "check", "json"]),
+        "ft" => Spec::new(&["machine"]).values(&["ranks", "alg", "iters", "seed"]),
+        "trace" => Spec::new(&["machine"]).values(&["ranks", "seed"]),
+        "lint" => Spec::new(&[]).values(&["ranks", "eager"]).switches(&["json", "faults"]),
+        "repair" => Spec::new(&["collective", "alg"])
+            .values(&["fault", "ranks", "bytes", "root", "eager", "seg-bytes"]),
+        "fleet serve" => serve_spec().values(&["shards"]),
+        "fleet query" => Spec::new(&["machine", "collective", "bytes"])
+            .values(&["addrs", "ranks"])
+            .switches(&["json"]),
+        "fleet stats" => Spec::new(&[]).values(&["addrs"]).switches(&["json"]),
+        "fleet shutdown" => Spec::new(&[]).values(&["addrs"]),
+        "figures table1" | "figures table2" | "figures fig2" | "figures fig3" => Spec::new(&[]),
+        "figures fig4" => {
+            Spec::new(&["collective..."]).values(SCALE_VALUES).switches(SCALE_SWITCHES)
+        }
+        "figures scale_table" => Spec::new(&["max_ranks"]).switches(&["json"]),
+        figure if FIGURES.iter().any(|f| figure.strip_prefix("figures ") == Some(f)) => {
+            Spec::new(&[]).values(SCALE_VALUES).switches(SCALE_SWITCHES)
+        }
+        "fleet" => return Err(format!("fleet needs serve, query, stats or shutdown\n{USAGE}")),
+        "figures" => return Err(format!("figures needs a name: {}", FIGURES.join(", "))),
+        other => {
+            return Err(match other.split_once(' ') {
+                Some(("fleet", sub)) => format!("unknown fleet subcommand '{sub}'\n{USAGE}"),
+                Some((_, name)) => format!("unknown figure '{name}'; valid: {}", FIGURES.join(", ")),
+                None => format!("unknown command '{other}'\n{USAGE}"),
+            })
+        }
+    };
+    // Global: `serve` and `fleet serve` already take `--threads` as a serve flag.
+    Ok(if cmd.ends_with("serve") { s } else { s.values(&["threads"]) })
+}
+
+const USAGE: &str = "usage: papctl <machines|algorithms|pattern|bench|sweep|tune|profile|serve|fleet|query|calibrate|ft|trace|lint|repair|figures|help> …
+global flags: --threads N   worker threads for sweep/tune fan-out (may precede the command)
                             (default: PAP_THREADS env, else all cores; 1 = sequential);
                             for `serve`, the cold-compute pool size (cold cells
                             and calibrations; connections share one event loop)
@@ -281,6 +320,10 @@ repair flags: --fault crash:R  the rank to route around (required)
             --root R        collective root (default 0)
             --eager BYTES   eager threshold (default 16384)
             --seg-bytes B   segment size for segmented algorithms
+figures <name> [--ranks N (default 256)] [--nrep N (default 3)] [--seed N] [--quick | --full]:
+            table1 table2 fig1 … fig9 figs789 ext_allgather ext_skew_factor (EXPERIMENTS.md);
+            `fig4 [collective …]` draws only those; `scale_table [max_ranks] [--json]`
+            is the engine scale probe; --full = the paper's 1024 ranks at full grids
 run `papctl help` or see the module docs for argument details";
 
 fn machines() -> Result<(), String> {
@@ -301,8 +344,8 @@ fn machines() -> Result<(), String> {
 }
 
 fn cmd_algorithms(args: &Args) -> Result<(), String> {
-    let kinds: Vec<CollectiveKind> = match args.positional.first() {
-        Some(k) => vec![k.parse()?],
+    let kinds: Vec<CollectiveKind> = match args.positionals().first() {
+        Some(_) => vec![args.arg(0)?],
         None => vec![
             CollectiveKind::Reduce,
             CollectiveKind::Allreduce,
@@ -330,28 +373,24 @@ fn cmd_algorithms(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_pattern(args: &Args) -> Result<(), String> {
-    let shape: Shape = args.pos(0)?.parse()?;
-    let p: usize = args.pos(1)?.parse().map_err(|_| "ranks must be a number")?;
-    let skew_us: f64 = args.pos(2)?.parse().map_err(|_| "skew_us must be a number")?;
-    let seed = args.flag("seed", 1u64);
+    let shape: Shape = args.arg(0)?;
+    let p: usize = args.arg(1)?;
+    let skew_us: f64 = args.arg(2)?;
+    let seed = args.flag("seed", 1u64)?;
     let pat = generate(shape, p, skew_us * 1e-6, seed);
     print!("{}", render_pattern_file(&pat));
     Ok(())
 }
 
 fn platform_from(args: &Args, machine_pos: usize) -> Result<Platform, String> {
-    let machine: MachineId = args.pos(machine_pos)?.parse()?;
-    let ranks = args.flag("ranks", 64usize);
+    let machine: MachineId = args.arg(machine_pos)?;
+    let ranks = args.flag("ranks", 64usize)?;
     Ok(Platform::preset(machine, ranks))
 }
 
 /// The measurement configuration for a machine, honoring `--backend`.
 fn bench_config(args: &Args, platform: &Platform, nrep: usize) -> Result<BenchConfig, String> {
-    let backend: Backend = match args.flags.iter().find(|(n, _)| n == "backend") {
-        Some((_, Some(v))) => v.parse()?,
-        Some((_, None)) => return Err("--backend needs a value (sim|model)".to_string()),
-        None => Backend::Sim,
-    };
+    let backend = args.flag("backend", Backend::Sim)?;
     let cfg = if platform.machine == MachineId::SimCluster {
         BenchConfig::simulation()
     } else {
@@ -362,14 +401,14 @@ fn bench_config(args: &Args, platform: &Platform, nrep: usize) -> Result<BenchCo
 
 fn cmd_bench(args: &Args) -> Result<(), String> {
     let platform = platform_from(args, 0)?;
-    let kind: CollectiveKind = args.pos(1)?.parse()?;
-    let alg: u8 = args.pos(2)?.parse().map_err(|_| "alg must be a number")?;
-    let bytes: u64 = args.pos(3)?.parse().map_err(|_| "bytes must be a number")?;
-    let shape: Shape = args.flag("shape", "no_delay".to_string()).parse()?;
-    let skew_us: f64 = args.flag("skew-us", 0.0);
-    let nrep = args.flag("nrep", 3usize);
+    let kind: CollectiveKind = args.arg(1)?;
+    let alg: u8 = args.arg(2)?;
+    let bytes: u64 = args.arg(3)?;
+    let shape = args.flag("shape", Shape::NoDelay)?;
+    let skew_us: f64 = args.flag("skew-us", 0.0)?;
+    let nrep = args.flag("nrep", 3usize)?;
 
-    let pattern = generate(shape, platform.ranks, skew_us * 1e-6, args.flag("seed", 1u64));
+    let pattern = generate(shape, platform.ranks, skew_us * 1e-6, args.flag("seed", 1u64)?);
     let cfg = bench_config(args, &platform, nrep)?;
     let spec = CollSpec::new(kind, alg, bytes);
     let stats = measure(&platform, &spec, &pattern, &cfg).map_err(|e| e.to_string())?;
@@ -389,18 +428,22 @@ fn cmd_bench(args: &Args) -> Result<(), String> {
 
 fn cmd_sweep(args: &Args) -> Result<(), String> {
     let platform = platform_from(args, 0)?;
-    let kind: CollectiveKind = args.pos(1)?.parse()?;
-    let bytes: u64 = args.pos(2)?.parse().map_err(|_| "bytes must be a number")?;
-    let nrep = args.flag("nrep", 3usize);
+    let kind: CollectiveKind = args.arg(1)?;
+    let bytes: u64 = args.arg(2)?;
+    let nrep = args.flag("nrep", 3usize)?;
+    let bound: f64 = args.flag("max-degradation", 1.0)?;
+    if args.has("max-degradation") && !args.has("faults") {
+        return Err("--max-degradation bounds the fault-robust pick; it needs --faults".to_string());
+    }
     let algs = experiment_ids(kind);
     let cfg = bench_config(args, &platform, nrep)?;
     if args.has("faults") {
-        return cmd_fault_sweep(args, &platform, kind, &algs, bytes, &cfg);
+        return cmd_fault_sweep(args, &platform, kind, &algs, bytes, &cfg, bound);
     }
     let sw = sweep(&platform, kind, &algs, &Shape::SUITE, bytes, SkewPolicy::FactorOfAvg(1.0), &[], &cfg)
         .map_err(|e| e.to_string())?;
     let m = BenchMatrix::from_sweep(&sw);
-    if args.flags.iter().any(|(n, _)| n == "json") {
+    if args.has("json") {
         println!("{}", serde_json::to_string_pretty(&m).map_err(|e| e.to_string())?);
         return Ok(());
     }
@@ -420,6 +463,7 @@ fn cmd_fault_sweep(
     algs: &[u8],
     bytes: u64,
     cfg: &BenchConfig,
+    bound: f64,
 ) -> Result<(), String> {
     if cfg.backend != Backend::Sim {
         return Err("--faults requires the sim backend (the model has no fault model)".to_string());
@@ -428,11 +472,10 @@ fn cmd_fault_sweep(
     let scenarios = standard_grid(platform.ranks, t);
     let sw = fault_sweep(platform, kind, algs, bytes, &scenarios, cfg).map_err(|e| e.to_string())?;
     let m = FaultMatrix::from_fault_sweep(&sw);
-    if args.flags.iter().any(|(n, _)| n == "json") {
+    if args.has("json") {
         println!("{}", serde_json::to_string_pretty(&m).map_err(|e| e.to_string())?);
         return Ok(());
     }
-    let bound: f64 = args.flag("max-degradation", 1.0);
     print!("{}", render_fault_table(&m, 0.25).expect("grid has a clean row"));
     let clean = m.scenario_index("clean").expect("grid has a clean row");
     let status_quo = select(
@@ -455,7 +498,7 @@ fn cmd_tune(args: &Args) -> Result<(), String> {
     if args.has("faults") && !args.has("out") {
         return Err("--faults enriches the snapshot; it needs --out FILE".to_string());
     }
-    let nrep = args.flag("nrep", 3usize);
+    let nrep = args.flag("nrep", 3usize)?;
     let cfg = bench_config(args, &platform, nrep)?;
     let plan = TunePlan::default();
     let (table, records) = tune_machine(&platform, &plan, &cfg)?;
@@ -472,8 +515,7 @@ fn cmd_tune(args: &Args) -> Result<(), String> {
             }
         );
     }
-    if args.has("out") {
-        let path = args.opt("out").ok_or("--out needs a file path")?;
+    if let Some(path) = args.opt("out") {
         let mut snap = Snapshot::from_records(
             platform.machine.name(),
             platform.ranks,
@@ -509,12 +551,12 @@ fn cmd_tune(args: &Args) -> Result<(), String> {
 }
 
 fn cmd_profile(args: &Args) -> Result<(), String> {
-    let kind: CollectiveKind = args.pos(0)?.parse()?;
-    let machine: MachineId = args.flag("machine", "simcluster".to_string()).parse()?;
-    let ranks = args.flag("ranks", 16usize);
+    let kind: CollectiveKind = args.arg(0)?;
+    let machine = args.flag("machine", MachineId::SimCluster)?;
+    let ranks = args.flag("ranks", 16usize)?;
     let platform = Platform::preset(machine, ranks);
-    let alg = match args.opt("alg") {
-        Some(a) => a.parse().map_err(|_| "alg must be a number")?,
+    let alg = match args.value("alg")? {
+        Some(a) => a,
         None => match experiment_ids(kind).first() {
             Some(id) => *id,
             // Not every collective is in the paper's experiment set; fall
@@ -527,15 +569,16 @@ fn cmd_profile(args: &Args) -> Result<(), String> {
             }
         },
     };
-    let bytes = args.flag("bytes", 1024u64);
-    let shape: Shape = args.flag("pattern", "imbalanced-linear".to_string()).parse()?;
-    let seed = args.flag("seed", 1u64);
+    let bytes = args.flag("bytes", 1024u64)?;
+    let shape: Shape = args.flag("pattern", Shape::Ascending)?;
+    let seed = args.flag("seed", 1u64)?;
     let spec = CollSpec::new(kind, alg, bytes);
 
     // Default skew: 1.5x the algorithm's undelayed runtime, so the injected
     // imbalance shows at the same scale as the collective itself.
-    let skew_s = match args.opt("skew-us") {
-        Some(v) => v.parse::<f64>().map_err(|_| "skew-us must be a number")? * 1e-6,
+    let faults = args.flag("fault", FaultSpec::none())?;
+    let skew_s = match args.value::<f64>("skew-us")? {
+        Some(v) => v * 1e-6,
         None => {
             let baseline = generate(Shape::NoDelay, ranks, 0.0, seed);
             let st = measure(&platform, &spec, &baseline, &BenchConfig::simulation())
@@ -544,21 +587,10 @@ fn cmd_profile(args: &Args) -> Result<(), String> {
         }
     };
     let pattern = generate(shape, ranks, skew_s, seed);
-    let faults = match args.opt("fault") {
-        Some(s) => s.parse::<FaultSpec>()?,
-        None => {
-            if args.has("fault") {
-                return Err(
-                    "--fault needs a spec, e.g. 'stall:0@1ms+500us;crash:7@2ms'".to_string()
-                );
-            }
-            FaultSpec::none()
-        }
-    };
     let prof =
         profile_with_faults(&platform, &spec, &pattern, seed, &faults).map_err(|e| e.to_string())?;
 
-    let out = args.flag("out", "trace.json".to_string());
+    let out = args.flag("out", "trace.json".to_string())?;
     prof.trace.save(std::path::Path::new(&out)).map_err(|e| format!("write {out}: {e}"))?;
     println!(
         "profiled {kind} A{alg} {bytes} B on {} ({} ranks), pattern {} (skew {:.1} us): \
@@ -580,45 +612,6 @@ fn cmd_profile(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-fn serve_config_from(args: &Args) -> Result<ServeConfig, String> {
-    let defaults = ServeConfig::default();
-    Ok(ServeConfig {
-        addr: args.flag("addr", defaults.addr.clone()),
-        snapshot: args.opt("snapshot").map(std::path::PathBuf::from),
-        backend: match args.opt("backend") {
-            Some(b) => b.parse()?,
-            None => defaults.backend,
-        },
-        machine: args.flag("machine", defaults.machine.clone()),
-        ranks: args.flag("ranks", defaults.ranks),
-        threads: args.flag("threads", defaults.threads),
-        refine_threads: args.flag("refine-threads", defaults.refine_threads),
-        l1_capacity: args.flag("l1", defaults.l1_capacity),
-        default_policy: match args.opt("policy") {
-            Some(p) => p.parse::<DefaultPolicy>()?,
-            None => defaults.default_policy,
-        },
-        tune_at_startup: !args.has("no-tune"),
-    })
-}
-
-fn cmd_serve(args: &Args) -> Result<(), String> {
-    let cfg = serve_config_from(args)?;
-    let server = Server::start(cfg)?;
-    // SIGTERM/SIGINT reuse the same graceful drain as `query --shutdown`:
-    // in-flight requests complete, then the listener closes.
-    pap::service::install_signal_shutdown(&server)?;
-    // Scripted callers (the CI smoke job) read the resolved port from this
-    // line, so flush past stdout's pipe buffering before blocking.
-    println!("papd listening on {}", server.local_addr());
-    use std::io::Write as _;
-    let _ = std::io::stdout().flush();
-    let stats = std::sync::Arc::clone(server.stats());
-    server.join();
-    eprint!("papd: shut down\n{}", stats.report().render_table());
-    Ok(())
-}
-
 fn fleet_addrs(args: &Args) -> Result<Vec<std::net::SocketAddr>, String> {
     args.opt("addrs")
         .ok_or("fleet commands need --addrs A1,A2,… (printed by `papctl fleet serve`)")?
@@ -627,11 +620,11 @@ fn fleet_addrs(args: &Args) -> Result<Vec<std::net::SocketAddr>, String> {
         .collect()
 }
 
-fn cmd_fleet(args: &Args) -> Result<(), String> {
-    match args.pos(0)? {
+fn cmd_fleet(sub: &str, args: &Args) -> Result<(), String> {
+    match sub {
         "serve" => {
-            let shards = args.flag("shards", 2usize);
-            let base = serve_config_from(args)?;
+            let shards = args.flag("shards", 2usize)?;
+            let base = serve_config(args)?;
             let fleet = pap::fleet::Fleet::start(pap::fleet::FleetConfig { shards, base })?;
             for (i, addr) in fleet.addrs().iter().enumerate() {
                 println!("papd shard {i} listening on {addr}");
@@ -661,11 +654,11 @@ fn cmd_fleet(args: &Args) -> Result<(), String> {
             Ok(())
         }
         "query" => {
+            let machine = args.pos(0)?.to_string();
+            let collective: CollectiveKind = args.arg(1)?;
+            let bytes: u64 = args.arg(2)?;
+            let ranks = args.flag("ranks", 16usize)?;
             let mut client = pap::fleet::FleetClient::new(fleet_addrs(args)?);
-            let machine = args.pos(1)?.to_string();
-            let collective: CollectiveKind = args.pos(2)?.parse()?;
-            let bytes: u64 = args.pos(3)?.parse().map_err(|_| "bytes must be a number")?;
-            let ranks = args.flag("ranks", 16usize);
             let q = QueryRequest { machine, collective, bytes, ranks, arrivals: None };
             let shard = client.route(&q).ok_or("fleet has no live shards")?;
             let answer = client.query(q)?;
@@ -711,7 +704,7 @@ fn cmd_fleet(args: &Args) -> Result<(), String> {
             println!("fleet acknowledged shutdown");
             Ok(())
         }
-        other => Err(format!("unknown fleet subcommand '{other}'\n{USAGE}")),
+        other => unreachable!("spec() rejects fleet subcommand '{other}'"),
     }
 }
 
@@ -719,49 +712,54 @@ fn cmd_query(args: &Args) -> Result<(), String> {
     let addr = args
         .opt("addr")
         .ok_or("query needs --addr HOST:PORT (printed by `papctl serve`)")?;
-    let mut client = Client::connect(addr)?;
     let json = args.has("json");
-    if args.has("stats") {
-        let report = client.stats()?;
-        if json {
-            println!("{}", serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?);
-        } else {
-            print!("{}", report.render_table());
+    if let Some(endpoint) = ["stats", "metrics", "ping", "shutdown"].into_iter().find(|c| args.has(c)) {
+        if let Some(extra) = args.positionals().first() {
+            return Err(format!("unexpected argument '{extra}' (--{endpoint} takes no positionals)"));
         }
-        return Ok(());
-    }
-    if args.has("metrics") {
-        let snap = client.metrics()?;
-        if json {
-            println!("{}", serde_json::to_string_pretty(&snap).map_err(|e| e.to_string())?);
-        } else {
-            print!("{}", snap.render_table());
+        let mut client = Client::connect(addr)?;
+        match endpoint {
+            "stats" => {
+                let report = client.stats()?;
+                if json {
+                    println!("{}", serde_json::to_string_pretty(&report).map_err(|e| e.to_string())?);
+                } else {
+                    print!("{}", report.render_table());
+                }
+            }
+            "metrics" => {
+                let snap = client.metrics()?;
+                if json {
+                    println!("{}", serde_json::to_string_pretty(&snap).map_err(|e| e.to_string())?);
+                } else {
+                    print!("{}", snap.render_table());
+                }
+            }
+            "ping" => {
+                client.ping()?;
+                println!("pong");
+            }
+            _ => {
+                client.shutdown()?;
+                println!("papd acknowledged shutdown");
+            }
         }
-        return Ok(());
-    }
-    if args.has("ping") {
-        client.ping()?;
-        println!("pong");
-        return Ok(());
-    }
-    if args.has("shutdown") {
-        client.shutdown()?;
-        println!("papd acknowledged shutdown");
         return Ok(());
     }
 
     let machine = args.pos(0)?.to_string();
-    let collective: CollectiveKind = args.pos(1)?.parse()?;
-    let bytes: u64 = args.pos(2)?.parse().map_err(|_| "bytes must be a number")?;
-    let ranks = args.flag("ranks", 16usize);
+    let collective: CollectiveKind = args.arg(1)?;
+    let bytes: u64 = args.arg(2)?;
+    let ranks = args.flag("ranks", 16usize)?;
     let arrivals = match args.opt("arrivals") {
         Some(csv) => Some(
             csv.split(',')
-                .map(|s| s.trim().parse::<f64>().map_err(|_| format!("bad arrival sample '{s}'")))
+                .map(|s| s.trim().parse::<f64>().map_err(|_| format!("--arrivals: bad sample '{s}'")))
                 .collect::<Result<Vec<f64>, String>>()?,
         ),
         None => None,
     };
+    let mut client = Client::connect(addr)?;
     let answer = client.query(QueryRequest { machine, collective, bytes, ranks, arrivals })?;
     if json {
         println!("{}", serde_json::to_string_pretty(&answer).map_err(|e| e.to_string())?);
@@ -793,35 +791,33 @@ fn cmd_query(args: &Args) -> Result<(), String> {
 /// selection-agreement check) or send the probe to a running daemon, which
 /// fits and starts serving the machine online.
 fn cmd_calibrate(args: &Args) -> Result<(), String> {
-    let from: Option<MachineId> = match args.opt("from") {
-        Some(m) => Some(m.parse()?),
-        None => None,
+    let from: Option<MachineId> = args.value("from")?;
+    let ranks = args.flag("ranks", 16usize)?;
+    let defaults = ProbeConfig::default();
+    let probe_cfg = ProbeConfig {
+        reps: args.flag("reps", defaults.reps)?,
+        seed: args.flag("seed", defaults.seed)?,
+        noise: !args.has("no-noise"),
+        ..defaults
     };
     let probe: Probe = if let Some(path) = args.opt("probe-json") {
         let text = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
         Probe::from_json(&text)?
     } else if let Some(machine) = from {
-        let defaults = ProbeConfig::default();
-        let cfg = ProbeConfig {
-            reps: args.flag("reps", defaults.reps),
-            seed: args.flag("seed", defaults.seed),
-            noise: !args.has("no-noise"),
-            ..defaults
-        };
-        let name = args.flag("name", format!("fit-{}", machine.name().to_ascii_lowercase()));
-        synthesize_probe(machine, &name, &cfg)?
+        let name = args.flag("name", format!("fit-{}", machine.name().to_ascii_lowercase()))?;
+        synthesize_probe(machine, &name, &probe_cfg)?
     } else {
         return Err(
             "calibrate needs --from <preset> (synthesize a probe) or --probe-json FILE".to_string()
         );
     };
-    let name = args.flag("name", probe.name.clone());
+    let name = args.flag("name", probe.name.clone())?;
 
     if let Some(addr) = args.opt("addr") {
         // Online path: the daemon fits, registers, and publishes L2
         // evidence, so queries for custom:<name> answer immediately.
         let mut client = Client::connect(addr)?;
-        let a = client.calibrate(&name, args.flag("ranks", 16usize), probe)?;
+        let a = client.calibrate(&name, ranks, probe)?;
         println!(
             "{}: fit accepted (median residual {:.2}%), {} L2 cells published, \
              {} sim refinement(s) scheduled",
@@ -903,9 +899,9 @@ fn cmd_calibrate(args: &Args) -> Result<(), String> {
 fn cmd_ft(args: &Args) -> Result<(), String> {
     let platform = platform_from(args, 0)?;
     let mut cfg = FtConfig::class_d_like(platform.ranks);
-    cfg.alltoall_alg = args.flag("alg", cfg.alltoall_alg);
-    cfg.iterations = args.flag("iters", cfg.iterations);
-    cfg.seed = args.flag("seed", cfg.seed);
+    cfg.alltoall_alg = args.flag("alg", cfg.alltoall_alg)?;
+    cfg.iterations = args.flag("iters", cfg.iterations)?;
+    cfg.seed = args.flag("seed", cfg.seed)?;
     let (rep, _) = run_ft(&platform, &cfg).map_err(|e| e.to_string())?;
     println!(
         "FT on {} ({} ranks, alltoall A{}, {} iters): runtime {:.3} s, compute {:.3} s, MPI {:.3} s ({:.0}%)",
@@ -924,7 +920,7 @@ fn cmd_ft(args: &Args) -> Result<(), String> {
 fn cmd_trace(args: &Args) -> Result<(), String> {
     let platform = platform_from(args, 0)?;
     let mut cfg = FtConfig::class_d_like(platform.ranks);
-    cfg.seed = args.flag("seed", cfg.seed);
+    cfg.seed = args.flag("seed", cfg.seed)?;
     let (_, out) = run_ft(&platform, &cfg).map_err(|e| e.to_string())?;
     let tr = CollectiveTrace::from_outcome(
         &out,
@@ -946,18 +942,18 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
 
 /// Parse a `--ranks A,B,C` list, or keep `default`.
 fn ranks_list(args: &Args, default: &[usize]) -> Result<Vec<usize>, String> {
-    match args.flags.iter().find(|(n, _)| n == "ranks") {
-        Some((_, Some(v))) => {
+    match args.opt("ranks") {
+        Some(v) => {
             let ranks: Vec<usize> = v
                 .split(',')
-                .map(|s| s.trim().parse::<usize>().map_err(|_| format!("bad rank count '{s}'")))
+                .map(|s| s.trim().parse::<usize>().map_err(|_| format!("--ranks: bad rank count '{s}'")))
                 .collect::<Result<_, _>>()?;
             if ranks.is_empty() {
                 return Err("--ranks needs at least one rank count".to_string());
             }
             Ok(ranks)
         }
-        _ => Ok(default.to_vec()),
+        None => Ok(default.to_vec()),
     }
 }
 
@@ -967,12 +963,12 @@ fn cmd_lint(args: &Args) -> Result<(), String> {
     }
     let defaults = SweepConfig::default();
     let mut cfg = SweepConfig { ranks: ranks_list(args, &defaults.ranks)?, ..defaults };
-    let eager = args.flag("eager", cfg.eager_threshold);
+    let eager = args.flag("eager", cfg.eager_threshold)?;
     cfg.eager_threshold = eager;
     // Keep the size grid straddling whatever threshold was chosen.
     cfg.sizes = vec![eager.div_ceil(32).max(1), eager, eager + 1, eager.saturating_mul(8)];
     let summary = sweep_registry(&cfg);
-    if args.flags.iter().any(|(n, _)| n == "json") {
+    if args.has("json") {
         println!(
             "{}",
             serde_json::to_string_pretty(&summary).map_err(|e| e.to_string())?
@@ -1003,13 +999,13 @@ fn cmd_lint(args: &Args) -> Result<(), String> {
 fn cmd_lint_faults(args: &Args) -> Result<(), String> {
     let defaults = FaultSweepConfig::default();
     let mut cfg = FaultSweepConfig { ranks: ranks_list(args, &defaults.ranks)?, ..defaults };
-    let eager = args.flag("eager", cfg.eager_threshold);
+    let eager = args.flag("eager", cfg.eager_threshold)?;
     cfg.eager_threshold = eager;
     // Keep one size on each side of whatever threshold was chosen: the
     // protocol split changes which sends block, which changes the cones.
     cfg.sizes = vec![eager.div_ceil(16).max(1), eager.saturating_mul(8)];
     let summary = sweep_faults(&cfg);
-    if args.flags.iter().any(|(n, _)| n == "json") {
+    if args.has("json") {
         println!("{}", serde_json::to_string_pretty(&summary).map_err(|e| e.to_string())?);
     } else {
         print!("{}", summary.render_table());
@@ -1037,8 +1033,8 @@ fn cmd_lint_faults(args: &Args) -> Result<(), String> {
 /// and prove it completes in the engine under the very crash it routes
 /// around.
 fn cmd_repair(args: &Args) -> Result<(), String> {
-    let kind: CollectiveKind = args.pos(0)?.parse()?;
-    let alg: u8 = args.pos(1)?.parse().map_err(|_| "alg must be a number")?;
+    let kind: CollectiveKind = args.arg(0)?;
+    let alg: u8 = args.arg(1)?;
     let spec = args
         .opt("fault")
         .ok_or("repair needs --fault crash:R (the rank to route around)")?;
@@ -1046,17 +1042,17 @@ fn cmd_repair(args: &Args) -> Result<(), String> {
         .strip_prefix("crash:")
         .unwrap_or(spec)
         .parse()
-        .map_err(|_| format!("bad fault spec '{spec}' (want crash:R)"))?;
-    let ranks = args.flag("ranks", 8usize);
-    let bytes = args.flag("bytes", 1024u64);
-    let root = args.flag("root", 0usize);
-    let eager = args.flag("eager", LintConfig::default().eager_threshold);
-    let seg = args.flag("seg-bytes", pap::collectives::DEFAULT_SEG_BYTES);
+        .map_err(|_| format!("--fault: bad spec '{spec}' (want crash:R)"))?;
+    let ranks = args.flag("ranks", 8usize)?;
+    let bytes = args.flag("bytes", 1024u64)?;
+    let root = args.flag("root", 0usize)?;
+    let eager = args.flag("eager", LintConfig::default().eager_threshold)?;
+    let seg = args.flag("seg-bytes", pap::collectives::DEFAULT_SEG_BYTES)?;
 
     let cspec = CollSpec::new(kind, alg, bytes).with_root(root).with_seg_bytes(seg);
     let built = pap::collectives::build(&cspec, ranks).map_err(|e| e.to_string())?;
     let job = Job::new(built.rank_ops.into_iter().map(RankProgram::from_ops).collect());
-    let cfg = LintConfig { eager_threshold: eager, ..LintConfig::default() };
+    let cfg = LintConfig { eager_threshold: eager };
 
     let cone = crash_cone(&job, &cfg, &[CrashPoint::on_entry(crashed)]);
     println!(
@@ -1101,30 +1097,88 @@ fn cmd_repair(args: &Args) -> Result<(), String> {
     }
 }
 
+/// `papctl figures <name>`: print one of the paper's tables or figures, or
+/// the engine scale probe, from its `pap-bench` driver.
+fn cmd_figures(name: &str, args: &Args) -> Result<(), String> {
+    let scale = scale_from(args)?;
+    let out = match name {
+        "table1" => bench::table1(),
+        "table2" => bench::table2(),
+        "fig1" => bench::fig1(scale),
+        "fig2" => bench::fig2(),
+        "fig3" => bench::fig3(),
+        "fig4" => {
+            // Optional collectives to draw (default: the paper's three).
+            let kinds: Vec<CollectiveKind> = if args.positionals().is_empty() {
+                CollectiveKind::PAPER.to_vec()
+            } else {
+                (0..args.positionals().len()).map(|i| args.arg(i)).collect::<Result<_, _>>()?
+            };
+            kinds.into_iter().map(|kind| format!("{}\n", bench::fig4(kind, scale))).collect()
+        }
+        "fig5" => bench::fig5(scale),
+        "fig6" => bench::fig6(scale),
+        "fig7" => bench::fig7(scale),
+        "fig8" => bench::fig8(scale),
+        "fig9" => bench::fig9(scale),
+        "figs789" => bench::figs789(scale),
+        "ext_allgather" => bench::ext_allgather(scale),
+        "ext_skew_factor" => bench::ext_skew_factor(scale),
+        "scale_table" => {
+            let max_ranks = if args.positionals().is_empty() { 102_400 } else { args.arg(0)? };
+            bench::scale_table(max_ranks, args.has("json"))
+        }
+        other => unreachable!("spec() rejects figure '{other}'"),
+    };
+    print!("{out}");
+    Ok(())
+}
+
+/// The figure drivers' [`Scale`]: `--ranks`, `--nrep`, `--seed`, `--quick`,
+/// or `--full` for the paper's 1024 ranks at full grids.
+fn scale_from(args: &Args) -> Result<Scale, String> {
+    let full = args.has("full");
+    if let Some(other) = ["ranks", "quick"].into_iter().find(|f| full && args.has(f)) {
+        return Err(format!("--full sets 1024 ranks at full grids; it conflicts with --{other}"));
+    }
+    let d = Scale::default();
+    Ok(Scale {
+        ranks: if full { 1024 } else { args.flag("ranks", d.ranks)? },
+        nrep: args.flag("nrep", d.nrep)?,
+        quick: args.has("quick"),
+        seed: args.flag("seed", d.seed)?,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Parse a `bench` command line.
     fn args(v: &[&str]) -> Args {
-        Args::parse(v.iter().map(|s| s.to_string()).collect())
+        Args::parse(v.iter().map(|s| s.to_string()).collect(), &spec("bench").unwrap()).unwrap()
     }
 
     #[test]
     fn parses_positionals_and_flags() {
-        let a = args(&["hydra", "reduce", "--ranks", "128", "--quickish"]);
+        let a = args(&["hydra", "reduce", "--ranks", "128"]);
         assert_eq!(a.pos(0).unwrap(), "hydra");
         assert_eq!(a.pos(1).unwrap(), "reduce");
-        assert_eq!(a.flag("ranks", 0usize), 128);
-        assert!(a.pos(2).is_err());
-        // Valueless flag falls back to default.
-        assert_eq!(a.flag("quickish", 7u32), 7);
+        assert_eq!(a.flag("ranks", 0usize), Ok(128));
+        assert_eq!(a.pos(2).unwrap_err(), "missing <alg>");
+        // A flag the command does not take, or a value that does not
+        // parse, is an error naming it instead of a silent default.
+        let raw = ["hydra", "reduce", "--quickish"].map(String::from).to_vec();
+        assert!(Args::parse(raw, &spec("bench").unwrap()).unwrap_err().contains("--quickish"));
+        let bad = args(&["hydra", "--ranks", "12x"]);
+        assert!(platform_from(&bad, 0).unwrap_err().contains("--ranks"));
     }
 
     #[test]
     fn flag_defaults_apply() {
         let a = args(&["hydra"]);
-        assert_eq!(a.flag("nrep", 3usize), 3);
-        assert_eq!(a.flag("shape", "no_delay".to_string()), "no_delay");
+        assert_eq!(a.flag("nrep", 3usize), Ok(3));
+        assert_eq!(a.flag("shape", "no_delay".to_string()).unwrap(), "no_delay");
     }
 
     #[test]
@@ -1145,5 +1199,19 @@ mod tests {
         assert_eq!(p.machine.name(), "Galileo100");
         assert_eq!(p.ranks, 32);
         assert!(platform_from(&args(&["nonsense"]), 0).is_err());
+    }
+
+    #[test]
+    fn figure_scale_flags() {
+        let parse = |v: &[&str]| {
+            Args::parse(v.iter().map(|s| s.to_string()).collect(), &spec("figures fig5").unwrap())
+        };
+        let s = scale_from(&parse(&["--ranks", "64", "--nrep", "5", "--quick", "--seed", "9"]).unwrap()).unwrap();
+        assert_eq!((s.ranks, s.nrep, s.quick, s.seed), (64, 5, true, 9));
+        let full = scale_from(&parse(&["--full"]).unwrap()).unwrap();
+        assert_eq!((full.ranks, full.quick), (1024, false));
+        assert!(scale_from(&parse(&["--full", "--ranks", "32"]).unwrap()).unwrap_err().contains("--ranks"));
+        assert!(parse(&["--whatever"]).unwrap_err().contains("--whatever"));
+        assert!(spec("figures nosuch").unwrap_err().contains("table1"));
     }
 }

@@ -41,6 +41,7 @@
 //! * [`fleet`] — sharded serving tier (`papctl fleet …`): consistent-hash
 //!   routing, warm shard-to-shard replication; each shard is a `service`
 //!   daemon
+//! * [`bench`] — the paper's table/figure drivers (`papctl figures …`)
 //!
 //! See `examples/quickstart.rs` for a five-minute tour and DESIGN.md for the
 //! experiment index.
@@ -50,6 +51,7 @@
 
 pub use pap_apps as apps;
 pub use pap_arrival as arrival;
+pub use pap_bench as bench;
 pub use pap_calibrate as calibrate;
 pub use pap_clocksync as clocksync;
 pub use pap_collectives as collectives;
