@@ -15,7 +15,12 @@
 //! A value of 1 forces the plain sequential loop (no threads spawned).
 //! Nested [`par_map`] calls from inside a worker run sequentially, so outer
 //! parallelism (e.g. the tuner's kind × size grid) is not multiplied by
-//! inner parallelism (each cell's sweep).
+//! inner parallelism (each cell's sweep). A single simulation run is never
+//! split across threads: the engine is sequential, and parallelism pays
+//! across runs.
+//!
+//! [`Pool`] serves dynamically submitted tasks (the daemon's compute and
+//! refinement work); its [`Pool::submit`] never blocks the caller.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -115,42 +120,6 @@ where
     slots.into_iter().map(|s| s.expect("par_map slot unfilled")).collect()
 }
 
-/// Run `f(0) … f(n-1)` concurrently, one dedicated scoped thread each, and
-/// wait for all of them.
-///
-/// Unlike [`par_map`], every invocation gets its *own* thread for its whole
-/// lifetime — required by lockstep algorithms whose workers rendezvous on a
-/// [`std::sync::Barrier`] (a bounded pool would deadlock: a queued worker
-/// can never reach a barrier its running peers are waiting on). The threads
-/// are marked as workers so nested fan-out stays sequential. A panic in `f`
-/// propagates to the caller when the scope joins.
-///
-/// `pap-sim` drives partitioned single-run execution through this.
-pub fn lockstep<F>(n: usize, f: F)
-where
-    F: Fn(usize) + Sync,
-{
-    if n == 0 {
-        return;
-    }
-    if n == 1 {
-        f(0);
-        return;
-    }
-    let m = pool_metrics();
-    m.lockstep_calls.inc();
-    let _span = pap_obs::span("pool", "lockstep");
-    std::thread::scope(|scope| {
-        for i in 0..n {
-            let f = &f;
-            scope.spawn(move || {
-                IN_WORKER.with(|flag| flag.set(true));
-                f(i);
-            });
-        }
-    });
-}
-
 /// [`par_map`] over an index range instead of a slice.
 pub fn par_map_range<U, F>(n: usize, f: F) -> Vec<U>
 where
@@ -184,7 +153,6 @@ struct PoolMetrics {
     workers_busy: pap_obs::Gauge,
     par_map_calls: pap_obs::Counter,
     par_map_items: pap_obs::Counter,
-    lockstep_calls: pap_obs::Counter,
 }
 
 fn pool_metrics() -> &'static PoolMetrics {
@@ -202,7 +170,6 @@ fn pool_metrics() -> &'static PoolMetrics {
             workers_busy: reg.gauge("pool.workers_busy"),
             par_map_calls: reg.counter("pool.par_map.calls"),
             par_map_items: reg.counter("pool.par_map.items"),
-            lockstep_calls: reg.counter("pool.lockstep.calls"),
         }
     })
 }
@@ -214,8 +181,6 @@ struct PoolShared {
     queue: Mutex<PoolQueue>,
     /// Signalled when a task is pushed or the pool starts shutting down.
     task_ready: Condvar,
-    /// Signalled when a queue slot frees up (for bounded [`Pool::submit`]).
-    slot_free: Condvar,
     bound: usize,
 }
 
@@ -230,9 +195,9 @@ struct PoolQueue {
 /// A bounded FIFO pool of long-lived worker threads for dynamically
 /// submitted tasks (as opposed to [`par_map`]'s static grids).
 ///
-/// * [`Pool::submit`] blocks while the queue holds `queue_bound` pending
-///   tasks — natural backpressure for servers feeding connections into the
-///   pool.
+/// * [`Pool::submit`] never blocks: it refuses a task while the queue holds
+///   `queue_bound` pending tasks, so an event loop can hand work to the
+///   pool and shed load instead of stalling.
 /// * Workers run tasks with the [`in_worker`] flag set, so a task calling
 ///   [`par_map`] runs it sequentially: total parallelism stays bounded by
 ///   the pool size.
@@ -255,7 +220,6 @@ impl Pool {
                 run_backlog: true,
             }),
             task_ready: Condvar::new(),
-            slot_free: Condvar::new(),
             bound: queue_bound.max(1),
         });
         let workers = (0..workers.max(1))
@@ -271,7 +235,6 @@ impl Pool {
                                     return;
                                 }
                                 if let Some(t) = q.tasks.pop_front() {
-                                    shared.slot_free.notify_one();
                                     break t;
                                 }
                                 q = shared.task_ready.wait(q).expect("pool queue poisoned");
@@ -294,14 +257,11 @@ impl Pool {
         Pool { shared, workers }
     }
 
-    /// Enqueue a task, blocking while the queue is full. Returns `false`
-    /// (dropping the task) if the pool is shutting down.
+    /// Enqueue a task without blocking. Returns `false` (dropping the task)
+    /// if the queue is full or the pool is shutting down.
     pub fn submit(&self, f: impl FnOnce() + Send + 'static) -> bool {
         let mut q = self.shared.queue.lock().expect("pool queue poisoned");
-        while !q.shutdown && q.tasks.len() >= self.shared.bound {
-            q = self.shared.slot_free.wait(q).expect("pool queue poisoned");
-        }
-        if q.shutdown {
+        if q.shutdown || q.tasks.len() >= self.shared.bound {
             return false;
         }
         q.tasks.push_back((std::time::Instant::now(), Box::new(f)));
@@ -336,7 +296,6 @@ impl Pool {
         };
         pool_metrics().dropped.add(dropped as u64);
         self.shared.task_ready.notify_all();
-        self.shared.slot_free.notify_all();
         for w in self.workers.drain(..) {
             w.join().expect("pool worker panicked");
         }
@@ -350,22 +309,6 @@ mod tests {
 
     /// Serializes tests that mutate the global thread-count override.
     static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
-
-    #[test]
-    fn lockstep_runs_every_index_and_supports_barriers() {
-        let n = 4;
-        let barrier = std::sync::Barrier::new(n);
-        let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-        lockstep(n, |i| {
-            // A barrier inside the worker body would deadlock on a bounded
-            // pool; dedicated threads must sail through.
-            barrier.wait();
-            hits[i].fetch_add(1, Ordering::Relaxed);
-            assert!(in_worker());
-            barrier.wait();
-        });
-        assert!(hits.iter().all(|h| h.load(Ordering::Relaxed) == 1));
-    }
 
     #[test]
     fn results_are_in_input_order() {
@@ -430,7 +373,7 @@ mod tests {
     #[test]
     fn pool_runs_all_tasks_and_drains_on_join() {
         let counter = Arc::new(AtomicUsize::new(0));
-        let pool = Pool::new(3, 4);
+        let pool = Pool::new(3, 50);
         for _ in 0..50 {
             let c = Arc::clone(&counter);
             assert!(pool.submit(move || {
@@ -485,6 +428,44 @@ mod tests {
         let dropped = aborter.join().unwrap();
         assert_eq!(started.load(Ordering::Relaxed), 1, "backlog must not run after abort");
         assert_eq!(dropped, 10);
+    }
+
+    #[test]
+    fn pool_submit_refuses_without_blocking_when_full() {
+        let gate = Arc::new((Mutex::new(false), Condvar::new()));
+        let pool = Arc::new(Pool::new(1, 2));
+        let started = Arc::new(AtomicUsize::new(0));
+        {
+            // Gate the lone worker so the queue cannot drain.
+            let (gate, started) = (Arc::clone(&gate), Arc::clone(&started));
+            assert!(pool.submit(move || {
+                started.fetch_add(1, Ordering::Relaxed);
+                let (lock, cv) = &*gate;
+                let mut open = lock.lock().unwrap();
+                while !*open {
+                    open = cv.wait(open).unwrap();
+                }
+            }));
+        }
+        while started.load(Ordering::Relaxed) == 0 {
+            std::thread::yield_now();
+        }
+        assert!(pool.submit(|| {}));
+        assert!(pool.submit(|| {}));
+        // The queue is full. Submit on a helper thread, so a blocking submit
+        // shows up as a timeout here rather than hanging the test.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let submitter = {
+            let pool = Arc::clone(&pool);
+            std::thread::spawn(move || tx.send(pool.submit(|| {})).unwrap())
+        };
+        let accepted = rx.recv_timeout(std::time::Duration::from_secs(5));
+        let (lock, cv) = &*gate;
+        *lock.lock().unwrap() = true;
+        cv.notify_all();
+        assert_eq!(accepted, Ok(false), "submit into a full queue must refuse at once");
+        submitter.join().unwrap();
+        Arc::into_inner(pool).expect("sole pool handle").join();
     }
 
     #[test]

@@ -98,10 +98,12 @@ impl Dispatcher {
         let reply = catch_unwind(AssertUnwindSafe(|| match work {
             SlowWork::Query(q) => self.query_reply(id, self.store.compute_miss(&q)),
             SlowWork::Calibrate(c) => match self.store.calibrate(&c) {
-                Ok((answer, tickets)) => {
+                Ok((mut answer, tickets)) => {
                     // Same ownership contract as the query path: the store
                     // scheduled the tickets, the refine pool runs them.
-                    tickets.into_iter().for_each(|key| self.schedule_refine(key));
+                    if !self.schedule_refine(tickets) {
+                        answer.refine_scheduled = 0;
+                    }
                     ReplyEnvelope { v: PROTO_VERSION, id, reply: Reply::Calibrated(answer) }
                 }
                 Err(msg) => self.bad_request(id, msg),
@@ -195,9 +197,9 @@ impl Dispatcher {
         resolved: Result<(QueryAnswer, Option<CellKey>), String>,
     ) -> ReplyEnvelope {
         match resolved {
-            Ok((answer, ticket)) => {
+            Ok((mut answer, ticket)) => {
                 if let Some(key) = ticket {
-                    self.schedule_refine(key);
+                    answer.refine_scheduled = self.schedule_refine(vec![key]);
                 }
                 ReplyEnvelope { v: PROTO_VERSION, id, reply: Reply::Answer(answer) }
             }
@@ -205,16 +207,21 @@ impl Dispatcher {
         }
     }
 
-    /// Run a refinement ticket on the refine pool, or cancel it when there
-    /// is none (or it is shutting down).
-    fn schedule_refine(&self, key: CellKey) {
-        let submitted = self.refine_pool.as_ref().is_some_and(|pool| {
-            let store = Arc::clone(&self.store);
-            let k = key.clone();
-            pool.submit(move || store.refine(&k))
-        });
+    /// Run refinement tickets in turn as one refine-pool task, or cancel
+    /// them all when there is no pool or it refuses the task (queue full or
+    /// shutting down). Returns whether the task was queued. `Pool::submit`
+    /// never blocks, so an L2 hit on the loop thread never waits for a
+    /// refinement slot, and a calibration's whole grid takes one slot.
+    fn schedule_refine(&self, keys: Vec<CellKey>) -> bool {
+        let submitted = !keys.is_empty()
+            && self.refine_pool.as_ref().is_some_and(|pool| {
+                let store = Arc::clone(&self.store);
+                let keys = keys.clone();
+                pool.submit(move || keys.iter().for_each(|k| store.refine(k)))
+            });
         if !submitted {
-            self.store.cancel_refine(&key);
+            keys.iter().for_each(|k| self.store.cancel_refine(k));
         }
+        submitted
     }
 }

@@ -94,7 +94,8 @@ pub struct CalibrateAnswer {
     pub fit: pap_calibrate::FitReport,
     /// L2 evidence cells published for the new machine.
     pub l2_cells: usize,
-    /// Background sim refinements scheduled over those cells.
+    /// Background sim refinements scheduled over those cells (0 if the
+    /// refine pool refused them).
     pub refine_scheduled: usize,
 }
 
@@ -227,7 +228,8 @@ pub struct QueryAnswer {
     /// Evidence generation; bumped when an L3 sim refinement upgrades the
     /// cell.
     pub generation: u64,
-    /// Whether this query scheduled a background sim refinement.
+    /// Whether this query scheduled a background sim refinement (false if
+    /// the refine pool refused it).
     pub refine_scheduled: bool,
 }
 
@@ -283,27 +285,35 @@ pub struct DecodeError {
 
 /// Decode one request line (without the trailing newline).
 ///
-/// Stage 1 parses only `{v, id}`: failure is [`ErrorCode::BadFrame`] with
-/// `id = 0`. Stage 2 checks the version ([`ErrorCode::VersionMismatch`]),
-/// then parses the full envelope ([`ErrorCode::BadRequest`] on failure) —
-/// both with the salvaged `id`.
+/// A well-formed frame parses once, into the full envelope, and then has its
+/// version checked ([`ErrorCode::VersionMismatch`]). Only a frame that does
+/// not parse is parsed again as the `{v, id}` prefix, to classify the
+/// failure: no prefix is [`ErrorCode::BadFrame`] with `id = 0`; a prefix
+/// with a foreign version is [`ErrorCode::VersionMismatch`]; otherwise the
+/// body is at fault ([`ErrorCode::BadRequest`]). Both carry the salvaged `id`.
 pub fn decode_request(line: &str) -> Result<RequestEnvelope, DecodeError> {
+    let version_mismatch = |id: u64, v: u32| DecodeError {
+        id,
+        code: ErrorCode::VersionMismatch,
+        message: format!("protocol version {v} not supported (server speaks {PROTO_VERSION})"),
+    };
+    let body_err = match serde_json::from_str::<RequestEnvelope>(line) {
+        Ok(env) if env.v == PROTO_VERSION => return Ok(env),
+        Ok(env) => return Err(version_mismatch(env.id, env.v)),
+        Err(e) => e,
+    };
     let raw: RawEnvelope = serde_json::from_str(line).map_err(|e| DecodeError {
         id: 0,
         code: ErrorCode::BadFrame,
         message: format!("malformed frame: {e}"),
     })?;
     if raw.v != PROTO_VERSION {
-        return Err(DecodeError {
-            id: raw.id,
-            code: ErrorCode::VersionMismatch,
-            message: format!("protocol version {} not supported (server speaks {PROTO_VERSION})", raw.v),
-        });
+        return Err(version_mismatch(raw.id, raw.v));
     }
-    serde_json::from_str(line).map_err(|e| DecodeError {
+    Err(DecodeError {
         id: raw.id,
         code: ErrorCode::BadRequest,
-        message: format!("bad request body: {e}"),
+        message: format!("bad request body: {body_err}"),
     })
 }
 

@@ -99,7 +99,7 @@ const READ_BUDGET: usize = 4 * CHUNK;
 
 /// `RLIMIT_NOFILE` the server asks for at start (best effort). Also the
 /// compute pool's queue bound: a connection has at most one slow frame
-/// queued, so submitting never blocks the loop.
+/// queued, so the pool refuses work only past this many connections.
 const WANT_NOFILE: u64 = 32 * 1024;
 
 /// Epoll tokens: the listener, the completion wake-up, then connection
@@ -402,9 +402,10 @@ impl Conn {
                     let job = move || done.push(slot, encode_frame(&dispatcher.run_slow(frame)));
                     self.busy = serving.compute.submit(job);
                     if !self.busy {
-                        // Only a pool that is shutting down refuses work, and
-                        // the loop closes its pool last.
-                        self.queue(&error_reply(id, ErrorCode::Internal, "compute pool closed"));
+                        // `submit` never blocks the loop: a full queue or a
+                        // pool shutting down refuses the frame instead.
+                        let msg = "compute pool full or closed";
+                        self.queue(&error_reply(id, ErrorCode::Internal, msg));
                     }
                 }
             }

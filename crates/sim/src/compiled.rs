@@ -71,7 +71,7 @@ impl CSeg {
 }
 
 /// The flattened job. Built once per [`Job`] (see [`Job::compiled`]) and
-/// shared by every partition of every run.
+/// shared by every run of it.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct CompiledJob {
     /// All ops, rank-major in program order.

@@ -38,16 +38,13 @@
 //! costs the same however many peers a rank has outstanding. See DESIGN.md
 //! §12 for the memory layout.
 //!
-//! A single run can also execute across threads with [`run_par`]: ranks
-//! are partitioned along node boundaries and each partition is advanced
-//! window-by-window under conservative lookahead (the inter-node link
-//! latency). Events are keyed by an execution-independent
-//! canonical order (see [`queue`]), which makes the parallel result
-//! **byte-identical** to the sequential one at any thread count.
+//! A run is sequential: one `Part` owns every rank. Events are
+//! keyed by a canonical order (see [`queue`]) that no tie in time can
+//! reorder, so a run is **byte-identical** across repetitions. Parallelism
+//! pays across runs (sweep cells, repetitions), not inside one.
 
 pub mod queue;
 
-mod par;
 mod part;
 
 use crate::data::Value;
@@ -56,7 +53,7 @@ use crate::program::{Job, Label, Tag};
 use crate::time::SimTime;
 use crate::SimConfig;
 
-use part::{Part, PartResults};
+use part::Part;
 
 /// Enter/exit times of one labelled segment on one rank.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -146,8 +143,7 @@ pub struct MsgEvent {
 ///
 /// All collections are in *canonical* order — sorted by rank (and for
 /// message events by delivery time) rather than by the order the engine
-/// happened to process events — so sequential and partitioned executions of
-/// the same job produce byte-identical outcomes.
+/// happened to process events.
 #[derive(Debug, Clone)]
 pub struct RunOutcome {
     /// Per-rank completion time of the whole program.
@@ -198,27 +194,36 @@ pub fn run(platform: &Platform, job: Job, cfg: &SimConfig) -> Result<RunOutcome,
 /// [`run`] without consuming the job — repetition loops (ReproMPI-style
 /// NREP) build the program once and run it many times with different seeds.
 pub fn run_ref(platform: &Platform, job: &Job, cfg: &SimConfig) -> Result<RunOutcome, SimError> {
-    run_parts(platform, job, cfg, 1)
+    let _span = pap_obs::span("sim", "run");
+    let p = job.ranks();
+    if p == 0 {
+        return Err(SimError::InvalidProgram("job has no ranks".into()));
+    }
+    if p != platform.ranks {
+        return Err(SimError::InvalidProgram(format!(
+            "job has {p} ranks but platform is configured for {}",
+            platform.ranks
+        )));
+    }
+    if !cfg.faults.is_none() {
+        // Reject out-of-range fault specs before the engine indexes its
+        // per-rank fault tables — inside the validated envelope every
+        // fault-adjusted event time provably stays finite.
+        if let Err(e) = cfg.faults.validate(platform.ranks, platform.nodes) {
+            return Err(SimError::InvalidProgram(format!("invalid fault spec: {e}")));
+        }
+    }
+    let mut part = Part::new(platform, job, cfg);
+    part.run();
+    assemble(part, cfg)
 }
 
-/// Run a *single* job across `parts` partitions in parallel under
-/// conservative lookahead.
-///
-/// Ranks are split into contiguous, node-aligned partitions; each partition
-/// advances through one lookahead window (the inter-node link latency) at a
-/// time, exchanging cross-partition message effects at window barriers. The
-/// result is byte-identical to [`run_ref`] for every `parts` value — see
-/// DESIGN.md §12 for why determinism survives partitioning.
-///
-/// `parts` is clamped to `[1, occupied nodes]`; partitions must own whole
-/// nodes so NIC contention state stays partition-local.
-pub fn run_par(
-    platform: &Platform,
-    job: &Job,
-    cfg: &SimConfig,
-    parts: usize,
-) -> Result<RunOutcome, SimError> {
-    run_parts(platform, job, cfg, parts)
+/// [`run_ref`] under its old parallel name; `parts` is ignored. It exists
+/// only for perfbench, which still calls it; ROADMAP item 8's benchmark
+/// change removes it.
+#[doc(hidden)]
+pub fn run_par(p: &Platform, job: &Job, cfg: &SimConfig, _parts: usize) -> Result<RunOutcome, SimError> {
+    run_ref(p, job, cfg)
 }
 
 /// Cached handles into the global metrics registry — resolved once so the
@@ -254,109 +259,29 @@ fn run_metrics() -> &'static (
     })
 }
 
-/// Node-aligned contiguous rank boundaries for `nparts` partitions
-/// (`bounds[i]..bounds[i+1]` is partition `i`). Requires
-/// `nparts <= occupied_nodes` so every partition is non-empty.
-fn partition_bounds(platform: &Platform, nparts: usize) -> Vec<usize> {
-    let nodes = platform.occupied_nodes();
-    let cpn = platform.cores_per_node;
-    debug_assert!(nparts >= 1 && nparts <= nodes);
-    (0..=nparts).map(|i| (i * nodes / nparts * cpn).min(platform.ranks)).collect()
-}
-
-fn run_parts(
-    platform: &Platform,
-    job: &Job,
-    cfg: &SimConfig,
-    parts: usize,
-) -> Result<RunOutcome, SimError> {
-    let _span = pap_obs::span("sim", "run");
-    let p = job.ranks();
-    if p == 0 {
-        return Err(SimError::InvalidProgram("job has no ranks".into()));
-    }
-    if p != platform.ranks {
-        return Err(SimError::InvalidProgram(format!(
-            "job has {p} ranks but platform is configured for {}",
-            platform.ranks
-        )));
-    }
-    if !cfg.faults.is_none() {
-        // Reject out-of-range fault specs before any partition schedules a
-        // crash event — inside the validated envelope every fault-adjusted
-        // event time provably stays finite.
-        if let Err(e) = cfg.faults.validate(platform.ranks, platform.nodes) {
-            return Err(SimError::InvalidProgram(format!("invalid fault spec: {e}")));
-        }
-    }
-
-    let nparts = parts.clamp(1, platform.occupied_nodes());
-    let bounds = partition_bounds(platform, nparts);
-    let mut partitions: Vec<Part> =
-        (0..nparts).map(|i| Part::new(platform, job, cfg, &bounds, i)).collect();
-    if nparts == 1 {
-        partitions[0].run_until(f64::INFINITY);
-    } else {
-        partitions = par::drive(partitions, platform.inter.latency);
-    }
-    assemble(partitions, cfg)
-}
-
-/// Merge per-partition results into one canonical [`RunOutcome`].
-fn assemble(parts: Vec<Part>, cfg: &SimConfig) -> Result<RunOutcome, SimError> {
+/// Turn a finished run into one canonical [`RunOutcome`].
+fn assemble(part: Part, cfg: &SimConfig) -> Result<RunOutcome, SimError> {
     let (runs, events_c, messages_c, g_queue, g_msgs, g_arena) = run_metrics();
-    g_queue.set(parts.iter().map(|p| p.queue_hwm as i64).sum());
-    g_msgs.set(parts.iter().map(|p| p.live_msgs_hwm as i64).sum());
-    g_arena.set(parts.iter().map(|p| p.arena_slots() as i64).sum());
+    g_queue.set(part.queue_hwm as i64);
+    g_msgs.set(part.live_msgs_hwm as i64);
+    g_arena.set(part.arena_slots() as i64);
 
-    // First error in canonical event order — the one the sequential run
-    // would have hit first.
-    if let Some((_, e)) =
-        parts.iter().filter_map(|p| p.error.clone()).min_by(|a, b| a.0.cmp(&b.0))
-    {
+    if let Some(e) = part.error {
         return Err(e);
     }
-
-    let blocked: Vec<(usize, String)> = parts.iter().flat_map(|p| p.blocked()).collect();
+    let blocked = part.blocked();
     if !blocked.is_empty() {
-        let at = parts.iter().map(|p| p.last_t).fold(0.0, f64::max);
-        return Err(SimError::Deadlock { at, blocked });
+        return Err(SimError::Deadlock { at: part.last_t, blocked });
     }
 
-    let mut finish = Vec::new();
-    let mut phases = Vec::new();
-    let mut slots = cfg.track_data.then(Vec::new);
-    let mut tagged_errors: Vec<(u32, String)> = Vec::new();
-    let mut msg_events = cfg.record_messages.then(Vec::new);
-    let mut events = 0u64;
-    let mut messages = 0u64;
-    for part in parts {
-        let PartResults {
-            finish: f,
-            phases: ph,
-            slots: sl,
-            data_errors: de,
-            msg_events: me,
-            events: ev,
-            messages: ms,
-        } = part.into_results();
-        finish.extend(f);
-        phases.extend(ph);
-        if let (Some(all), Some(sl)) = (slots.as_mut(), sl) {
-            all.extend(sl);
-        }
-        tagged_errors.extend(de);
-        if let Some(all) = msg_events.as_mut() {
-            all.extend(me);
-        }
-        events += ev;
-        messages += ms;
-    }
-    // Canonical orders (partition-count independent): phases by rank (stable
-    // — within a rank they are already in program order), data errors by
-    // rank, message events by delivery then endpoints.
+    // Canonical orders: phases by rank (stable — within a rank they are
+    // already in program order), data errors by rank, message events by
+    // delivery then endpoints.
+    let mut phases = part.phases;
     phases.sort_by_key(|ph: &PhaseRecord| ph.rank);
+    let mut tagged_errors = part.data_errors;
     tagged_errors.sort_by_key(|(r, _)| *r);
+    let mut msg_events = cfg.record_messages.then_some(part.msg_events);
     if let Some(me) = msg_events.as_mut() {
         me.sort_by(|a, b| {
             a.delivered
@@ -370,15 +295,15 @@ fn assemble(parts: Vec<Part>, cfg: &SimConfig) -> Result<RunOutcome, SimError> {
     }
 
     runs.inc();
-    events_c.add(events);
-    messages_c.add(messages);
+    events_c.add(part.events);
+    messages_c.add(part.messages);
     Ok(RunOutcome {
-        finish,
+        finish: part.finish,
         phases,
-        slots,
+        slots: cfg.track_data.then_some(part.slots),
         data_errors: tagged_errors.into_iter().map(|(_, s)| s).collect(),
-        events,
-        messages,
+        events: part.events,
+        messages: part.messages,
         msg_events,
     })
 }
@@ -827,49 +752,5 @@ mod tests {
             run(&platform, job, &cfg),
             Err(SimError::InvalidProgram(msg)) if msg.contains("fault")
         ));
-    }
-
-    #[test]
-    fn partition_bounds_are_node_aligned_and_cover_all_ranks() {
-        let mut platform = Platform::simcluster(100);
-        platform.cores_per_node = 8;
-        for nparts in 1..=platform.occupied_nodes() {
-            let b = partition_bounds(&platform, nparts);
-            assert_eq!(b.len(), nparts + 1);
-            assert_eq!(b[0], 0);
-            assert_eq!(*b.last().unwrap(), 100);
-            for w in b.windows(2) {
-                assert!(w[0] < w[1], "empty partition in {b:?}");
-                assert!(w[1] == 100 || w[1] % 8 == 0, "bound off node edge in {b:?}");
-            }
-        }
-    }
-
-    #[test]
-    fn run_par_matches_run_ref_on_a_small_exchange() {
-        let mut platform = Platform::simcluster(8);
-        platform.cores_per_node = 2; // 4 nodes → up to 4 partitions
-        let mk = || {
-            let mut programs = Vec::new();
-            for r in 0..8usize {
-                // Pair r ↔ r+4: every message crosses nodes (and partitions
-                // for any partition count > 1).
-                let peer = r ^ 4;
-                let ops = if r < peer {
-                    vec![Op::send(peer, 1, 4096, 0), Op::recv(peer, 2, 0)]
-                } else {
-                    vec![Op::recv(peer, 1, 0), Op::send(peer, 2, 4096, 0)]
-                };
-                programs.push(RankProgram::from_ops(ops));
-            }
-            Job::new(programs)
-        };
-        let cfg = SimConfig::default();
-        let seq = run_ref(&platform, &mk(), &cfg).unwrap();
-        for parts in 2..=4 {
-            let par = run_par(&platform, &mk(), &cfg, parts).unwrap();
-            assert_eq!(seq.finish, par.finish, "parts={parts}");
-            assert_eq!(seq.events, par.events, "parts={parts}");
-        }
     }
 }

@@ -1,11 +1,7 @@
-//! One rank partition of a simulation run.
+//! The state of one simulation run.
 //!
-//! [`Part`] is the execution core: it owns a contiguous, node-aligned range
-//! of ranks `[r0, r1)` and processes their events in canonical key order
-//! (see [`super::queue`]). A sequential run is a single `Part` covering all
-//! ranks; a parallel run is several `Part`s advanced window-by-window by
-//! [`super::par`], exchanging cross-partition message effects as
-//! [`Handoff`]s at window barriers.
+//! [`Part`] is the execution core: it owns every rank of the run and
+//! processes their events in canonical key order (see [`super::queue`]).
 //!
 //! The state layout is arena/SoA-style for 10K–100K rank scale:
 //!
@@ -97,9 +93,6 @@ struct Msg {
     recv: Option<RecvInfo>,
     sender_wake: SenderWake,
     payload: Option<Value>,
-    /// For a message announced from another partition: the sender-side
-    /// message index over there (echoed back in `Handoff::InjectAt`).
-    src_ref: u32,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -163,7 +156,7 @@ fn chan_key(src: u32, dst: u32, tag: Tag) -> ChanKey {
     ((src as u128) << 96) | ((dst as u128) << 64) | tag as u128
 }
 
-/// Multiply-xor hasher (FxHash-style) for the channel and uid maps.
+/// Multiply-xor hasher (FxHash-style) for the channel map.
 /// SipHash dominated the map profile; keys are program-controlled, not
 /// attacker-controlled, so a non-DoS-resistant hash is fine here.
 #[derive(Default)]
@@ -330,38 +323,7 @@ impl ChanTable {
     }
 }
 
-/// A cross-partition message effect, exchanged at window barriers.
-///
-/// `Announce` and `WireArrivalAt` travel sender → receiver partition;
-/// `InjectAt` travels back. Application order (by source partition, then
-/// emission order) preserves per-channel FIFO and the announce-before-wire
-/// invariant, because all traffic of one channel originates from a single
-/// rank, hence a single partition.
-pub(super) enum Handoff {
-    /// A send whose destination rank lives in the receiving partition. The
-    /// destination allocates its own message record and runs the usual
-    /// matching against posted receives.
-    Announce {
-        uid: u64,
-        src: u32,
-        dst: u32,
-        tag: Tag,
-        bytes: u64,
-        eager: bool,
-        ready: SimTime,
-        wire_factor: f64,
-        src_ref: u32,
-        payload: Option<Value>,
-    },
-    /// Rendezvous response: the receiver matched the announce; the sender
-    /// partition schedules network injection of its message `src_ref` at `t`.
-    InjectAt { src_ref: u32, t: SimTime },
-    /// The sender partition finished egress; the bits of message `uid`
-    /// reach the receiver's NIC at `t`.
-    WireArrivalAt { uid: u64, t: SimTime },
-}
-
-/// The execution core for ranks `[r0, r1)` of a run. See the module docs.
+/// The execution core of a run. See the module docs.
 pub(super) struct Part<'a> {
     platform: &'a Platform,
     cfg: &'a SimConfig,
@@ -369,14 +331,6 @@ pub(super) struct Part<'a> {
     /// the hot loop can hold `&'a COp` references while mutating the rest
     /// of the state — no per-event op clone.
     comp: &'a CompiledJob,
-    /// Partition rank boundaries of the whole run (`bounds[i]..bounds[i+1]`
-    /// is partition `i`); used to route cross-partition handoffs.
-    bounds: &'a [usize],
-    r0: usize,
-    r1: usize,
-    /// First cluster node of this partition (partitions are node-aligned, so
-    /// NIC egress/ingress state is partition-local).
-    node0: usize,
     ranks: Vec<RankState>,
     /// Per-rank RNG streams; empty when the noise model is `None` (the
     /// common sweep configuration), saving one ChaCha init per rank.
@@ -384,8 +338,6 @@ pub(super) struct Part<'a> {
     /// Flat request arena; rank `l` owns `req_base[l]..req_base[l+1]`.
     reqs: Vec<ReqState>,
     req_base: Vec<u32>,
-    /// Per-rank payload slots; empty unless `track_data`.
-    slots: Vec<Vec<Value>>,
     queue: EventQueue,
     chans: ChanTable,
     msgs: Vec<Msg>,
@@ -394,21 +346,12 @@ pub(super) struct Part<'a> {
     ingress_free: Vec<SimTime>,
     /// Per-rank count of sends initiated, in program order (uid minor part).
     send_seq: Vec<u64>,
-    /// uid → local message index for messages announced from elsewhere.
-    uid_map: HashMap<u64, u32, ChanHash>,
-    /// Handoffs emitted while processing a window, indexed by target
-    /// partition.
-    outbox: Vec<Vec<Handoff>>,
-    /// Handoffs emitted while *applying* inbound handoffs (rendezvous
-    /// `InjectAt` responses), exchanged in a second barrier phase.
-    aux: Vec<Vec<Handoff>>,
-    in_apply: bool,
     /// Current inline-cascade depth (see [`Part::resume_inline`]).
     inline_depth: u32,
-    /// Pending stall intervals `(at, duration)` of this partition's ranks,
+    /// Pending stall intervals `(at, duration)` of the run's ranks,
     /// flat and sorted per rank by start time; rank `l` owns
     /// `fault_stall_base[l]..fault_stall_base[l+1]`. Empty (with `has_stalls`
-    /// false) when the fault spec carries no stalls for these ranks.
+    /// false) when the fault spec carries no stalls.
     fault_stalls: Vec<(SimTime, f64)>,
     fault_stall_base: Vec<u32>,
     /// Per-rank cursor into `fault_stalls`: the next unconsumed stall. A
@@ -422,58 +365,43 @@ pub(super) struct Part<'a> {
     /// The [`QEvent::KIND_CRASH`] queue event is only the backstop for ranks
     /// parked on a peer that never responds (their clock never moves again).
     fault_crash: Vec<SimTime>,
-    /// Fast-path gates: whether any stall/crash targets this partition's
-    /// ranks / any storm or link window exists in the spec. With all four
+    /// Fast-path gates: whether the spec holds any stall / crash / storm /
+    /// link window. With all four
     /// false the engine takes exactly the fault-free code paths.
     has_stalls: bool,
     has_crashes: bool,
     has_storms: bool,
     has_links: bool,
     pub(super) phases: Vec<PhaseRecord>,
+    /// Final payload slots per rank; empty unless `track_data`.
+    pub(super) slots: Vec<Vec<Value>>,
     pub(super) finish: Vec<SimTime>,
     pub(super) msg_events: Vec<MsgEvent>,
     pub(super) data_errors: Vec<(u32, String)>,
     pub(super) events: u64,
     pub(super) messages: u64,
-    /// First error raised, tagged with the canonical key of the event being
-    /// processed — across partitions, the minimum key is the error the
-    /// sequential run would have reported.
-    pub(super) error: Option<(QEvent, SimError)>,
+    /// First error raised; processing stops there.
+    pub(super) error: Option<SimError>,
     pub(super) last_t: SimTime,
-    cur_key: QEvent,
-    /// False until the first `run_until` has swept every rank once. The
-    /// sweep replaces the seed engine's p initial wake events: ranks start
-    /// in ascending order, exactly the canonical order of the elided
-    /// `(t=0, WAKE, rank)` keys, so outputs are unchanged.
-    started: bool,
     pub(super) queue_hwm: usize,
     live_msgs: usize,
     pub(super) live_msgs_hwm: usize,
 }
 
 impl<'a> Part<'a> {
-    pub(super) fn new(
-        platform: &'a Platform,
-        job: &'a Job,
-        cfg: &'a SimConfig,
-        bounds: &'a [usize],
-        me: usize,
-    ) -> Part<'a> {
-        let (r0, r1) = (bounds[me], bounds[me + 1]);
-        let n = r1 - r0;
-        let nparts = bounds.len() - 1;
-        let node0 = platform.node_of(r0);
-        let nnodes = platform.node_of(r1 - 1) + 1 - node0;
+    pub(super) fn new(platform: &'a Platform, job: &'a Job, cfg: &'a SimConfig) -> Part<'a> {
+        let n = platform.ranks;
+        let nnodes = platform.occupied_nodes();
 
         let comp = job.compiled();
         let mut ranks = Vec::with_capacity(n);
         let mut req_base = Vec::with_capacity(n + 1);
         let mut nreqs = 0u32;
-        for (g, &rc) in comp.req_counts.iter().enumerate().take(r1).skip(r0) {
+        for (l, &rc) in comp.req_counts.iter().enumerate() {
             req_base.push(nreqs);
             nreqs += rc;
-            let (s0, s1) = (comp.rank_segs[g], comp.rank_segs[g + 1]);
-            let op0 = comp.rank_ops[g];
+            let (s0, s1) = (comp.rank_segs[l], comp.rank_segs[l + 1]);
+            let op0 = comp.rank_ops[l];
             ranks.push(RankState {
                 op_i: op0,
                 seg_i: s0,
@@ -493,42 +421,34 @@ impl<'a> Part<'a> {
         let rngs = if cfg.noise.is_none() {
             Vec::new()
         } else {
-            (r0..r1)
-                .map(|g| {
+            (0..n)
+                .map(|l| {
                     ChaCha8Rng::seed_from_u64(
-                        cfg.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(g as u64),
+                        cfg.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(l as u64),
                     )
                 })
                 .collect()
         };
         let slots = if cfg.track_data {
-            (r0..r1).map(|g| vec![Value::empty(); job.slots_needed(g)]).collect()
+            (0..n).map(|l| vec![Value::empty(); job.slots_needed(l)]).collect()
         } else {
             Vec::new()
         };
 
         let queue = EventQueue::for_gap(platform.inter.latency);
 
-        // Per-rank stall plan: local ranks' stalls, flattened and sorted by
-        // (rank, start). The sort key is execution-independent, so every
-        // partitioning consumes stalls in the same per-rank order.
-        let mut local_stalls: Vec<(u32, SimTime, f64)> = cfg
-            .faults
-            .stalls
-            .iter()
-            .filter(|s| (r0..r1).contains(&s.rank))
-            .map(|s| ((s.rank - r0) as u32, s.at, s.stall))
-            .collect();
-        local_stalls.sort_by(|a, b| {
-            a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)).then(a.2.total_cmp(&b.2))
-        });
-        let has_stalls = !local_stalls.is_empty();
+        // Per-rank stall plan: stalls flattened and sorted by (rank, start),
+        // so each rank consumes its stalls in start order.
+        let mut stalls: Vec<(u32, SimTime, f64)> =
+            cfg.faults.stalls.iter().map(|s| (s.rank as u32, s.at, s.stall)).collect();
+        stalls.sort_by(|a, b| a.0.cmp(&b.0).then(a.1.total_cmp(&b.1)).then(a.2.total_cmp(&b.2)));
+        let has_stalls = !stalls.is_empty();
         let mut fault_stall_base = Vec::new();
         let mut fault_stalls = Vec::new();
         let mut fault_next = Vec::new();
         if has_stalls {
             fault_stall_base.reserve(n + 1);
-            let mut it = local_stalls.iter().peekable();
+            let mut it = stalls.iter().peekable();
             for l in 0..n as u32 {
                 fault_stall_base.push(fault_stalls.len() as u32);
                 fault_next.push(fault_stalls.len() as u32);
@@ -544,15 +464,12 @@ impl<'a> Part<'a> {
         }
 
         // Per-rank crash instant (earliest wins if a spec lists several).
+        let has_crashes = !cfg.faults.crashes.is_empty();
         let mut fault_crash = Vec::new();
-        let mut has_crashes = false;
-        for c in &cfg.faults.crashes {
-            if (r0..r1).contains(&c.rank) {
-                if !has_crashes {
-                    fault_crash = vec![f64::INFINITY; n];
-                    has_crashes = true;
-                }
-                let slot = &mut fault_crash[c.rank - r0];
+        if has_crashes {
+            fault_crash = vec![f64::INFINITY; n];
+            for c in &cfg.faults.crashes {
+                let slot = &mut fault_crash[c.rank];
                 *slot = slot.min(c.at);
             }
         }
@@ -561,15 +478,10 @@ impl<'a> Part<'a> {
             platform,
             cfg,
             comp,
-            bounds,
-            r0,
-            r1,
-            node0,
             ranks,
             rngs,
             reqs: vec![ReqState::Free; nreqs as usize],
             req_base,
-            slots,
             queue,
             chans: ChanTable::default(),
             msgs: Vec::new(),
@@ -577,10 +489,6 @@ impl<'a> Part<'a> {
             egress_free: vec![0.0; nnodes],
             ingress_free: vec![0.0; nnodes],
             send_seq: vec![0; n],
-            uid_map: HashMap::default(),
-            outbox: (0..nparts).map(|_| Vec::new()).collect(),
-            aux: (0..nparts).map(|_| Vec::new()).collect(),
-            in_apply: false,
             inline_depth: 0,
             fault_stalls,
             fault_stall_base,
@@ -591,6 +499,7 @@ impl<'a> Part<'a> {
             has_storms: !cfg.faults.storms.is_empty(),
             has_links: !cfg.faults.links.is_empty(),
             phases: Vec::new(),
+            slots,
             finish: vec![0.0; n],
             msg_events: Vec::new(),
             data_errors: Vec::new(),
@@ -598,8 +507,6 @@ impl<'a> Part<'a> {
             messages: 0,
             error: None,
             last_t: 0.0,
-            cur_key: QEvent { t: 0.0, kind: 0, uid: 0, idx: 0 },
-            started: false,
             queue_hwm: 0,
             live_msgs: 0,
             live_msgs_hwm: 0,
@@ -608,114 +515,9 @@ impl<'a> Part<'a> {
         // receive that never arrives still halts at its crash time (a purely
         // clock-based check would never fire for it).
         for c in &cfg.faults.crashes {
-            if (r0..r1).contains(&c.rank) {
-                part.push_event(c.at, QEvent::KIND_CRASH, c.rank as u64, (c.rank - r0) as u32);
-            }
+            part.push_event(c.at, QEvent::KIND_CRASH, c.rank as u64, c.rank as u32);
         }
         part
-    }
-
-    /// Global rank of local index `l`.
-    #[inline]
-    fn g(&self, l: usize) -> usize {
-        self.r0 + l
-    }
-
-    #[inline]
-    fn owns(&self, rank: usize) -> bool {
-        (self.r0..self.r1).contains(&rank)
-    }
-
-    /// Partition owning a global rank (partitions are contiguous).
-    #[inline]
-    fn part_of(&self, rank: usize) -> usize {
-        self.bounds.partition_point(|&b| b <= rank) - 1
-    }
-
-    fn emit(&mut self, target: usize, h: Handoff) {
-        if self.in_apply {
-            self.aux[target].push(h);
-        } else {
-            self.outbox[target].push(h);
-        }
-    }
-
-    /// Timestamp of the next pending event (`∞` when idle or errored).
-    pub(super) fn next_time(&mut self) -> f64 {
-        if self.error.is_some() {
-            return f64::INFINITY;
-        }
-        if !self.started {
-            // The startup sweep (all ranks begin at t = 0) is still pending.
-            return 0.0;
-        }
-        self.queue.peek().map_or(f64::INFINITY, |e| e.t)
-    }
-
-    pub(super) fn has_error(&self) -> bool {
-        self.error.is_some()
-    }
-
-    /// Move this partition's emitted handoffs out for publication.
-    pub(super) fn take_outbox(&mut self) -> Vec<Vec<Handoff>> {
-        let n = self.outbox.len();
-        std::mem::replace(&mut self.outbox, (0..n).map(|_| Vec::new()).collect())
-    }
-
-    /// Move the barrier-phase responses out for publication.
-    pub(super) fn take_aux(&mut self) -> Vec<Vec<Handoff>> {
-        let n = self.aux.len();
-        std::mem::replace(&mut self.aux, (0..n).map(|_| Vec::new()).collect())
-    }
-
-    /// Apply inbound handoffs from one source partition, in emission order.
-    pub(super) fn apply(&mut self, handoffs: Vec<Handoff>) {
-        self.in_apply = true;
-        for h in handoffs {
-            match h {
-                Handoff::Announce {
-                    uid,
-                    src,
-                    dst,
-                    tag,
-                    bytes,
-                    eager,
-                    ready,
-                    wire_factor,
-                    src_ref,
-                    payload,
-                } => {
-                    let id = self.alloc_msg(Msg {
-                        uid,
-                        src,
-                        dst,
-                        tag,
-                        bytes,
-                        protocol: if eager { Protocol::Eager } else { Protocol::Rendezvous },
-                        ready,
-                        wire_factor,
-                        state: MsgState::Unmatched,
-                        recv: None,
-                        sender_wake: SenderWake::None,
-                        payload,
-                        src_ref,
-                    });
-                    self.uid_map.insert(uid, id as u32);
-                    if let Some(info) = self.chans.send_arrives(chan_key(src, dst, tag), id as u32) {
-                        self.attach_recv(id, info);
-                    }
-                }
-                Handoff::InjectAt { src_ref, t } => {
-                    let uid = self.msgs[src_ref as usize].uid;
-                    self.push_event(t, QEvent::KIND_INJECT, uid, src_ref);
-                }
-                Handoff::WireArrivalAt { uid, t } => {
-                    let idx = self.uid_map[&uid];
-                    self.push_event(t, QEvent::KIND_WIRE, uid, idx);
-                }
-            }
-        }
-        self.in_apply = false;
     }
 
     #[inline]
@@ -729,41 +531,25 @@ impl<'a> Part<'a> {
     fn schedule_wake(&mut self, l: usize, t: SimTime) {
         if !self.ranks[l].wake_pending {
             self.ranks[l].wake_pending = true;
-            self.push_event(t, QEvent::KIND_WAKE, self.g(l) as u64, l as u32);
+            self.push_event(t, QEvent::KIND_WAKE, l as u64, l as u32);
         }
     }
 
-    /// Process pending events with `t < until` in canonical order; stops
-    /// early on the first error.
-    pub(super) fn run_until(&mut self, until: f64) {
-        if self.error.is_some() {
-            return;
-        }
-        if !self.started {
-            if until <= 0.0 {
+    /// Process every event in canonical order; stops early on the first
+    /// error.
+    pub(super) fn run(&mut self) {
+        // Startup sweep: run every rank once from t = 0 in ascending rank
+        // order. It replaces p initial wake events, and ascending rank is
+        // exactly the canonical order of their `(t=0, WAKE, rank)` keys.
+        for l in 0..self.ranks.len() {
+            self.advance(l);
+            if self.error.is_some() {
                 return;
             }
-            // Startup sweep: run every rank once from t = 0 in ascending
-            // rank order — the canonical order of the initial wake events
-            // this replaces (`t` ties broken by kind, then uid = rank).
-            self.started = true;
-            for l in 0..self.ranks.len() {
-                self.cur_key =
-                    QEvent { t: 0.0, kind: QEvent::KIND_WAKE, uid: self.g(l) as u64, idx: l as u32 };
-                self.advance(l);
-                if self.error.is_some() {
-                    return;
-                }
-            }
         }
-        while let Some(&key) = self.queue.peek() {
-            if key.t >= until {
-                break;
-            }
-            self.queue.pop();
+        while let Some(key) = self.queue.pop() {
             self.events += 1;
             self.last_t = key.t;
-            self.cur_key = key;
             match key.kind {
                 QEvent::KIND_WAKE => {
                     let l = key.idx as usize;
@@ -781,25 +567,24 @@ impl<'a> Part<'a> {
         }
     }
 
-    /// Ranks of this partition that have not finished, with a description of
-    /// what blocks them (deadlock reporting). Crashed ranks are terminal —
-    /// they halted by design, so only their *dependents* count as blocked.
+    /// Ranks that have not finished, with a description of what blocks
+    /// them (deadlock reporting). Crashed ranks are terminal — they halted
+    /// by design, so only their *dependents* count as blocked.
     pub(super) fn blocked(&self) -> Vec<(usize, String)> {
         self.ranks
             .iter()
             .enumerate()
             .filter(|(_, r)| r.status != Status::Finished && r.status != Status::Crashed)
             .map(|(l, st)| {
-                let g = self.g(l);
-                let seg = st.seg_i - self.comp.rank_segs[g];
+                let seg = st.seg_i - self.comp.rank_segs[l];
                 let pc = st.op_i - st.seg_start;
-                let desc = if st.op_i < self.comp.rank_ops[g + 1] {
+                let desc = if st.op_i < self.comp.rank_ops[l + 1] {
                     let op = &self.comp.ops[st.op_i as usize];
                     format!("{:?} (seg {}, pc {}, status {:?})", op, seg, pc, st.status)
                 } else {
                     format!("end-of-program? (seg {}, pc {}, status {:?})", seg, pc, st.status)
                 };
-                (g, desc)
+                (l, desc)
             })
             .collect()
     }
@@ -811,7 +596,7 @@ impl<'a> Part<'a> {
 
     fn fail(&mut self, msg: String) {
         if self.error.is_none() {
-            self.error = Some((self.cur_key, SimError::InvalidProgram(msg)));
+            self.error = Some(SimError::InvalidProgram(msg));
         }
     }
 
@@ -820,10 +605,9 @@ impl<'a> Part<'a> {
     /// Apply any pending stalls of rank `l` to a new local-clock value `t`:
     /// every stall starting at or before `t` freezes the rank, pushing the
     /// completion back by its duration (which may pull later stalls into
-    /// range — they cascade). Called at every local-clock assignment point;
-    /// consumption order is per-rank canonical (all of a rank's clock
-    /// assignments happen while its owning partition processes events in
-    /// canonical order), so every partitioning consumes stalls identically.
+    /// range — they cascade). Called at every local-clock assignment point,
+    /// which the engine reaches in canonical event order, so a rank consumes
+    /// its stalls in the same order on every run.
     ///
     /// The same hook enforces crashes: if the (stall-adjusted) time crosses
     /// the rank's crash instant, the rank halts there — status flips to
@@ -882,7 +666,7 @@ impl<'a> Part<'a> {
     fn cpu_time(&mut self, l: usize, d: SimTime, at: SimTime) -> SimTime {
         let d = self.perturb(l, d);
         if self.has_storms {
-            d * self.cfg.faults.storm_factor(self.g(l), at)
+            d * self.cfg.faults.storm_factor(l, at)
         } else {
             d
         }
@@ -913,7 +697,7 @@ impl<'a> Part<'a> {
 
     // -- rank execution ----------------------------------------------------
 
-    /// Execute ops of local rank `l` until it blocks or finishes.
+    /// Execute ops of rank `l` until it blocks or finishes.
     fn advance(&mut self, l: usize) {
         self.ranks[l].active = true;
         self.advance_inner(l);
@@ -927,8 +711,6 @@ impl<'a> Part<'a> {
     /// RNG interleaving can shift — the outcome is identical. Refuses (and
     /// returns false, caller schedules a wake) when the rank is already
     /// mid-`advance` or the cascade is deep enough to threaten the stack.
-    /// Cascades only propagate intra-node, and partitions are node-aligned,
-    /// so sequential and partitioned runs take identical decisions here.
     fn resume_inline(&mut self, l: usize) -> bool {
         if !self.cfg.noise.is_none()
             || self.inline_depth >= INLINE_DEPTH_MAX
@@ -984,8 +766,7 @@ impl<'a> Part<'a> {
 
             // Segment bookkeeping.
             let seg_i = st.seg_i;
-            let g = self.r0 + l;
-            if seg_i >= comp.rank_segs[g + 1] {
+            if seg_i >= comp.rank_segs[l + 1] {
                 let st = &mut self.ranks[l];
                 st.status = Status::Finished;
                 let t = st.local;
@@ -997,14 +778,14 @@ impl<'a> Part<'a> {
                 if let Some(label) = comp.segs[seg_i as usize].label() {
                     let enter = self.ranks[l].seg_enter;
                     let exit = self.ranks[l].local;
-                    self.phases.push(PhaseRecord { rank: g, label, enter, exit });
+                    self.phases.push(PhaseRecord { rank: l, label, enter, exit });
                 }
             }
             let st = &mut self.ranks[l];
             st.seg_i = seg_i + 1;
             st.seg_start = op_i;
             st.seg_enter = st.local;
-            st.seg_end = if seg_i + 1 < comp.rank_segs[g + 1] {
+            st.seg_end = if seg_i + 1 < comp.rank_segs[l + 1] {
                 comp.segs[(seg_i + 1) as usize].end
             } else {
                 op_i
@@ -1132,8 +913,7 @@ impl<'a> Part<'a> {
     }
 
     fn data_error(&mut self, l: usize, e: impl std::fmt::Display) {
-        let rank = self.g(l);
-        self.data_errors.push((rank as u32, format!("rank {rank}: {e}")));
+        self.data_errors.push((l as u32, format!("rank {l}: {e}")));
     }
 
     /// Advance past the current op.
@@ -1166,18 +946,17 @@ impl<'a> Part<'a> {
         filter: u32,
         req: Option<ReqId>,
     ) -> bool {
-        let rank = self.g(l);
         if to >= self.platform.ranks {
-            self.fail(format!("rank {rank} sends to non-existent rank {to}"));
+            self.fail(format!("rank {l} sends to non-existent rank {to}"));
             return false;
         }
-        if to == rank {
-            self.fail(format!("rank {rank} sends to itself (use CopySlot)"));
+        if to == l {
+            self.fail(format!("rank {l} sends to itself (use CopySlot)"));
             return false;
         }
         if let Some(r) = req {
             if *self.req(l, r) != ReqState::Free {
-                self.fail(format!("rank {rank} reuses request {r} before WaitAll"));
+                self.fail(format!("rank {l} reuses request {r} before WaitAll"));
                 return false;
             }
         }
@@ -1202,11 +981,10 @@ impl<'a> Part<'a> {
             BlockFilter::All => self.slots[l][slot].clone(),
             f => self.slots[l][slot].filtered(|c| f.matches(c)),
         });
-        let uid = ((rank as u64) << 40) | self.send_seq[l];
+        let uid = ((l as u64) << 40) | self.send_seq[l];
         self.send_seq[l] += 1;
         self.messages += 1;
 
-        let cross = !self.owns(to);
         let sender_wake = if eager {
             SenderWake::None
         } else {
@@ -1220,7 +998,7 @@ impl<'a> Part<'a> {
         };
         let id = self.alloc_msg(Msg {
             uid,
-            src: rank as u32,
+            src: l as u32,
             dst: to as u32,
             tag,
             bytes,
@@ -1230,28 +1008,9 @@ impl<'a> Part<'a> {
             state: MsgState::Unmatched,
             recv: None,
             sender_wake,
-            // A cross-partition payload travels inside the announce; the
-            // destination owns matching and delivery.
-            payload: if cross { None } else { payload.clone() },
-            src_ref: NIL,
+            payload,
         });
-        if cross {
-            self.emit(
-                self.part_of(to),
-                Handoff::Announce {
-                    uid,
-                    src: rank as u32,
-                    dst: to as u32,
-                    tag,
-                    bytes,
-                    eager,
-                    ready: ts,
-                    wire_factor,
-                    src_ref: id as u32,
-                    payload,
-                },
-            );
-        }
+        let key = chan_key(l as u32, to as u32, tag);
 
         if eager {
             // Sender resumes immediately; data is injected in the background.
@@ -1259,22 +1018,16 @@ impl<'a> Part<'a> {
             if let Some(r) = req {
                 *self.req(l, r) = ReqState::Done(ts);
             }
-            if !cross {
-                if let Some(info) = self.chans.send_arrives(chan_key(rank as u32, to as u32, tag), id as u32)
-                {
-                    self.attach_recv(id, info);
-                }
+            if let Some(info) = self.chans.send_arrives(key, id as u32) {
+                self.attach_recv(id, info);
             }
             self.step(l);
             self.inject_or_push(id, ts);
             true
         } else if req.is_some() {
             self.ranks[l].local = ts;
-            if !cross {
-                if let Some(info) = self.chans.send_arrives(chan_key(rank as u32, to as u32, tag), id as u32)
-                {
-                    self.attach_recv(id, info);
-                }
+            if let Some(info) = self.chans.send_arrives(key, id as u32) {
+                self.attach_recv(id, info);
             }
             // Isend: continue; request completes at egress done.
             self.step(l);
@@ -1286,29 +1039,25 @@ impl<'a> Part<'a> {
             // observes a parked sender and schedules the resume wake.
             self.ranks[l].local = ts;
             self.ranks[l].status = Status::BlockedSend;
-            if !cross {
-                if let Some(info) = self.chans.send_arrives(chan_key(rank as u32, to as u32, tag), id as u32)
-                {
-                    self.attach_recv(id, info);
-                }
+            if let Some(info) = self.chans.send_arrives(key, id as u32) {
+                self.attach_recv(id, info);
             }
             false
         }
     }
 
     fn do_recv(&mut self, l: usize, from: usize, tag: Tag, slot: Slot, req: Option<ReqId>) -> bool {
-        let rank = self.g(l);
         if from >= self.platform.ranks {
-            self.fail(format!("rank {rank} receives from non-existent rank {from}"));
+            self.fail(format!("rank {l} receives from non-existent rank {from}"));
             return false;
         }
-        if from == rank {
-            self.fail(format!("rank {rank} receives from itself"));
+        if from == l {
+            self.fail(format!("rank {l} receives from itself"));
             return false;
         }
         if let Some(r) = req {
             if *self.req(l, r) != ReqState::Free {
-                self.fail(format!("rank {rank} reuses request {r} before WaitAll"));
+                self.fail(format!("rank {l} reuses request {r} before WaitAll"));
                 return false;
             }
             *self.req(l, r) = ReqState::Pending;
@@ -1338,7 +1087,7 @@ impl<'a> Part<'a> {
             // schedules its resume — which must not be clobbered afterwards.
             self.ranks[l].status = Status::BlockedRecv;
         }
-        if let Some(mid) = self.chans.recv_arrives(chan_key(from as u32, rank as u32, tag), info) {
+        if let Some(mid) = self.chans.recv_arrives(chan_key(from as u32, l as u32, tag), info) {
             let mid = mid as usize;
             // Eager message already delivered: complete inline.
             if let MsgState::DeliveredUnmatched(t_d) = self.msgs[mid].state {
@@ -1382,15 +1131,7 @@ impl<'a> Part<'a> {
         self.msgs[id].state = MsgState::WaitingDelivery;
         if protocol == Protocol::Rendezvous {
             let lat = self.platform.link(src, dst).latency;
-            let inject_ready = (ready + lat).max(recv.posted_at) + lat;
-            if self.owns(src) {
-                self.inject_or_push(id, inject_ready);
-            } else {
-                // The sender partition owns injection (egress serialization
-                // and sender wake-up); answer the announce with the time.
-                let src_ref = self.msgs[id].src_ref;
-                self.emit(self.part_of(src), Handoff::InjectAt { src_ref, t: inject_ready });
-            }
+            self.inject_or_push(id, (ready + lat).max(recv.posted_at) + lat);
         }
     }
 
@@ -1424,7 +1165,7 @@ impl<'a> Part<'a> {
         let intra = self.platform.same_node(src, dst);
 
         let (start, egress_done) = if !intra && self.platform.nic_serialization {
-            let node = self.platform.node_of(src) - self.node0;
+            let node = self.platform.node_of(src);
             let start = now.max(self.egress_free[node]);
             self.egress_free[node] = start + wire;
             (start, start + wire)
@@ -1436,35 +1177,28 @@ impl<'a> Part<'a> {
         // it crashed while parked — the data was already in flight).
         match self.msgs[id].sender_wake {
             SenderWake::Blocked => {
-                let l = src - self.r0;
-                if self.ranks[l].status != Status::Crashed {
-                    let resume = self.warp(l, egress_done);
-                    self.ranks[l].local = resume;
+                if self.ranks[src].status != Status::Crashed {
+                    let resume = self.warp(src, egress_done);
+                    self.ranks[src].local = resume;
                     // The resume itself may cross the crash instant: the
                     // data left the node, but the sender never runs again.
-                    if !self.crashed(l) {
-                        self.ranks[l].status = Status::Runnable;
-                        self.step(l);
-                        if !self.resume_inline(l) {
-                            self.schedule_wake(l, resume);
+                    if !self.crashed(src) {
+                        self.ranks[src].status = Status::Runnable;
+                        self.step(src);
+                        if !self.resume_inline(src) {
+                            self.schedule_wake(src, resume);
                         }
                     }
                 }
             }
             SenderWake::Req(r) => {
-                self.complete_req(src - self.r0, r as usize, egress_done);
+                self.complete_req(src, r as usize, egress_done);
             }
             SenderWake::None => {}
         }
         self.msgs[id].sender_wake = SenderWake::None;
 
-        if !self.owns(dst) {
-            // Cross-partition (hence inter-node): the rest of the pipeline —
-            // ingress serialization, delivery, matching — runs at the
-            // destination.
-            self.emit(self.part_of(dst), Handoff::WireArrivalAt { uid, t: start + link.latency + wire });
-            self.retire_msg(id);
-        } else if intra {
+        if intra {
             // Shared memory: latency + copy, no NIC. The delivery time is
             // fully determined here; with noise off no RNG draw order can
             // change, so deliver inline instead of scheduling a third event
@@ -1491,7 +1225,7 @@ impl<'a> Part<'a> {
             * m.wire_factor
             * self.link_fault_factor(src, dst, now);
         let delivered = if self.platform.nic_serialization {
-            let node = self.platform.node_of(dst) - self.node0;
+            let node = self.platform.node_of(dst);
             let t = now.max(self.ingress_free[node]);
             self.ingress_free[node] = t + wire;
             t
@@ -1516,11 +1250,7 @@ impl<'a> Part<'a> {
     /// Drop a message whose receiver is dead: mark it done and retire it
     /// without touching any slot, request, or record.
     fn drop_msg(&mut self, id: usize) {
-        let src = self.msgs[id].src as usize;
         self.msgs[id].state = MsgState::Done;
-        if !self.owns(src) {
-            self.uid_map.remove(&self.msgs[id].uid);
-        }
         self.retire_msg(id);
     }
 
@@ -1528,7 +1258,7 @@ impl<'a> Part<'a> {
         // A delivery addressed to a crashed rank is dropped on the floor:
         // the data arrived, but nobody is alive to complete the receive.
         {
-            let l = self.msgs[id].dst as usize - self.r0;
+            let l = self.msgs[id].dst as usize;
             if self.ranks[l].status == Status::Crashed {
                 self.drop_msg(id);
                 return;
@@ -1537,7 +1267,7 @@ impl<'a> Part<'a> {
         match self.msgs[id].state {
             MsgState::WaitingDelivery => {
                 let recv = self.msgs[id].recv.expect("matched message must have recv info");
-                let l = self.msgs[id].dst as usize - self.r0;
+                let l = self.msgs[id].dst as usize;
                 let o_r = self.platform.recv_overhead;
                 let start = now.max(recv.posted_at);
                 let done = {
@@ -1589,9 +1319,6 @@ impl<'a> Part<'a> {
             }
         }
         self.msgs[id].state = MsgState::Done;
-        if !self.owns(self.msgs[id].src as usize) {
-            self.uid_map.remove(&self.msgs[id].uid);
-        }
         self.retire_msg(id);
         if let Some(r) = req {
             self.complete_req(l, r, done);
@@ -1644,8 +1371,7 @@ impl<'a> Part<'a> {
                 // Same request listed twice in one WaitAll: already counted.
                 ReqState::PendingWaited => {}
                 ReqState::Free => {
-                    let rank = self.g(l);
-                    self.fail(format!("rank {rank} waits on request {r} that was never started"));
+                    self.fail(format!("rank {l} waits on request {r} that was never started"));
                     return false;
                 }
             }
@@ -1716,31 +1442,4 @@ impl<'a> Part<'a> {
         self.free_msgs.push(id as u32);
         self.live_msgs -= 1;
     }
-
-    // -- output extraction --------------------------------------------------
-
-    /// Move this partition's per-rank results out (consumes the part).
-    pub(super) fn into_results(self) -> PartResults {
-        PartResults {
-            finish: self.finish,
-            phases: self.phases,
-            slots: if self.cfg.track_data { Some(self.slots) } else { None },
-            data_errors: self.data_errors,
-            msg_events: self.msg_events,
-            events: self.events,
-            messages: self.messages,
-        }
-    }
 }
-
-/// Per-partition outputs, merged by [`super::assemble`].
-pub(super) struct PartResults {
-    pub(super) finish: Vec<SimTime>,
-    pub(super) phases: Vec<PhaseRecord>,
-    pub(super) slots: Option<Vec<Vec<Value>>>,
-    pub(super) data_errors: Vec<(u32, String)>,
-    pub(super) msg_events: Vec<MsgEvent>,
-    pub(super) events: u64,
-    pub(super) messages: u64,
-}
-

@@ -5,9 +5,9 @@
 //!
 //! Events are ordered by `(t, kind, uid, idx)`. The old engine broke
 //! timestamp ties by insertion sequence, which is a property of *one
-//! particular execution*; partitioned execution (see
-//! [`crate::engine`]) processes the same events from several queues, so ties
-//! must be broken by a key that every execution computes identically:
+//! particular execution*: an inline cascade or an elided event changes the
+//! insertion order without changing the model. Ties are therefore broken by
+//! a key computed from the program alone:
 //!
 //! * `kind` — [`QEvent::KIND_WAKE`] < inject < wire-arrival < delivered,
 //! * `uid` — for rank wakes the rank id; for message events a stable message

@@ -4,8 +4,7 @@
 //! The paper's robustness study (Fig. 6) perturbs *arrival patterns*; a
 //! production selector must also survive faults that strike mid-collective.
 //! Four fault families are modelled, all applied at **deterministic simulated
-//! timestamps** so a faulted run stays byte-identical between [`crate::run_ref`]
-//! and [`crate::run_par`] at any partition count:
+//! timestamps** so a faulted [`crate::run_ref`] repeats byte-identically:
 //!
 //! * [`RankStall`] — the rank freezes for a fixed interval starting at a
 //!   simulated time; every completion on that rank at or after the stall is
@@ -21,8 +20,8 @@
 //!   started inside the window are multiplied by a factor.
 //!
 //! Stalls and crashes are *consumed-once per-rank state*; link and storm
-//! windows are *pure functions of timestamps*. Both survive partitioned
-//! execution (see DESIGN.md §13 for the argument).
+//! windows are *pure functions of timestamps*. Neither depends on event
+//! processing order (see DESIGN.md §13 for the argument).
 //!
 //! Random generation (e.g. [`FaultSpec::random_storms`]) happens at
 //! **construction time** from an explicit seed — the engine itself never

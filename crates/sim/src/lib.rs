@@ -98,8 +98,7 @@ pub struct SimConfig {
     /// slowdown windows, noise storms). [`FaultSpec::none`] — the default —
     /// takes exactly the fault-free code paths, so output is bit-identical
     /// to a run without the field. Faults apply at deterministic simulated
-    /// timestamps, preserving the byte-identical `run_ref`/`run_par`
-    /// contract at any partition count.
+    /// timestamps, so a faulted run repeats byte-identically.
     pub faults: FaultSpec,
 }
 

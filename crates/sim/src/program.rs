@@ -426,9 +426,9 @@ pub struct Job {
     /// Per-rank programs; `programs.len()` is the number of ranks.
     pub programs: Vec<RankProgram>,
     /// Flattened engine form (see [`crate::compiled`]), built lazily on the
-    /// first run and shared by all later runs and partitions. At 10K+ ranks
+    /// first run and shared by all later runs. At 10K+ ranks
     /// the full-program scan is a measurable slice of a single run, and jobs
-    /// are routinely re-run (sweeps, repetitions, partitions), so the result
+    /// are routinely re-run (sweeps, repetitions), so the result
     /// is cached: `programs` must not be mutated after the first run.
     compiled: std::sync::OnceLock<crate::compiled::CompiledJob>,
 }

@@ -1,18 +1,19 @@
-//! Regression: partitioned execution is **byte-identical** to sequential.
+//! Regression: a run is **byte-identical** every time it is repeated.
 //!
-//! The parallel driver ([`pap_sim::run_par`]) splits a run into node-aligned
-//! rank partitions advanced window-by-window under conservative lookahead.
-//! Its contract is not "statistically equivalent" but *bitwise equal output
-//! at any partition count* — every `f64` in the outcome compared via
-//! `to_bits`, every count exactly equal. These tests pin that contract at
-//! 10K ranks (where the scale machinery — startup sweep, handoff batching —
-//! is actually engaged), on a many-channel linear alltoall, and under
-//! noise + dataflow tracking + message recording (where every optional
-//! subsystem must stay deterministic too).
+//! The engine's contract is not "statistically equivalent" but *bitwise
+//! equal output* for the same job, platform and config — every `f64` in the
+//! outcome compared via `to_bits`, every count exactly equal. Ties in event
+//! time are broken by a canonical key (kind, then rank or message uid), not
+//! by insertion order. These tests pin that contract at 10K ranks (where the
+//! scale machinery — startup sweep, calendar queue — is actually engaged),
+//! on a many-channel linear alltoall, and under noise + dataflow tracking +
+//! message recording (where every optional subsystem must stay deterministic
+//! too). Each case runs the job twice, once through [`pap_sim::run`] on a
+//! clone and once through [`pap_sim::run_ref`], so both entry points agree.
 
 use pap_sim::{
-    run_par, run_ref, FaultSpec, Job, NoiseModel, Op, Platform, RankProgram, RunOutcome,
-    SimConfig, ANY_NODE,
+    run, run_ref, FaultSpec, Job, NoiseModel, Op, Platform, RankProgram, RunOutcome, SimConfig,
+    ANY_NODE,
 };
 
 /// SimCluster scaled out to `ranks` (presets grow nodes synthetically
@@ -114,24 +115,27 @@ fn assert_bit_identical(a: &RunOutcome, b: &RunOutcome, what: &str) {
     }
 }
 
-/// The headline regression: 10 240-rank broadcast, `PAP_THREADS` ∈
-/// {1, 2, 3, 8} all bit-identical to the sequential engine.
+/// Run `job` twice — by value through [`run`] and by reference through
+/// [`run_ref`] — and require bitwise-equal outcomes. Returns the second.
+fn run_twice(platform: &Platform, job: &Job, cfg: &SimConfig, what: &str) -> RunOutcome {
+    let first = run(platform, job.clone(), cfg).expect("first run");
+    let second = run_ref(platform, job, cfg).expect("second run");
+    assert_bit_identical(&first, &second, what);
+    second
+}
+
+/// The headline regression: a 10 240-rank broadcast repeats bit-for-bit.
 #[test]
-fn ten_k_bcast_is_byte_identical_across_thread_counts() {
+fn ten_k_bcast_is_byte_identical_across_runs() {
     let p = 10_240;
     let platform = scaled_simcluster(p);
     let job = binomial_bcast(p, 1024);
-    let cfg = SimConfig::default();
-    let seq = run_ref(&platform, &job, &cfg).expect("sequential run");
-    assert!(seq.makespan() > 0.0);
-    for parts in [1usize, 2, 3, 8] {
-        let par = run_par(&platform, &job, &cfg, parts).expect("parallel run");
-        assert_bit_identical(&seq, &par, &format!("bcast p=10240 parts={parts}"));
-    }
+    let out = run_twice(&platform, &job, &SimConfig::default(), "bcast p=10240");
+    assert!(out.makespan() > 0.0);
 }
 
 /// Every optional subsystem on at once — seeded noise, dataflow tracking,
-/// message recording — must survive partitioning bit-for-bit too.
+/// message recording — must repeat bit-for-bit too.
 #[test]
 fn noisy_tracked_recorded_run_is_byte_identical() {
     let p = 1_024;
@@ -145,21 +149,16 @@ fn noisy_tracked_recorded_run_is_byte_identical() {
         record_phases: true,
         ..SimConfig::default()
     };
-    let seq = run_ref(&platform, &job, &cfg).expect("sequential run");
-    for parts in [2usize, 3, 8] {
-        let par = run_par(&platform, &job, &cfg, parts).expect("parallel run");
-        assert_bit_identical(&seq, &par, &format!("rdb p=1024 parts={parts}"));
-    }
+    run_twice(&platform, &job, &cfg, "rdb p=1024");
 }
 
 /// A fully-loaded fault spec — stalls (cascading, multiple per rank), a
 /// crash on the final leaf receiver, link-slowdown windows (one wildcard),
-/// and a noise storm — stays byte-identical at 10 240 ranks across every
-/// partition count. This is the determinism contract of the fault layer:
-/// partitions must consume stalls, enforce crash caps, and evaluate fault
-/// windows exactly as the sequential engine does.
+/// and a noise storm — stays byte-identical at 10 240 ranks. This is the
+/// determinism contract of the fault layer: stalls are consumed, crash caps
+/// enforced and fault windows evaluated identically on every run.
 #[test]
-fn faulted_ten_k_bcast_is_byte_identical_across_thread_counts() {
+fn faulted_ten_k_bcast_is_byte_identical_across_runs() {
     let p = 10_240;
     let platform = scaled_simcluster(p);
     let job = binomial_bcast(p, 1024);
@@ -172,24 +171,20 @@ fn faulted_ten_k_bcast_is_byte_identical_across_thread_counts() {
         .with_link(ANY_NODE, 3, 1e-4, 2e-3, 3.0)
         .with_storm(2_000, 2_600, 0.0, 1e-2, 4.0);
     let cfg = SimConfig::default().with_faults(faults);
-    let seq = run_ref(&platform, &job, &cfg).expect("sequential faulted run");
+    let faulted = run_twice(&platform, &job, &cfg, "faulted bcast p=10240");
     // The spec must actually bite — otherwise this degenerates into the
-    // clean identity test above.
+    // clean determinism test above.
     let clean = run_ref(&platform, &job, &SimConfig::default()).expect("clean run");
     assert!(
-        seq.makespan() > clean.makespan(),
+        faulted.makespan() > clean.makespan(),
         "faults did not perturb the run: {} vs {}",
-        seq.makespan(),
+        faulted.makespan(),
         clean.makespan()
     );
-    for parts in [1usize, 2, 3, 8] {
-        let par = run_par(&platform, &job, &cfg, parts).expect("parallel faulted run");
-        assert_bit_identical(&seq, &par, &format!("faulted bcast p=10240 parts={parts}"));
-    }
 }
 
 /// Faults layered on top of every optional subsystem — seeded noise,
-/// dataflow tracking, message recording — still partition bit-for-bit.
+/// dataflow tracking, message recording — still repeat bit-for-bit.
 #[test]
 fn faulted_noisy_tracked_run_is_byte_identical() {
     let p = 1_024;
@@ -206,16 +201,11 @@ fn faulted_noisy_tracked_run_is_byte_identical() {
             .with_link(ANY_NODE, 0, 0.0, 1e-3, 5.0)
             .with_storm(100, 180, 1e-5, 5e-4, 6.0),
     };
-    let seq = run_ref(&platform, &job, &cfg).expect("sequential run");
-    for parts in [2usize, 3, 8] {
-        let par = run_par(&platform, &job, &cfg, parts).expect("parallel run");
-        assert_bit_identical(&seq, &par, &format!("faulted rdb p=1024 parts={parts}"));
-    }
+    run_twice(&platform, &job, &cfg, "faulted rdb p=1024");
 }
 
 /// `FaultSpec::none()` takes exactly the fault-free code paths: the output
-/// is byte-identical to a config that never mentions faults, sequential
-/// and partitioned alike.
+/// is byte-identical to a config that never mentions faults.
 #[test]
 fn fault_spec_none_is_byte_identical_to_no_faults() {
     let p = 1_024;
@@ -223,31 +213,26 @@ fn fault_spec_none_is_byte_identical_to_no_faults() {
     let job = binomial_bcast(p, 1024);
     let plain = run_ref(&platform, &job, &SimConfig::default()).expect("plain run");
     let none_cfg = SimConfig::default().with_faults(FaultSpec::none());
-    let none_ref = run_ref(&platform, &job, &none_cfg).expect("none() run_ref");
-    assert_bit_identical(&plain, &none_ref, "FaultSpec::none() run_ref");
-    let none_par = run_par(&platform, &job, &none_cfg, 4).expect("none() run_par");
-    assert_bit_identical(&plain, &none_par, "FaultSpec::none() run_par");
+    let none = run_twice(&platform, &job, &none_cfg, "FaultSpec::none() repeat");
+    assert_bit_identical(&plain, &none, "FaultSpec::none() vs no faults");
 }
 
 /// A many-channel job: 512-rank linear alltoall of 1 KiB blocks, where every
 /// destination holds up to 511 live channels. Counts and makespan are pinned
 /// to the values the engine produced before channel matching was
-/// hash-indexed, and the partitioned run must stay byte-identical.
+/// hash-indexed, and a repeated run must stay byte-identical.
 #[test]
 fn linear_alltoall_512_is_pinned_and_byte_identical() {
     let p = 512;
     let platform = scaled_simcluster(p);
     let job = linear_alltoall(p, 1024);
-    let cfg = SimConfig::default();
-    let seq = run_ref(&platform, &job, &cfg).expect("sequential run");
-    assert_eq!(seq.events, 491_520, "events");
-    assert_eq!(seq.messages, 261_632, "messages");
+    let out = run_twice(&platform, &job, &SimConfig::default(), "linear alltoall p=512");
+    assert_eq!(out.events, 491_520, "events");
+    assert_eq!(out.messages, 261_632, "messages");
     assert_eq!(
-        seq.makespan().to_bits(),
+        out.makespan().to_bits(),
         0x3f89_c6ff_e38d_75fe,
         "makespan {:e}",
-        seq.makespan()
+        out.makespan()
     );
-    let par = run_par(&platform, &job, &cfg, 2).expect("parallel run");
-    assert_bit_identical(&seq, &par, "linear alltoall p=512 parts=2");
 }

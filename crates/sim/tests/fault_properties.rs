@@ -1,18 +1,18 @@
 //! Property-based tests of the fault-injection layer: *arbitrary* valid
 //! [`FaultSpec`]s must never panic, never hang the event queue, and must
-//! produce bit-identical outcomes at every partition count — crashing runs
+//! produce bit-identical outcomes when a run is repeated — crashing runs
 //! included (a crash that starves dependents surfaces as a deterministic
 //! [`SimError::Deadlock`], not a hang). Invalid specs are rejected up front
 //! with [`SimError::InvalidProgram`], never a panic.
 
 use pap_sim::{
-    run_par, run_ref, FaultSpec, Job, Op, Platform, RankProgram, SimConfig, SimError, ANY_NODE,
+    run, run_ref, FaultSpec, Job, Op, Platform, RankProgram, SimConfig, SimError, ANY_NODE,
 };
 use proptest::collection::vec as pvec;
 use proptest::prelude::*;
 
-/// A small multi-node platform: 4 ranks per node so partition counts up to
-/// 8 genuinely split the machine.
+/// A small multi-node platform: 4 ranks per node, so link faults and NIC
+/// contention between nodes come into play.
 fn multinode(p: usize) -> Platform {
     let mut platform = Platform::simcluster(p);
     platform.cores_per_node = 4;
@@ -78,8 +78,7 @@ fn build_spec(
     spec
 }
 
-/// Blocked rank list of a deadlock, for cross-partition comparison (the
-/// reported `at` is a progress watermark and may legitimately differ).
+/// Blocked rank list of a deadlock, for comparing two runs.
 fn blocked_ranks(e: &SimError) -> Vec<usize> {
     match e {
         SimError::Deadlock { blocked, .. } => blocked.iter().map(|(r, _)| *r).collect(),
@@ -91,10 +90,10 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
 
     /// The headline property: any valid spec terminates (Ok or a clean
-    /// deadlock report) and partitions bit-identically at 1, 2, and 8
-    /// threads — crashes, cascading stalls, wildcard windows and all.
+    /// deadlock report) and repeats bit-identically — crashes, cascading
+    /// stalls, wildcard windows and all.
     #[test]
-    fn arbitrary_specs_terminate_and_partition_identically(
+    fn arbitrary_specs_terminate_and_repeat_identically(
         p in 8usize..40,
         stalls in pvec((0usize..1024, 0.0..5e-3f64, 0.0..2e-3f64), 0..4),
         crashes in pvec((0usize..1024, 0.0..5e-3f64), 0..2),
@@ -106,24 +105,19 @@ proptest! {
         let spec = build_spec(p, platform.nodes, stalls, crashes, links, storms);
         let cfg = SimConfig::default().with_faults(spec);
         let job = bcast_job(p, delays_seed);
-        let seq = run_ref(&platform, &job, &cfg);
-        for parts in [2usize, 8] {
-            let par = run_par(&platform, &job, &cfg, parts);
-            match (&seq, &par) {
-                (Ok(a), Ok(b)) => {
-                    for (i, (x, y)) in a.finish.iter().zip(&b.finish).enumerate() {
-                        prop_assert_eq!(x.to_bits(), y.to_bits(),
-                            "finish[{}] diverged at parts={}", i, parts);
-                    }
-                    prop_assert_eq!(a.messages, b.messages);
+        let first = run(&platform, job.clone(), &cfg);
+        let second = run_ref(&platform, &job, &cfg);
+        match (&first, &second) {
+            (Ok(a), Ok(b)) => {
+                for (i, (x, y)) in a.finish.iter().zip(&b.finish).enumerate() {
+                    prop_assert_eq!(x.to_bits(), y.to_bits(), "finish[{}] diverged", i);
                 }
-                (Err(a), Err(b)) => {
-                    prop_assert_eq!(blocked_ranks(a), blocked_ranks(b),
-                        "blocked sets diverged at parts={}", parts);
-                }
-                _ => prop_assert!(false,
-                    "Ok/Err disagreement at parts={}: {:?} vs {:?}", parts, seq, par),
+                prop_assert_eq!(a.messages, b.messages);
             }
+            (Err(a), Err(b)) => {
+                prop_assert_eq!(blocked_ranks(a), blocked_ranks(b), "blocked sets diverged");
+            }
+            _ => prop_assert!(false, "Ok/Err disagreement: {:?} vs {:?}", first, second),
         }
     }
 
@@ -143,7 +137,7 @@ proptest! {
         let job = bcast_job(p, delays_seed);
         let cfg = SimConfig::default().with_faults(a);
         let x = run_ref(&platform, &job, &cfg).unwrap();
-        let y = run_par(&platform, &job, &cfg, 8).unwrap();
+        let y = run_ref(&platform, &job, &cfg).unwrap();
         for (i, (u, v)) in x.finish.iter().zip(&y.finish).enumerate() {
             prop_assert_eq!(u.to_bits(), v.to_bits(), "finish[{}]", i);
         }

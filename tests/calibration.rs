@@ -186,9 +186,17 @@ fn cold_daemon_onboards_a_custom_machine_from_one_calibrate_frame() {
         "the refined answer must come from cached evidence (L2, or L1 once re-served)"
     );
 
-    let stats = client.stats().expect("stats");
+    // With one refine worker and a queue bound of 4, every one of the 12
+    // tickets must still land: the calibration hands them over as one task.
+    let stats = loop {
+        let s = client.stats().expect("stats");
+        if s.tiers.refines_applied >= ans.l2_cells as u64 {
+            break s;
+        }
+        assert!(Instant::now() < deadline, "not every calibration refinement landed");
+        std::thread::sleep(Duration::from_millis(50));
+    };
     assert_eq!(stats.endpoints.calibrate, 1);
-    assert!(stats.tiers.refines_applied >= 1);
 
     client.shutdown().expect("shutdown handshake");
     server.join();
