@@ -15,6 +15,7 @@ use std::collections::HashMap;
 use std::net::SocketAddr;
 use std::time::Duration;
 
+use pap_obs::MetricsSnapshot;
 use pap_service::proto::{
     CalibrateAnswer, CalibrateRequest, ErrorReply, QueryAnswer, QueryRequest, Reply, Request,
     StatsReport,
@@ -22,7 +23,6 @@ use pap_service::proto::{
 use pap_service::Client;
 
 use crate::ring::Ring;
-use crate::stats::aggregate_stats;
 
 /// Attempts per shard before it is declared dead (first try + retries).
 const ATTEMPTS_PER_SHARD: usize = 3;
@@ -67,7 +67,7 @@ impl FleetClient {
 
     /// The client's own observability counters (`fleet_client_*`: routes,
     /// retries, failovers, dead shards).
-    pub fn metrics(&self) -> pap_obs::MetricsSnapshot {
+    pub fn metrics(&self) -> MetricsSnapshot {
         self.registry.snapshot()
     }
 
@@ -215,27 +215,28 @@ impl FleetClient {
         Ok(out)
     }
 
-    /// Per-shard stats from every live shard, as `(shard, report)` pairs.
-    pub fn stats_per_shard(&mut self) -> Result<Vec<(usize, StatsReport)>, String> {
-        let mut out = Vec::new();
+    /// One round of stats: a `Metrics` frame to every live shard. Returns
+    /// the fleet-wide report and each shard's own as `(shard, report)`
+    /// pairs, all derived from the same snapshots. Dead shards drop out of
+    /// both views.
+    pub fn stats_by_shard(&mut self) -> Result<(StatsReport, Vec<(usize, StatsReport)>), String> {
+        let mut snaps = Vec::new();
         for shard in 0..self.addrs.len() {
             if !self.alive[shard] {
                 continue;
             }
-            match self.call_on(shard, Request::Stats) {
-                Ok(Reply::Stats(r)) => out.push((shard, r)),
+            match self.call_on(shard, Request::Metrics) {
+                Ok(Reply::Metrics(snap)) => snaps.push((shard, snap)),
                 Ok(other) => return Err(format!("unexpected reply {other:?}")),
                 Err(_) => {} // dead shards simply drop out of the view
             }
         }
-        Ok(out)
+        Ok(combine(snaps))
     }
 
-    /// Fleet-wide aggregated stats (see [`aggregate_stats`]).
+    /// Fleet-wide stats from one round (see [`FleetClient::stats_by_shard`]).
     pub fn stats(&mut self) -> Result<StatsReport, String> {
-        let per = self.stats_per_shard()?;
-        let reports: Vec<StatsReport> = per.into_iter().map(|(_, r)| r).collect();
-        Ok(aggregate_stats(&reports))
+        Ok(self.stats_by_shard()?.0)
     }
 
     /// Ask every reachable shard to shut down gracefully.
@@ -243,5 +244,69 @@ impl FleetClient {
         for shard in 0..self.addrs.len() {
             let _ = self.call_on(shard, Request::Shutdown);
         }
+    }
+}
+
+/// The per-shard reports and the fleet report of one round of shard
+/// snapshots. The fleet report reads the merged snapshot, so every counter,
+/// gauge and latency bucket is a sum. Only three fields are not sums, and
+/// they come from the shards' own reports: `snapshot_loaded` holds only if
+/// every shard's does (an empty fleet is cold), `tuned_at_startup` if any
+/// shard's does, and `uptime_s` is the oldest shard's.
+fn combine(snaps: Vec<(usize, MetricsSnapshot)>) -> (StatsReport, Vec<(usize, StatsReport)>) {
+    let shards: Vec<(usize, StatsReport)> =
+        snaps.iter().map(|(i, snap)| (*i, StatsReport::from_snapshot(snap))).collect();
+    let mut merged = MetricsSnapshot::default();
+    for (_, snap) in snaps {
+        merged.merge(snap);
+    }
+    let reports = || shards.iter().map(|(_, r)| r);
+    let fleet = StatsReport {
+        snapshot_loaded: !shards.is_empty() && reports().all(|r| r.snapshot_loaded),
+        tuned_at_startup: reports().any(|r| r.tuned_at_startup),
+        uptime_s: reports().map(|r| r.uptime_s).fold(0.0, f64::max),
+        ..StatsReport::from_snapshot(&merged)
+    };
+    (fleet, shards)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pap_service::stats::Stats;
+
+    /// One shard's snapshot: one 80 µs query, three L2 cells, the given
+    /// warmth and uptime.
+    fn shard(warm: bool, uptime_ms: i64) -> MetricsSnapshot {
+        let s = Stats::new();
+        s.endpoint_query();
+        s.record_latency(Duration::from_micros(80));
+        s.l2_cells.set(3);
+        s.snapshot_loaded.set(warm as i64);
+        s.tuned_at_startup.set(!warm as i64);
+        let mut snap = s.metrics_snapshot();
+        snap.gauges.iter_mut().find(|g| g.name == "papd.uptime_ms").unwrap().value = uptime_ms;
+        snap
+    }
+
+    #[test]
+    fn warmness_is_an_all_tuning_an_any() {
+        let (fleet, shards) = combine(vec![(0, shard(true, 1_000)), (2, shard(false, 7_500))]);
+        let per: Vec<(usize, bool, f64)> =
+            shards.iter().map(|(i, r)| (*i, r.snapshot_loaded, r.uptime_s)).collect();
+        assert_eq!(per, [(0, true, 1.0), (2, false, 7.5)]);
+        assert!(!fleet.snapshot_loaded, "one cold shard makes the fleet cold");
+        assert!(fleet.tuned_at_startup);
+        assert_eq!(fleet.uptime_s, 7.5, "uptime is the oldest shard's, not a sum");
+        // Every other field is a sum, and renders through the pinned table.
+        assert_eq!((fleet.endpoints.query, fleet.l2_cells), (2, 6));
+        assert!(fleet.render_table().contains("<=100us: 2"));
+        assert!(combine(vec![(0, shard(true, 1))]).0.snapshot_loaded);
+
+        let (empty, shards) = combine(Vec::new());
+        assert!(shards.is_empty());
+        assert!(!empty.snapshot_loaded, "an empty fleet is cold");
+        assert_eq!((empty.tuned_at_startup, empty.uptime_s), (false, 0.0));
+        assert_eq!((empty.endpoints.query, empty.l2_cells, empty.latency.len()), (0, 0, 0));
     }
 }

@@ -10,7 +10,6 @@
 //! decides which shard's caches a key keeps hot.
 
 use std::net::SocketAddr;
-use std::sync::atomic::Ordering;
 
 use pap_service::{build_store, ServeConfig, Server};
 
@@ -72,7 +71,7 @@ impl Fleet {
             if cells > 0 {
                 // Same semantics as loading a warm-restart snapshot: the
                 // shard starts hot and never tuned.
-                stats.snapshot_loaded.store(true, Ordering::Relaxed);
+                stats.snapshot_loaded.set(1);
             }
             let node = Server::serve(&ci, stats, store)?;
             addrs.push(node.local_addr());

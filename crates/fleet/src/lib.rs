@@ -13,8 +13,8 @@
 //! * [`ring`] — the consistent-hash ring (FNV-1a, 64 vnodes/shard).
 //! * [`replication`] — paged L2 drain over `Replicate` frames.
 //! * [`fleet`] — spawn/kill/join of a shard set.
-//! * [`client`] — routing, retry, failover, batches, aggregated stats.
-//! * [`stats`] — fleet-wide [`pap_service::StatsReport`] aggregation.
+//! * [`client`] — routing, retry, failover, batches, and fleet-wide stats
+//!   (one round of `Metrics` snapshots, merged by name).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -23,10 +23,8 @@ pub mod client;
 pub mod fleet;
 pub mod replication;
 pub mod ring;
-pub mod stats;
 
 pub use client::FleetClient;
 pub use fleet::{Fleet, FleetConfig};
 pub use replication::replicate_from;
 pub use ring::Ring;
-pub use stats::aggregate_stats;

@@ -461,6 +461,24 @@ mod tests {
         assert!(describe(&stats).contains("2 slices"));
     }
 
+    /// 32 000 events validate in well under 5 s, even unoptimized. A JSON
+    /// string parser that rescans the rest of the input for every character
+    /// made this quadratic (minutes for a trace this size).
+    #[test]
+    fn large_trace_validates_in_linear_time() {
+        let mut t = ChromeTrace::new();
+        for i in 0..16_000u64 {
+            let (tid, ts) = (i % 8, i as f64);
+            t.begin(1, tid, "pool.task", "host", ts);
+            t.end(1, tid, ts + 0.5);
+        }
+        let (json, start) = (t.to_json_string(), std::time::Instant::now());
+        let stats = validate_trace(&json).expect("large trace must validate");
+        let took = start.elapsed();
+        assert_eq!((stats.events, stats.slices, stats.lanes), (32_000, 16_000, 8));
+        assert!(took < std::time::Duration::from_secs(5), "validate_trace took {took:?}");
+    }
+
     #[test]
     fn metadata_round_trips() {
         let json = sample().to_json_string();

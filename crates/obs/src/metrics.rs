@@ -11,6 +11,7 @@
 //! `Metrics` endpoint ships them over the wire) and render as an aligned
 //! text table for terminals and CI step summaries.
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -89,19 +90,9 @@ impl Histogram {
     pub fn count(&self) -> u64 {
         self.0.count.load(Ordering::Relaxed)
     }
-
-    /// Count in the bucket with inclusive upper bound `le` (`u64::MAX` for
-    /// the overflow bucket); `None` if no such bound exists.
-    pub fn bucket_count(&self, le: u64) -> Option<u64> {
-        let c = &self.0;
-        if le == u64::MAX {
-            return Some(c.buckets[c.bounds.len()].load(Ordering::Relaxed));
-        }
-        let i = c.bounds.iter().position(|&b| b == le)?;
-        Some(c.buckets[i].load(Ordering::Relaxed))
-    }
 }
 
+#[derive(Clone)]
 enum Metric {
     Counter(Counter),
     Gauge(Gauge),
@@ -111,7 +102,7 @@ enum Metric {
 /// A named collection of metrics; see the module docs.
 #[derive(Default)]
 pub struct Registry {
-    inner: Mutex<Vec<(String, Metric)>>,
+    inner: Mutex<BTreeMap<String, Metric>>,
 }
 
 impl Registry {
@@ -125,16 +116,10 @@ impl Registry {
     /// # Panics
     /// Panics if `name` is already registered as a different metric type.
     pub fn counter(&self, name: &str) -> Counter {
-        let mut inner = self.inner.lock().expect("metrics registry poisoned");
-        if let Some((_, m)) = inner.iter().find(|(n, _)| n == name) {
-            match m {
-                Metric::Counter(c) => return c.clone(),
-                _ => panic!("metric '{name}' already registered with a different type"),
-            }
+        match self.get_or_insert(name, || Metric::Counter(Counter(Arc::default()))) {
+            Metric::Counter(c) => c,
+            _ => panic!("metric '{name}' already registered with a different type"),
         }
-        let c = Counter(Arc::new(AtomicU64::new(0)));
-        inner.push((name.to_string(), Metric::Counter(c.clone())));
-        c
     }
 
     /// Get or create the gauge `name`.
@@ -142,16 +127,10 @@ impl Registry {
     /// # Panics
     /// Panics if `name` is already registered as a different metric type.
     pub fn gauge(&self, name: &str) -> Gauge {
-        let mut inner = self.inner.lock().expect("metrics registry poisoned");
-        if let Some((_, m)) = inner.iter().find(|(n, _)| n == name) {
-            match m {
-                Metric::Gauge(g) => return g.clone(),
-                _ => panic!("metric '{name}' already registered with a different type"),
-            }
+        match self.get_or_insert(name, || Metric::Gauge(Gauge(Arc::default()))) {
+            Metric::Gauge(g) => g,
+            _ => panic!("metric '{name}' already registered with a different type"),
         }
-        let g = Gauge(Arc::new(AtomicI64::new(0)));
-        inner.push((name.to_string(), Metric::Gauge(g.clone())));
-        g
     }
 
     /// Get or create the histogram `name` with inclusive upper `bounds`
@@ -168,21 +147,25 @@ impl Registry {
             bounds.windows(2).all(|w| w[0] < w[1]),
             "histogram '{name}' bounds must be strictly increasing"
         );
-        let mut inner = self.inner.lock().expect("metrics registry poisoned");
-        if let Some((_, m)) = inner.iter().find(|(n, _)| n == name) {
-            match m {
-                Metric::Histogram(h) => return h.clone(),
-                _ => panic!("metric '{name}' already registered with a different type"),
-            }
+        let make = || {
+            Metric::Histogram(Histogram(Arc::new(HistogramCore {
+                bounds: bounds.to_vec(),
+                buckets: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
+                count: AtomicU64::new(0),
+                sum: AtomicU64::new(0),
+            })))
+        };
+        match self.get_or_insert(name, make) {
+            Metric::Histogram(h) => h,
+            _ => panic!("metric '{name}' already registered with a different type"),
         }
-        let h = Histogram(Arc::new(HistogramCore {
-            bounds: bounds.to_vec(),
-            buckets: (0..=bounds.len()).map(|_| AtomicU64::new(0)).collect(),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-        }));
-        inner.push((name.to_string(), Metric::Histogram(h.clone())));
-        h
+    }
+
+    /// The metric registered as `name`, registering `make()` first if the
+    /// name is new.
+    fn get_or_insert(&self, name: &str, make: impl FnOnce() -> Metric) -> Metric {
+        let mut inner = self.inner.lock().expect("metrics registry poisoned");
+        inner.entry(name.to_string()).or_insert_with(make).clone()
     }
 
     /// Read every metric into a serializable snapshot, sorted by name.
@@ -199,19 +182,11 @@ impl Registry {
                 }
                 Metric::Histogram(h) => {
                     let core = &h.0;
-                    let mut buckets: Vec<BucketSnapshot> = core
-                        .bounds
-                        .iter()
-                        .enumerate()
-                        .map(|(i, &le)| BucketSnapshot {
-                            le,
-                            count: core.buckets[i].load(Ordering::Relaxed),
-                        })
+                    let les = core.bounds.iter().copied().chain([u64::MAX]);
+                    let buckets = les
+                        .zip(&core.buckets)
+                        .map(|(le, n)| BucketSnapshot { le, count: n.load(Ordering::Relaxed) })
                         .collect();
-                    buckets.push(BucketSnapshot {
-                        le: u64::MAX,
-                        count: core.buckets[core.bounds.len()].load(Ordering::Relaxed),
-                    });
                     snap.histograms.push(HistogramSnapshot {
                         name: name.clone(),
                         count: core.count.load(Ordering::Relaxed),
@@ -221,9 +196,6 @@ impl Registry {
                 }
             }
         }
-        snap.counters.sort_by(|a, b| a.name.cmp(&b.name));
-        snap.gauges.sort_by(|a, b| a.name.cmp(&b.name));
-        snap.histograms.sort_by(|a, b| a.name.cmp(&b.name));
         snap
     }
 }
@@ -287,15 +259,40 @@ pub struct MetricsSnapshot {
 }
 
 impl MetricsSnapshot {
-    /// Append another snapshot's metrics (e.g. the [`global`] registry's
-    /// library metrics after a service's own), keeping each section sorted.
-    pub fn extend(&mut self, other: MetricsSnapshot) {
-        self.counters.extend(other.counters);
-        self.gauges.extend(other.gauges);
-        self.histograms.extend(other.histograms);
-        self.counters.sort_by(|a, b| a.name.cmp(&b.name));
-        self.gauges.sort_by(|a, b| a.name.cmp(&b.name));
-        self.histograms.sort_by(|a, b| a.name.cmp(&b.name));
+    /// Merge `other` into `self` by name: counters with the same name add,
+    /// gauges add, and histograms merge bucket by bucket on `le` (their
+    /// `count` and `sum` add). Duplicate names collapse to one entry and
+    /// every section stays sorted by name. This joins a service's registry
+    /// with the [`global`] one, and a fleet's per-shard snapshots into one.
+    pub fn merge(&mut self, other: MetricsSnapshot) {
+        merge_sorted(&mut self.counters, other.counters, |c| &c.name, |kept, c| {
+            kept.value = kept.value.saturating_add(c.value)
+        });
+        merge_sorted(&mut self.gauges, other.gauges, |g| &g.name, |kept, g| {
+            kept.value = kept.value.saturating_add(g.value)
+        });
+        merge_sorted(&mut self.histograms, other.histograms, |h| &h.name, |kept, h| {
+            kept.count = kept.count.saturating_add(h.count);
+            kept.sum = kept.sum.saturating_add(h.sum);
+            merge_sorted(&mut kept.buckets, std::mem::take(&mut h.buckets), |b| &b.le, |k, b| {
+                k.count = k.count.saturating_add(b.count)
+            });
+        });
+    }
+
+    /// The value of counter `name`, if present.
+    pub fn counter(&self, name: &str) -> Option<u64> {
+        self.counters.iter().find(|c| c.name == name).map(|c| c.value)
+    }
+
+    /// The value of gauge `name`, if present.
+    pub fn gauge(&self, name: &str) -> Option<i64> {
+        self.gauges.iter().find(|g| g.name == name).map(|g| g.value)
+    }
+
+    /// Histogram `name`, if present.
+    pub fn histogram(&self, name: &str) -> Option<&HistogramSnapshot> {
+        self.histograms.iter().find(|h| h.name == name)
     }
 
     /// Render as an aligned text table (terminals, CI step summaries).
@@ -346,6 +343,22 @@ impl MetricsSnapshot {
     }
 }
 
+/// Append `from` to `into`, sort stably by `key`, and fold each run of
+/// entries with equal keys into its first with `add`.
+fn merge_sorted<T, K: Ord + ?Sized>(
+    into: &mut Vec<T>,
+    from: Vec<T>,
+    key: impl Fn(&T) -> &K,
+    add: impl Fn(&mut T, &mut T),
+) {
+    into.extend(from);
+    into.sort_by(|a, b| key(a).cmp(key(b)));
+    into.dedup_by(|later, kept| key(later) == key(kept) && {
+        add(kept, later);
+        true
+    });
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -366,10 +379,10 @@ mod tests {
         assert_eq!(c.get(), 5);
         assert_eq!(g.get(), 4);
         assert_eq!(h.count(), 3);
-        assert_eq!(h.bucket_count(10), Some(1));
-        assert_eq!(h.bucket_count(100), Some(1));
-        assert_eq!(h.bucket_count(u64::MAX), Some(1));
-        assert_eq!(h.bucket_count(11), None);
+        let snap = reg.snapshot();
+        let buckets: Vec<(u64, u64)> =
+            snap.histogram("lat_us").unwrap().buckets.iter().map(|b| (b.le, b.count)).collect();
+        assert_eq!(buckets, [(10, 1), (100, 1), (u64::MAX, 1)]);
     }
 
     #[test]
@@ -391,7 +404,7 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_is_sorted_serializable_and_extendable() {
+    fn snapshot_is_sorted_serializable_and_mergeable() {
         let reg = Registry::new();
         reg.counter("z.last").add(2);
         reg.counter("a.first").add(1);
@@ -409,9 +422,41 @@ mod tests {
 
         let other = Registry::new();
         other.counter("k.other").inc();
-        snap.extend(other.snapshot());
+        snap.merge(other.snapshot());
         let names: Vec<&str> = snap.counters.iter().map(|c| c.name.as_str()).collect();
         assert_eq!(names, vec!["a.first", "k.other", "z.last"]);
+    }
+
+    #[test]
+    fn merge_adds_by_name_and_histograms_bucket_wise() {
+        let (a, b) = (Registry::new(), Registry::new());
+        a.counter("req").add(10);
+        a.counter("only.a").inc();
+        a.gauge("cells").set(3);
+        b.counter("req").add(5);
+        b.gauge("cells").set(-1);
+        b.gauge("only.b").set(7);
+        // Different bounds: buckets align on `le`, unmatched ones carry over.
+        let (ha, hb) = (a.histogram("lat_us", &[100]), b.histogram("lat_us", &[10, 100]));
+        [50, 500].into_iter().for_each(|v| ha.record(v));
+        [5, 60].into_iter().for_each(|v| hb.record(v));
+        let mut snap = a.snapshot();
+        snap.merge(b.snapshot());
+        assert_eq!((snap.counter("req"), snap.counter("only.a")), (Some(15), Some(1)));
+        assert_eq!(snap.counter("absent"), None);
+        assert_eq!((snap.gauge("cells"), snap.gauge("only.b")), (Some(2), Some(7)));
+        let names: Vec<&str> = snap.counters.iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(names, ["only.a", "req"], "one entry per name, sorted");
+        let h = snap.histogram("lat_us").expect("merged histogram");
+        let buckets: Vec<(u64, u64)> = h.buckets.iter().map(|b| (b.le, b.count)).collect();
+        assert_eq!((h.count, h.sum, buckets), (4, 615, vec![(10, 1), (100, 2), (u64::MAX, 1)]));
+
+        // Duplicate names inside one snapshot collapse too.
+        let named = |name: &str, value| NamedValue { name: name.into(), value };
+        let counters = vec![named("z", 1), named("a", 2), named("z", 3)];
+        let mut dup = MetricsSnapshot { counters, ..Default::default() };
+        dup.merge(MetricsSnapshot::default());
+        assert_eq!(dup.counters, [named("a", 2), named("z", 4)]);
     }
 
     #[test]

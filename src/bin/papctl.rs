@@ -681,11 +681,11 @@ fn cmd_fleet(sub: &str, args: &Args) -> Result<(), String> {
         }
         "stats" => {
             let mut client = pap::fleet::FleetClient::new(fleet_addrs(args)?);
-            let agg = client.stats()?;
+            let (agg, shards) = client.stats_by_shard()?;
             if args.has("json") {
                 println!("{}", serde_json::to_string_pretty(&agg).map_err(|e| e.to_string())?);
             } else {
-                for (shard, report) in client.stats_per_shard()? {
+                for (shard, report) in shards {
                     println!(
                         "shard {shard}: {} queries, {} connections, {} L2 cells{}",
                         report.endpoints.query,
