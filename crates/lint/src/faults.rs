@@ -3,7 +3,7 @@
 //! For a fail-stop crash of rank `R` after `k` completed ops, the **crash
 //! cone** is the transitive set of surviving ranks (and the ops they block
 //! at) that can never finish — computed by re-running the abstract channel
-//! fixpoint of [`crate::exec`] with `R` frozen at `k`, with no simulation.
+//! fixpoint of the `exec` module with `R` frozen at `k`, with no simulation.
 //!
 //! The correspondence with the engine is exact, not heuristic:
 //!
@@ -31,7 +31,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::diag::OpLoc;
 use crate::exec::{self, CrashPlan};
-use crate::{channels, flatten, LintConfig};
+use crate::{channels, decode, flatten, LintConfig};
 
 /// A static fail-stop point: the rank completed exactly its first `op`
 /// flattened ops, then died attempting the next one.
@@ -89,7 +89,8 @@ impl CrashCone {
 /// Panics when a crash names a rank outside the job or lists the same rank
 /// twice; `op` is clamped to the rank's program length.
 pub fn crash_cone(job: &Job, cfg: &LintConfig, crashes: &[CrashPoint]) -> CrashCone {
-    let flat = flatten(job);
+    let programs = decode(job);
+    let flat = flatten(&programs);
     let (matching, _) = channels::check(&flat, flat.len());
     cone_with(&flat, &matching, cfg, crashes)
 }
@@ -140,7 +141,8 @@ pub struct BlastRadius {
 
 /// Compute the entry cone of every rank (one fixpoint per rank).
 pub fn blast_radius(job: &Job, cfg: &LintConfig) -> BlastRadius {
-    let flat = flatten(job);
+    let programs = decode(job);
+    let flat = flatten(&programs);
     let ranks = flat.len();
     let (matching, _) = channels::check(&flat, ranks);
     let entry_starved: Vec<usize> = (0..ranks)
@@ -162,7 +164,8 @@ pub fn blast_radius(job: &Job, cfg: &LintConfig) -> BlastRadius {
 /// state, so cones only move at comm boundaries — intermediate `k` values
 /// have identical cones and are skipped.
 pub fn cone_profile(job: &Job, cfg: &LintConfig, rank: usize) -> Vec<CrashCone> {
-    let flat = flatten(job);
+    let programs = decode(job);
+    let flat = flatten(&programs);
     let ranks = flat.len();
     assert!(rank < ranks, "rank {rank} out of range (ranks {ranks})");
     let (matching, _) = channels::check(&flat, ranks);

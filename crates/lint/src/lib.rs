@@ -58,7 +58,7 @@ pub mod repair;
 mod requests;
 pub mod sweep;
 
-use pap_sim::{Job, Op, Platform};
+use pap_sim::{Job, Op, Platform, RankProgram};
 
 pub use diag::{DiagClass, Diagnostic, LintReport, OpLoc, Severity};
 pub use faults::{
@@ -103,8 +103,13 @@ pub(crate) struct FlatProgram<'a> {
     pub ops: Vec<FlatOp<'a>>,
 }
 
-pub(crate) fn flatten(job: &Job) -> Vec<FlatProgram<'_>> {
-    job.programs
+/// The builder view of every rank of `job` (see [`Job::program`]).
+pub(crate) fn decode(job: &Job) -> Vec<RankProgram> {
+    (0..job.ranks()).map(|r| job.program(r)).collect()
+}
+
+pub(crate) fn flatten(programs: &[RankProgram]) -> Vec<FlatProgram<'_>> {
+    programs
         .iter()
         .enumerate()
         .map(|(rank, prog)| {
@@ -122,7 +127,8 @@ pub(crate) fn flatten(job: &Job) -> Vec<FlatProgram<'_>> {
 /// Lint one job: run every check and collect the findings into a report
 /// sorted by location then class.
 pub fn lint_job(job: &Job, cfg: &LintConfig) -> LintReport {
-    let flat = flatten(job);
+    let programs = decode(job);
+    let flat = flatten(&programs);
     let ranks = flat.len();
     let ops = flat.iter().map(|f| f.ops.len()).sum();
 

@@ -54,7 +54,7 @@ use pap_sim::{Job, Op, RankProgram, Segment};
 
 use crate::channels;
 use crate::faults::{crash_cone, CrashPoint};
-use crate::{flatten, lint_job, LintConfig, LintReport};
+use crate::{decode, flatten, lint_job, LintConfig, LintReport};
 
 /// Why a repair was not produced (or not accepted).
 #[derive(Debug)]
@@ -198,7 +198,8 @@ pub fn repair_job(job: &Job, cfg: &LintConfig, crashed: usize) -> Result<RepairO
         return Err(RepairError::UncleanInput { errors: input.errors() });
     }
 
-    let flat = flatten(job);
+    let programs = decode(job);
+    let flat = flatten(&programs);
     let (matching, _) = channels::check(&flat, ranks);
 
     // --- dependence analysis of the crashed rank's program ---------------
@@ -560,10 +561,10 @@ pub fn repair_job(job: &Job, cfg: &LintConfig, crashed: usize) -> Result<RepairO
     }
 
     // --- reassembly -------------------------------------------------------
-    let mut programs: Vec<RankProgram> = Vec::with_capacity(ranks);
-    for (r, prog) in job.programs.iter().enumerate() {
+    let mut repaired: Vec<RankProgram> = Vec::with_capacity(ranks);
+    for (r, prog) in programs.iter().enumerate() {
         if r == crashed {
-            programs.push(RankProgram::new());
+            repaired.push(RankProgram::new());
             continue;
         }
         let edit = &edits[r];
@@ -585,11 +586,11 @@ pub fn repair_job(job: &Job, cfg: &LintConfig, crashed: usize) -> Result<RepairO
         if !edit.tail_reqs.is_empty() {
             out.push_anon(vec![Op::waitall(edit.tail_reqs.clone())]);
         }
-        programs.push(out);
+        repaired.push(out);
     }
 
     Ok(RepairOutcome {
-        job: Job::new(programs),
+        job: Job::new(repaired),
         crashed,
         dropped: stats.0,
         rewired: stats.1,

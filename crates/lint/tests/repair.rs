@@ -43,7 +43,7 @@ fn binomial_reduce_leaf_repair_certifies_and_completes() {
     // …the certified repair starves nobody.
     let cfg = LintConfig::default();
     let out = certified_repair(&job, &cfg, victim).unwrap();
-    assert!(out.job.programs[victim].op_count() == 0, "crashed rank program is emptied");
+    assert!(out.job.program(victim).op_count() == 0, "crashed rank program is emptied");
     assert!(out.dropped > 0, "the parent must forgo the dead leaf's contribution");
     assert_eq!(sim_starved(&out.job, p, victim), vec![], "repair completes under the crash");
 }
@@ -144,7 +144,7 @@ fn corrupted_repair_is_caught(corrupt: impl FnOnce(&mut Vec<RankProgram>, usize)
     let job = registry_job(CollectiveKind::Reduce, 5, p, RDV);
     let cfg = LintConfig::default();
     let out = certified_repair(&job, &cfg, victim).unwrap();
-    let mut programs = out.job.programs.clone();
+    let mut programs: Vec<_> = (0..out.job.ranks()).map(|r| out.job.program(r)).collect();
     corrupt(&mut programs, victim);
     let corrupted = Job::new(programs);
     let report = lint_job(&corrupted, &cfg);

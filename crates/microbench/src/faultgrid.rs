@@ -1,7 +1,7 @@
 //! The fault grid: the Fig. 6 robustness methodology extended from arrival
 //! skew to runtime faults.
 //!
-//! Where [`crate::sweep`] asks *"how does each algorithm degrade when
+//! Where [`crate::sweep`](mod@crate::sweep) asks *"how does each algorithm degrade when
 //! processes arrive late?"*, this module asks *"how does each algorithm
 //! degrade when the machine misbehaves mid-collective?"* — a rank freezes,
 //! a rank dies, a link slows down, a node range catches a noise storm. Each
@@ -11,7 +11,7 @@
 //! A cell whose algorithm *cannot finish* under the scenario (a crashed
 //! rank starves its dependents — the engine reports a deadlock) records
 //! `mean_last = None`: the degraded-mode analogue of an infinitely slow
-//! algorithm. [`pap_core`]'s fault matrix maps those to an unbounded
+//! algorithm. `pap-core`'s fault matrix maps those to an unbounded
 //! worst-case degradation, which the fault-robust selection policy avoids.
 
 use pap_collectives::{build, CollSpec, CollectiveKind, TAG_SPAN};
@@ -156,10 +156,10 @@ fn statically_decidable(faults: &FaultSpec, cfg: &BenchConfig) -> bool {
 
 /// Run the `(algorithms × scenarios)` fault grid for one collective and
 /// message size. Cells fan out over [`pap_parallel::par_map`] with derived
-/// seeds and disjoint tag ranges, exactly like [`crate::sweep`], so the
+/// seeds and disjoint tag ranges, exactly like [`crate::sweep()`], so the
 /// result is byte-identical at any thread count. The arrival pattern is
 /// `NoDelay` throughout: the grid isolates fault response from skew
-/// response (compose with [`crate::sweep`] for the combined picture).
+/// response (compose with [`crate::sweep()`] for the combined picture).
 ///
 /// Entry-crash scenarios are pre-filtered by `pap-lint`'s static crash
 /// cone: a non-empty cone settles the cell as `mean_last = None` (flagged

@@ -228,6 +228,25 @@ pub fn measure(
     out
 }
 
+/// The measured job of Listing 1: rank `r` sleeps until `starts[r]`, serves
+/// its arrival-pattern delay, then runs the collective as one labelled
+/// segment, whose enter and exit times are its arrival and exit times
+/// (§II-A). Returns the job and that segment's label.
+pub(crate) fn arrival_job(
+    spec: &CollSpec,
+    pattern: &ArrivalPattern,
+    starts: &[f64],
+) -> Result<(Job, Label), BenchError> {
+    let label = Label { kind: spec.kind.label_kind(), seq: 0 };
+    let programs = build(spec, starts.len())?.rank_ops.into_iter().enumerate().map(|(r, ops)| {
+        let mut prog = RankProgram::new();
+        prog.push_anon(vec![Op::SleepUntil { time: starts[r] }, Op::delay(pattern.delay_of(r))]);
+        prog.push_labeled(label, ops);
+        prog
+    });
+    Ok((Job::new(programs.collect()), label))
+}
+
 fn measure_inner(
     platform: &Platform,
     spec: &CollSpec,
@@ -261,29 +280,17 @@ fn measure_inner(
     };
 
     let noise = cfg.noise.unwrap_or(platform.default_noise);
-    let label = Label { kind: spec.kind.label_kind(), seq: 0 };
     // Start far enough in the future that harmonize targets are reachable.
     let target = START_TARGET;
 
     // Each repetition is an independent simulation; the schedule, harmonized
     // starts and pattern delays are identical across reps (only the noise
     // seed differs), so the program is built once and re-run.
-    let built = build(spec, p)?;
     let starts: Vec<f64> = match &clock_ctx {
         Some((clocks, calib)) => harmonize_starts(clocks, calib, p, |r| platform.node_of(r), target, 0.0),
         None => vec![target; p],
     };
-    let mut programs = Vec::with_capacity(p);
-    for (r, ops) in built.rank_ops.into_iter().enumerate() {
-        let mut prog = RankProgram::new();
-        prog.push_anon(vec![
-            Op::SleepUntil { time: starts[r] },
-            Op::delay(pattern.delay_of(r)),
-        ]);
-        prog.push_labeled(label, ops);
-        programs.push(prog);
-    }
-    let job = Job::new(programs);
+    let (job, label) = arrival_job(spec, pattern, &starts)?;
 
     let mut reps = Vec::with_capacity(cfg.nrep);
     for rep in 0..cfg.nrep {

@@ -4,7 +4,7 @@
 //!
 //! [`profile`] runs a collective under an arrival pattern exactly like
 //! [`measure`](crate::measure) in its noise-free simulation setting, but
-//! with per-message recording enabled, and converts the [`RunOutcome`] into
+//! with per-message recording enabled, and converts the [`RunOutcome`](pap_sim::RunOutcome) into
 //! a trace with:
 //!
 //! * one lane per rank (`tid` = rank, named `rank N`),
@@ -18,14 +18,12 @@
 
 use pap_arrival::ArrivalPattern;
 use pap_collectives::registry::algorithm;
-use pap_collectives::{build, CollSpec};
+use pap_collectives::CollSpec;
 use pap_obs::ChromeTrace;
-use pap_sim::{
-    run_ref, FaultSpec, Job, Label, NoiseModel, Op, Platform, RankProgram, SimConfig, SimError,
-};
+use pap_sim::{run_ref, FaultSpec, NoiseModel, Platform, SimConfig, SimError};
 use serde::Content;
 
-use crate::harness::BenchError;
+use crate::harness::{arrival_job, BenchError, START_TARGET};
 
 /// Lane group ID used for simulator ranks in emitted traces.
 const SIM_PID: u64 = 1;
@@ -104,19 +102,9 @@ pub fn profile_with_faults(
         return Err(BenchError::PatternMismatch { pattern: pattern.len(), ranks: p });
     }
 
-    // Same program construction as the measurement harness (Listing 1):
-    // harmonized start, pattern delay, labelled collective.
-    let target = 1e-3;
-    let label = Label { kind: spec.kind.label_kind(), seq: 0 };
-    let built = build(spec, p)?;
-    let mut programs = Vec::with_capacity(p);
-    for (r, ops) in built.rank_ops.into_iter().enumerate() {
-        let mut prog = RankProgram::new();
-        prog.push_anon(vec![Op::SleepUntil { time: target }, Op::delay(pattern.delay_of(r))]);
-        prog.push_labeled(label, ops);
-        programs.push(prog);
-    }
-    let job = Job::new(programs);
+    // The measurement harness's job (Listing 1) in its noise-free
+    // simulation setting: every rank starts exactly on target.
+    let (job, label) = arrival_job(spec, pattern, &vec![START_TARGET; p])?;
 
     let sim_cfg = SimConfig {
         seed,

@@ -5,7 +5,7 @@
 //! crate evaluates the same schedule analytically: each algorithm model
 //! replays the builder's communication structure (trees, rings, recursive
 //! halving/doubling, Bruck rounds, …) through the closed-form point-to-point
-//! timing of [`net`], which is closed over the exact platform parameters the
+//! timing of the `net` module, which is closed over the exact platform parameters the
 //! simulator uses — latency, bandwidth (the LogGP `G`), send/recv overheads
 //! (`o_s`/`o_r`), the eager/rendezvous threshold, per-byte reduction cost
 //! (`γ`), and the per-node NIC serialization clocks.

@@ -1,6 +1,6 @@
 //! The discrete-event execution engine.
 //!
-//! Each rank executes its [`crate::program::RankProgram`] sequentially. Ranks may run ahead
+//! Each rank executes its slice of the [`Job`]'s op arena sequentially. Ranks may run ahead
 //! of global event time (lazy virtual time); correctness of message matching
 //! does not depend on processing order because all completion times are
 //! computed from timestamps (`max` of the two sides), and FIFO queues per

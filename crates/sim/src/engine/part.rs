@@ -25,7 +25,7 @@ use rand_chacha::ChaCha8Rng;
 
 use super::queue::{EventQueue, QEvent};
 use super::{MsgEvent, PhaseRecord, SimError};
-use crate::compiled::{COp, CompiledJob, CNIL};
+use crate::compiled::{COp, CNIL};
 use crate::data::{BlockFilter, Value};
 use crate::noise::NoiseModel;
 use crate::platform::Platform;
@@ -122,10 +122,10 @@ enum Status {
 }
 
 struct RankState {
-    /// Absolute index of the rank's next op in [`CompiledJob::ops`] — the
+    /// Absolute index of the rank's next op in the job's op arena — the
     /// hot loop is one indexed load into a single shared flat array.
     op_i: u32,
-    /// Absolute index of the current segment in [`CompiledJob::segs`].
+    /// Absolute index of the current segment in the job's segment table.
     seg_i: u32,
     /// First op of the current segment (phase-enter detection).
     seg_start: u32,
@@ -327,10 +327,10 @@ impl ChanTable {
 pub(super) struct Part<'a> {
     platform: &'a Platform,
     cfg: &'a SimConfig,
-    /// The job's flattened op stream (see [`crate::compiled`]). Borrowed so
-    /// the hot loop can hold `&'a COp` references while mutating the rest
-    /// of the state — no per-event op clone.
-    comp: &'a CompiledJob,
+    /// The job's flat op arena (see [`crate::compiled`]). Borrowed so the
+    /// hot loop can hold `&'a COp` references while mutating the rest of
+    /// the state — no per-event op clone.
+    job: &'a Job,
     ranks: Vec<RankState>,
     /// Per-rank RNG streams; empty when the noise model is `None` (the
     /// common sweep configuration), saving one ChaCha init per rank.
@@ -393,20 +393,19 @@ impl<'a> Part<'a> {
         let n = platform.ranks;
         let nnodes = platform.occupied_nodes();
 
-        let comp = job.compiled();
         let mut ranks = Vec::with_capacity(n);
         let mut req_base = Vec::with_capacity(n + 1);
         let mut nreqs = 0u32;
-        for (l, &rc) in comp.req_counts.iter().enumerate() {
+        for (l, &rc) in job.req_counts.iter().enumerate() {
             req_base.push(nreqs);
             nreqs += rc;
-            let (s0, s1) = (comp.rank_segs[l], comp.rank_segs[l + 1]);
-            let op0 = comp.rank_ops[l];
+            let (s0, s1) = (job.rank_segs[l], job.rank_segs[l + 1]);
+            let op0 = job.rank_ops[l];
             ranks.push(RankState {
                 op_i: op0,
                 seg_i: s0,
                 seg_start: op0,
-                seg_end: if s0 < s1 { comp.segs[s0 as usize].end } else { op0 },
+                seg_end: if s0 < s1 { job.segs[s0 as usize].end } else { op0 },
                 local: 0.0,
                 status: Status::Runnable,
                 seg_enter: 0.0,
@@ -477,7 +476,7 @@ impl<'a> Part<'a> {
         let mut part = Part {
             platform,
             cfg,
-            comp,
+            job,
             ranks,
             rngs,
             reqs: vec![ReqState::Free; nreqs as usize],
@@ -576,10 +575,10 @@ impl<'a> Part<'a> {
             .enumerate()
             .filter(|(_, r)| r.status != Status::Finished && r.status != Status::Crashed)
             .map(|(l, st)| {
-                let seg = st.seg_i - self.comp.rank_segs[l];
+                let seg = st.seg_i - self.job.rank_segs[l];
                 let pc = st.op_i - st.seg_start;
-                let desc = if st.op_i < self.comp.rank_ops[l + 1] {
-                    let op = &self.comp.ops[st.op_i as usize];
+                let desc = if st.op_i < self.job.rank_ops[l + 1] {
+                    let op = &self.job.ops[st.op_i as usize];
                     format!("{:?} (seg {}, pc {}, status {:?})", op, seg, pc, st.status)
                 } else {
                     format!("end-of-program? (seg {}, pc {}, status {:?})", seg, pc, st.status)
@@ -743,18 +742,18 @@ impl<'a> Part<'a> {
             }
 
             // Fast path: the next op is one indexed load into the job's
-            // flat compiled op stream; segment tables are only touched at
-            // boundaries below.
-            let comp = self.comp;
+            // flat op arena; segment tables are only touched at boundaries
+            // below.
+            let job = self.job;
             let st = &mut self.ranks[l];
             let op_i = st.op_i;
             if op_i < st.seg_end {
                 if op_i == st.seg_start {
                     st.seg_enter = st.local;
                 }
-                // `comp` borrows the job with the outer lifetime, so `op`
-                // does not pin `self` while exec_op mutates it.
-                let op = &comp.ops[op_i as usize];
+                // `job` is borrowed with the outer lifetime, so `op` does
+                // not pin `self` while exec_op mutates it.
+                let op = &job.ops[op_i as usize];
                 if !self.exec_op(l, op) {
                     return;
                 }
@@ -766,7 +765,7 @@ impl<'a> Part<'a> {
 
             // Segment bookkeeping.
             let seg_i = st.seg_i;
-            if seg_i >= comp.rank_segs[l + 1] {
+            if seg_i >= job.rank_segs[l + 1] {
                 let st = &mut self.ranks[l];
                 st.status = Status::Finished;
                 let t = st.local;
@@ -775,7 +774,7 @@ impl<'a> Part<'a> {
             }
             // Segment complete (op_i ran past its end).
             if self.cfg.record_phases {
-                if let Some(label) = comp.segs[seg_i as usize].label() {
+                if let Some(label) = job.segs[seg_i as usize].label {
                     let enter = self.ranks[l].seg_enter;
                     let exit = self.ranks[l].local;
                     self.phases.push(PhaseRecord { rank: l, label, enter, exit });
@@ -785,8 +784,8 @@ impl<'a> Part<'a> {
             st.seg_i = seg_i + 1;
             st.seg_start = op_i;
             st.seg_enter = st.local;
-            st.seg_end = if seg_i + 1 < comp.rank_segs[l + 1] {
-                comp.segs[(seg_i + 1) as usize].end
+            st.seg_end = if seg_i + 1 < job.rank_segs[l + 1] {
+                job.segs[(seg_i + 1) as usize].end
             } else {
                 op_i
             };
@@ -892,7 +891,7 @@ impl<'a> Part<'a> {
                 slots[into as usize].overwrite_from(&src);
             }
             COp::DropBlocks { slot, filter } => {
-                let f = self.filter(filter);
+                let f = self.job.filter(filter);
                 self.slots[l][slot as usize].drop_matching(f);
             }
             COp::CopySlot { from, into } => slots[into as usize] = slots[from as usize].clone(),
@@ -902,15 +901,6 @@ impl<'a> Part<'a> {
         }
     }
 
-    /// Resolve a compiled filter index (`CNIL` = whole slot).
-    #[inline]
-    fn filter(&self, f: u32) -> BlockFilter {
-        if f == CNIL {
-            BlockFilter::All
-        } else {
-            self.comp.filters[f as usize]
-        }
-    }
 
     fn data_error(&mut self, l: usize, e: impl std::fmt::Display) {
         self.data_errors.push((l as u32, format!("rank {l}: {e}")));
@@ -977,7 +967,7 @@ impl<'a> Part<'a> {
             m => m.wire_factor(&mut self.rngs[l]),
         };
         let eager = self.platform.is_eager(bytes);
-        let payload = self.cfg.track_data.then(|| match self.filter(filter) {
+        let payload = self.cfg.track_data.then(|| match self.job.filter(filter) {
             BlockFilter::All => self.slots[l][slot].clone(),
             f => self.slots[l][slot].filtered(|c| f.matches(c)),
         });
@@ -1355,8 +1345,8 @@ impl<'a> Part<'a> {
     /// into the rank's cached countdown. Returns true if the op completed
     /// inline (all requests were already done).
     fn enter_waitall(&mut self, l: usize) -> bool {
-        // `comp` borrows the job with the outer lifetime, so `reqs` does
-        // not pin `self` while the loop mutates the request arena.
+        // `job` is borrowed with the outer lifetime, so `reqs` does not
+        // pin `self` while the loop mutates the request arena.
         let reqs = self.wait_reqs(l);
         let base = self.req_base[l] as usize;
         let mut t = self.ranks[l].local;
@@ -1396,9 +1386,9 @@ impl<'a> Part<'a> {
     /// Request list of the WaitAll rank `l` currently points at.
     #[inline]
     fn wait_reqs(&self, l: usize) -> &'a [u32] {
-        let comp = self.comp;
-        match comp.ops[self.ranks[l].op_i as usize] {
-            COp::WaitAll { off, len } => &comp.wait_reqs[off as usize..(off + len) as usize],
+        let job = self.job;
+        match job.ops[self.ranks[l].op_i as usize] {
+            COp::WaitAll { off, len } => &job.wait_reqs[off as usize..(off + len) as usize],
             _ => unreachable!("wait_reqs called on non-WaitAll op"),
         }
     }

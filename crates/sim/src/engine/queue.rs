@@ -134,7 +134,7 @@ impl EventQueue {
 
     /// New queue for a run whose natural event spacing is `gap_hint`
     /// seconds (the engine passes the inter-node latency): buckets are half
-    /// the hint wide, or [`FALLBACK_WIDTH`] when the hint is not a finite
+    /// the hint wide, or `FALLBACK_WIDTH` when the hint is not a finite
     /// positive number.
     pub fn for_gap(gap_hint: f64) -> Self {
         let width = if gap_hint.is_finite() && gap_hint > 0.0 { gap_hint * 0.5 } else { FALLBACK_WIDTH };

@@ -1,11 +1,17 @@
-//! Per-rank programs: the operation "ISA" executed by the engine.
+//! Per-rank programs: the operation "ISA" that schedules are built in.
 //!
-//! A [`Job`] holds one [`RankProgram`] per rank. A program is a sequence of
+//! Builders (the collectives, the micro-benchmark harness, `pap-lint`'s
+//! repair) write one [`RankProgram`] per rank. A program is a sequence of
 //! [`Segment`]s; each segment optionally carries a [`Label`] so that higher
 //! layers (the tracer, the micro-benchmark harness) can observe when a rank
 //! *enters* and *exits* that segment — this is exactly the "process arrival
 //! time" and "exit time" of the paper (§II-A).
+//!
+//! [`Job::new`] flattens the programs into the engine's op arena and drops
+//! them; a job stores its schedule only in that form. [`Job::program`]
+//! decodes one rank back into this view.
 
+pub use crate::compiled::Job;
 use crate::data::{BlockFilter, SlotInit};
 use crate::time::SimTime;
 
@@ -410,59 +416,6 @@ impl RankProgram {
     pub fn op_count(&self) -> usize {
         self.segments.iter().map(|s| s.ops.len()).sum()
     }
-
-    fn max_slot(&self) -> Option<Slot> {
-        self.segments.iter().flat_map(|s| s.ops.iter().filter_map(Op::max_slot)).max()
-    }
-
-    fn max_req(&self) -> Option<ReqId> {
-        self.segments.iter().flat_map(|s| s.ops.iter().filter_map(Op::max_req)).max()
-    }
-}
-
-/// A complete simulation job: one program per rank.
-#[derive(Debug, Clone, Default)]
-pub struct Job {
-    /// Per-rank programs; `programs.len()` is the number of ranks.
-    pub programs: Vec<RankProgram>,
-    /// Flattened engine form (see [`crate::compiled`]), built lazily on the
-    /// first run and shared by all later runs. At 10K+ ranks
-    /// the full-program scan is a measurable slice of a single run, and jobs
-    /// are routinely re-run (sweeps, repetitions), so the result
-    /// is cached: `programs` must not be mutated after the first run.
-    compiled: std::sync::OnceLock<crate::compiled::CompiledJob>,
-}
-
-impl Job {
-    /// Build a job from per-rank programs.
-    pub fn new(programs: Vec<RankProgram>) -> Self {
-        Job { programs, compiled: std::sync::OnceLock::new() }
-    }
-
-    /// Number of ranks.
-    pub fn ranks(&self) -> usize {
-        self.programs.len()
-    }
-
-    /// Slots needed per rank (max referenced slot + 1).
-    pub fn slots_needed(&self, rank: usize) -> usize {
-        self.programs[rank].max_slot().map_or(0, |m| m + 1)
-    }
-
-    /// Requests needed per rank (max referenced request + 1).
-    pub fn reqs_needed(&self, rank: usize) -> usize {
-        self.programs[rank].max_req().map_or(0, |m| m + 1)
-    }
-
-    /// The flattened engine form (cached; see [`crate::compiled`]).
-    pub(crate) fn compiled(&self) -> &crate::compiled::CompiledJob {
-        self.compiled.get_or_init(|| crate::compiled::CompiledJob::build(self))
-    }
-
-    /// Total op count (sizing diagnostics).
-    pub fn total_ops(&self) -> usize {
-        self.programs.iter().map(|p| p.op_count()).sum()
-    }
 }
 
 #[cfg(test)]
@@ -478,19 +431,6 @@ mod tests {
         assert_eq!(Op::recv(1, 2, 3), Op::Recv { from: 1, tag: 2, slot: 3 });
         assert!(matches!(Op::compute(1.0), Op::Compute { noisy: true, .. }));
         assert!(matches!(Op::delay(1.0), Op::Compute { noisy: false, .. }));
-    }
-
-    #[test]
-    fn slot_and_req_sizing() {
-        let mut p = RankProgram::new();
-        p.push_anon(vec![
-            Op::Irecv { from: 1, tag: 0, slot: 9, req: 3 },
-            Op::WaitAll { reqs: vec![3, 7] },
-        ]);
-        let job = Job::new(vec![p]);
-        assert_eq!(job.slots_needed(0), 10);
-        assert_eq!(job.reqs_needed(0), 8);
-        assert_eq!(job.total_ops(), 2);
     }
 
     #[test]

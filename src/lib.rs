@@ -41,7 +41,7 @@
 //! * [`fleet`] — sharded serving tier (`papctl fleet …`): consistent-hash
 //!   routing, warm shard-to-shard replication; each shard is a `service`
 //!   daemon
-//! * [`bench`] — the paper's table/figure drivers (`papctl figures …`)
+//! * [`bench`](mod@bench) — the paper's table/figure drivers (`papctl figures …`)
 //!
 //! See `examples/quickstart.rs` for a five-minute tour and DESIGN.md for the
 //! experiment index.

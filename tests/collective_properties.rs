@@ -6,7 +6,7 @@ use pap::arrival::{generate, Shape};
 use pap::collectives::registry::{algorithms, experiment_ids};
 use pap::collectives::{build, verify, CollSpec, CollectiveKind};
 use pap::microbench::{measure, BenchConfig};
-use pap::sim::{run, Job, NoiseModel, Platform, RankProgram, SimConfig};
+use pap::sim::{run, Job, Label, NoiseModel, Op, Platform, RankProgram, SimConfig};
 use proptest::prelude::*;
 
 fn kinds() -> impl Strategy<Value = CollectiveKind> {
@@ -176,6 +176,52 @@ fn every_algorithm_handles_awkward_p_and_all_roots() {
             }
         }
     }
+}
+
+/// A job stores its schedule once, as the engine's op arena, and decodes
+/// it back exactly: for every registered algorithm of every collective,
+/// built plainly and in the harness's shape (an anonymous `[SleepUntil,
+/// delay]` arrival segment, then the collective as a labelled segment),
+/// `Job::program` returns each rank's input program, segment labels,
+/// `WaitAll` lists and block filters included, and the job's sizing
+/// matches a scan of the input.
+#[test]
+fn job_decodes_back_to_its_programs() {
+    let scan = |prog: &RankProgram, max: fn(&Op) -> Option<usize>| {
+        prog.segments.iter().flat_map(|s| &s.ops).filter_map(max).max().map_or(0, |m| m + 1)
+    };
+    let check = |ps: Vec<RankProgram>, what: &str| {
+        let job = Job::new(ps.clone());
+        let ops: usize = ps.iter().map(RankProgram::op_count).sum();
+        assert_eq!((job.ranks(), job.total_ops()), (ps.len(), ops), "{what}");
+        for (r, prog) in ps.iter().enumerate() {
+            assert!(job.program(r) == *prog, "{what}: rank {r} decodes differently");
+            let sizes = (job.slots_needed(r), job.reqs_needed(r));
+            assert_eq!(sizes, (scan(prog, Op::max_slot), scan(prog, Op::max_req)), "{what}: rank {r}");
+        }
+    };
+    for kind in ALL_KINDS {
+        let label = Label { kind: kind.label_kind(), seq: 0 };
+        for a in algorithms(kind) {
+            for p in [1usize, 3, 8, 13] {
+                let spec = CollSpec::new(kind, a.id, 100_000).with_root(p / 2).with_seg_bytes(8192);
+                let what = format!("{kind} alg {} at p={p}", a.id);
+                let rank_ops = build(&spec, p).unwrap().rank_ops;
+                check(rank_ops.iter().cloned().map(RankProgram::from_ops).collect(), &what);
+                let harness = rank_ops.into_iter().enumerate().map(|(r, ops)| {
+                    let mut prog = RankProgram::new();
+                    prog.push_anon(vec![Op::SleepUntil { time: 1e-3 }, Op::delay(r as f64 * 1e-6)]);
+                    prog.push_labeled(label, ops);
+                    prog
+                });
+                check(harness.collect(), &format!("{what}, harness-shaped"));
+            }
+        }
+    }
+    // Shapes no builder emits: a rank without segments, an empty segment,
+    // a `WaitAll` listing a request past every posted one.
+    let waits = vec![Op::Irecv { from: 1, tag: 0, slot: 9, req: 3 }, Op::WaitAll { reqs: vec![3, 7] }];
+    check(vec![RankProgram::new(), RankProgram::from_ops(vec![]), RankProgram::from_ops(waits)], "hand-made");
 }
 
 /// Noise widens the distribution but keeps the ordering of clearly
