@@ -36,7 +36,7 @@ pub(crate) struct SlowFrame {
     /// The request id, echoed in the reply.
     pub id: u64,
     /// When the frame was decoded (its latency runs until the reply).
-    start: Instant,
+    pub start: Instant,
     work: SlowWork,
 }
 
@@ -73,8 +73,14 @@ impl Dispatcher {
     /// [`MAX_FRAME_BYTES`]); the connection must close after sending it —
     /// there is no way to find the next frame boundary.
     pub fn oversized_frame_reply(&self) -> ReplyEnvelope {
-        self.stats.endpoint_error();
-        error_reply(0, ErrorCode::BadFrame, format!("frame exceeds {MAX_FRAME_BYTES} bytes"))
+        self.error(0, ErrorCode::BadFrame, format!("frame exceeds {MAX_FRAME_BYTES} bytes"))
+    }
+
+    /// Count and build the reply for a slow frame the compute pool refused
+    /// (queue full or closing), recording its latency like any answer.
+    pub fn pool_refused(&self, id: u64, start: Instant) -> ReplyEnvelope {
+        self.stats.record_latency(start.elapsed());
+        self.error(id, ErrorCode::Internal, "compute pool full or closed")
     }
 
     /// Decode and serve one frame (without its trailing newline); never
@@ -106,7 +112,7 @@ impl Dispatcher {
                     }
                     ReplyEnvelope { v: PROTO_VERSION, id, reply: Reply::Calibrated(answer) }
                 }
-                Err(msg) => self.bad_request(id, msg),
+                Err(msg) => self.error(id, ErrorCode::BadRequest, msg),
             },
         }))
         .unwrap_or_else(|_| self.internal_error());
@@ -114,34 +120,23 @@ impl Dispatcher {
         reply
     }
 
-    fn internal_error(&self) -> ReplyEnvelope {
+    /// Every error reply is built, and counted, here.
+    fn error(&self, id: u64, code: ErrorCode, msg: impl Into<String>) -> ReplyEnvelope {
         self.stats.endpoint_error();
-        error_reply(0, ErrorCode::Internal, "internal error while serving request")
+        error_reply(id, code, msg)
     }
 
-    fn bad_request(&self, id: u64, msg: String) -> ReplyEnvelope {
-        self.stats.endpoint_error();
-        error_reply(id, ErrorCode::BadRequest, msg)
+    fn internal_error(&self) -> ReplyEnvelope {
+        self.error(0, ErrorCode::Internal, "internal error while serving request")
     }
 
     fn step(&self, line: &[u8], start: Instant) -> Step {
-        let text = match std::str::from_utf8(line) {
-            Ok(t) => t,
-            Err(_) => {
-                self.stats.endpoint_error();
-                return Step::Reply(error_reply(
-                    0,
-                    ErrorCode::BadFrame,
-                    "frame is not valid UTF-8",
-                ));
-            }
+        let Ok(text) = std::str::from_utf8(line) else {
+            return Step::Reply(self.error(0, ErrorCode::BadFrame, "frame is not valid UTF-8"));
         };
         let env = match decode_request(text.trim_end_matches('\r')) {
             Ok(env) => env,
-            Err(e) => {
-                self.stats.endpoint_error();
-                return Step::Reply(error_reply(e.id, e.code, e.message));
-            }
+            Err(e) => return Step::Reply(self.error(e.id, e.code, e.message)),
         };
         let id = env.id;
         let slow = |work| Step::Slow(SlowFrame { id, start, work });
@@ -152,7 +147,7 @@ impl Dispatcher {
                 match self.store.lookup(&q) {
                     Ok(Some(hit)) => self.query_reply(id, Ok(hit)),
                     Ok(None) => return slow(SlowWork::Query(q)),
-                    Err(msg) => self.bad_request(id, msg),
+                    Err(msg) => self.error(id, ErrorCode::BadRequest, msg),
                 }
             }
             Request::Calibrate(c) => {
@@ -203,7 +198,7 @@ impl Dispatcher {
                 }
                 ReplyEnvelope { v: PROTO_VERSION, id, reply: Reply::Answer(answer) }
             }
-            Err(msg) => self.bad_request(id, msg),
+            Err(msg) => self.error(id, ErrorCode::BadRequest, msg),
         }
     }
 

@@ -8,9 +8,9 @@
 //! arriving?"* — the deployment story for arrival-pattern-aware selection.
 //!
 //! * [`proto`] — the versioned newline-delimited-JSON wire protocol.
-//! * [`server`] — `papd` itself: one epoll event loop for every
-//!   connection, slow frames (cold cells, calibration) on a bounded compute
-//!   pool, graceful shutdown that drains in-flight frames.
+//! * [`server`] — `papd` itself: one epoll loop driving a sans-IO session
+//!   per connection, slow frames (cold cells, calibration) on a bounded
+//!   compute pool, graceful shutdown that drains in-flight frames.
 //! * [`store`] — the tier logic: **L1** (LRU of resolved answers, guarded
 //!   by evidence generations) → **L2** (precomputed benchmark matrices,
 //!   exact then nearest-size) → **L3** (cold cells computed with the model
@@ -38,6 +38,7 @@ pub mod client;
 mod dispatch;
 pub mod proto;
 pub mod server;
+mod session;
 pub mod snapshot;
 pub mod stats;
 pub mod store;
@@ -49,6 +50,6 @@ pub use proto::{
     RequestEnvelope, StatsReport, Tier, MAX_FRAME_BYTES, PROTO_VERSION,
 };
 pub use dispatch::REPLICA_PAGE_MAX;
-pub use server::{build_store, install_signal_shutdown, ServeConfig, Server, ShutdownHandle};
+pub use server::{build_store, install_signal_shutdown, ServeConfig, Server};
 pub use snapshot::{Snapshot, SnapshotCell, SNAPSHOT_FORMAT};
 pub use store::{measure_fault_matrix, CellKey, DefaultPolicy, TierStore};

@@ -1,25 +1,21 @@
 //! `papd`: the selection daemon.
 //!
-//! One thread, one epoll instance, any number of connections: a
-//! nonblocking listener and per-connection read/write buffers multiplexed
-//! over [`pap_sysio::Epoll`] (level-triggered). An idle connection costs
-//! one slab slot and one kernel registration — no thread, stack or timer —
-//! and the server raises `RLIMIT_NOFILE` (best effort) so thousands of
-//! clients do not die on the default 1024 soft limit.
+//! One thread runs one level-triggered epoll loop ([`pap_sysio::Epoll`])
+//! over a nonblocking listener and a slab of connections. An idle
+//! connection costs one slab slot and one kernel registration — no thread,
+//! stack or timer — and the server raises `RLIMIT_NOFILE` (best effort) so
+//! thousands of clients do not die on the default 1024 soft limit.
 //!
-//! Frames that resolve from cache, and the control frames, are answered on
-//! the loop. Slow frames — a cold cell's sweep or a `Calibrate` fit — run
-//! on a bounded compute [`Pool`]; a worker pushes the encoded reply onto a
-//! completion list and wakes the loop through a `UnixStream` pair
-//! registered with epoll. A connection has at most one slow frame in
-//! flight: its later frames wait buffered, and its socket leaves the epoll
-//! set, until that reply is queued. Replies keep request order, and other
-//! connections are served meanwhile.
-//!
-//! Pool workers run with `pap-parallel`'s worker marker set, so nested
-//! `par_map` fan-out inside a cold sweep stays sequential — total
-//! parallelism is bounded by the compute and refine pool sizes no matter
-//! how many clients pile on.
+//! The loop is a thin shell over one sans-IO `Session` per connection
+//! (`service::session`, which holds the serving rules: request order, one
+//! slow frame in flight, close and drain states): it reads into the
+//! session, writes what the session hands back, submits its slow frame and
+//! re-arms epoll from the session's wants. Slow frames — a cold cell's
+//! sweep or a `Calibrate` fit — run on a bounded compute [`Pool`]; a worker
+//! pushes the encoded reply onto a completion list and wakes the loop
+//! through a `UnixStream` pair registered with epoll. Pool workers carry
+//! `pap-parallel`'s worker marker, so nested `par_map` fan-out inside a
+//! cold sweep stays sequential.
 
 use std::io::{ErrorKind, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -36,8 +32,11 @@ use pap_parallel::Pool;
 use pap_sim::{MachineId, Platform};
 use pap_sysio::{Epoll, Event, Interest};
 
-use crate::dispatch::{Dispatcher, Step};
-use crate::proto::{encode_frame, error_reply, ErrorCode, Reply, ReplyEnvelope, MAX_FRAME_BYTES};
+use crate::dispatch::{Dispatcher, SlowFrame};
+use crate::proto::encode_frame;
+#[cfg(test)]
+use crate::proto::{Reply, MAX_FRAME_BYTES};
+use crate::session::Session;
 use crate::snapshot::Snapshot;
 use crate::stats::Stats;
 use crate::store::{DefaultPolicy, TierStore};
@@ -86,15 +85,14 @@ impl Default for ServeConfig {
     }
 }
 
-/// Poll interval of the event loop's `epoll_wait` and of the shutdown
-/// watchers: the latency bound on noticing an out-of-band shutdown.
+/// Poll interval of the event loop's `epoll_wait` and of the signal
+/// watcher: the latency bound on noticing an out-of-band shutdown.
 const POLL: Duration = Duration::from_millis(100);
 
-/// Read chunk size.
+/// Read chunk size, and the bytes read from one connection per readiness
+/// event, so one pipelining client cannot hold the loop (level-triggered
+/// epoll reports the rest).
 const CHUNK: usize = 16 * 1024;
-
-/// Bytes read from one connection per readiness event, so one pipelining
-/// client cannot hold the loop (level-triggered epoll reports the rest).
 const READ_BUDGET: usize = 4 * CHUNK;
 
 /// `RLIMIT_NOFILE` the server asks for at start (best effort). Also the
@@ -109,9 +107,8 @@ const WAKE_TOKEN: u64 = 1;
 const FIRST_CONN_TOKEN: u64 = 2;
 
 /// Build and seed the stats + store pair a daemon serves from, per the
-/// config's snapshot/tuning directives. [`Server::start`] uses it; the
-/// fleet spawner calls it directly to warm-replicate a store before
-/// [`Server::serve`] exposes it.
+/// config's snapshot/tuning directives ([`Server::start`]; the fleet
+/// warm-replicates into it before [`Server::serve`] exposes it).
 pub fn build_store(cfg: &ServeConfig) -> Result<(Arc<Stats>, Arc<TierStore>), String> {
     let stats = Arc::new(Stats::new());
     let store = Arc::new(TierStore::new(
@@ -136,44 +133,17 @@ pub fn build_store(cfg: &ServeConfig) -> Result<(Arc<Stats>, Arc<TierStore>), St
     Ok((stats, store))
 }
 
-/// A cloneable out-of-band shutdown trigger for a running [`Server`]
-/// (signal watchers, fleet supervisors). Requesting shutdown is exactly
-/// equivalent to an in-band `Shutdown` frame: the event loop notices
-/// within one poll interval and drains.
-#[derive(Clone)]
-pub struct ShutdownHandle {
-    shutdown: Arc<AtomicBool>,
-}
-
-impl ShutdownHandle {
-    /// Request a graceful drain.
-    pub fn request(&self) {
-        self.shutdown.store(true, Ordering::SeqCst);
-    }
-
-    /// Whether shutdown has already been requested.
-    pub fn is_requested(&self) -> bool {
-        self.shutdown.load(Ordering::SeqCst)
-    }
-}
-
-/// Wire SIGTERM/SIGINT to a server's graceful drain: installs the
-/// process-wide flag handler ([`pap_sysio::install_shutdown_flag`]) and
-/// spawns a watcher thread that requests shutdown once a signal lands. The
-/// watcher exits as soon as the server starts shutting down for any
-/// reason, so it never outlives the drain.
+/// Wire SIGTERM/SIGINT to a server's graceful drain: install the
+/// process-wide flag handler ([`pap_sysio::install_shutdown_flag`]) and a
+/// watcher thread that exits once the server shuts down for any reason.
 pub fn install_signal_shutdown(server: &Server) -> Result<(), String> {
     pap_sysio::install_shutdown_flag().map_err(|e| format!("install signal handler: {e}"))?;
-    let handle = server.shutdown_handle();
-    std::thread::spawn(move || loop {
-        if pap_sysio::shutdown_requested() {
-            handle.request();
-            return;
+    let shutdown = Arc::clone(&server.shutdown);
+    std::thread::spawn(move || {
+        while !shutdown.load(Ordering::SeqCst) && !pap_sysio::shutdown_requested() {
+            std::thread::sleep(POLL);
         }
-        if handle.is_requested() {
-            return;
-        }
-        std::thread::sleep(POLL);
+        shutdown.store(true, Ordering::SeqCst);
     });
     Ok(())
 }
@@ -184,7 +154,6 @@ pub struct Server {
     shutdown: Arc<AtomicBool>,
     thread: std::thread::JoinHandle<()>,
     refine_pool: Option<Arc<Pool>>,
-    stats: Arc<Stats>,
     store: Arc<TierStore>,
 }
 
@@ -199,16 +168,11 @@ impl Server {
     /// Start serving an externally seeded store — the warm replication
     /// path: the fleet spawner builds the store, drains a peer's L2 into
     /// it, and only then exposes the shard.
-    pub fn serve(
-        cfg: &ServeConfig,
-        stats: Arc<Stats>,
-        store: Arc<TierStore>,
-    ) -> Result<Server, String> {
+    pub fn serve(cfg: &ServeConfig, stats: Arc<Stats>, store: Arc<TierStore>) -> Result<Server, String> {
         // Best effort: the server holds one fd per client.
         let _ = pap_sysio::raise_nofile_limit(WANT_NOFILE);
 
-        let listener =
-            TcpListener::bind(&cfg.addr).map_err(|e| format!("bind {}: {e}", cfg.addr))?;
+        let listener = TcpListener::bind(&cfg.addr).map_err(|e| format!("bind {}: {e}", cfg.addr))?;
         listener.set_nonblocking(true).map_err(|e| format!("nonblocking listener: {e}"))?;
         let addr = listener.local_addr().map_err(|e| format!("local_addr: {e}"))?;
         let (wake, wake_rx) = UnixStream::pair().map_err(|e| format!("wake-up pair: {e}"))?;
@@ -236,18 +200,13 @@ impl Server {
             free: Vec::new(),
             stats: Arc::clone(&stats),
             serving: Serving {
-                dispatcher: Arc::new(Dispatcher::new(
-                    Arc::clone(&shutdown),
-                    Arc::clone(&stats),
-                    Arc::clone(&store),
-                    refine_pool.clone(),
-                )),
+                dispatcher: Arc::new(Dispatcher::new(Arc::clone(&shutdown), stats, Arc::clone(&store), refine_pool.clone())),
                 compute: Pool::new(threads, WANT_NOFILE as usize),
                 done: Arc::new(Completions { replies: Mutex::new(Vec::new()), wake }),
             },
         };
         let thread = std::thread::spawn(move || node.run());
-        Ok(Server { addr, shutdown, thread, refine_pool, stats, store })
+        Ok(Server { addr, shutdown, thread, refine_pool, store })
     }
 
     /// The bound address (resolves ephemeral ports).
@@ -257,7 +216,7 @@ impl Server {
 
     /// The server's stats block.
     pub fn stats(&self) -> &Arc<Stats> {
-        &self.stats
+        self.store.stats()
     }
 
     /// The server's tier store.
@@ -270,23 +229,16 @@ impl Server {
         self.shutdown.load(Ordering::SeqCst)
     }
 
-    /// A cloneable out-of-band shutdown trigger for this server.
-    pub fn shutdown_handle(&self) -> ShutdownHandle {
-        ShutdownHandle { shutdown: Arc::clone(&self.shutdown) }
-    }
-
-    /// Request shutdown from outside (equivalent to a `Shutdown` frame).
+    /// Request shutdown from outside (equivalent to a `Shutdown` frame):
+    /// the event loop notices within one poll interval and drains.
     pub fn stop(&self) {
-        self.shutdown_handle().request();
+        self.shutdown.store(true, Ordering::SeqCst);
     }
 
-    /// Block until shutdown is requested (by [`Server::stop`] or a client
-    /// `Shutdown` frame), then wait for the event loop's drain; in-flight
-    /// refinements finish while queued ones are dropped.
+    /// Block until the event loop has drained — after [`Server::stop`], a
+    /// client `Shutdown` frame or a signal; in-flight refinements finish
+    /// while queued ones are dropped.
     pub fn join(self) {
-        while !self.shutdown.load(Ordering::SeqCst) {
-            std::thread::sleep(POLL);
-        }
         let _ = self.thread.join();
         // The loop and its compute jobs are gone, and with them every
         // other refine-pool holder. If one somehow is not, the workers are
@@ -295,26 +247,17 @@ impl Server {
             if let Ok(pool) = Arc::try_unwrap(pool) {
                 let dropped = pool.abort();
                 for _ in 0..dropped {
-                    self.stats.refine_dropped();
+                    self.store.stats().refine_dropped();
                 }
             }
         }
     }
 }
 
-/// Replies finished on the compute pool, waiting for the loop to queue
-/// them, plus the write end of the loop's wake-up socket.
+/// Encoded replies of finished slow frames, and the loop's wake-up.
 struct Completions {
     replies: Mutex<Vec<(usize, String)>>,
     wake: UnixStream,
-}
-
-impl Completions {
-    fn push(&self, slot: usize, frame: String) {
-        self.replies.lock().expect("completion list").push((slot, frame));
-        // WouldBlock means a wake-up is already pending.
-        let _ = (&self.wake).write(&[1]);
-    }
 }
 
 /// What a connection needs to serve its frames.
@@ -325,116 +268,32 @@ struct Serving {
     done: Arc<Completions>,
 }
 
-/// One connection's state in the slab.
-struct Conn {
-    stream: TcpStream,
-    /// Bytes read but not yet framed.
-    rbuf: Vec<u8>,
-    /// Encoded replies not yet (fully) written.
-    wbuf: Vec<u8>,
-    /// How much of `wbuf` is already written.
-    wpos: usize,
-    /// Serve no more frames; close once `wbuf` is flushed (Bye sent,
-    /// oversized frame, or a dead socket).
-    close_after_flush: bool,
-    /// Peer sent EOF: serve what is buffered, flush, then close.
-    read_closed: bool,
-    /// A slow frame is on the compute pool; later frames wait in `rbuf`.
-    busy: bool,
-    /// The interest registered with epoll (`None` while busy: the socket
-    /// is out of the set until the slow reply is queued).
-    interest: Option<Interest>,
+impl Serving {
+    /// Hand a session's slow frame to the compute pool, which never blocks:
+    /// a refused frame is answered by the session, which may yield another.
+    fn submit(&self, slot: usize, session: &mut Session, mut slow: Option<SlowFrame>) {
+        while let Some(frame) = slow {
+            let (dispatcher, done) = (Arc::clone(&self.dispatcher), Arc::clone(&self.done));
+            let job = move || {
+                let reply = encode_frame(&dispatcher.run_slow(frame));
+                done.replies.lock().expect("completion list").push((slot, reply));
+                // WouldBlock means a wake-up is already pending.
+                let _ = (&done.wake).write(&[1]);
+            };
+            if self.compute.submit(job) {
+                return;
+            }
+            slow = session.refused(&self.dispatcher);
+        }
+    }
 }
 
-impl Conn {
-    fn wants_write(&self) -> bool {
-        self.wpos < self.wbuf.len()
-    }
-
-    /// Whether the connection has nothing left to do.
-    fn finished(&self) -> bool {
-        !self.busy && !self.wants_write() && (self.close_after_flush || self.read_closed)
-    }
-
-    fn queue(&mut self, reply: &ReplyEnvelope) {
-        self.wbuf.extend_from_slice(encode_frame(reply).as_bytes());
-        if matches!(reply.reply, Reply::Bye) {
-            self.close_after_flush = true;
-        }
-    }
-
-    /// Read up to `budget` bytes of what the kernel holds into `rbuf`.
-    /// Returns true on a hard error.
-    fn fill(&mut self, budget: usize) -> bool {
-        let mut chunk = [0u8; CHUNK];
-        let mut read = 0;
-        while read < budget && !self.read_closed && !self.close_after_flush {
-            match self.stream.read(&mut chunk) {
-                Ok(0) => self.read_closed = true,
-                Ok(n) => {
-                    self.rbuf.extend_from_slice(&chunk[..n]);
-                    read += n;
-                }
-                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => return true,
-            }
-        }
-        false
-    }
-
-    /// Serve complete frames from `rbuf` in order until a slow frame goes
-    /// to the compute pool, the connection is closing, or none is left.
-    fn serve_buffered(&mut self, slot: usize, serving: &Serving) {
-        let mut served = 0;
-        while !self.busy && !self.close_after_flush {
-            let Some(len) = self.rbuf[served..].iter().position(|&b| b == b'\n') else {
-                break;
-            };
-            let step = serving.dispatcher.serve_frame(&self.rbuf[served..served + len]);
-            served += len + 1;
-            match step {
-                Step::Reply(reply) => self.queue(&reply),
-                Step::Slow(frame) => {
-                    let id = frame.id;
-                    let dispatcher = Arc::clone(&serving.dispatcher);
-                    let done = Arc::clone(&serving.done);
-                    let job = move || done.push(slot, encode_frame(&dispatcher.run_slow(frame)));
-                    self.busy = serving.compute.submit(job);
-                    if !self.busy {
-                        // `submit` never blocks the loop: a full queue or a
-                        // pool shutting down refuses the frame instead.
-                        let msg = "compute pool full or closed";
-                        self.queue(&error_reply(id, ErrorCode::Internal, msg));
-                    }
-                }
-            }
-        }
-        self.rbuf.drain(..served);
-        if !self.busy && !self.close_after_flush && self.rbuf.len() > MAX_FRAME_BYTES {
-            // No newline within the frame budget: there is no way to find
-            // the next frame boundary. Reply, then close.
-            self.queue(&serving.dispatcher.oversized_frame_reply());
-            self.close_after_flush = true;
-        }
-    }
-
-    /// Write as much of `wbuf` as the socket accepts. Returns true when the
-    /// connection is dead.
-    fn flush(&mut self) -> bool {
-        while self.wants_write() {
-            match self.stream.write(&self.wbuf[self.wpos..]) {
-                Ok(0) => return true,
-                Ok(n) => self.wpos += n,
-                Err(e) if e.kind() == ErrorKind::WouldBlock => return false,
-                Err(e) if e.kind() == ErrorKind::Interrupted => {}
-                Err(_) => return true,
-            }
-        }
-        self.wbuf.clear();
-        self.wpos = 0;
-        false
-    }
+/// One connection in the slab.
+struct Conn {
+    stream: TcpStream,
+    session: Session,
+    /// The interest registered with epoll (`None`: out of the set).
+    interest: Option<Interest>,
 }
 
 /// The event loop's state; owned by its thread.
@@ -449,7 +308,7 @@ struct Node {
 }
 
 impl Node {
-    /// Accept, read, frame, dispatch, write — no blocking call other than
+    /// Accept, read, serve, write — no blocking call other than
     /// `epoll_wait` itself — until shutdown is requested; then drain.
     fn run(mut self) {
         let mut events: Vec<Event> = Vec::new();
@@ -464,11 +323,14 @@ impl Node {
                 match ev.token {
                     LISTENER_TOKEN => self.accept_ready(),
                     WAKE_TOKEN => {
-                        let mut sink = [0u8; 64];
-                        while matches!((&self.wake_rx).read(&mut sink), Ok(n) if n > 0) {}
+                        while matches!((&self.wake_rx).read(&mut [0u8; 64]), Ok(n) if n > 0) {}
                         self.take_completions();
                     }
-                    token => self.conn_ready((token - FIRST_CONN_TOKEN) as usize, ev),
+                    token => {
+                        let slot = (token - FIRST_CONN_TOKEN) as usize;
+                        let dead = (ev.closed && !ev.readable) || (ev.readable && self.read(slot, READ_BUDGET));
+                        self.settle(slot, dead);
+                    }
                 }
             }
         }
@@ -493,29 +355,34 @@ impl Node {
                 continue; // fd table exhausted or similar; drop the connection
             }
             self.stats.connection();
-            self.conns[slot] = Some(Conn {
-                stream,
-                rbuf: Vec::new(),
-                wbuf: Vec::new(),
-                wpos: 0,
-                close_after_flush: false,
-                read_closed: false,
-                busy: false,
-                interest: Some(Interest::READ),
-            });
+            self.conns[slot] = Some(Conn { stream, session: Session::default(), interest: Some(Interest::READ) });
         }
     }
 
-    fn conn_ready(&mut self, slot: usize, ev: Event) {
+    /// Read up to `budget` bytes of what the kernel holds into the slot's
+    /// session, and serve them. Returns true on a hard read error.
+    fn read(&mut self, slot: usize, budget: usize) -> bool {
         let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else {
-            return; // stale event for a slot torn down this batch
+            return false; // stale event for a slot torn down this batch
         };
-        let mut dead = ev.closed && !ev.readable;
-        if !dead && ev.readable {
-            dead = conn.fill(READ_BUDGET);
-            conn.serve_buffered(slot, &self.serving);
-        }
-        self.settle(slot, dead);
+        let (mut chunk, mut read) = ([0u8; CHUNK], 0);
+        let dead = loop {
+            if read >= budget || !conn.session.reading() {
+                break false;
+            }
+            match conn.stream.read(&mut chunk) {
+                Ok(0) => conn.session.eof(),
+                Ok(n) => {
+                    conn.session.recv(&chunk[..n]);
+                    read += n;
+                }
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) => break e.kind() != ErrorKind::WouldBlock,
+            }
+        };
+        let slow = conn.session.serve(&self.serving.dispatcher);
+        self.serving.submit(slot, &mut conn.session, slow);
+        dead
     }
 
     /// Queue the replies of finished slow frames, and serve the frames
@@ -526,43 +393,37 @@ impl Node {
             // The slot is still this job's: a busy connection is out of the
             // epoll set, so nothing tears it down before its reply lands.
             let Some(conn) = self.conns[slot].as_mut() else { continue };
-            conn.wbuf.extend_from_slice(frame.as_bytes());
-            conn.busy = false;
-            conn.serve_buffered(slot, &self.serving);
+            let slow = conn.session.complete(frame.as_bytes(), &self.serving.dispatcher);
+            self.serving.submit(slot, &mut conn.session, slow);
             self.settle(slot, false);
         }
     }
 
-    /// Flush, then tear the connection down if it is dead or done, else
-    /// register the interest its pending work needs.
-    fn settle(&mut self, slot: usize, dead: bool) {
-        let Some(conn) = self.conns[slot].as_mut() else { return };
-        if dead || conn.flush() {
-            // Nothing more can be delivered; a busy connection is torn down
-            // once its slow reply lands.
-            conn.close_after_flush = true;
-            conn.wbuf.clear();
-            conn.wpos = 0;
-        }
-        if conn.finished() {
-            if conn.interest.is_some() {
-                let _ = self.epoll.delete(conn.stream.as_raw_fd());
+    /// Write what the session hands back until the socket would block,
+    /// then close the connection if it is dead or its session finished,
+    /// else register the interest the session wants.
+    fn settle(&mut self, slot: usize, mut dead: bool) {
+        let Some(conn) = self.conns.get_mut(slot).and_then(Option::as_mut) else { return };
+        while !dead && !conn.session.output().is_empty() {
+            match conn.stream.write(conn.session.output()) {
+                Ok(0) => dead = true,
+                Ok(n) => conn.session.wrote(n),
+                Err(e) if e.kind() == ErrorKind::Interrupted => {}
+                Err(e) if e.kind() == ErrorKind::WouldBlock => break,
+                Err(_) => dead = true,
             }
-            self.conns[slot] = None; // dropping the stream closes the fd
+        }
+        if dead {
+            conn.session.fail();
+        }
+        if conn.session.finished() {
+            self.conns[slot] = None; // closing the fd also leaves the epoll set
             self.free.push(slot);
             return;
         }
-        let want = (!conn.busy).then_some(if conn.wants_write() {
-            Interest::READ_WRITE
-        } else {
-            Interest::READ
-        });
-        if want == conn.interest {
-            return;
-        }
-        let fd = conn.stream.as_raw_fd();
-        let token = slot as u64 + FIRST_CONN_TOKEN;
+        let (fd, token, want) = (conn.stream.as_raw_fd(), slot as u64 + FIRST_CONN_TOKEN, conn.session.interest());
         let changed = match (conn.interest, want) {
+            (have, want) if have == want => return,
             (_, None) => self.epoll.delete(fd),
             (None, Some(w)) => self.epoll.add(fd, token, w),
             (Some(_), Some(w)) => self.epoll.modify(fd, token, w),
@@ -572,32 +433,31 @@ impl Node {
         }
     }
 
-    /// The shutdown drain: accept what waits in the listen backlog, read
-    /// once what the kernel already holds on every connection, serve those
-    /// frames — waiting for slow ones on the pool — then flush with
-    /// bounded blocking writes and close. Bytes arriving after the read are
-    /// refused.
+    /// The shutdown drain, in the steady loop's own calls: accept the
+    /// listen backlog; read once what the kernel already holds on every
+    /// connection and serve it (bytes arriving later are refused); wait for
+    /// the slow frames on the pool, each completion serving the frames
+    /// behind it; then flush with bounded blocking writes and close.
     fn drain(mut self) {
         self.accept_ready();
         for slot in 0..self.conns.len() {
+            self.read(slot, usize::MAX);
             if let Some(conn) = self.conns[slot].as_mut() {
-                let _ = conn.fill(usize::MAX);
-                conn.serve_buffered(slot, &self.serving);
+                conn.session.eof();
             }
         }
-        // Each completion may release the frames buffered behind it.
         let _ = self.wake_rx.set_nonblocking(false);
-        while self.conns.iter().flatten().any(|c| c.busy) {
-            let mut sink = [0u8; 64];
-            if (&self.wake_rx).read(&mut sink).is_err() {
-                break;
-            }
+        while self.conns.iter().flatten().any(|c| c.session.busy())
+            && (&self.wake_rx).read(&mut [0u8; 64]).is_ok()
+        {
             self.take_completions();
         }
-        for conn in self.conns.iter_mut().flatten() {
-            let _ = conn.stream.set_nonblocking(false);
-            let _ = conn.stream.set_write_timeout(Some(Duration::from_secs(2)));
-            let _ = conn.stream.write_all(&conn.wbuf[conn.wpos..]);
+        for slot in 0..self.conns.len() {
+            if let Some(conn) = self.conns[slot].as_mut() {
+                let _ = conn.stream.set_nonblocking(false);
+                let _ = conn.stream.set_write_timeout(Some(Duration::from_secs(2)));
+            }
+            self.settle(slot, false);
         }
         self.serving.compute.join();
     }

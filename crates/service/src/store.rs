@@ -565,26 +565,12 @@ impl TierStore {
     /// still the generation the refinement started from. Called from a
     /// background worker; never panics on missing cells.
     pub fn refine(&self, key: &CellKey) {
-        let started_from = match self.l2.read().expect("l2 lock").get(key) {
-            Some(cell) => cell.generation,
-            None => {
-                self.refining.lock().expect("refining lock").remove(key);
-                self.stats.refine_dropped();
-                return;
-            }
-        };
-        let machine_id: MachineId = match key.machine.parse() {
-            Ok(id) => id,
-            Err(_) => {
-                self.refining.lock().expect("refining lock").remove(key);
-                self.stats.refine_dropped();
-                return;
-            }
+        let started_from = self.l2.read().expect("l2 lock").get(key).map(|cell| cell.generation);
+        let (Some(started_from), Ok(machine_id)) = (started_from, key.machine.parse::<MachineId>()) else {
+            return self.cancel_refine(key);
         };
         let result = self.compute_matrix(machine_id, key, Backend::Sim);
-        let mut refining = self.refining.lock().expect("refining lock");
-        refining.remove(key);
-        drop(refining);
+        self.refining.lock().expect("refining lock").remove(key);
         match result {
             Ok(matrix) => {
                 let status_quo = match select(&matrix, &SelectionPolicy::NoDelayFastest) {

@@ -77,14 +77,20 @@ pub struct Job {
     pub(crate) req_counts: Vec<u32>,
     /// Slots needed per rank (max referenced slot + 1).
     slot_counts: Vec<u32>,
+    /// Why the arena cannot index this job (an index at or past [`CNIL`],
+    /// or counts summing past `u32`); `run_ref` rejects it with this.
+    pub(crate) invalid: Option<String>,
 }
 
-/// Narrow a builder-side `usize` to the engine's `u32` indices. Saturates:
-/// a saturated peer/slot/request index is out of range for any real job,
-/// so the engine's existing validity checks still fire on it.
+/// Narrow an `Op`-side `usize` to the engine's `u32` indices. An index
+/// that does not fit below the [`CNIL`] sentinel reads back as `CNIL` and
+/// is kept in `bad` (the first one wins), so [`Job::new`] can flag the job.
 #[inline]
-fn narrow(v: usize) -> u32 {
-    u32::try_from(v).unwrap_or(u32::MAX)
+fn narrow(v: usize, bad: &mut Option<usize>) -> u32 {
+    if v >= CNIL as usize {
+        bad.get_or_insert(v);
+    }
+    v.min(CNIL as usize) as u32
 }
 
 impl Job {
@@ -101,20 +107,26 @@ impl Job {
             filters: Vec::new(),
             req_counts: Vec::with_capacity(ranks),
             slot_counts: Vec::with_capacity(ranks),
+            invalid: None,
         };
         let mut filter_ids = HashMap::new();
         // Borrowed, then dropped whole on return: freeing each rank's ops
         // as soon as it was flattened made perfbench's engine set-up ~7%
         // slower than one pass of frees at the end (2-vCPU AMD EPYC host).
-        for prog in &programs {
+        for (rank, prog) in programs.iter().enumerate() {
             job.rank_ops.push(job.ops.len() as u32);
             job.rank_segs.push(job.segs.len() as u32);
             let (mut nslots, mut nreqs) = (0, 0);
             for seg in &prog.segments {
                 for op in &seg.ops {
-                    nslots = nslots.max(op.max_slot().map_or(0, |m| narrow(m).saturating_add(1)));
-                    nreqs = nreqs.max(op.max_req().map_or(0, |m| narrow(m).saturating_add(1)));
-                    let cop = job.encode(op, &mut filter_ids);
+                    let mut bad = None;
+                    let cop = job.encode(op, &mut filter_ids, &mut bad);
+                    if let (Some(index), None) = (bad, &job.invalid) {
+                        let at = job.ops.len() - job.rank_ops[rank] as usize;
+                        job.invalid = Some(format!("rank {rank} op {at} ({op:?}): index {index} does not fit in u32"));
+                    }
+                    nslots = nslots.max(op.max_slot().map_or(0, |m| narrow(m, &mut bad).saturating_add(1)));
+                    nreqs = nreqs.max(op.max_req().map_or(0, |m| narrow(m, &mut bad).saturating_add(1)));
                     job.ops.push(cop);
                 }
                 job.segs.push(CSeg { end: job.ops.len() as u32, label: seg.label });
@@ -124,12 +136,18 @@ impl Job {
         }
         job.rank_ops.push(job.ops.len() as u32);
         job.rank_segs.push(job.segs.len() as u32);
+        let sum = |c: &[u32]| c.iter().map(|&n| u64::from(n)).sum::<u64>();
+        let (reqs, slots) = (sum(&job.req_counts), sum(&job.slot_counts));
+        if job.invalid.is_none() && reqs.max(slots) > u64::from(u32::MAX) {
+            job.invalid = Some(format!("{reqs} requests and {slots} slots over all ranks overflow u32"));
+        }
         job
     }
 
     /// The arena form of one builder op (part of [`Job::new`]): WaitAll
     /// lists and non-trivial filters go to the side tables.
-    fn encode(&mut self, op: &Op, filter_ids: &mut HashMap<BlockFilter, u32>) -> COp {
+    fn encode(&mut self, op: &Op, filter_ids: &mut HashMap<BlockFilter, u32>, bad: &mut Option<usize>) -> COp {
+        let mut narrow = |v| narrow(v, bad);
         let mut filter = |f: BlockFilter| match f {
             BlockFilter::All => CNIL,
             f => *filter_ids.entry(f).or_insert_with(|| {
@@ -203,7 +221,7 @@ impl Job {
     }
 
     /// The builder form of one arena op (part of [`Job::program`]).
-    fn decode(&self, op: &COp) -> Op {
+    pub(crate) fn decode(&self, op: &COp) -> Op {
         let w = |v: u32| v as usize;
         match *op {
             COp::Compute { seconds, noisy } => Op::Compute { seconds, noisy },

@@ -205,6 +205,9 @@ pub fn run_ref(platform: &Platform, job: &Job, cfg: &SimConfig) -> Result<RunOut
             platform.ranks
         )));
     }
+    if let Some(why) = &job.invalid {
+        return Err(SimError::InvalidProgram(why.clone()));
+    }
     if !cfg.faults.is_none() {
         // Reject out-of-range fault specs before the engine indexes its
         // per-rank fault tables — inside the validated envelope every
@@ -452,14 +455,39 @@ mod tests {
         let out = {
             let platform = Platform::simcluster(2);
             let job = Job::new(vec![
-                RankProgram::from_ops(vec![Op::recv(1, 1, 0)]),
-                RankProgram::from_ops(vec![Op::recv(0, 1, 0)]),
+                RankProgram::from_ops(vec![Op::recv(1, 0, 0)]),
+                RankProgram::from_ops(vec![Op::recv(0, 0, 0)]),
             ]);
             run(&platform, job, &SimConfig::default())
         };
         match out {
-            Err(SimError::Deadlock { blocked, .. }) => assert_eq!(blocked.len(), 2),
+            Err(e @ SimError::Deadlock { .. }) => {
+                assert_eq!(e.starved_ranks(), vec![0, 1]);
+                // The report shows the decoded `Op`, not the arena's sentinels.
+                let msg = e.to_string();
+                assert!(msg.contains("Recv { from: 1, tag: 0, slot: 0 }"), "{msg}");
+                assert!(!msg.contains("4294967295"), "{msg}");
+            }
             other => panic!("expected deadlock, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn indices_past_u32_are_rejected_before_sizing_tables() {
+        let platform = Platform::simcluster(2);
+        let req = u32::MAX as usize;
+        let job = Job::new(vec![RankProgram::from_ops(vec![Op::irecv(1, 0, 0, req)]), RankProgram::new()]);
+        match run(&platform, job, &SimConfig::default()) {
+            Err(SimError::InvalidProgram(msg)) => {
+                assert!(msg.contains("rank 0 op 0") && msg.contains("index 4294967295"), "{msg}")
+            }
+            other => panic!("expected InvalidProgram, got {other:?}"),
+        }
+        // Each rank's count fits in u32, their sum does not.
+        let wide = |r| RankProgram::from_ops(vec![Op::irecv(r, 0, 0, req - 1), Op::waitall(vec![req - 1])]);
+        match run(&platform, Job::new(vec![wide(1), wide(0)]), &SimConfig::default()) {
+            Err(SimError::InvalidProgram(msg)) => assert!(msg.contains("overflow u32"), "{msg}"),
+            other => panic!("expected InvalidProgram, got {other:?}"),
         }
     }
 

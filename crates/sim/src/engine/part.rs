@@ -578,7 +578,7 @@ impl<'a> Part<'a> {
                 let seg = st.seg_i - self.job.rank_segs[l];
                 let pc = st.op_i - st.seg_start;
                 let desc = if st.op_i < self.job.rank_ops[l + 1] {
-                    let op = &self.job.ops[st.op_i as usize];
+                    let op = self.job.decode(&self.job.ops[st.op_i as usize]);
                     format!("{:?} (seg {}, pc {}, status {:?})", op, seg, pc, st.status)
                 } else {
                     format!("end-of-program? (seg {}, pc {}, status {:?})", seg, pc, st.status)
