@@ -8,7 +8,7 @@ use pap_collectives::registry::{algorithm, experiment_ids, ALGORITHMS};
 use pap_collectives::{CollSpec, CollectiveKind};
 use pap_core::report::{render_normalized_table, render_robustness_table, render_runtime_table};
 use pap_core::{predict_app_runtime, select, BenchMatrix, SelectionPolicy};
-use pap_microbench::{measure, sweep, BenchConfig, SkewPolicy};
+use pap_microbench::{measure, sweep, sweep_cells, BenchConfig, SkewPolicy, SweepSpec};
 use pap_sim::{MachineId, Platform};
 use pap_tracer::{synced_observer, CollectiveTrace, TracerConfig};
 
@@ -182,14 +182,15 @@ pub fn fig4(kind: CollectiveKind, scale: Scale) -> String {
     }
     s.push('\n');
 
-    // One independent sweep per size, fanned out; results come back in
-    // size order so the rendering below is unchanged.
-    let matrices: Vec<BenchMatrix> = pap_parallel::par_map(&sizes, |_, &size| {
-        let sw = sweep(&platform, kind, &algs, &shapes, size, SkewPolicy::FactorOfAvg(1.5), &[], &cfg)
-            .expect("sweep");
-        eprintln!("fig4 {kind}: size {size} done");
-        BenchMatrix::from_sweep(&sw)
-    });
+    // One sweep over every size; results come back in size order.
+    let cells: Vec<SweepSpec> =
+        sizes.iter().map(|&bytes| SweepSpec { kind, bytes, algs: algs.clone() }).collect();
+    let matrices: Vec<BenchMatrix> =
+        sweep_cells(&platform, &cells, &shapes, SkewPolicy::FactorOfAvg(1.5), &[], &cfg)
+            .into_iter()
+            .map(|sw| BenchMatrix::from_sweep(&sw.expect("sweep")))
+            .collect();
+    eprintln!("fig4 {kind}: done");
 
     s.push_str(&format!("{:<14}", "pattern"));
     for &size in &sizes {
@@ -235,29 +236,21 @@ pub fn fig5(scale: Scale) -> String {
         "Fig. 5 — impact of arrival patterns on collective runtimes ({} with {} processes)\n",
         platform.machine, platform.ranks
     );
-    // The (collective × size) sweeps are independent: fan out and render
-    // each worker's table, then stitch in grid order.
-    let grid = fig56_grid(scale);
-    let tables = pap_parallel::par_map(&grid, |_, &(kind, size)| {
-        let algs = experiment_ids(kind);
-        let sw = sweep(&platform, kind, &algs, &FIG5_SHAPES, size, SkewPolicy::FactorOfAvg(1.0), &[], &cfg)
-            .expect("sweep");
-        eprintln!("fig5 {kind}: size {size} done");
-        render_runtime_table(&BenchMatrix::from_sweep(&sw), 0.05)
-    });
-    for t in tables {
-        s.push_str(&t);
+    let policy = SkewPolicy::FactorOfAvg(1.0);
+    for sw in sweep_cells(&platform, &fig56_grid(scale), &FIG5_SHAPES, policy, &[], &cfg) {
+        s.push_str(&render_runtime_table(&BenchMatrix::from_sweep(&sw.expect("sweep")), 0.05));
         s.push('\n');
     }
+    eprintln!("fig5: done");
     s
 }
 
 /// The (collective × size) grid shared by Figs. 5 and 6.
-fn fig56_grid(scale: Scale) -> Vec<(CollectiveKind, u64)> {
+fn fig56_grid(scale: Scale) -> Vec<SweepSpec> {
     let mut grid = Vec::new();
     for kind in CollectiveKind::PAPER {
-        for &size in &fig5_sizes(scale) {
-            grid.push((kind, size));
+        for &bytes in &fig5_sizes(scale) {
+            grid.push(SweepSpec { kind, bytes, algs: experiment_ids(kind) });
         }
     }
     grid
@@ -273,18 +266,13 @@ pub fn fig6(scale: Scale) -> String {
         "Fig. 6 — robustness of collective algorithms against arrival patterns ({}, {} processes)\n",
         platform.machine, platform.ranks
     );
-    let grid = fig56_grid(scale);
-    let tables = pap_parallel::par_map(&grid, |_, &(kind, size)| {
-        let algs = experiment_ids(kind);
-        let sw = sweep(&platform, kind, &algs, &FIG5_SHAPES, size, SkewPolicy::PerAlgorithm, &[], &cfg)
-            .expect("sweep");
-        eprintln!("fig6 {kind}: size {size} done");
-        render_robustness_table(&BenchMatrix::from_sweep(&sw), 0.25).expect("no_delay row present")
-    });
-    for t in tables {
-        s.push_str(&t);
+    let policy = SkewPolicy::PerAlgorithm;
+    for sw in sweep_cells(&platform, &fig56_grid(scale), &FIG5_SHAPES, policy, &[], &cfg) {
+        let m = BenchMatrix::from_sweep(&sw.expect("sweep"));
+        s.push_str(&render_robustness_table(&m, 0.25).expect("no_delay row present"));
         s.push('\n');
     }
+    eprintln!("fig6: done");
     s
 }
 

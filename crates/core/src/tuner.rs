@@ -5,7 +5,7 @@
 use pap_arrival::Shape;
 use pap_collectives::registry::experiment_ids;
 use pap_collectives::CollectiveKind;
-use pap_microbench::{sweep, BenchConfig, SkewPolicy, SweepResult};
+use pap_microbench::{sweep_cells, BenchConfig, SkewPolicy, SweepSpec};
 use pap_sim::Platform;
 
 use crate::matrix::BenchMatrix;
@@ -50,12 +50,12 @@ pub struct TuneRecord {
     pub status_quo: u8,
 }
 
-/// Run the plan: one sweep per (collective, size), one decision each.
+/// Run the plan: one sweep of every (collective, size) cell, one decision
+/// each.
 ///
-/// The (collective × size) grid fans out over [`pap_parallel::par_map`];
-/// each cell's inner sweep then runs sequentially inside its worker, so
-/// total parallelism stays bounded by the thread knob. Results come back
-/// in grid order, identical to the sequential loop.
+/// The whole plan goes to one [`sweep_cells`] call, which fans out over
+/// (cell, algorithm) units and builds each schedule at most twice. Results
+/// come back in plan order, identical at every thread count.
 ///
 /// Returns the tuning table and the per-cell evidence. Errors from the
 /// harness are propagated with the offending cell named.
@@ -64,16 +64,19 @@ pub fn tune_machine(
     plan: &TunePlan,
     cfg: &BenchConfig,
 ) -> Result<(TuningTable, Vec<TuneRecord>), String> {
-    let mut grid: Vec<(CollectiveKind, u64)> = Vec::new();
+    let mut cells = Vec::new();
     for &kind in &plan.kinds {
         for &bytes in &plan.sizes {
-            grid.push((kind, bytes));
+            cells.push(SweepSpec { kind, bytes, algs: experiment_ids(kind) });
         }
     }
-    let tuned = pap_parallel::par_map(&grid, |_, &(kind, bytes)| {
-        let algs = experiment_ids(kind);
-        let sw: SweepResult = sweep(platform, kind, &algs, &plan.shapes, bytes, plan.skew, &[], cfg)
-            .map_err(|e| format!("{kind} @ {bytes} B: {e}"))?;
+    let swept = sweep_cells(platform, &cells, &plan.shapes, plan.skew, &[], cfg);
+
+    let mut table = TuningTable::new();
+    let mut records = Vec::new();
+    for (cell, sw) in cells.iter().zip(swept) {
+        let (kind, bytes) = (cell.kind, cell.bytes);
+        let sw = sw.map_err(|e| format!("{kind} @ {bytes} B: {e}"))?;
         let matrix = BenchMatrix::from_sweep(&sw);
         let alg = select(&matrix, &plan.policy)?;
         let status_quo = select(&matrix, &SelectionPolicy::NoDelayFastest)?;
@@ -85,15 +88,8 @@ pub fn tune_machine(
             alg,
             policy: format!("{:?}", plan.policy),
         };
-        Ok::<_, String>(TuneRecord { entry, matrix, status_quo })
-    });
-
-    let mut table = TuningTable::new();
-    let mut records = Vec::new();
-    for rec in tuned {
-        let rec = rec?;
-        table.insert(rec.entry.clone());
-        records.push(rec);
+        table.insert(entry.clone());
+        records.push(TuneRecord { entry, matrix, status_quo });
     }
     Ok((table, records))
 }

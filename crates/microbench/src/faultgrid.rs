@@ -14,13 +14,13 @@
 //! algorithm. `pap-core`'s fault matrix maps those to an unbounded
 //! worst-case degradation, which the fault-robust selection policy avoids.
 
-use pap_collectives::{build, CollSpec, CollectiveKind, TAG_SPAN};
+use pap_collectives::{CollSpec, CollectiveKind};
 use pap_lint::{crash_cone, CrashPoint, LintConfig};
-use pap_sim::{FaultSpec, Job, Platform, RankProgram, SimError, ANY_NODE};
+use pap_sim::{FaultSpec, Platform, SimError, ANY_NODE};
 use serde::{Deserialize, Serialize};
 
-use crate::harness::{measure, BenchConfig, BenchError, START_TARGET};
-use crate::sweep::derive_seed;
+use crate::harness::{measure_with, BenchConfig, BenchError, Schedule, START_TARGET};
+use crate::sweep::{derive_seed, tag_base};
 
 /// Version of the standard fault grid's scenario semantics. Bump whenever
 /// the scenario set or its timing changes in a way that makes persisted
@@ -155,11 +155,12 @@ fn statically_decidable(faults: &FaultSpec, cfg: &BenchConfig) -> bool {
 }
 
 /// Run the `(algorithms × scenarios)` fault grid for one collective and
-/// message size. Cells fan out over [`pap_parallel::par_map`] with derived
-/// seeds and disjoint tag ranges, exactly like [`crate::sweep()`], so the
-/// result is byte-identical at any thread count. The arrival pattern is
-/// `NoDelay` throughout: the grid isolates fault response from skew
-/// response (compose with [`crate::sweep()`] for the combined picture).
+/// message size. Algorithms fan out over [`pap_parallel::par_map`], each
+/// building its schedule once, and cells derive their seeds from their grid
+/// index exactly like [`crate::sweep()`], so the result is byte-identical at
+/// any thread count. The arrival pattern is `NoDelay` throughout: the grid
+/// isolates fault response from skew response (compose with
+/// [`crate::sweep()`] for the combined picture).
 ///
 /// Entry-crash scenarios are pre-filtered by `pap-lint`'s static crash
 /// cone: a non-empty cone settles the cell as `mean_last = None` (flagged
@@ -174,62 +175,56 @@ pub fn fault_sweep(
     scenarios: &[FaultScenario],
     cfg: &BenchConfig,
 ) -> Result<FaultSweepResult, BenchError> {
+    if algs.is_empty() {
+        return Err(BenchError::NoAlgorithms(kind));
+    }
     let p = platform.ranks;
     let nodelay = pap_arrival::generate(pap_arrival::Shape::NoDelay, p, 0.0, 0);
-
-    let mut grid: Vec<(u8, u64, &FaultScenario)> = Vec::new();
-    for (ai, &alg) in algs.iter().enumerate() {
-        for (si, scenario) in scenarios.iter().enumerate() {
-            grid.push((alg, (ai * scenarios.len() + si) as u64, scenario));
-        }
-    }
-
     let lint_cfg = LintConfig::for_platform(platform);
-    let runs = pap_parallel::par_map(&grid, |gi, &(alg, cell_id, scenario)| {
-        let spec = CollSpec::new(kind, alg, bytes).with_tag_base(cell_id * 8 * TAG_SPAN);
-        if statically_decidable(&scenario.faults, cfg) {
-            let built = build(&spec, p).map_err(BenchError::Build)?;
-            let job =
-                Job::new(built.rank_ops.into_iter().map(RankProgram::from_ops).collect());
-            let crashes: Vec<CrashPoint> =
-                scenario.faults.crashes.iter().map(|c| CrashPoint::on_entry(c.rank)).collect();
-            if !crash_cone(&job, &lint_cfg, &crashes).is_empty() {
-                return Ok(FaultCell {
-                    alg,
-                    scenario: scenario.name.clone(),
-                    mean_last: None,
-                    statically_decided: true,
-                });
-            }
-            // Empty cone: the schedule provably completes — fall through to
-            // the sim for the actual degraded timing.
-        }
-        let run_cfg = cfg
-            .clone()
-            .with_seed(derive_seed(cfg.seed, gi as u64))
-            .with_faults(scenario.faults.clone());
-        match measure(platform, &spec, &nodelay, &run_cfg) {
-            Ok(stats) => {
-                pap_obs::pump_spans();
-                Ok(FaultCell {
-                    alg,
-                    scenario: scenario.name.clone(),
-                    mean_last: Some(stats.mean_last()),
-                    statically_decided: false,
-                })
-            }
-            // A deadlock here is the *measured outcome* of the scenario —
-            // the schedule needs a dead rank — not a harness failure.
-            Err(BenchError::Sim(SimError::Deadlock { .. })) => Ok(FaultCell {
+
+    // One unit per algorithm: its schedule is built once and serves the
+    // static crash cone and every scenario's runs. Cell `(ai, si)` keeps
+    // the seed of its grid index, so the result does not depend on the
+    // thread count.
+    let runs = pap_parallel::par_map(algs, |ai, &alg| {
+        let spec = CollSpec::new(kind, alg, bytes).with_tag_base(tag_base(ai));
+        let schedule = Schedule::build(&spec, p)?;
+        let mut cells = Vec::with_capacity(scenarios.len());
+        for (si, scenario) in scenarios.iter().enumerate() {
+            let cell = |mean_last, statically_decided| FaultCell {
                 alg,
                 scenario: scenario.name.clone(),
-                mean_last: None,
-                statically_decided: false,
-            }),
-            Err(e) => Err(e),
+                mean_last,
+                statically_decided,
+            };
+            if statically_decidable(&scenario.faults, cfg) {
+                let crashes: Vec<CrashPoint> =
+                    scenario.faults.crashes.iter().map(|c| CrashPoint::on_entry(c.rank)).collect();
+                if !crash_cone(&schedule.job, &lint_cfg, &crashes).is_empty() {
+                    cells.push(cell(None, true));
+                    continue;
+                }
+                // Empty cone: the schedule provably completes — fall
+                // through to the sim for the actual degraded timing.
+            }
+            let run_cfg = cfg
+                .clone()
+                .with_seed(derive_seed(cfg.seed, (ai * scenarios.len() + si) as u64))
+                .with_faults(scenario.faults.clone());
+            match measure_with(platform, &spec, Some(&schedule), &nodelay, &run_cfg) {
+                Ok(stats) => {
+                    pap_obs::pump_spans();
+                    cells.push(cell(Some(stats.mean_last()), false));
+                }
+                // A deadlock here is the *measured outcome* of the scenario
+                // — the schedule needs a dead rank — not a harness failure.
+                Err(BenchError::Sim(SimError::Deadlock { .. })) => cells.push(cell(None, false)),
+                Err(e) => return Err(e),
+            }
         }
+        Ok(cells)
     });
-    let cells = runs.into_iter().collect::<Result<Vec<_>, _>>()?;
+    let cells = runs.into_iter().collect::<Result<Vec<_>, _>>()?.concat();
 
     Ok(FaultSweepResult {
         kind,

@@ -2,9 +2,9 @@
 
 use pap_arrival::ArrivalPattern;
 use pap_clocksync::{harmonize_starts, sync_cluster, ClusterClocks, Hca3Config};
-use pap_collectives::{build, BuildError, CollSpec};
+use pap_collectives::{build, BuildError, CollSpec, CollectiveKind};
 use pap_sim::{
-    run_ref, FaultSpec, Job, Label, NoiseModel, Op, Platform, RankProgram, SimConfig, SimError,
+    run_with_arrivals, FaultSpec, Job, Label, NoiseModel, Platform, RankProgram, SimConfig, SimError,
 };
 use serde::{Deserialize, Serialize};
 
@@ -144,6 +144,9 @@ pub enum BenchError {
     /// Fault injection was requested with the analytical model backend,
     /// which has no representation of runtime faults.
     FaultsNeedSim,
+    /// A sweep cell lists no algorithms: the collective has none to select
+    /// from (Bcast and Barrier are substrates, not experiment collectives).
+    NoAlgorithms(CollectiveKind),
 }
 
 impl std::fmt::Display for BenchError {
@@ -158,6 +161,7 @@ impl std::fmt::Display for BenchError {
             BenchError::FaultsNeedSim => {
                 write!(f, "fault injection requires the sim backend (model has no fault model)")
             }
+            BenchError::NoAlgorithms(kind) => write!(f, "{kind} has no selectable algorithms"),
         }
     }
 }
@@ -215,9 +219,22 @@ pub fn measure(
     pattern: &ArrivalPattern,
     cfg: &BenchConfig,
 ) -> Result<crate::RunStats, BenchError> {
+    measure_with(platform, spec, None, pattern, cfg)
+}
+
+/// [`measure`] against `spec`'s schedule built once by the caller, so a
+/// sweep unit runs every pattern and repetition against one build (`None`
+/// builds it here). The model backend needs no schedule and ignores it.
+pub(crate) fn measure_with(
+    platform: &Platform,
+    spec: &CollSpec,
+    schedule: Option<&Schedule>,
+    pattern: &ArrivalPattern,
+    cfg: &BenchConfig,
+) -> Result<crate::RunStats, BenchError> {
     let wall = std::time::Instant::now();
     let _span = pap_obs::span("bench", "measure_cell");
-    let out = measure_inner(platform, spec, pattern, cfg);
+    let out = measure_inner(platform, spec, schedule, pattern, cfg);
     let m = harness_metrics();
     m.cell_wall_us.record(wall.elapsed().as_micros().min(u64::MAX as u128) as u64);
     match (&out, cfg.backend) {
@@ -228,28 +245,41 @@ pub fn measure(
     out
 }
 
-/// The measured job of Listing 1: rank `r` sleeps until `starts[r]`, serves
-/// its arrival-pattern delay, then runs the collective as one labelled
-/// segment, whose enter and exit times are its arrival and exit times
-/// (§II-A). Returns the job and that segment's label.
-pub(crate) fn arrival_job(
-    spec: &CollSpec,
-    pattern: &ArrivalPattern,
-    starts: &[f64],
-) -> Result<(Job, Label), BenchError> {
-    let label = Label { kind: spec.kind.label_kind(), seq: 0 };
-    let programs = build(spec, starts.len())?.rank_ops.into_iter().enumerate().map(|(r, ops)| {
-        let mut prog = RankProgram::new();
-        prog.push_anon(vec![Op::SleepUntil { time: starts[r] }, Op::delay(pattern.delay_of(r))]);
-        prog.push_labeled(label, ops);
-        prog
-    });
-    Ok((Job::new(programs.collect()), label))
+/// The measured schedule of Listing 1: every rank runs the collective as
+/// one labelled segment, whose enter and exit times are its arrival and
+/// exit times (§II-A). The harmonized start and the arrival-pattern delay
+/// are inputs of each run ([`arrivals`]), not ops, so one build serves
+/// every start, pattern and repetition.
+pub(crate) struct Schedule {
+    /// The compiled job.
+    pub(crate) job: Job,
+    /// The collective segment's label.
+    pub(crate) label: Label,
+}
+
+impl Schedule {
+    /// Build `spec`'s schedule for `ranks` ranks.
+    pub(crate) fn build(spec: &CollSpec, ranks: usize) -> Result<Self, BenchError> {
+        let label = Label { kind: spec.kind.label_kind(), seq: 0 };
+        let programs = build(spec, ranks)?.rank_ops.into_iter().map(|ops| {
+            let mut prog = RankProgram::new();
+            prog.push_labeled(label, ops);
+            prog
+        });
+        Ok(Schedule { job: Job::new(programs.collect()), label })
+    }
+}
+
+/// The per-rank run inputs of Listing 1: rank `r` sleeps until `starts[r]`,
+/// then serves its arrival-pattern delay (see [`run_with_arrivals`]).
+pub(crate) fn arrivals(starts: &[f64], pattern: &ArrivalPattern) -> Vec<(f64, f64)> {
+    starts.iter().enumerate().map(|(r, &start)| (start, pattern.delay_of(r))).collect()
 }
 
 fn measure_inner(
     platform: &Platform,
     spec: &CollSpec,
+    schedule: Option<&Schedule>,
     pattern: &ArrivalPattern,
     cfg: &BenchConfig,
 ) -> Result<crate::RunStats, BenchError> {
@@ -269,6 +299,16 @@ fn measure_inner(
         return Ok(crate::RunStats::new(vec![m; cfg.nrep.max(1)]));
     }
 
+    let built;
+    let Schedule { job, label } = match schedule {
+        Some(s) => s,
+        None => {
+            built = Schedule::build(spec, p)?;
+            &built
+        }
+    };
+    let label = *label;
+
     // Clock infrastructure, set up once per benchmark (like a real
     // measurement campaign: sync first, then repeat).
     let clock_ctx = if cfg.clock_sync {
@@ -285,12 +325,12 @@ fn measure_inner(
 
     // Each repetition is an independent simulation; the schedule, harmonized
     // starts and pattern delays are identical across reps (only the noise
-    // seed differs), so the program is built once and re-run.
+    // seed differs).
     let starts: Vec<f64> = match &clock_ctx {
         Some((clocks, calib)) => harmonize_starts(clocks, calib, p, |r| platform.node_of(r), target, 0.0),
         None => vec![target; p],
     };
-    let (job, label) = arrival_job(spec, pattern, &starts)?;
+    let arrivals = arrivals(&starts, pattern);
 
     let mut reps = Vec::with_capacity(cfg.nrep);
     for rep in 0..cfg.nrep {
@@ -301,7 +341,7 @@ fn measure_inner(
             faults: cfg.faults.clone(),
             ..SimConfig::default()
         };
-        let out = run_ref(platform, &job, &sim_cfg)?;
+        let out = run_with_arrivals(platform, job, &sim_cfg, &arrivals)?;
         // A crashed rank never exits its labeled segment, so faulted runs
         // may legitimately record fewer than p phases; the metric folds
         // below are over surviving ranks (degraded-mode semantics).
@@ -342,7 +382,6 @@ fn measure_inner(
 mod tests {
     use super::*;
     use pap_arrival::{generate, Shape};
-    use pap_collectives::CollectiveKind;
 
     fn pattern(shape: Shape, p: usize, s: f64) -> ArrivalPattern {
         generate(shape, p, s, 1)

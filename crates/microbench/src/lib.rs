@@ -36,4 +36,6 @@ pub use faultgrid::{
 pub use harness::{measure, Backend, BenchConfig, BenchError, Measurement, START_TARGET};
 pub use profile::{profile, profile_with_faults, Profile};
 pub use stats::RunStats;
-pub use sweep::{calibrate_avg_runtime, no_delay_runtime, sweep, SkewPolicy, SweepCell, SweepResult};
+pub use sweep::{
+    calibrate_avg_runtime, no_delay_runtime, sweep, sweep_cells, SkewPolicy, SweepCell, SweepResult, SweepSpec,
+};

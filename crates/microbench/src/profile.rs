@@ -20,10 +20,10 @@ use pap_arrival::ArrivalPattern;
 use pap_collectives::registry::algorithm;
 use pap_collectives::CollSpec;
 use pap_obs::ChromeTrace;
-use pap_sim::{run_ref, FaultSpec, NoiseModel, Platform, SimConfig, SimError};
+use pap_sim::{run_with_arrivals, FaultSpec, NoiseModel, Platform, SimConfig, SimError};
 use serde::Content;
 
-use crate::harness::{arrival_job, BenchError, START_TARGET};
+use crate::harness::{arrivals, BenchError, Schedule, START_TARGET};
 
 /// Lane group ID used for simulator ranks in emitted traces.
 const SIM_PID: u64 = 1;
@@ -104,7 +104,7 @@ pub fn profile_with_faults(
 
     // The measurement harness's job (Listing 1) in its noise-free
     // simulation setting: every rank starts exactly on target.
-    let (job, label) = arrival_job(spec, pattern, &vec![START_TARGET; p])?;
+    let Schedule { job, label } = Schedule::build(spec, p)?;
 
     let sim_cfg = SimConfig {
         seed,
@@ -114,7 +114,8 @@ pub fn profile_with_faults(
         ..SimConfig::default()
     }
     .with_faults(faults.clone());
-    let out = run_ref(platform, &job, &sim_cfg)?;
+    let arrivals = arrivals(&vec![START_TARGET; p], pattern);
+    let out = run_with_arrivals(platform, &job, &sim_cfg, &arrivals)?;
 
     // Ranks without a complete phase record crashed mid-collective; the
     // delay metrics fold over the survivors (degraded-mode semantics,

@@ -14,8 +14,8 @@
 //!
 //! A value of 1 forces the plain sequential loop (no threads spawned).
 //! Nested [`par_map`] calls from inside a worker run sequentially, so outer
-//! parallelism (e.g. the tuner's kind × size grid) is not multiplied by
-//! inner parallelism (each cell's sweep). A single simulation run is never
+//! parallelism (e.g. the Figs. 7–9 drivers' fan-out over machines) is not
+//! multiplied by inner parallelism (each machine's sweep). A single simulation run is never
 //! split across threads: the engine is sequential, and parallelism pays
 //! across runs.
 //!

@@ -27,7 +27,7 @@ use pap_core::{
     TuneRecord,
 };
 use pap_microbench::{
-    fault_sweep, no_delay_runtime, standard_grid, sweep, Backend, BenchConfig, SkewPolicy,
+    fault_sweep, no_delay_runtime, standard_grid, sweep, Backend, BenchConfig, BenchError, SkewPolicy,
 };
 use pap_sim::{register_custom_platform, MachineId, Platform};
 
@@ -721,11 +721,11 @@ pub fn measure_fault_matrix(
     let platform = Platform::try_preset(machine_id, ranks)?;
     let algs = experiment_ids(kind);
     let cfg = BenchConfig::simulation();
-    let t = no_delay_runtime(&platform, kind, algs[0], bytes, &cfg, 0)
-        .map_err(|e| format!("fault grid {kind} @ {bytes} B: {e}"))?;
+    let context = |e: BenchError| format!("fault grid {kind} @ {bytes} B: {e}");
+    let first = *algs.first().ok_or_else(|| context(BenchError::NoAlgorithms(kind)))?;
+    let t = no_delay_runtime(&platform, kind, first, bytes, &cfg, 0).map_err(context)?;
     let scenarios = standard_grid(ranks, t);
-    let sw = fault_sweep(&platform, kind, &algs, bytes, &scenarios, &cfg)
-        .map_err(|e| format!("fault grid {kind} @ {bytes} B: {e}"))?;
+    let sw = fault_sweep(&platform, kind, &algs, bytes, &scenarios, &cfg).map_err(context)?;
     Ok(FaultMatrix::from_fault_sweep(&sw))
 }
 
@@ -808,6 +808,15 @@ mod tests {
         let (b, _) = s.resolve(&query(4096, None)).unwrap();
         assert_eq!(b.tier, Tier::L1);
         assert_eq!(b.alg, a.alg);
+    }
+
+    #[test]
+    fn collectives_without_algorithms_are_named_in_the_error() {
+        let s = store(8, false);
+        let q = QueryRequest { collective: CollectiveKind::Bcast, ..query(2048, None) };
+        let err = s.resolve(&q).unwrap_err();
+        assert!(err.contains("MPI_Bcast has no selectable algorithms"), "{err}");
+        assert_eq!(s.l2_len(), 0, "nothing is published for the refused cell");
     }
 
     #[test]

@@ -204,6 +204,20 @@ fn malformed_frames_get_error_replies_without_killing_the_connection() {
     stop(server, &mut client);
 }
 
+/// Bcast and Barrier are substrates with no selectable algorithms: a query
+/// for one is a BadRequest that says so, not an "empty matrix".
+#[test]
+fn collectives_without_algorithms_are_refused_by_name() {
+    let (server, mut client) = start(|cfg| cfg.tune_at_startup = false);
+    for (kind, name) in [(CollectiveKind::Bcast, "MPI_Bcast"), (CollectiveKind::Barrier, "MPI_Barrier")] {
+        let err = client.query(QueryRequest { collective: kind, ..query(2048) }).unwrap_err();
+        assert!(err.contains("BadRequest"), "unexpected error: {err}");
+        assert!(err.contains(&format!("{name} has no selectable algorithms")), "unexpected error: {err}");
+    }
+    client.ping().expect("connection survives");
+    stop(server, &mut client);
+}
+
 /// An oversized frame (no newline within the limit) is rejected with a
 /// BadFrame reply and the connection is closed.
 #[test]

@@ -194,6 +194,23 @@ pub fn run(platform: &Platform, job: Job, cfg: &SimConfig) -> Result<RunOutcome,
 /// [`run`] without consuming the job — repetition loops (ReproMPI-style
 /// NREP) build the program once and run it many times with different seeds.
 pub fn run_ref(platform: &Platform, job: &Job, cfg: &SimConfig) -> Result<RunOutcome, SimError> {
+    run_with_arrivals(platform, job, cfg, &[])
+}
+
+/// [`run_ref`] with each rank's arrival as an input of the run rather than
+/// ops of the job: rank `r` waits until its start `arrivals[r].0`, then for
+/// its arrival-pattern delay `arrivals[r].1`, before its first op. The
+/// outcome is bit-identical to running a job whose every rank begins with
+/// an anonymous `[SleepUntil { time: start }, Op::delay(delay)]` segment,
+/// faults and noise included, so the measurement harness builds a schedule
+/// once and runs every start and pattern against it (Listing 1 of the
+/// paper). An empty `arrivals` means none: every rank starts at t = 0.
+pub fn run_with_arrivals(
+    platform: &Platform,
+    job: &Job,
+    cfg: &SimConfig,
+    arrivals: &[(SimTime, SimTime)],
+) -> Result<RunOutcome, SimError> {
     let _span = pap_obs::span("sim", "run");
     let p = job.ranks();
     if p == 0 {
@@ -203,6 +220,12 @@ pub fn run_ref(platform: &Platform, job: &Job, cfg: &SimConfig) -> Result<RunOut
         return Err(SimError::InvalidProgram(format!(
             "job has {p} ranks but platform is configured for {}",
             platform.ranks
+        )));
+    }
+    if !arrivals.is_empty() && arrivals.len() != p {
+        return Err(SimError::InvalidProgram(format!(
+            "{} arrivals for a job of {p} ranks",
+            arrivals.len()
         )));
     }
     if let Some(why) = &job.invalid {
@@ -217,6 +240,7 @@ pub fn run_ref(platform: &Platform, job: &Job, cfg: &SimConfig) -> Result<RunOut
         }
     }
     let mut part = Part::new(platform, job, cfg);
+    part.arrive(arrivals);
     part.run();
     assemble(part, cfg)
 }

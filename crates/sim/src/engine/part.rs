@@ -519,6 +519,25 @@ impl<'a> Part<'a> {
         part
     }
 
+    /// Move each rank's clock to its arrival before the startup sweep, with
+    /// the arithmetic the `[SleepUntil { time: start }, Op::delay(delay)]`
+    /// prefix ops would apply: wait until `start`, then, unless a crash
+    /// fired, for `delay` (noise-free), each step through [`Part::warp`] so
+    /// stalls and crashes land exactly where the ops would put them. The
+    /// arrivals are a one-off pass, not per-event state.
+    pub(super) fn arrive(&mut self, arrivals: &[(SimTime, SimTime)]) {
+        for (l, &(start, delay)) in arrivals.iter().enumerate() {
+            let t = self.ranks[l].local.max(start);
+            self.ranks[l].local = self.warp(l, t);
+            if !self.crashed(l) {
+                let t = self.ranks[l].local + delay;
+                self.ranks[l].local = self.warp(l, t);
+            }
+            // A first segment that is empty enters (and exits) here.
+            self.ranks[l].seg_enter = self.ranks[l].local;
+        }
+    }
+
     #[inline]
     fn push_event(&mut self, t: SimTime, kind: u8, uid: u64, idx: u32) {
         self.queue.push(QEvent { t, kind, uid, idx });

@@ -60,7 +60,7 @@ pub mod time;
 pub mod timeline;
 
 pub use data::{RankSet, SlotInit, Value};
-pub use engine::{run, run_par, run_ref, RunOutcome, SimError};
+pub use engine::{run, run_par, run_ref, run_with_arrivals, RunOutcome, SimError};
 pub use fault::{FaultSpec, LinkFault, NoiseStorm, RankCrash, RankStall, ANY_NODE};
 pub use noise::NoiseModel;
 pub use platform::{

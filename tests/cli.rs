@@ -61,3 +61,17 @@ fn an_unknown_flag_names_the_flag() {
     assert!(stderr(&out).contains("--rnaks"), "{}", stderr(&out));
     assert!(stdout(&out).is_empty(), "nothing may be measured: {}", stdout(&out));
 }
+
+#[test]
+fn a_sweep_over_no_algorithms_fails_naming_the_collective() {
+    for args in [
+        &["sweep", "simcluster", "bcast", "2048", "--ranks", "4"][..],
+        &["sweep", "simcluster", "bcast", "2048", "--ranks", "4", "--backend", "model"][..],
+        &["sweep", "simcluster", "barrier", "0", "--ranks", "4", "--faults"][..],
+    ] {
+        let out = papctl(args);
+        assert!(!out.status.success(), "{args:?} exited 0");
+        assert!(stderr(&out).contains("has no selectable algorithms"), "{args:?}: {}", stderr(&out));
+        assert!(stdout(&out).is_empty(), "{args:?}: no matrix may be printed: {}", stdout(&out));
+    }
+}
