@@ -2,8 +2,9 @@
 
 use serde::{Deserialize, Serialize};
 
-/// The collective operations this crate implements.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+/// The collective operations this crate implements. Ordered by
+/// declaration, which orders `papd`'s evidence index.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum CollectiveKind {
     /// Rooted reduction (`MPI_Reduce`).
     Reduce,

@@ -39,5 +39,5 @@ pub use fault::{render_fault_table, select_fault_robust, FaultMatrix};
 pub use matrix::BenchMatrix;
 pub use predict::{predict_app_runtime, AppPrediction};
 pub use selection::{select, select_with_faults, SelectionPolicy};
-pub use table::{TuningEntry, TuningTable};
+pub use table::{nearer_size, TuningEntry, TuningTable};
 pub use tuner::{tune_machine, TunePlan, TuneRecord};

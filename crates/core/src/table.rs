@@ -1,8 +1,25 @@
 //! Persistent tuning tables — the artifact an MPI library's decision logic
 //! consumes (keyed by machine, collective, process count, message size).
 
+use std::cmp::Ordering;
+
 use pap_collectives::CollectiveKind;
 use serde::{Deserialize, Serialize};
+
+/// The nearest-size rule for answering an untuned message size: orders two
+/// tuned sizes `a` and `b` by their log-space distance to `bytes`, nearer
+/// first, ties to the smaller size. Distances compare exactly as integer
+/// ratios (sizes below 1 B count as 1 B), so a size halfway between two
+/// tuned sizes always resolves the same way.
+pub fn nearer_size(bytes: u64, a: u64, b: u64) -> Ordering {
+    let q = u128::from(bytes.max(1));
+    let ratio = |s: u64| {
+        let s = u128::from(s.max(1));
+        (s.max(q), s.min(q))
+    };
+    let ((an, ad), (bn, bd)) = (ratio(a), ratio(b));
+    (an * bd).cmp(&(bn * ad)).then(a.cmp(&b))
+}
 
 /// One tuning decision.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -43,18 +60,14 @@ impl TuningTable {
     }
 
     /// Look up the decision for a message size: exact (machine, kind,
-    /// ranks) match, then the entry whose benchmark size is nearest in
-    /// log-space (how MPI decision maps interpolate between tuning points).
+    /// ranks) match, then the entry whose benchmark size is nearest by
+    /// [`nearer_size`] (how MPI decision maps interpolate between tuning
+    /// points).
     pub fn lookup(&self, machine: &str, kind: CollectiveKind, ranks: usize, bytes: u64) -> Option<&TuningEntry> {
         self.entries
             .iter()
             .filter(|e| e.machine == machine && e.kind == kind && e.ranks == ranks)
-            .min_by(|a, b| {
-                let d = |e: &TuningEntry| {
-                    ((e.bytes.max(1) as f64).ln() - (bytes.max(1) as f64).ln()).abs()
-                };
-                d(a).partial_cmp(&d(b)).expect("finite distances")
-            })
+            .min_by(|a, b| nearer_size(bytes, a.bytes, b.bytes))
     }
 
     /// Serialize to JSON.
@@ -114,6 +127,20 @@ mod tests {
         assert_eq!(get(16 * 1024), 2);
         assert_eq!(get(100 * 1024), 2);
         assert_eq!(get(1 << 21), 3);
+    }
+
+    #[test]
+    fn halfway_sizes_tie_to_the_smaller_size() {
+        // 16 B is exactly halfway (in log space) between 8 B and 32 B, and
+        // 0 B and 1 B are the same distance from 1 B: insertion order must
+        // not matter.
+        let mut t = TuningTable::new();
+        t.insert(entry(32, 2));
+        t.insert(entry(8, 1));
+        assert_eq!(t.lookup("Hydra", CollectiveKind::Alltoall, 1024, 16).unwrap().bytes, 8);
+        assert_eq!(nearer_size(16, 32, 8), Ordering::Greater);
+        assert_eq!(nearer_size(1, 1, 0), Ordering::Greater);
+        assert_eq!(nearer_size(u64::MAX, u64::MAX, 1), Ordering::Less);
     }
 
     #[test]

@@ -66,11 +66,6 @@ impl<K: Hash + Eq + Clone, V> Lru<K, V> {
     pub fn clear(&mut self) {
         self.map.clear();
     }
-
-    /// Remove entries for which `keep` returns false.
-    pub fn retain(&mut self, mut keep: impl FnMut(&K, &V) -> bool) {
-        self.map.retain(|k, (_, v)| keep(k, v));
-    }
 }
 
 #[cfg(test)]
@@ -107,17 +102,5 @@ mod tests {
         c.insert("a", 1);
         assert!(c.is_empty());
         assert_eq!(c.get(&"a"), None);
-    }
-
-    #[test]
-    fn retain_filters_entries() {
-        let mut c = Lru::new(8);
-        for i in 0..6 {
-            c.insert(i, i * 10);
-        }
-        c.retain(|k, _| k % 2 == 0);
-        assert_eq!(c.len(), 3);
-        assert_eq!(c.get(&1), None);
-        assert_eq!(c.get(&2), Some(&20));
     }
 }

@@ -120,14 +120,14 @@ pub fn build_store(cfg: &ServeConfig) -> Result<(Arc<Stats>, Arc<TierStore>), St
     ));
     if let Some(path) = &cfg.snapshot {
         let snap = Snapshot::load(path)?;
-        store.ingest_snapshot(&snap);
+        store.ingest_snapshot(&snap)?;
         stats.snapshot_loaded.set(1);
     } else if cfg.tune_at_startup {
         let machine_id: MachineId = cfg.machine.parse()?;
         let platform = Platform::preset(machine_id, cfg.ranks);
         let bench = BenchConfig::simulation().with_backend(cfg.backend);
         let (_, records) = tune_machine(&platform, &TunePlan::default(), &bench)?;
-        store.ingest_records(machine_id.name(), &records, &cfg.backend.to_string());
+        store.ingest_records(machine_id.name(), &records, &cfg.backend.to_string())?;
         stats.tuned_at_startup.set(1);
     }
     Ok((stats, store))

@@ -213,7 +213,7 @@ mod tests {
 
     fn seeded_store(stats: Arc<Stats>, l1: usize, refine: bool) -> TierStore {
         let store = TierStore::new(stats, l1, DefaultPolicy::Robust, Backend::Model, refine);
-        store.ingest_records("SimCluster", records(), "model");
+        store.ingest_records("SimCluster", records(), "model").unwrap();
         store
     }
 

@@ -7,8 +7,9 @@
 //! arrival samples — without re-running the tuning sweep.
 
 use pap_core::{BenchMatrix, FaultMatrix, TuneRecord, TuningEntry, TuningTable};
-use pap_microbench::FAULT_GRID_VERSION;
 use serde::{Deserialize, Serialize};
+
+use crate::store::{check_evidence, CellKey};
 
 /// Current snapshot file format version.
 pub const SNAPSHOT_FORMAT: u32 = 1;
@@ -78,7 +79,8 @@ impl Snapshot {
         serde_json::to_string_pretty(self).expect("snapshots are serializable")
     }
 
-    /// Parse and validate a snapshot.
+    /// Parse a snapshot and put every cell through the evidence check that
+    /// replica pages pass too.
     pub fn from_json(s: &str) -> Result<Self, String> {
         let snap: Snapshot = serde_json::from_str(s).map_err(|e| format!("bad snapshot: {e}"))?;
         if snap.format != SNAPSHOT_FORMAT {
@@ -88,31 +90,10 @@ impl Snapshot {
             ));
         }
         for (i, cell) in snap.cells.iter().enumerate() {
-            if !cell.matrix.algs.contains(&cell.entry.alg) {
-                return Err(format!(
-                    "snapshot cell {i}: decided alg {} absent from its evidence matrix",
-                    cell.entry.alg
-                ));
-            }
-            if let Some(fm) = &cell.faults {
-                // Fault grids from a different sweep definition measure
-                // different scenarios; serving from them would silently mix
-                // incomparable evidence. Reject instead of re-measuring so
-                // the operator knows the snapshot is stale.
-                if fm.grid_version != FAULT_GRID_VERSION {
-                    return Err(format!(
-                        "snapshot cell {i}: fault grid v{} does not match current v{FAULT_GRID_VERSION}; \
-                         re-run `papctl tune --faults --out`",
-                        fm.grid_version
-                    ));
-                }
-                if fm.kind != cell.entry.kind || fm.bytes != cell.entry.bytes {
-                    return Err(format!(
-                        "snapshot cell {i}: fault evidence is for {} @ {} B, cell is {} @ {} B",
-                        fm.kind, fm.bytes, cell.entry.kind, cell.entry.bytes
-                    ));
-                }
-            }
+            let key = CellKey::of(&snap.machine, &cell.entry);
+            let picks = [("status-quo", cell.status_quo), ("decided", cell.entry.alg)];
+            check_evidence(&key, &picks, &cell.matrix, cell.faults.as_ref())
+                .map_err(|e| format!("snapshot cell {i} ({key}): {e}"))?;
         }
         Ok(snap)
     }
@@ -133,7 +114,7 @@ impl Snapshot {
 mod tests {
     use super::*;
     use pap_core::{tune_machine, TunePlan};
-    use pap_microbench::BenchConfig;
+    use pap_microbench::{BenchConfig, FAULT_GRID_VERSION};
     use pap_sim::Platform;
 
     fn tiny_records() -> Vec<TuneRecord> {

@@ -2,11 +2,16 @@
 //!
 //! * **L1** — an LRU of fully resolved `(cell, policy) → algorithm`
 //!   answers. Entries carry the generation of the evidence cell they were
-//!   derived from and are discarded when a background refinement bumps it.
-//! * **L2** — precomputed `(machine, collective, ranks, bytes)` evidence
-//!   cells (full [`BenchMatrix`]es), seeded from a startup tuning sweep or a
-//!   warm-restart snapshot. Misses on exact message size fall back to the
-//!   nearest cell in log-space, mirroring [`pap_core::TuningTable::lookup`].
+//!   derived from; an entry whose cell has since moved on misses.
+//! * **L2** — precomputed evidence cells (full [`BenchMatrix`]es) in one
+//!   index ordered by `(machine, collective, ranks, bytes)`, seeded from a
+//!   startup tuning sweep, a warm-restart snapshot or a peer's replica
+//!   pages. All three go through one `publish`, which runs the one
+//!   evidence check over a whole batch before inserting any of it. A
+//!   miss on exact message size probes the two neighbouring sizes in the
+//!   `(machine, collective, ranks)` prefix and takes the nearer by
+//!   [`pap_core::nearer_size`], the rule of [`pap_core::TuningTable::lookup`].
+//!   Hits share the cell (`Arc`) rather than copy it; an upgrade replaces it.
 //! * **L3** — on-demand refinement: a cold cell is computed with the cheap
 //!   analytical backend ([`TierStore::compute_miss`], which `papd` runs on
 //!   its compute pool; [`TierStore::lookup`] is the cache-only half) and, when
@@ -15,7 +20,7 @@
 //!   which invalidates derived L1 entries; a refinement that observes a
 //!   generation change while it ran is dropped, never applied stale.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{BTreeMap, HashSet};
 use std::sync::{Arc, Mutex, RwLock};
 
 use pap_arrival::{classify_delays, Shape};
@@ -23,11 +28,12 @@ use pap_calibrate::fit_probe;
 use pap_collectives::registry::experiment_ids;
 use pap_collectives::CollectiveKind;
 use pap_core::{
-    select, select_with_faults, tune_machine, BenchMatrix, FaultMatrix, SelectionPolicy, TunePlan,
-    TuneRecord,
+    nearer_size, select, select_with_faults, tune_machine, BenchMatrix, FaultMatrix,
+    SelectionPolicy, TunePlan, TuneRecord, TuningEntry,
 };
 use pap_microbench::{
-    fault_sweep, no_delay_runtime, standard_grid, sweep, Backend, BenchConfig, BenchError, SkewPolicy,
+    fault_sweep, no_delay_runtime, standard_grid, sweep, Backend, BenchConfig, BenchError,
+    SkewPolicy, FAULT_GRID_VERSION,
 };
 use pap_sim::{register_custom_platform, MachineId, Platform};
 
@@ -36,8 +42,10 @@ use crate::proto::{CalibrateAnswer, CalibrateRequest, QueryAnswer, QueryRequest,
 use crate::snapshot::Snapshot;
 use crate::stats::Stats;
 
-/// Identity of one L2 evidence cell.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+/// Identity of one L2 evidence cell. Orders by machine, collective, ranks,
+/// then bytes: the first three are the fleet ring's routing key, and the
+/// sizes of one such prefix sit next to each other in the index.
+#[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CellKey {
     /// Canonical machine name.
     pub machine: String,
@@ -47,6 +55,19 @@ pub struct CellKey {
     pub ranks: usize,
     /// Message size (bytes).
     pub bytes: u64,
+}
+
+impl CellKey {
+    /// The cell a tuning decision on `machine` was made for.
+    pub(crate) fn of(machine: &str, entry: &TuningEntry) -> Self {
+        CellKey { machine: machine.to_string(), kind: entry.kind, ranks: entry.ranks, bytes: entry.bytes }
+    }
+}
+
+impl std::fmt::Display for CellKey {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        write!(f, "{} {} at {} ranks, {} B", self.machine, self.kind, self.ranks, self.bytes)
+    }
 }
 
 /// One L2 evidence cell.
@@ -65,6 +86,70 @@ pub struct CellEvidence {
     /// Bumped on every refinement upgrade; L1 entries derived from an older
     /// generation are stale.
     pub generation: u64,
+}
+
+/// The one check on evidence cells before `papd` may serve them: snapshot
+/// files ([`Snapshot::from_json`]), replica pages and tuning records all
+/// pass it, so no query meets evidence it would panic on. The matrix must
+/// be a full grid of finite positive runtimes over distinct algorithms and
+/// patterns; every alg the cell names (`picks`: its status quo, and a
+/// snapshot's decision) must be a column; fault evidence must be from the
+/// current grid, for this collective and size, a full grid with a complete
+/// `clean` baseline row.
+pub(crate) fn check_evidence(
+    key: &CellKey,
+    picks: &[(&str, u8)],
+    matrix: &BenchMatrix,
+    faults: Option<&FaultMatrix>,
+) -> Result<(), String> {
+    let (algs, patterns) = (&matrix.algs, &matrix.patterns);
+    if !is_grid(&matrix.values, patterns.len(), algs.len()) {
+        return Err(format!("matrix is not a {} pattern x {} alg grid", patterns.len(), algs.len()));
+    }
+    if let Some(v) = matrix.values.iter().flatten().find(|v| !(v.is_finite() && **v > 0.0)) {
+        return Err(format!("matrix holds {v}, not a finite positive runtime"));
+    }
+    if has_repeats(algs) || has_repeats(patterns) {
+        return Err("matrix repeats an algorithm or a pattern".to_string());
+    }
+    if let Some((what, alg)) = picks.iter().find(|(_, alg)| !algs.contains(alg)) {
+        return Err(format!("{what} alg {alg} absent from its evidence matrix"));
+    }
+    let Some(fm) = faults else { return Ok(()) };
+    // Grids from another sweep definition measure other scenarios; serving
+    // from them would mix incomparable evidence, so they are refused, not
+    // re-measured, and the operator learns the evidence is stale.
+    if fm.grid_version != FAULT_GRID_VERSION {
+        return Err(format!(
+            "fault grid v{} does not match current v{FAULT_GRID_VERSION}; re-run `papctl tune --faults`",
+            fm.grid_version
+        ));
+    }
+    if fm.kind != key.kind || fm.bytes != key.bytes {
+        return Err(format!(
+            "fault evidence is for {} @ {} B, cell is {} @ {} B",
+            fm.kind, fm.bytes, key.kind, key.bytes
+        ));
+    }
+    let (rows, cols, decided) = (fm.scenarios.len(), fm.algs.len(), &fm.statically_decided);
+    if !is_grid(&fm.values, rows, cols) || !(decided.is_empty() || is_grid(decided, rows, cols)) {
+        return Err("fault evidence is not a scenario x alg grid".to_string());
+    }
+    if fm.values.iter().flatten().flatten().any(|v| !(v.is_finite() && *v > 0.0)) {
+        return Err("fault evidence holds a runtime that is not finite and positive".to_string());
+    }
+    match fm.scenario_index("clean") {
+        Some(row) if fm.values[row].iter().all(Option::is_some) => Ok(()),
+        _ => Err("fault evidence lacks a complete clean row".to_string()),
+    }
+}
+
+fn is_grid<T>(values: &[Vec<T>], rows: usize, cols: usize) -> bool {
+    values.len() == rows && values.iter().all(|row| row.len() == cols)
+}
+
+fn has_repeats<T: PartialEq>(xs: &[T]) -> bool {
+    xs.iter().enumerate().any(|(i, x)| xs[..i].contains(x))
 }
 
 /// L1 key: the evidence cell plus the policy applied to it.
@@ -127,7 +212,7 @@ impl std::str::FromStr for DefaultPolicy {
 /// The tiered store. Shared (via `Arc`) between connection handlers and
 /// background refinement workers.
 pub struct TierStore {
-    l2: RwLock<HashMap<CellKey, CellEvidence>>,
+    l2: RwLock<BTreeMap<CellKey, Arc<CellEvidence>>>,
     l1: Mutex<Lru<L1Key, L1Entry>>,
     refining: Mutex<HashSet<CellKey>>,
     stats: Arc<Stats>,
@@ -150,7 +235,7 @@ impl TierStore {
         refine_enabled: bool,
     ) -> Self {
         TierStore {
-            l2: RwLock::new(HashMap::new()),
+            l2: RwLock::new(BTreeMap::new()),
             l1: Mutex::new(Lru::new(l1_capacity)),
             refining: Mutex::new(HashSet::new()),
             stats,
@@ -167,54 +252,75 @@ impl TierStore {
         &self.stats
     }
 
-    /// Seed L2 from a tuning run's records.
-    pub fn ingest_records(&self, machine: &str, records: &[TuneRecord], backend: &str) {
-        let mut l2 = self.l2.write().expect("l2 lock");
-        for rec in records {
-            let key = CellKey {
-                machine: machine.to_string(),
-                kind: rec.entry.kind,
-                ranks: rec.entry.ranks,
-                bytes: rec.entry.bytes,
+    /// Seed L2 from a tuning run's records. Returns the number of cells.
+    pub fn ingest_records(
+        &self,
+        machine: &str,
+        records: &[TuneRecord],
+        backend: &str,
+    ) -> Result<usize, String> {
+        let cells = records.iter().map(|rec| {
+            let cell = CellEvidence {
+                matrix: rec.matrix.clone(),
+                status_quo: rec.status_quo,
+                faults: None,
+                backend: backend.to_string(),
+                generation: 0,
             };
-            l2.insert(
-                key,
-                CellEvidence {
-                    matrix: rec.matrix.clone(),
-                    status_quo: rec.status_quo,
-                    faults: None,
-                    backend: backend.to_string(),
-                    generation: 0,
-                },
-            );
-        }
-        self.stats.l2_cells.set(l2.len() as i64);
+            (CellKey::of(machine, &rec.entry), cell)
+        });
+        self.publish("tuned", cells.collect())
     }
 
     /// Seed L2 from a warm-restart snapshot. Cells carrying fault evidence
     /// (`papctl tune --faults`) seed it too, so a `--policy fault_robust`
     /// daemon answers straight from L2 with no lazy fault-grid re-measure.
-    pub fn ingest_snapshot(&self, snap: &Snapshot) {
-        let mut l2 = self.l2.write().expect("l2 lock");
-        for cell in &snap.cells {
-            let key = CellKey {
-                machine: snap.machine.clone(),
-                kind: cell.entry.kind,
-                ranks: cell.entry.ranks,
-                bytes: cell.entry.bytes,
+    pub fn ingest_snapshot(&self, snap: &Snapshot) -> Result<usize, String> {
+        let cells = snap.cells.iter().map(|sc| {
+            let cell = CellEvidence {
+                matrix: sc.matrix.clone(),
+                status_quo: sc.status_quo,
+                faults: sc.faults.clone(),
+                backend: snap.backend.clone(),
+                generation: 0,
             };
-            l2.insert(
-                key,
-                CellEvidence {
-                    matrix: cell.matrix.clone(),
-                    status_quo: cell.status_quo,
-                    faults: cell.faults.clone(),
-                    backend: snap.backend.clone(),
-                    generation: 0,
-                },
-            );
+            (CellKey::of(&snap.machine, &sc.entry), cell)
+        });
+        self.publish("snapshot", cells.collect())
+    }
+
+    /// Ingest a page of replicated cells (the receiving side of
+    /// [`TierStore::export_cells`]), checked like a snapshot. Returns the
+    /// number of cells ingested.
+    pub fn ingest_replica(&self, cells: &[ReplicaCell]) -> Result<usize, String> {
+        let cells = cells.iter().map(|rc| {
+            let (kind, ranks, bytes) = (rc.collective, rc.ranks, rc.bytes);
+            let key = CellKey { machine: rc.machine.clone(), kind, ranks, bytes };
+            let cell = CellEvidence {
+                matrix: rc.matrix.clone(),
+                status_quo: rc.status_quo,
+                faults: rc.faults.clone(),
+                backend: rc.backend.clone(),
+                generation: rc.generation,
+            };
+            (key, cell)
+        });
+        self.publish("replica", cells.collect())
+    }
+
+    /// Insert a batch of evidence cells. The whole batch passes
+    /// [`check_evidence`] first, so one bad cell inserts nothing; the error
+    /// names it. Returns the number of cells inserted.
+    fn publish(&self, source: &str, cells: Vec<(CellKey, CellEvidence)>) -> Result<usize, String> {
+        for (i, (key, cell)) in cells.iter().enumerate() {
+            check_evidence(key, &[("status-quo", cell.status_quo)], &cell.matrix, cell.faults.as_ref())
+                .map_err(|e| format!("{source} cell {i} ({key}): {e}"))?;
         }
+        let n = cells.len();
+        let mut l2 = self.l2.write().expect("l2 lock");
+        l2.extend(cells.into_iter().map(|(key, cell)| (key, Arc::new(cell))));
         self.stats.l2_cells.set(l2.len() as i64);
+        Ok(n)
     }
 
     /// Number of L2 cells currently held.
@@ -222,90 +328,29 @@ impl TierStore {
         self.l2.read().expect("l2 lock").len()
     }
 
-    /// Export one page of L2 cells for warm replication, in a stable sort
-    /// order (machine, collective, ranks, bytes) so a client paging
+    /// Export one page of L2 cells for warm replication, in index order
+    /// (machine, collective, ranks, bytes), so a client paging
     /// `offset = 0, n, 2n, …` over an unchanging store sees every cell
     /// exactly once. Returns `(total, page)`.
     pub fn export_cells(&self, offset: usize, limit: usize) -> (usize, Vec<ReplicaCell>) {
         let l2 = self.l2.read().expect("l2 lock");
-        let mut keys: Vec<&CellKey> = l2.keys().collect();
-        keys.sort_by(|a, b| {
-            (&a.machine, a.kind.to_string(), a.ranks, a.bytes)
-                .cmp(&(&b.machine, b.kind.to_string(), b.ranks, b.bytes))
-        });
-        let page = keys
-            .into_iter()
+        let page = l2
+            .iter()
             .skip(offset)
             .take(limit)
-            .map(|k| {
-                let c = &l2[k];
-                ReplicaCell {
-                    machine: k.machine.clone(),
-                    collective: k.kind,
-                    ranks: k.ranks,
-                    bytes: k.bytes,
-                    status_quo: c.status_quo,
-                    matrix: c.matrix.clone(),
-                    faults: c.faults.clone(),
-                    backend: c.backend.clone(),
-                    generation: c.generation,
-                }
+            .map(|(k, c)| ReplicaCell {
+                machine: k.machine.clone(),
+                collective: k.kind,
+                ranks: k.ranks,
+                bytes: k.bytes,
+                status_quo: c.status_quo,
+                matrix: c.matrix.clone(),
+                faults: c.faults.clone(),
+                backend: c.backend.clone(),
+                generation: c.generation,
             })
             .collect();
         (l2.len(), page)
-    }
-
-    /// Ingest a page of replicated cells (the receiving side of
-    /// [`TierStore::export_cells`]). Validation mirrors snapshot loading:
-    /// the status-quo pick must exist in its matrix, and fault evidence
-    /// must match the cell and the current fault-grid version — serving
-    /// from a donor with a different sweep definition would silently mix
-    /// incomparable evidence. Returns the number of cells ingested.
-    pub fn ingest_replica(&self, cells: &[ReplicaCell]) -> Result<usize, String> {
-        for (i, cell) in cells.iter().enumerate() {
-            if !cell.matrix.algs.contains(&cell.status_quo) {
-                return Err(format!(
-                    "replica cell {i}: status-quo alg {} absent from its evidence matrix",
-                    cell.status_quo
-                ));
-            }
-            if let Some(fm) = &cell.faults {
-                if fm.grid_version != pap_microbench::FAULT_GRID_VERSION {
-                    return Err(format!(
-                        "replica cell {i}: fault grid v{} does not match current v{}",
-                        fm.grid_version,
-                        pap_microbench::FAULT_GRID_VERSION
-                    ));
-                }
-                if fm.kind != cell.collective || fm.bytes != cell.bytes {
-                    return Err(format!(
-                        "replica cell {i}: fault evidence is for {} @ {} B, cell is {} @ {} B",
-                        fm.kind, fm.bytes, cell.collective, cell.bytes
-                    ));
-                }
-            }
-        }
-        let mut l2 = self.l2.write().expect("l2 lock");
-        for cell in cells {
-            let key = CellKey {
-                machine: cell.machine.clone(),
-                kind: cell.collective,
-                ranks: cell.ranks,
-                bytes: cell.bytes,
-            };
-            l2.insert(
-                key,
-                CellEvidence {
-                    matrix: cell.matrix.clone(),
-                    status_quo: cell.status_quo,
-                    faults: cell.faults.clone(),
-                    backend: cell.backend.clone(),
-                    generation: cell.generation,
-                },
-            );
-        }
-        self.stats.l2_cells.set(l2.len() as i64);
-        Ok(cells.len())
     }
 
     /// Onboard an unseen machine from a measured probe: fit the platform
@@ -335,19 +380,14 @@ impl TierStore {
         let platform = Platform::try_preset(machine, req.ranks)?;
         let bench = BenchConfig::simulation().with_backend(self.compute_backend);
         let (_, records) = tune_machine(&platform, &TunePlan::default(), &bench)?;
-        self.ingest_records(machine.name(), &records, &self.compute_backend.to_string());
+        self.ingest_records(machine.name(), &records, &self.compute_backend.to_string())?;
         self.stats.calibration_accepted(fit.median_rel_residual);
 
         let mut tickets = Vec::new();
         if self.refine_enabled && self.compute_backend != Backend::Sim {
             let mut refining = self.refining.lock().expect("refining lock");
             for rec in &records {
-                let key = CellKey {
-                    machine: machine.name().to_string(),
-                    kind: rec.entry.kind,
-                    ranks: rec.entry.ranks,
-                    bytes: rec.entry.bytes,
-                };
+                let key = CellKey::of(machine.name(), &rec.entry);
                 if refining.insert(key.clone()) {
                     self.stats.refine_scheduled();
                     tickets.push(key);
@@ -475,89 +515,50 @@ impl TierStore {
             )));
         }
 
-        // L2: precomputed evidence, exact then nearest-size.
-        if let Some((evidence_key, mut cell, exact)) = self.l2_lookup(&key) {
-            let fault_robust = matches!(policy, SelectionPolicy::FaultRobust { .. });
-            if fault_robust && cell.faults.is_none() && !measure {
-                return Ok(None);
+        // L2: precomputed evidence, exact then nearest-size. On a miss,
+        // compute the cell with the cheap backend; fault-robust routing needs
+        // the fault grid on top, measured up front so the cell carries both.
+        let fault_robust = matches!(policy, SelectionPolicy::FaultRobust { .. });
+        let (evidence_key, mut cell, tier) = match self.l2_lookup(&key) {
+            // A fault-robust query must measure fault evidence the cell lacks.
+            Some((_, cell, _)) if !measure && fault_robust && cell.faults.is_none() => return Ok(None),
+            Some((k, cell, exact)) => (k, cell, if exact { Tier::L2 } else { Tier::L2Near }),
+            None if !measure => return Ok(None),
+            None => {
+                self.stats.tier_miss();
+                let matrix = self.compute_matrix(machine_id, &key, self.compute_backend)?;
+                let faults = fault_robust
+                    .then(|| measure_fault_matrix(machine_id, key.kind, key.ranks, key.bytes))
+                    .transpose()?;
+                let status_quo = select(&matrix, &SelectionPolicy::NoDelayFastest)?;
+                let backend = self.compute_backend.to_string();
+                let cell = CellEvidence { matrix, status_quo, faults, backend, generation: 0 };
+                (key.clone(), Arc::new(cell), Tier::Computed)
             }
-            let alg = self.select_in_cell(machine_id, &evidence_key, &mut cell, &policy)?;
-            if exact {
-                self.stats.l2_exact_hit();
-            } else {
-                self.stats.l2_near_hit();
-            }
-            let refine = self.should_refine(&evidence_key, &cell);
-            self.l1_insert(
-                l1_key,
-                L1Entry {
-                    alg,
-                    exact,
-                    evidence: evidence_key.clone(),
-                    backend: cell.backend.clone(),
-                    generation: cell.generation,
-                },
-            );
-            let tier = if exact { Tier::L2 } else { Tier::L2Near };
-            return Ok(Some((
-                answer(alg, tier, exact, &evidence_key, &cell.backend, cell.generation, refine),
-                refine.then_some(evidence_key),
-            )));
-        }
-        if !measure {
-            return Ok(None);
-        }
-
-        // Miss: compute the cell with the cheap backend, publish it as L2
-        // evidence, and (optionally) hand the caller a refinement ticket so
-        // the simulator can upgrade it in the background.
-        self.stats.tier_miss();
-        let backend = self.compute_backend;
-        let matrix = self.compute_matrix(machine_id, &key, backend)?;
-        // Fault-robust routing needs degraded-mode evidence on top of the
-        // pattern matrix; measure it up front so the published cell carries
-        // both.
-        let faults = if matches!(policy, SelectionPolicy::FaultRobust { .. }) {
-            Some(self.compute_fault_matrix(machine_id, &key)?)
-        } else {
-            None
         };
-        let alg = select_with_faults(&matrix, faults.as_ref(), &policy)?;
-        let status_quo = select(&matrix, &SelectionPolicy::NoDelayFastest)?;
-        let generation = 0;
-        {
-            let mut l2 = self.l2.write().expect("l2 lock");
-            // A racing query may have published the cell meanwhile; keep the
-            // existing one (same inputs → same matrix for the deterministic
-            // backends, so either is correct).
-            l2.entry(key.clone()).or_insert(CellEvidence {
-                matrix,
-                status_quo,
-                faults,
-                backend: backend.to_string(),
-                generation,
-            });
-            self.stats.l2_cells.set(l2.len() as i64);
+        let alg = self.select_in_cell(machine_id, &evidence_key, &mut cell, &policy)?;
+        match tier {
+            Tier::L2 => self.stats.l2_exact_hit(),
+            Tier::L2Near => self.stats.l2_near_hit(),
+            _ => {
+                // Publish the computed cell, unless a racing query published
+                // it meanwhile (same inputs → same matrix for the
+                // deterministic backends, so either is correct).
+                let mut l2 = self.l2.write().expect("l2 lock");
+                l2.entry(key).or_insert_with(|| Arc::clone(&cell));
+                self.stats.l2_cells.set(l2.len() as i64);
+            }
         }
-        let refine = self.refine_enabled
-            && backend != Backend::Sim
-            && self.refining.lock().expect("refining lock").insert(key.clone());
-        if refine {
-            self.stats.refine_scheduled();
-        }
-        self.l1_insert(
-            L1Key { cell: key.clone(), policy: policy_label.clone() },
-            L1Entry {
-                alg,
-                exact: true,
-                evidence: key.clone(),
-                backend: backend.to_string(),
-                generation,
-            },
-        );
+        // A hit schedules a sim refinement of model-backed evidence; the
+        // caller owns the worker pool.
+        let refine = self.should_refine(&evidence_key, &cell);
+        let exact = tier != Tier::L2Near;
+        let (backend, generation) = (cell.backend.clone(), cell.generation);
+        let l1 = L1Entry { alg, exact, evidence: evidence_key.clone(), backend, generation };
+        self.l1_insert(l1_key, l1);
         Ok(Some((
-            answer(alg, Tier::Computed, true, &key, &backend.to_string(), generation, refine),
-            refine.then_some(key),
+            answer(alg, tier, exact, &evidence_key, &cell.backend, cell.generation, refine),
+            refine.then_some(evidence_key),
         )))
     }
 
@@ -584,14 +585,16 @@ impl TierStore {
                 match l2.get_mut(key) {
                     // Only upgrade the generation the refinement observed:
                     // if someone else already upgraded the cell, this result
-                    // is stale.
+                    // is stale. L1 entries derived from the old generation
+                    // miss from now on.
                     Some(cell) if cell.generation == started_from => {
-                        cell.matrix = matrix;
-                        cell.status_quo = status_quo;
-                        cell.backend = Backend::Sim.to_string();
-                        cell.generation += 1;
-                        drop(l2);
-                        self.invalidate_l1(key);
+                        *cell = Arc::new(CellEvidence {
+                            matrix,
+                            status_quo,
+                            faults: cell.faults.clone(),
+                            backend: Backend::Sim.to_string(),
+                            generation: started_from + 1,
+                        });
                         self.stats.refine_applied();
                     }
                     _ => self.stats.refine_dropped(),
@@ -605,13 +608,6 @@ impl TierStore {
     pub fn cancel_refine(&self, key: &CellKey) {
         self.refining.lock().expect("refining lock").remove(key);
         self.stats.refine_dropped();
-    }
-
-    /// Drop L1 entries derived from `key` (their generation is now stale).
-    fn invalidate_l1(&self, key: &CellKey) {
-        let mut l1 = self.l1.lock().expect("l1 lock");
-        l1.retain(|_, entry| entry.evidence != *key);
-        self.stats.l1_entries.set(l1.len() as i64);
     }
 
     fn l1_lookup(&self, key: &L1Key) -> Option<L1Entry> {
@@ -631,18 +627,22 @@ impl TierStore {
         self.stats.l1_entries.set(l1.len() as i64);
     }
 
-    /// Exact L2 lookup, then nearest message size in log-space among cells
-    /// with the same machine, collective, and rank count.
-    fn l2_lookup(&self, key: &CellKey) -> Option<(CellKey, CellEvidence, bool)> {
+    /// Exact L2 lookup, then the nearer by [`nearer_size`] of the two
+    /// neighbouring sizes with the same machine, collective and rank count.
+    fn l2_lookup(&self, key: &CellKey) -> Option<(CellKey, Arc<CellEvidence>, bool)> {
         let l2 = self.l2.read().expect("l2 lock");
         if let Some(cell) = l2.get(key) {
-            return Some((key.clone(), cell.clone(), true));
+            return Some((key.clone(), Arc::clone(cell), true));
         }
-        let dist = |bytes: u64| ((bytes.max(1) as f64).ln() - (key.bytes.max(1) as f64).ln()).abs();
-        l2.iter()
-            .filter(|(k, _)| k.machine == key.machine && k.kind == key.kind && k.ranks == key.ranks)
-            .min_by(|a, b| dist(a.0.bytes).partial_cmp(&dist(b.0.bytes)).expect("finite distances"))
-            .map(|(k, cell)| (k.clone(), cell.clone(), false))
+        let same_prefix =
+            |(k, _): &(&CellKey, _)| k.machine == key.machine && k.kind == key.kind && k.ranks == key.ranks;
+        let below = l2.range(..key).next_back().filter(same_prefix);
+        let above = l2.range(key..).next().filter(same_prefix);
+        below
+            .into_iter()
+            .chain(above)
+            .min_by(|a, b| nearer_size(key.bytes, a.0.bytes, b.0.bytes))
+            .map(|(k, cell)| (k.clone(), Arc::clone(cell), false))
     }
 
     /// Whether a hit on this cell should schedule a sim refinement.
@@ -667,29 +667,20 @@ impl TierStore {
         &self,
         machine_id: MachineId,
         key: &CellKey,
-        cell: &mut CellEvidence,
+        cell: &mut Arc<CellEvidence>,
         policy: &SelectionPolicy,
     ) -> Result<u8, String> {
         if matches!(policy, SelectionPolicy::FaultRobust { .. }) && cell.faults.is_none() {
-            let fm = self.compute_fault_matrix(machine_id, key)?;
+            let fm = measure_fault_matrix(machine_id, key.kind, key.ranks, key.bytes)?;
+            Arc::make_mut(cell).faults = Some(fm.clone());
             let mut l2 = self.l2.write().expect("l2 lock");
             if let Some(live) = l2.get_mut(key) {
                 if live.generation == cell.generation && live.faults.is_none() {
-                    live.faults = Some(fm.clone());
+                    Arc::make_mut(live).faults = Some(fm);
                 }
             }
-            cell.faults = Some(fm);
         }
         select_with_faults(&cell.matrix, cell.faults.as_ref(), policy)
-    }
-
-    /// Measure the standard fault grid for one cell.
-    fn compute_fault_matrix(
-        &self,
-        machine_id: MachineId,
-        key: &CellKey,
-    ) -> Result<FaultMatrix, String> {
-        measure_fault_matrix(machine_id, key.kind, key.ranks, key.bytes)
     }
 
     /// Run the full algorithm × pattern sweep for one cell.
@@ -745,7 +736,6 @@ pub fn policy_label(policy: &SelectionPolicy) -> String {
 mod tests {
     use super::*;
     use pap_arrival::generate;
-    use pap_core::{tune_machine, TunePlan};
 
     fn store(l1: usize, refine: bool) -> TierStore {
         TierStore::new(Arc::new(Stats::new()), l1, DefaultPolicy::Robust, Backend::Model, refine)
@@ -761,7 +751,7 @@ mod tests {
         };
         let cfg = BenchConfig::simulation().with_backend(Backend::Model);
         let (_, records) = tune_machine(&platform, &plan, &cfg).unwrap();
-        s.ingest_records("SimCluster", &records, "model");
+        s.ingest_records("SimCluster", &records, "model").unwrap();
         s
     }
 
@@ -796,6 +786,81 @@ mod tests {
         assert_eq!(a.tier, Tier::L2Near);
         assert!(!a.exact);
         assert_eq!(a.evidence_bytes, 32 * 1024);
+    }
+
+    /// A hand-made 8-rank Reduce record at `bytes` whose `fastest` alg (1
+    /// or 2) wins under both of its patterns.
+    fn record(bytes: u64, fastest: u8) -> TuneRecord {
+        let row = if fastest == 1 { vec![1.0, 2.0] } else { vec![2.0, 1.0] };
+        TuneRecord {
+            entry: TuningEntry {
+                machine: "SimCluster".into(),
+                kind: CollectiveKind::Reduce,
+                ranks: 8,
+                bytes,
+                alg: fastest,
+                policy: "robust".into(),
+            },
+            matrix: BenchMatrix {
+                kind: CollectiveKind::Reduce,
+                bytes,
+                algs: vec![1, 2],
+                patterns: vec!["no_delay".into(), "last_delayed".into()],
+                values: vec![row.clone(), row],
+            },
+            status_quo: fastest,
+        }
+    }
+
+    #[test]
+    fn near_size_ties_resolve_the_same_in_every_store() {
+        // 16 B is halfway (in log space) between the 8 B and 32 B cells.
+        let records = [record(8, 1), record(32, 2)];
+        let table = pap_core::TuningTable { entries: records.iter().map(|r| r.entry.clone()).collect() };
+        let tabled = table.lookup("SimCluster", CollectiveKind::Reduce, 8, 16).unwrap();
+        assert_eq!((tabled.bytes, tabled.alg), (8, 1));
+        for _ in 0..16 {
+            let s = store(0, false);
+            s.ingest_records("SimCluster", &records, "model").unwrap();
+            let (a, _) = s.resolve(&query(16, None)).unwrap();
+            assert_eq!((a.tier, a.evidence_bytes, a.alg), (Tier::L2Near, 8, 1));
+        }
+    }
+
+    #[test]
+    fn malformed_evidence_is_refused_naming_the_cell() {
+        let cell = "cell 0 (SimCluster MPI_Reduce at 8 ranks, 8 B)";
+        let mut short = record(8, 1);
+        short.matrix.values.truncate(1); // 2 patterns, 1 row
+        let mut nan = record(8, 1);
+        nan.matrix.values[1][0] = f64::NAN;
+
+        // As a replica page.
+        let donor = store(0, false);
+        donor.ingest_records("SimCluster", &[record(8, 1)], "model").unwrap();
+        let (_, mut page) = donor.export_cells(0, 1);
+        page[0].matrix = short.matrix.clone();
+        let replica = store(0, false);
+        let err = replica.ingest_replica(&page).unwrap_err();
+        assert!(err.contains(&format!("replica {cell}")) && err.contains("grid"), "{err}");
+        page[0].matrix = nan.matrix.clone();
+        assert!(replica.ingest_replica(&page).unwrap_err().contains("NaN"));
+        assert_eq!(replica.l2_len(), 0, "nothing ingested");
+
+        // As a snapshot file.
+        let path = std::env::temp_dir().join(format!("pap_malformed_snapshot_{}.json", std::process::id()));
+        Snapshot::from_records("SimCluster", 8, "model", &[short]).save(&path).unwrap();
+        let err = Snapshot::load(&path).unwrap_err();
+        std::fs::remove_file(&path).ok();
+        assert!(err.contains(&format!("snapshot {cell}")) && err.contains("grid"), "{err}");
+
+        // And through every other ingest path: a batch with one bad cell
+        // inserts none of it.
+        let s = store(0, false);
+        let snap = Snapshot::from_records("SimCluster", 8, "model", &[record(32, 2), nan.clone()]);
+        assert!(s.ingest_snapshot(&snap).unwrap_err().contains("snapshot cell 1"));
+        assert!(s.ingest_records("SimCluster", &[record(32, 2), nan], "model").is_err());
+        assert_eq!(s.l2_len(), 0);
     }
 
     #[test]
@@ -911,7 +976,7 @@ mod tests {
         };
         let cfg = BenchConfig::simulation().with_backend(Backend::Model);
         let (_, records) = tune_machine(&platform, &plan, &cfg).unwrap();
-        s.ingest_records("SimCluster", &records, "model");
+        s.ingest_records("SimCluster", &records, "model").unwrap();
         // Seeded cells have no fault evidence; the first fault-robust query
         // measures it lazily and still answers from L2.
         let (a, _) = s.resolve(&query(1024, None)).unwrap();
@@ -957,7 +1022,7 @@ mod tests {
         let snap = Snapshot::from_json(&snap.to_json()).unwrap();
 
         let s = fault_store(32);
-        s.ingest_snapshot(&snap);
+        s.ingest_snapshot(&snap).unwrap();
         let (a, _) = s.resolve(&query(1024, None)).unwrap();
         assert_eq!(a.tier, Tier::L2);
         assert_eq!(a.alg, 2, "the answer must come from the snapshot's fault evidence");
