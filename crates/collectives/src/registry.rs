@@ -166,11 +166,6 @@ pub fn algorithm(kind: CollectiveKind, id: u8) -> Option<&'static Algorithm> {
     ALGORITHMS.iter().find(|a| a.kind == kind && a.id == id)
 }
 
-/// Look up an algorithm by its SMPI alias (the names of Fig. 4).
-pub fn by_smpi_alias(kind: CollectiveKind, alias: &str) -> Option<&'static Algorithm> {
-    ALGORITHMS.iter().find(|a| a.kind == kind && a.smpi_alias == Some(alias))
-}
-
 /// The algorithm IDs used in the paper's real-machine experiments for a
 /// collective (e.g. Alltoall → 1..4).
 pub fn experiment_ids(kind: CollectiveKind) -> Vec<u8> {
@@ -204,15 +199,6 @@ mod tests {
         assert_eq!(experiment_ids(CollectiveKind::Alltoall), vec![1, 2, 3, 4]);
         assert_eq!(experiment_ids(CollectiveKind::Reduce), vec![1, 2, 3, 4, 5, 6, 7]);
         assert_eq!(experiment_ids(CollectiveKind::Allreduce), vec![2, 3, 4, 5, 6]);
-    }
-
-    #[test]
-    fn smpi_aliases_resolve() {
-        assert_eq!(by_smpi_alias(CollectiveKind::Allreduce, "rdb").unwrap().id, 3);
-        assert_eq!(by_smpi_alias(CollectiveKind::Allreduce, "lr").unwrap().id, 4);
-        assert_eq!(by_smpi_alias(CollectiveKind::Alltoall, "bruck").unwrap().id, 3);
-        assert_eq!(by_smpi_alias(CollectiveKind::Reduce, "ompi_in_order_binary").unwrap().id, 6);
-        assert!(by_smpi_alias(CollectiveKind::Reduce, "nope").is_none());
     }
 
     #[test]

@@ -164,12 +164,6 @@ fn check_bcast_rank(v: &Value, rank: usize, root: usize, nseg: u32) -> Result<()
     Ok(())
 }
 
-/// Convenience: number of verification segments a spec produces (recomputes
-/// the build).
-pub fn nseg_of(spec: &CollSpec, p: usize) -> Result<u32, String> {
-    Ok(crate::build(spec, p).map_err(|e| e.to_string())?.nseg)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -248,13 +242,5 @@ mod tests {
         let out = run(&Platform::simcluster(4), Job::new(programs), &SimConfig::tracking()).unwrap();
         let red = CollSpec::new(CollectiveKind::Reduce, 5, 64);
         assert!(verify(&red, 4, &out).is_err());
-    }
-
-    #[test]
-    fn verification_grid_sizes() {
-        let p = 8;
-        assert_eq!(nseg_of(&CollSpec::new(CollectiveKind::Alltoall, 3, 64), p).unwrap(), 8);
-        assert_eq!(nseg_of(&CollSpec::new(CollectiveKind::Reduce, 5, 64), p).unwrap(), 1);
-        assert_eq!(nseg_of(&CollSpec::new(CollectiveKind::Allreduce, 4, 64), p).unwrap(), 8);
     }
 }

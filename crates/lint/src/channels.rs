@@ -7,195 +7,143 @@
 //! determined statically: pair the k-th send in the sender's program with
 //! the k-th receive in the receiver's program, per channel.
 
-use std::collections::HashMap;
-
 use pap_sim::program::{CommDir, Tag};
-use pap_sim::Op;
 
-use crate::diag::{DiagClass, Diagnostic, OpLoc, Severity};
-use crate::{FlatOp, FlatProgram};
+use crate::diag::{DiagClass, Diagnostic, Severity};
+use crate::view::{View, NONE};
 
-/// The statically matched counterpart of a send or receive.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct Counterpart {
-    /// Peer rank.
-    pub rank: usize,
-    /// Flat op index of the counterpart in the peer's program.
-    pub flat: usize,
-}
+/// One end of a message on a channel out of a known sender:
+/// `(receiver, tag, global op index)`. Sorted, a sender's ends group by
+/// channel, each group in program order.
+type End = (usize, Tag, usize);
 
-/// Matching result: per rank, flat-op-index → counterpart.
-#[derive(Debug, Default)]
-pub(crate) struct Matching {
-    /// For send ops: the matched receive, if any.
-    pub send_match: Vec<HashMap<usize, Counterpart>>,
-    /// For receive ops: the matched send, if any.
-    pub recv_match: Vec<HashMap<usize, Counterpart>>,
-}
-
-struct ChannelSide {
-    /// (flat index in the owner's program, loc, bytes) — bytes 0 for recvs.
-    entries: Vec<(usize, OpLoc, u64)>,
-}
-
-/// Run the matching pass: build the static pairing and report self-sends,
-/// out-of-range peers, unmatched messages, tag conflicts, and matched-pair
-/// size disagreement.
-pub(crate) fn check(flat: &[FlatProgram<'_>], ranks: usize) -> (Matching, Vec<Diagnostic>) {
-    let mut diags = Vec::new();
-    let mut matching = Matching {
-        send_match: vec![HashMap::new(); ranks],
-        recv_match: vec![HashMap::new(); ranks],
-    };
-    // channel (src, dst, tag) → (sends, recvs), insertion-ordered for
-    // deterministic reports.
-    let mut channels: HashMap<(usize, usize, Tag), (ChannelSide, ChannelSide)> = HashMap::new();
-    let mut channel_order: Vec<(usize, usize, Tag)> = Vec::new();
-
-    for (rank, prog) in flat.iter().enumerate() {
-        for (i, f) in prog.ops.iter().enumerate() {
-            let Some(m) = f.op.comm_meta() else { continue };
+/// Build the static pairing over `view.ops` (the counterpart of every
+/// matched send and receive, [`NONE`] elsewhere) and report self-sends,
+/// out-of-range peers, unmatched messages and tag conflicts.
+pub(crate) fn pair(view: &View, diags: &mut Vec<Diagnostic>) -> Vec<usize> {
+    let ranks = view.ranks();
+    // Both ends of every valid message, bucketed by sending rank: sends
+    // arrive in rank-major order already, receives (tagged with the rank
+    // they name) are bucketed after the scan.
+    let mut sends: Vec<End> = Vec::new();
+    let mut send_off = Vec::with_capacity(ranks + 1);
+    let mut named: Vec<(usize, End)> = Vec::new();
+    for rank in 0..ranks {
+        send_off.push(sends.len());
+        for i in view.range(rank) {
+            let Some(m) = view.ops[i].comm_meta() else { continue };
             if m.peer == rank {
                 diags.push(Diagnostic {
                     class: DiagClass::SelfMessage,
                     severity: Severity::Error,
-                    loc: f.loc,
+                    loc: view.loc(i),
                     message: format!("rank {rank} addresses itself (tag {})", m.tag),
                     related: vec![],
                 });
-                continue;
-            }
-            if m.peer >= ranks {
+            } else if m.peer >= ranks {
                 diags.push(Diagnostic {
                     class: DiagClass::PeerOutOfRange,
                     severity: Severity::Error,
-                    loc: f.loc,
+                    loc: view.loc(i),
                     message: format!("peer {} out of range for {ranks} ranks", m.peer),
                     related: vec![],
                 });
-                continue;
-            }
-            let key = match m.dir {
-                CommDir::Send => (rank, m.peer, m.tag),
-                CommDir::Recv => (m.peer, rank, m.tag),
-            };
-            let (sends, recvs) = channels.entry(key).or_insert_with(|| {
-                channel_order.push(key);
-                (ChannelSide { entries: Vec::new() }, ChannelSide { entries: Vec::new() })
-            });
-            match m.dir {
-                CommDir::Send => sends.entries.push((i, f.loc, m.bytes.unwrap_or(0))),
-                CommDir::Recv => recvs.entries.push((i, f.loc, 0)),
+            } else {
+                match m.dir {
+                    CommDir::Send => sends.push((m.peer, m.tag, i)),
+                    CommDir::Recv => named.push((m.peer, (rank, m.tag, i))),
+                }
             }
         }
+    }
+    send_off.push(sends.len());
+    let mut recv_off = vec![0; ranks + 1];
+    for &(src, _) in &named {
+        recv_off[src + 1] += 1;
+    }
+    for src in 0..ranks {
+        recv_off[src + 1] += recv_off[src];
+    }
+    let mut recvs = vec![(0, 0, 0); named.len()];
+    let mut fill = recv_off.clone();
+    for (src, end) in named {
+        recvs[fill[src]] = end;
+        fill[src] += 1;
     }
 
-    for key @ (src, dst, tag) in channel_order {
-        let (sends, recvs) = &channels[&key];
-        let n = sends.entries.len().min(recvs.entries.len());
-        for k in 0..n {
-            let (si, _, _) = sends.entries[k];
-            let (ri, _, _) = recvs.entries[k];
-            matching.send_match[src].insert(si, Counterpart { rank: dst, flat: ri });
-            matching.recv_match[dst].insert(ri, Counterpart { rank: src, flat: si });
-        }
-        for &(_, loc, _) in &sends.entries[n..] {
-            diags.push(Diagnostic {
-                class: DiagClass::UnmatchedSend,
-                severity: Severity::Error,
-                loc,
-                message: format!(
-                    "send {src}->{dst} tag {tag}: {} send(s) but only {} receive(s) on the channel",
-                    sends.entries.len(),
-                    recvs.entries.len()
-                ),
-                related: vec![],
-            });
-        }
-        for &(_, loc, _) in &recvs.entries[n..] {
-            diags.push(Diagnostic {
-                class: DiagClass::UnmatchedRecv,
-                severity: Severity::Error,
-                loc,
-                message: format!(
-                    "receive {src}->{dst} tag {tag}: {} receive(s) but only {} send(s) on the channel",
-                    recvs.entries.len(),
-                    sends.entries.len()
-                ),
-                related: vec![],
-            });
-        }
-        // Tag-conflict lint: ≥ 2 messages on one channel means two can be
-        // outstanding concurrently (an eager send stays buffered until its
-        // receive is posted). FIFO order keeps the pairing well-defined
-        // here, so identical sizes are a warning (verify the reuse is
-        // intentional); differing sizes are an error — on any transport
-        // without total per-channel ordering the pairing is ambiguous.
-        if sends.entries.len() >= 2 {
-            let sizes: Vec<u64> = sends.entries.iter().map(|&(_, _, b)| b).collect();
-            let uniform = sizes.windows(2).all(|w| w[0] == w[1]);
-            diags.push(Diagnostic {
-                class: DiagClass::TagConflict,
-                severity: if uniform { Severity::Warning } else { Severity::Error },
-                loc: sends.entries[1].1,
-                message: format!(
-                    "{} messages share channel {src}->{dst} tag {tag} ({}); \
-                     FIFO-ordered reuse — sizes {:?}",
-                    sends.entries.len(),
-                    if uniform { "uniform sizes" } else { "DIFFERING sizes" },
-                    sizes,
-                ),
-                related: vec![sends.entries[0].1],
-            });
-        }
-        // Size disagreement between matched pairs: a receive does not carry
-        // a byte count in this ISA, so compare the sender's size with the
-        // first `ReduceLocal` that consumes the received slot (the only
-        // size-declaring reader).
-        for k in 0..n {
-            let (_, _, bytes) = sends.entries[k];
-            let (ri, rloc, _) = recvs.entries[k];
-            if let Some(d) = reduce_size_disagreement(&flat[dst].ops, ri, bytes, rloc) {
-                diags.push(d);
-            }
+    let mut pair = vec![NONE; view.ops.len()];
+    for src in 0..ranks {
+        let ss = &mut sends[send_off[src]..send_off[src + 1]];
+        let rs = &mut recvs[recv_off[src]..recv_off[src + 1]];
+        ss.sort_unstable();
+        rs.sort_unstable();
+        // Merge-join the sender's two sorted lists channel by channel.
+        let (mut ss, mut rs) = (&*ss, &*rs);
+        while let Some(&(dst, tag, _)) = [ss.first(), rs.first()].into_iter().flatten().min() {
+            let n_s = ss.iter().take_while(|&&(d, t, _)| (d, t) == (dst, tag)).count();
+            let n_r = rs.iter().take_while(|&&(d, t, _)| (d, t) == (dst, tag)).count();
+            let (chan_s, chan_r);
+            ((chan_s, ss), (chan_r, rs)) = (ss.split_at(n_s), rs.split_at(n_r));
+            channel(view, (src, dst, tag), chan_s, chan_r, &mut pair, diags);
         }
     }
-    (matching, diags)
+    pair
 }
 
-/// Scan forward from the receive at flat index `ri` for the first op that
-/// consumes the received slot; if it is a `ReduceLocal` declaring a
-/// different byte count than the send carried, report a size mismatch.
-fn reduce_size_disagreement(
-    ops: &[FlatOp<'_>],
-    ri: usize,
-    sent_bytes: u64,
-    recv_loc: OpLoc,
-) -> Option<Diagnostic> {
-    let slot = ops[ri].op.comm_meta()?.slot;
-    for f in &ops[ri + 1..] {
-        if let Op::ReduceLocal { from, bytes, .. } = f.op {
-            if *from == slot {
-                if *bytes != sent_bytes {
-                    return Some(Diagnostic {
-                        class: DiagClass::SizeMismatch,
-                        severity: Severity::Error,
-                        loc: f.loc,
-                        message: format!(
-                            "ReduceLocal consumes {bytes} B from slot {slot} but the matched \
-                             send delivered {sent_bytes} B"
-                        ),
-                        related: vec![recv_loc],
-                    });
-                }
-                return None;
-            }
-        }
-        // Any other read consumes the value without declaring a size; any
-        // full overwrite replaces it — either way the comparison window ends.
-        if f.op.slots_read().contains(&slot) || f.op.slots_written().contains(&slot) {
-            return None;
+/// Pair the sends and receives of one `(src, dst, tag)` channel, both in
+/// program order, and report its unmatched ends and tag conflicts.
+fn channel(
+    view: &View,
+    (src, dst, tag): (usize, usize, Tag),
+    sends: &[End],
+    recvs: &[End],
+    pair: &mut [usize],
+    diags: &mut Vec<Diagnostic>,
+) {
+    for (&(_, _, s), &(_, _, r)) in sends.iter().zip(recvs) {
+        pair[s] = r;
+        pair[r] = s;
+    }
+    for (class, (end, ends), (other, others)) in [
+        (DiagClass::UnmatchedSend, ("send", sends), ("receive", recvs)),
+        (DiagClass::UnmatchedRecv, ("receive", recvs), ("send", sends)),
+    ] {
+        for &(_, _, i) in ends.iter().skip(others.len()) {
+            diags.push(Diagnostic {
+                class,
+                severity: Severity::Error,
+                loc: view.loc(i),
+                message: format!(
+                    "{end} {src}->{dst} tag {tag}: {} {end}(s) but only {} {other}(s) on the channel",
+                    ends.len(),
+                    others.len()
+                ),
+                related: vec![],
+            });
         }
     }
-    None
+    // Tag-conflict lint: ≥ 2 messages on one channel means two can be
+    // outstanding concurrently (an eager send stays buffered until its
+    // receive is posted). FIFO order keeps the pairing well-defined here,
+    // so identical sizes are a warning (verify the reuse is intentional);
+    // differing sizes are an error — on any transport without total
+    // per-channel ordering the pairing is ambiguous.
+    if sends.len() >= 2 {
+        let bytes = |s: usize| view.ops[s].comm_meta().and_then(|m| m.bytes).unwrap_or(0);
+        let sizes: Vec<u64> = sends.iter().map(|&(_, _, s)| bytes(s)).collect();
+        let uniform = sizes.windows(2).all(|w| w[0] == w[1]);
+        diags.push(Diagnostic {
+            class: DiagClass::TagConflict,
+            severity: if uniform { Severity::Warning } else { Severity::Error },
+            loc: view.loc(sends[1].2),
+            message: format!(
+                "{} messages share channel {src}->{dst} tag {tag} ({}); \
+                 FIFO-ordered reuse — sizes {:?}",
+                sends.len(),
+                if uniform { "uniform sizes" } else { "DIFFERING sizes" },
+                sizes,
+            ),
+            related: vec![view.loc(sends[0].2)],
+        });
+    }
 }

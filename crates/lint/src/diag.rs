@@ -114,6 +114,17 @@ pub struct Diagnostic {
     pub related: Vec<OpLoc>,
 }
 
+impl Diagnostic {
+    /// One-line rendering: `severity[class] location: message`.
+    pub(crate) fn line(&self) -> String {
+        let sev = match self.severity {
+            Severity::Error => "error",
+            Severity::Warning => "warning",
+        };
+        format!("{sev}[{}] {}: {}", self.class, self.loc, self.message)
+    }
+}
+
 /// The result of linting one [`pap_sim::Job`].
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct LintReport {
@@ -155,11 +166,8 @@ impl LintReport {
     pub fn render(&self) -> String {
         let mut out = String::new();
         for d in &self.diagnostics {
-            let sev = match d.severity {
-                Severity::Error => "error",
-                Severity::Warning => "warning",
-            };
-            out.push_str(&format!("{sev}[{}] {}: {}\n", d.class, d.loc, d.message));
+            out.push_str(&d.line());
+            out.push('\n');
         }
         out.push_str(&format!(
             "{} error(s), {} warning(s) over {} ops on {} ranks\n",

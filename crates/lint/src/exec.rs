@@ -2,7 +2,7 @@
 //! detection.
 //!
 //! Each rank is advanced as far as its blocking ops allow, using the static
-//! pairing from the matching pass as the channel model:
+//! pairing of the [`View`] as the channel model:
 //!
 //! * an **eager send** (`bytes <= eager_threshold`) completes at posting;
 //! * a **rendezvous send** completes once its matched receive is posted;
@@ -13,272 +13,194 @@
 //! "Posted" is position-based: a blocking op is posted when control reaches
 //! it (the engine enqueues the message/receive *before* suspending the
 //! rank), a non-blocking op once control has passed it. Completion is
-//! monotone in the vector of rank positions, so the least fixpoint — reached
-//! with a simple wake-list worklist in `O(total ops)` — is *the* unique
-//! outcome of the schedule under every interleaving.
+//! monotone in the vector of rank positions, so the least fixpoint is *the*
+//! unique outcome of the schedule under every interleaving.
 //!
-//! Two passes run: the actual protocol split (stuck cycle ⇒
-//! [`DiagClass::Deadlock`]) and, when the first completes, an
-//! all-rendezvous pass (stuck cycle ⇒ [`DiagClass::ProtocolFragility`]:
-//! the schedule relies on eager buffering and hangs as soon as its sizes
-//! cross the threshold). Ranks stuck only because a message is unmatched
-//! are attributed to the matching diagnostics, not double-reported here.
+//! The fixpoint is linear in the total op count: a stalled rank parks on a
+//! list keyed by the one op it needs and is woken exactly when that op
+//! becomes posted, never rescanned while the peer advances elsewhere; a
+//! `WaitAll` resumes at its first unsatisfied request; the pairing and the
+//! request table are the view's, built once. A whole `lint_job` takes
+//! 0.7–2.0× a steady noise-free engine run of the same job on the perfbench
+//! engine schedules (release, 2-vCPU AMD EPYC; table in DESIGN.md §7).
+//!
+//! Two protocols are checked: the actual split (stuck cycle ⇒
+//! [`DiagClass::Deadlock`]) and, when that completes, all-rendezvous
+//! (stuck cycle ⇒ [`DiagClass::ProtocolFragility`]: the schedule relies on
+//! eager buffering and hangs as soon as its sizes cross the threshold).
+//! Ranks stuck only because a message is unmatched are attributed to the
+//! matching diagnostics, not double-reported here.
 
-use std::collections::HashMap;
-
-use pap_sim::program::{CommDir, CommMeta};
+use pap_sim::program::CommDir;
 use pap_sim::Op;
 
-use crate::channels::Matching;
 use crate::diag::{DiagClass, Diagnostic, OpLoc, Severity};
-use crate::{FlatProgram, LintConfig};
+use crate::view::{View, NONE};
+use crate::LintConfig;
 
 /// `Some(threshold)`: the platform's split. `None`: every send rendezvous.
 type Protocol = Option<u64>;
 
-fn is_eager(bytes: u64, proto: Protocol) -> bool {
-    proto.is_some_and(|th| bytes <= th)
+/// Where a rank stopped for good, and on whom.
+pub(crate) struct Stalled {
+    /// The op (global index) it cannot complete.
+    pub at: usize,
+    /// The rank whose op it waits for; `None` when the op (or one of the
+    /// waited requests) has no matched counterpart.
+    pub on: Option<usize>,
 }
 
-/// Why a rank cannot advance past its current op.
-pub(crate) enum Stall {
-    /// Waiting for the peer rank to reach flat index `flat`
-    /// (`strict`: must move *past* it, for non-blocking counterparts).
-    On { rank: usize, flat: usize, strict: bool },
-    /// The op (or one of the waited requests) has no matched counterpart.
+/// Run the protocol passes and emit deadlock / fragility diagnostics.
+///
+/// The all-rendezvous pass runs first: its conditions only add to the
+/// actual split's, so when it completes the actual pass completes too and a
+/// clean schedule costs one pass.
+pub(crate) fn check(view: &View, cfg: &LintConfig) -> Vec<Diagnostic> {
+    let completes = |stalled: &[Option<Stalled>]| stalled.iter().all(Option::is_none);
+    let rdv = execute(view, None, &[]);
+    if completes(&rdv) {
+        return vec![];
+    }
+    let actual = execute(view, Some(cfg.eager_threshold), &[]);
+    let found = if completes(&actual) {
+        cycle_diagnostic(view, &rdv, DiagClass::ProtocolFragility, cfg.eager_threshold)
+    } else {
+        // A real deadlock subsumes the fragility question.
+        cycle_diagnostic(view, &actual, DiagClass::Deadlock, cfg.eager_threshold)
+    };
+    found.into_iter().collect()
+}
+
+/// Whether an op (or one request of a `WaitAll`) can complete yet.
+enum Wait {
+    Done,
+    /// On the counterpart op `c`, owned by rank `q`: `On(c, q)`.
+    On(usize, usize),
+    /// Its message has no counterpart.
     Unmatched,
 }
 
-pub(crate) struct ExecOutcome {
-    /// Per rank: `None` if the rank finished, else the flat index it
-    /// stalled at together with the reason.
-    pub stalled: Vec<Option<(usize, Stall)>>,
-}
-
-/// Fail-stop assumptions for a crash-cone run: per rank, `Some(k)` means the
-/// rank completed exactly its first `k` flattened ops and then died.
+/// Advance every rank to the least fixpoint under `proto`; per rank, `None`
+/// if it finished, else where it stalled.
 ///
-/// Mirrors the engine's crash semantics for a rank halting *while
-/// attempting* op `k`: nothing of op `k` escapes. A send never injects its
-/// message (the sender dies during the send overhead), a receive never
-/// enters the matching queue (posting charges `recv_overhead` and "died
-/// posting the receive: nothing was matched or consumed"), so a crashed
-/// rank's op at `k` is never "posted" — unlike a live rank parked on a
-/// blocking op. Ops below `k` completed normally: messages they sent are in
-/// flight (survivor receives still complete — the engine only drops
-/// deliveries *addressed to* the dead rank), receives they posted consumed
-/// their counterpart.
-pub(crate) struct CrashPlan {
-    /// `limits[r] = Some(k)`: rank `r` fail-stops having completed `[0, k)`.
-    pub limits: Vec<Option<usize>>,
-}
-
-/// Run both protocol passes and emit deadlock / fragility diagnostics.
-pub(crate) fn check(
-    flat: &[FlatProgram<'_>],
-    matching: &Matching,
-    cfg: &LintConfig,
-) -> Vec<Diagnostic> {
-    let mut diags = Vec::new();
-    let actual = execute(flat, matching, Some(cfg.eager_threshold), None);
-    if let Some(d) = cycle_diagnostic(flat, &actual, DiagClass::Deadlock, cfg.eager_threshold) {
-        diags.push(d);
-        return diags; // A real deadlock subsumes the fragility question.
-    }
-    let completed = actual.stalled.iter().all(Option::is_none);
-    if completed {
-        let rdv = execute(flat, matching, None, None);
-        if let Some(d) = cycle_diagnostic(flat, &rdv, DiagClass::ProtocolFragility, cfg.eager_threshold) {
-            diags.push(d);
-        }
-    }
-    diags
-}
-
-/// Advance every rank to the least fixpoint under `proto`.
-///
-/// With a [`CrashPlan`], crashed ranks are frozen at their completed-op
-/// count and never advance; they are reported as *not* stalled (dead by
-/// design, not starved) — survivors transitively blocked on them surface
-/// in `stalled` as the crash cone.
-pub(crate) fn execute(
-    flat: &[FlatProgram<'_>],
-    matching: &Matching,
-    proto: Protocol,
-    crash: Option<&CrashPlan>,
-) -> ExecOutcome {
-    let ranks = flat.len();
-    let crashed_limit =
-        |r: usize| -> Option<usize> { crash.and_then(|c| c.limits.get(r).copied().flatten()) };
-    let mut pos = vec![0usize; ranks];
-    // Posted-but-unwaited requests: req → flat index of the posting op.
-    let mut pending: Vec<HashMap<usize, usize>> = vec![HashMap::new(); ranks];
-    // waiters[r] = ranks to re-try once pos[r] satisfies (flat, strict).
-    let mut waiters: Vec<Vec<(usize, bool, usize)>> = vec![Vec::new(); ranks];
-    let mut stalled: Vec<Option<(usize, Stall)>> = (0..ranks).map(|_| None).collect();
+/// `crashed[r] = Some(k)` (an empty slice crashes nobody) fail-stops rank
+/// `r` having completed exactly its first `k` flattened ops, mirroring the
+/// engine's crash semantics for a rank halting *while attempting* op `k`:
+/// nothing of op `k` escapes. A send never injects its message (the sender
+/// dies during the send overhead), a receive never enters the matching
+/// queue (posting charges `recv_overhead` and "died posting the receive:
+/// nothing was matched or consumed"), so a crashed rank's op at `k` is
+/// never "posted" — unlike a live rank parked on a blocking op. Ops below
+/// `k` completed normally: messages they sent are in flight (survivor
+/// receives still complete — the engine only drops deliveries *addressed
+/// to* the dead rank), receives they posted consumed their counterpart.
+/// Crashed ranks are frozen and reported as *not* stalled (dead by design,
+/// not starved); survivors transitively blocked on them surface as
+/// stalled: the crash cone.
+pub(crate) fn execute(view: &View, proto: Protocol, crashed: &[Option<usize>]) -> Vec<Option<Stalled>> {
+    let ranks = view.ranks();
+    let limit = |r: usize| crashed.get(r).copied().flatten();
+    let mut pos = view.start[..ranks].to_vec();
+    // Per rank, the first entry of `view.waited` its current WaitAll has
+    // not yet seen satisfied (entries before it stay satisfied: completion
+    // is monotone).
+    let mut cursor = vec![0usize; ranks];
+    // Stalled ranks parked on the op they need, as intrusive lists:
+    // `parked[c]` heads the list of ranks waiting for op `c` to be posted,
+    // `next[r]` links them (a stalled rank waits on exactly one op).
+    let mut parked = vec![NONE; view.ops.len()];
+    let mut next = vec![NONE; ranks];
+    let mut stalled: Vec<Option<Stalled>> = (0..ranks).map(|_| None).collect();
     let mut queue: Vec<usize> = Vec::with_capacity(ranks);
-    let mut queued = vec![false; ranks];
-    for r in 0..ranks {
-        match crashed_limit(r) {
+    for (r, pos) in pos.iter_mut().enumerate() {
+        match limit(r) {
             // The completed prefix is a premise of the crash point, not
             // something to re-derive: pin the position and never run the
             // rank.
-            Some(k) => pos[r] = k.min(flat[r].ops.len()),
-            None => {
-                queued[r] = true;
-                queue.push(r);
-            }
+            Some(k) => *pos += k.min(view.range(r).len()),
+            None => queue.push(r),
         }
     }
+    // Can message op `j` (or the request it posted) complete? A crashed
+    // counterpart only counts if it *completed* before death: the op it
+    // died attempting never entered the channels, so "blocking ops post on
+    // arrival" does not hold at the crash position.
+    let wait = |pos: &[usize], j: usize| {
+        let m = view.ops[j].comm_meta().expect("a message op");
+        let c = view.pair[j];
+        if m.dir == CommDir::Send && proto.is_some_and(|th| m.bytes.unwrap_or(0) <= th) {
+            return Wait::Done;
+        } else if c == NONE {
+            return Wait::Unmatched;
+        }
+        let q = m.peer;
+        let posted = match limit(q) {
+            Some(k) => c < view.start[q] + k,
+            None if view.ops[c].is_blocking() => pos[q] >= c,
+            None => pos[q] > c,
+        };
+        if posted {
+            Wait::Done
+        } else {
+            Wait::On(c, q)
+        }
+    };
 
     while let Some(r) = queue.pop() {
-        queued[r] = false;
-        loop {
-            let Some(f) = flat[r].ops.get(pos[r]) else {
-                stalled[r] = None;
-                break;
-            };
-            match try_complete(f.op, r, pos[r], &pos, &pending[r], matching, proto, flat, crash) {
-                Ok(freed) => {
-                    for req in freed {
-                        pending[r].remove(&req);
-                    }
-                    if let Some(m) = f.op.comm_meta() {
-                        if let Some(req) = m.req {
-                            pending[r].insert(req, pos[r]);
+        let end = view.start[r + 1];
+        while pos[r] < end {
+            let i = pos[r];
+            let w = match &view.ops[i] {
+                Op::Send { .. } | Op::Recv { .. } => wait(&pos, i),
+                Op::WaitAll { .. } => {
+                    cursor[r] = cursor[r].max(view.wait_off[i]);
+                    loop {
+                        if cursor[r] == view.wait_off[i + 1] {
+                            break Wait::Done;
+                        }
+                        match wait(&pos, view.waited[cursor[r]]) {
+                            Wait::Done => cursor[r] += 1,
+                            w => break w,
                         }
                     }
-                    pos[r] += 1;
-                    wake(&mut waiters, &mut queue, &mut queued, &pos, r);
                 }
-                Err(stall) => {
-                    if let Stall::On { rank, flat: need, strict } = stall {
-                        waiters[rank].push((need, strict, r));
+                // Isend/Irecv post and continue; local ops never wait on a peer.
+                _ => Wait::Done,
+            };
+            match w {
+                Wait::Done => {
+                    pos[r] = i + 1;
+                    // Passing op i posts it if it is non-blocking; arriving
+                    // at op i + 1 posts that one if it is blocking.
+                    wake(&mut parked, &mut next, &mut queue, i);
+                    if i + 1 < end && view.ops[i + 1].is_blocking() {
+                        wake(&mut parked, &mut next, &mut queue, i + 1);
                     }
-                    stalled[r] = Some((pos[r], stall));
-                    // Arriving at a blocking op posts it: peers waiting for
-                    // pos[r] == current (non-strict) may now proceed.
-                    wake(&mut waiters, &mut queue, &mut queued, &pos, r);
+                }
+                Wait::On(c, q) => {
+                    next[r] = std::mem::replace(&mut parked[c], r);
+                    stalled[r] = Some(Stalled { at: i, on: Some(q) });
+                    break;
+                }
+                Wait::Unmatched => {
+                    stalled[r] = Some(Stalled { at: i, on: None });
                     break;
                 }
             }
         }
-        if pos[r] >= flat[r].ops.len() {
+        if pos[r] == end {
             stalled[r] = None;
         }
     }
-    ExecOutcome { stalled }
+    stalled
 }
 
-fn wake(
-    waiters: &mut [Vec<(usize, bool, usize)>],
-    queue: &mut Vec<usize>,
-    queued: &mut [bool],
-    pos: &[usize],
-    r: usize,
-) {
-    let mut i = 0;
-    while i < waiters[r].len() {
-        let (need, strict, who) = waiters[r][i];
-        let ready = if strict { pos[r] > need } else { pos[r] >= need };
-        if ready {
-            waiters[r].swap_remove(i);
-            if !queued[who] {
-                queued[who] = true;
-                queue.push(who);
-            }
-        } else {
-            i += 1;
-        }
-    }
-}
-
-/// Is the counterpart of `m` (at `c_rank`/`c_flat`) posted, given positions?
-fn counterpart_posted(
-    flat: &[FlatProgram<'_>],
-    pos: &[usize],
-    c_rank: usize,
-    c_flat: usize,
-    crash: Option<&CrashPlan>,
-) -> Result<(), Stall> {
-    // Blocking counterparts post on arrival (pos == flat); non-blocking
-    // ones once executed (pos > flat).
-    let strict = !flat[c_rank].ops[c_flat].op.is_blocking();
-    let ready = match crash.and_then(|c| c.limits.get(c_rank).copied().flatten()) {
-        // A crashed counterpart only counts if it *completed* before death:
-        // the op it died attempting never entered the channels (no message
-        // injected, no receive posted), so the usual "blocking ops post on
-        // arrival" rule does not apply at the crash position.
-        Some(k) => c_flat < k,
-        None => {
-            if strict {
-                pos[c_rank] > c_flat
-            } else {
-                pos[c_rank] >= c_flat
-            }
-        }
-    };
-    if ready {
-        Ok(())
-    } else {
-        Err(Stall::On { rank: c_rank, flat: c_flat, strict })
-    }
-}
-
-/// Can the op at `(r, i)` complete now? On success returns the requests it
-/// frees (for `WaitAll`).
-#[allow(clippy::too_many_arguments)]
-fn try_complete(
-    op: &Op,
-    r: usize,
-    i: usize,
-    pos: &[usize],
-    pending: &HashMap<usize, usize>,
-    matching: &Matching,
-    proto: Protocol,
-    flat: &[FlatProgram<'_>],
-    crash: Option<&CrashPlan>,
-) -> Result<Vec<usize>, Stall> {
-    match op {
-        Op::Send { bytes, .. } => {
-            if is_eager(*bytes, proto) {
-                return Ok(vec![]);
-            }
-            match matching.send_match[r].get(&i) {
-                None => Err(Stall::Unmatched),
-                Some(c) => counterpart_posted(flat, pos, c.rank, c.flat, crash).map(|()| vec![]),
-            }
-        }
-        Op::Recv { .. } => match matching.recv_match[r].get(&i) {
-            None => Err(Stall::Unmatched),
-            Some(c) => counterpart_posted(flat, pos, c.rank, c.flat, crash).map(|()| vec![]),
-        },
-        Op::WaitAll { reqs } => {
-            for &req in reqs {
-                // Never-posted requests are reported by the request-lifecycle
-                // pass; treating them as satisfied avoids cascading stalls.
-                let Some(&j) = pending.get(&req) else { continue };
-                let m: CommMeta = flat[r].ops[j].op.comm_meta().expect("pending req posted by comm op");
-                match m.dir {
-                    CommDir::Send => {
-                        if is_eager(m.bytes.unwrap_or(0), proto) {
-                            continue;
-                        }
-                        match matching.send_match[r].get(&j) {
-                            None => return Err(Stall::Unmatched),
-                            Some(c) => counterpart_posted(flat, pos, c.rank, c.flat, crash)?,
-                        }
-                    }
-                    CommDir::Recv => match matching.recv_match[r].get(&j) {
-                        None => return Err(Stall::Unmatched),
-                        Some(c) => counterpart_posted(flat, pos, c.rank, c.flat, crash)?,
-                    },
-                }
-            }
-            Ok(reqs.clone())
-        }
-        // Isend/Irecv post and continue; local ops never wait on a peer.
-        _ => Ok(vec![]),
+/// Queue every rank parked on op `c`.
+fn wake(parked: &mut [usize], next: &mut [usize], queue: &mut Vec<usize>, c: usize) {
+    let mut r = std::mem::replace(&mut parked[c], NONE);
+    while r != NONE {
+        queue.push(r);
+        r = std::mem::replace(&mut next[r], NONE);
     }
 }
 
@@ -286,19 +208,14 @@ fn try_complete(
 /// diagnostic. Ranks stalled on an unmatched message (or transitively only
 /// on such ranks) are the matching pass's findings, not a cycle.
 fn cycle_diagnostic(
-    flat: &[FlatProgram<'_>],
-    outcome: &ExecOutcome,
+    view: &View,
+    stalled: &[Option<Stalled>],
     class: DiagClass,
     eager_threshold: u64,
 ) -> Option<Diagnostic> {
-    let ranks = outcome.stalled.len();
+    let ranks = stalled.len();
     // wait-for edge r → peer, for matched stalls only.
-    let mut edge: Vec<Option<usize>> = vec![None; ranks];
-    for (r, s) in outcome.stalled.iter().enumerate() {
-        if let Some((_, Stall::On { rank, .. })) = s {
-            edge[r] = Some(*rank);
-        }
-    }
+    let edge: Vec<Option<usize>> = stalled.iter().map(|s| s.as_ref().and_then(|s| s.on)).collect();
     // Follow edges from each stalled rank; a rank revisited within one walk
     // is on a cycle.
     let mut color = vec![0u8; ranks]; // 0 unvisited, 1 on current walk, 2 done
@@ -324,7 +241,7 @@ fn cycle_diagnostic(
             };
             let locs: Vec<OpLoc> = cycle
                 .iter()
-                .map(|&r| flat[r].ops[outcome.stalled[r].as_ref().unwrap().0].loc)
+                .map(|&r| view.loc(stalled[r].as_ref().unwrap().at))
                 .collect();
             let chain = cycle
                 .iter()

@@ -30,8 +30,9 @@ use pap_sim::Job;
 use serde::{Deserialize, Serialize};
 
 use crate::diag::OpLoc;
-use crate::exec::{self, CrashPlan};
-use crate::{channels, decode, flatten, LintConfig};
+use crate::exec;
+use crate::view::View;
+use crate::LintConfig;
 
 /// A static fail-stop point: the rank completed exactly its first `op`
 /// flattened ops, then died attempting the next one.
@@ -89,38 +90,25 @@ impl CrashCone {
 /// Panics when a crash names a rank outside the job or lists the same rank
 /// twice; `op` is clamped to the rank's program length.
 pub fn crash_cone(job: &Job, cfg: &LintConfig, crashes: &[CrashPoint]) -> CrashCone {
-    let programs = decode(job);
-    let flat = flatten(&programs);
-    let (matching, _) = channels::check(&flat, flat.len());
-    cone_with(&flat, &matching, cfg, crashes)
+    cone_of(&View::new(job), cfg, crashes)
 }
 
-/// [`crash_cone`] over pre-computed flatten/matching state (one pass of the
-/// matching pass serves every cone of the same job).
-fn cone_with(
-    flat: &[crate::FlatProgram<'_>],
-    matching: &channels::Matching,
-    cfg: &LintConfig,
-    crashes: &[CrashPoint],
-) -> CrashCone {
-    let ranks = flat.len();
+/// [`crash_cone`] over a built view (one view serves every cone of a job).
+pub(crate) fn cone_of(view: &View, cfg: &LintConfig, crashes: &[CrashPoint]) -> CrashCone {
+    let ranks = view.ranks();
     let mut limits: Vec<Option<usize>> = vec![None; ranks];
     for c in crashes {
         assert!(c.rank < ranks, "crash rank {} out of range (ranks {})", c.rank, ranks);
         assert!(limits[c.rank].is_none(), "rank {} crashes twice", c.rank);
-        limits[c.rank] = Some(c.op.min(flat[c.rank].ops.len()));
+        limits[c.rank] = Some(c.op.min(view.range(c.rank).len()));
     }
-    let plan = CrashPlan { limits };
-    let out = exec::execute(flat, matching, Some(cfg.eager_threshold), Some(&plan));
-    let mut starved: Vec<StarvedOp> = out
-        .stalled
+    let stalled = exec::execute(view, Some(cfg.eager_threshold), &limits);
+    // Ranks in order, so the cone is sorted by rank.
+    let starved: Vec<StarvedOp> = stalled
         .iter()
         .enumerate()
-        .filter_map(|(r, s)| {
-            s.as_ref().map(|(at, _)| StarvedOp { rank: r, loc: flat[r].ops[*at].loc })
-        })
+        .filter_map(|(r, s)| s.as_ref().map(|s| StarvedOp { rank: r, loc: view.loc(s.at) }))
         .collect();
-    starved.sort_by_key(|s| s.rank);
     CrashCone { crashes: crashes.to_vec(), starved }
 }
 
@@ -141,15 +129,19 @@ pub struct BlastRadius {
 
 /// Compute the entry cone of every rank (one fixpoint per rank).
 pub fn blast_radius(job: &Job, cfg: &LintConfig) -> BlastRadius {
-    let programs = decode(job);
-    let flat = flatten(&programs);
-    let ranks = flat.len();
-    let (matching, _) = channels::check(&flat, ranks);
-    let entry_starved: Vec<usize> = (0..ranks)
-        .map(|r| cone_with(&flat, &matching, cfg, &[CrashPoint::on_entry(r)]).starved.len())
-        .collect();
-    let critical: Vec<usize> =
-        (0..ranks).filter(|&r| entry_starved[r] > 0).collect();
+    blast_of(&entry_cones(&View::new(job), cfg))
+}
+
+/// The entry cone of every rank of `view`, in rank order.
+fn entry_cones(view: &View, cfg: &LintConfig) -> Vec<CrashCone> {
+    (0..view.ranks()).map(|r| cone_of(view, cfg, &[CrashPoint::on_entry(r)])).collect()
+}
+
+/// Summarize the entry cones of a job, in rank order.
+fn blast_of(cones: &[CrashCone]) -> BlastRadius {
+    let ranks = cones.len();
+    let entry_starved: Vec<usize> = cones.iter().map(|c| c.starved.len()).collect();
+    let critical: Vec<usize> = (0..ranks).filter(|&r| entry_starved[r] > 0).collect();
     let max_starved = entry_starved.iter().copied().max().unwrap_or(0);
     let mean_starved = if ranks == 0 {
         0.0
@@ -157,28 +149,6 @@ pub fn blast_radius(job: &Job, cfg: &LintConfig) -> BlastRadius {
         entry_starved.iter().sum::<usize>() as f64 / ranks as f64
     };
     BlastRadius { ranks, entry_starved, critical, max_starved, mean_starved }
-}
-
-/// The cone of rank `rank` at every *distinct* crash position: `k = 0` and
-/// after each of its communication ops. Local ops never change channel
-/// state, so cones only move at comm boundaries — intermediate `k` values
-/// have identical cones and are skipped.
-pub fn cone_profile(job: &Job, cfg: &LintConfig, rank: usize) -> Vec<CrashCone> {
-    let programs = decode(job);
-    let flat = flatten(&programs);
-    let ranks = flat.len();
-    assert!(rank < ranks, "rank {rank} out of range (ranks {ranks})");
-    let (matching, _) = channels::check(&flat, ranks);
-    let mut ks = vec![0usize];
-    for (i, f) in flat[rank].ops.iter().enumerate() {
-        if f.op.comm_meta().is_some() {
-            ks.push(i + 1);
-        }
-    }
-    ks.dedup();
-    ks.iter()
-        .map(|&k| cone_with(&flat, &matching, cfg, &[CrashPoint { rank, op: k }]))
-        .collect()
 }
 
 /// Configuration of the registry-wide fault sweep (`papctl lint --faults`).
@@ -350,7 +320,7 @@ impl FaultSweepSummary {
 /// each case's worst non-root crash. Cases fan out over the `pap-parallel`
 /// worker pool; the result is deterministic and order-independent.
 pub fn sweep_faults(cfg: &FaultSweepConfig) -> FaultSweepSummary {
-    use pap_collectives::registry::{algorithm, algorithms};
+    use pap_collectives::registry::algorithms;
     use pap_collectives::{build, CollSpec, CollectiveKind};
     use pap_sim::RankProgram;
 
@@ -379,17 +349,19 @@ pub fn sweep_faults(cfg: &FaultSweepConfig) -> FaultSweepSummary {
             .with_seg_bytes(cfg.seg_bytes);
         let built = build(&spec, case.p).expect("registry build");
         let job = Job::new(built.rank_ops.into_iter().map(RankProgram::from_ops).collect());
-        let blast = blast_radius(&job, &lint_cfg);
+        let view = View::new(&job);
+        let cones = entry_cones(&view, &lint_cfg);
+        let blast = blast_of(&cones);
         // Worst non-root crash: the root's death voids the collective's
         // semantics, so repair targets a non-root rank (ties → lowest).
         let victim = (0..case.p)
             .filter(|&r| !crate::sweep::uses_root(case.kind) || r != root)
             .max_by_key(|&r| (blast.entry_starved[r], usize::MAX - r))
             .unwrap_or(0);
-        let victim_starved =
-            crash_cone(&job, &lint_cfg, &[CrashPoint::on_entry(victim)]).starved_ranks();
+        let victim_starved = cones[victim].starved_ranks();
         let repair = if cfg.repair {
-            match crate::repair::certified_repair(&job, &lint_cfg, victim) {
+            let repaired = crate::repair::repair_view(&job, &view, &lint_cfg, victim);
+            match crate::repair::certify(repaired, &lint_cfg) {
                 Ok(_) => RepairVerdict::Certified,
                 Err(e @ crate::repair::RepairError::Unsupported { .. }) => {
                     RepairVerdict::Unsupported(e.to_string())
@@ -413,43 +385,28 @@ pub fn sweep_faults(cfg: &FaultSweepConfig) -> FaultSweepSummary {
         }
     });
 
-    let mut algo_rows: Vec<FaultAlgRow> = Vec::new();
-    let (mut repaired, mut unsupported, mut cert_failed) = (0usize, 0usize, 0usize);
+    // One row per registered algorithm, in registry order.
+    let mut algo_rows: Vec<FaultAlgRow> = CollectiveKind::ALL
+        .into_iter()
+        .flat_map(algorithms)
+        .map(|a| FaultAlgRow {
+            collective: a.kind.name().to_string(),
+            alg: a.id,
+            name: a.name.to_string(),
+            cases: 0,
+            max_starved: 0,
+            mean_starved: 0.0,
+            critical_frac: 0.0,
+            repaired: 0,
+            unsupported: 0,
+            cert_failed: 0,
+        })
+        .collect();
     for row in &rows {
-        match &row.repair {
-            RepairVerdict::Certified => repaired += 1,
-            RepairVerdict::Unsupported(_) => unsupported += 1,
-            RepairVerdict::CertFailed(_) => cert_failed += 1,
-            RepairVerdict::Skipped => {}
-        }
-        let key = (row.collective.clone(), row.alg);
-        let entry = match algo_rows.iter_mut().find(|r| (r.collective.clone(), r.alg) == key) {
-            Some(r) => r,
-            None => {
-                algo_rows.push(FaultAlgRow {
-                    collective: key.0,
-                    alg: row.alg,
-                    name: algorithm(
-                        CollectiveKind::ALL
-                            .iter()
-                            .copied()
-                            .find(|k| k.name() == row.collective)
-                            .expect("known kind"),
-                        row.alg,
-                    )
-                    .map(|a| a.name.to_string())
-                    .unwrap_or_default(),
-                    cases: 0,
-                    max_starved: 0,
-                    mean_starved: 0.0,
-                    critical_frac: 0.0,
-                    repaired: 0,
-                    unsupported: 0,
-                    cert_failed: 0,
-                });
-                algo_rows.last_mut().expect("just pushed")
-            }
-        };
+        let entry = algo_rows
+            .iter_mut()
+            .find(|r| r.collective == row.collective && r.alg == row.alg)
+            .expect("cases come from the registry");
         entry.cases += 1;
         let case_max = row.entry_starved.iter().copied().max().unwrap_or(0);
         entry.max_starved = entry.max_starved.max(case_max);
@@ -464,6 +421,7 @@ pub fn sweep_faults(cfg: &FaultSweepConfig) -> FaultSweepSummary {
             RepairVerdict::Skipped => {}
         }
     }
+    algo_rows.retain(|r| r.cases > 0);
     for r in &mut algo_rows {
         r.mean_starved /= r.cases as f64;
         r.critical_frac /= r.cases as f64;
@@ -474,9 +432,9 @@ pub fn sweep_faults(cfg: &FaultSweepConfig) -> FaultSweepSummary {
         sizes: cfg.sizes.clone(),
         eager_threshold: cfg.eager_threshold,
         cases: rows.len(),
-        repaired,
-        unsupported,
-        cert_failed,
+        repaired: algo_rows.iter().map(|r| r.repaired).sum(),
+        unsupported: algo_rows.iter().map(|r| r.unsupported).sum(),
+        cert_failed: algo_rows.iter().map(|r| r.cert_failed).sum(),
         algorithms: algo_rows,
         case_rows: rows,
     }
@@ -563,23 +521,6 @@ mod tests {
             "the root transitively starves: {:?}",
             cone.starved_ranks()
         );
-    }
-
-    #[test]
-    fn cones_shrink_as_crash_moves_later() {
-        let job = registry_job(CollectiveKind::Reduce, 5, 8, 1024);
-        let cfg = LintConfig::default();
-        let profile = cone_profile(&job, &cfg, 7);
-        assert!(profile.len() >= 2, "leaf has at least entry + post-send cones");
-        for w in profile.windows(2) {
-            assert!(
-                w[1].starved.len() <= w[0].starved.len(),
-                "cones must shrink as the crash moves later: {:?}",
-                profile.iter().map(|c| c.starved.len()).collect::<Vec<_>>()
-            );
-        }
-        // Once the leaf's send completed, nobody starves.
-        assert!(profile.last().unwrap().is_empty());
     }
 
     #[test]

@@ -26,12 +26,17 @@
 //! 5. **Slot dataflow** — use-before-init, send-from-cleared-slot, dead
 //!    stores, and accesses racing a pending `Irecv` delivery.
 //!
+//! Every check reads one static view of the job, built once per entry
+//! point: the flattened ops, the FIFO send↔receive pairing and the request
+//! table. Building it finds checks 1, 3 and 4, except the size comparison
+//! of matched pairs, which runs with the slot dataflow.
+//!
 //! ## Fault reachability and repair
 //!
 //! The same fixpoint answers *"who starves if rank `R` dies after `k`
-//! ops?"* ([`crash_cone`], [`blast_radius`], [`cone_profile`] in
-//! [`faults`]) — exactly the engine's starved-rank set for an entry
-//! crash, differentially pinned on the whole registry. Where the crashed
+//! ops?"* ([`crash_cone`], [`blast_radius`] in [`faults`]) — exactly the
+//! engine's starved-rank set for an entry crash, differentially pinned on
+//! the whole registry. Where the crashed
 //! rank's dependence structure allows, [`repair`] rewrites the schedule to
 //! route around the dead rank; [`certified_repair`] accepts a rewrite only
 //! if it re-lints clean across all diagnostic classes *and* leaves an
@@ -57,12 +62,15 @@ pub mod faults;
 pub mod repair;
 mod requests;
 pub mod sweep;
+mod view;
 
-use pap_sim::{Job, Op, Platform, RankProgram};
+use pap_sim::{Job, Platform};
+
+use view::View;
 
 pub use diag::{DiagClass, Diagnostic, LintReport, OpLoc, Severity};
 pub use faults::{
-    blast_radius, cone_profile, crash_cone, sweep_faults, BlastRadius, CrashCone, CrashPoint,
+    blast_radius, crash_cone, sweep_faults, BlastRadius, CrashCone, CrashPoint,
     FaultAlgRow, FaultCaseRow, FaultSweepConfig, FaultSweepSummary, RepairVerdict, StarvedOp,
 };
 pub use repair::{certified_repair, repair_job, RepairError, RepairOutcome};
@@ -91,61 +99,27 @@ impl LintConfig {
     }
 }
 
-/// One op with its coordinates, in a flattened per-rank sequence.
-#[derive(Clone, Copy)]
-pub(crate) struct FlatOp<'a> {
-    pub loc: OpLoc,
-    pub op: &'a Op,
-}
-
-/// A rank program flattened to one op sequence (segments concatenated).
-pub(crate) struct FlatProgram<'a> {
-    pub ops: Vec<FlatOp<'a>>,
-}
-
-/// The builder view of every rank of `job` (see [`Job::program`]).
-pub(crate) fn decode(job: &Job) -> Vec<RankProgram> {
-    (0..job.ranks()).map(|r| job.program(r)).collect()
-}
-
-pub(crate) fn flatten(programs: &[RankProgram]) -> Vec<FlatProgram<'_>> {
-    programs
-        .iter()
-        .enumerate()
-        .map(|(rank, prog)| {
-            let mut ops = Vec::with_capacity(prog.op_count());
-            for (seg, segment) in prog.segments.iter().enumerate() {
-                for (op_idx, op) in segment.ops.iter().enumerate() {
-                    ops.push(FlatOp { loc: OpLoc { rank, seg, op: op_idx }, op });
-                }
-            }
-            FlatProgram { ops }
-        })
-        .collect()
-}
-
 /// Lint one job: run every check and collect the findings into a report
 /// sorted by location then class.
 pub fn lint_job(job: &Job, cfg: &LintConfig) -> LintReport {
-    let programs = decode(job);
-    let flat = flatten(&programs);
-    let ranks = flat.len();
-    let ops = flat.iter().map(|f| f.ops.len()).sum();
+    lint_view(&View::new(job), cfg)
+}
 
-    let (matching, mut diagnostics) = channels::check(&flat, ranks);
-    diagnostics.extend(requests::check(&flat));
-    diagnostics.extend(dataflow::check(&flat));
-    diagnostics.extend(exec::check(&flat, &matching, cfg));
+/// [`lint_job`] over an already built view.
+pub(crate) fn lint_view(view: &View, cfg: &LintConfig) -> LintReport {
+    let mut diagnostics = view.findings.clone();
+    diagnostics.extend(dataflow::check(view));
+    diagnostics.extend(exec::check(view, cfg));
 
     diagnostics.sort_by(|a, b| (a.loc, a.class, &a.message).cmp(&(b.loc, b.class, &b.message)));
     diagnostics.dedup();
-    LintReport { diagnostics, ranks, ops }
+    LintReport { diagnostics, ranks: view.ranks(), ops: view.ops.len() }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pap_sim::RankProgram;
+    use pap_sim::{Op, RankProgram};
 
     #[test]
     fn empty_job_is_clean() {

@@ -52,9 +52,9 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use pap_sim::program::{CommDir, ReqId, Slot, Tag};
 use pap_sim::{Job, Op, RankProgram, Segment};
 
-use crate::channels;
-use crate::faults::{crash_cone, CrashPoint};
-use crate::{decode, flatten, lint_job, LintConfig, LintReport};
+use crate::faults::{cone_of, CrashPoint};
+use crate::view::{slot_written, slots_read, Counterpart, View};
+use crate::{lint_view, LintConfig, LintReport};
 
 /// Why a repair was not produced (or not accepted).
 #[derive(Debug)]
@@ -189,18 +189,28 @@ impl Edit {
 /// crashed rank's program is emptied. No certification — see
 /// [`certified_repair`] for the accepted-only variant.
 pub fn repair_job(job: &Job, cfg: &LintConfig, crashed: usize) -> Result<RepairOutcome, RepairError> {
-    let ranks = job.ranks();
+    repair_view(job, &View::new(job), cfg, crashed)
+}
+
+/// [`repair_job`] over the view of `job`.
+pub(crate) fn repair_view(
+    job: &Job,
+    view: &View,
+    cfg: &LintConfig,
+    crashed: usize,
+) -> Result<RepairOutcome, RepairError> {
+    let ranks = view.ranks();
     if crashed >= ranks {
         return Err(RepairError::BadRank { rank: crashed, ranks });
     }
-    let input = lint_job(job, cfg);
+    let input = lint_view(view, cfg);
     if !input.is_clean() {
         return Err(RepairError::UncleanInput { errors: input.errors() });
     }
-
-    let programs = decode(job);
-    let flat = flatten(&programs);
-    let (matching, _) = channels::check(&flat, ranks);
+    // A clean job is fully matched.
+    let matched = |r: usize, i: usize| -> Counterpart {
+        view.counterpart(r, i).expect("clean input is fully matched")
+    };
 
     // --- dependence analysis of the crashed rank's program ---------------
     // inbound/outbound comm ops of `crashed`, and for each outbound the set
@@ -210,8 +220,8 @@ pub fn repair_job(job: &Job, cfg: &LintConfig, crashed: usize) -> Result<RepairO
     let mut deps: BTreeMap<usize, BTreeSet<usize>> = BTreeMap::new();
     {
         let mut taint: HashMap<Slot, BTreeSet<usize>> = HashMap::new();
-        for (i, f) in flat[crashed].ops.iter().enumerate() {
-            if let Some(m) = f.op.comm_meta() {
+        for (i, op) in view.rank_ops(crashed).iter().enumerate() {
+            if let Some(m) = op.comm_meta() {
                 match m.dir {
                     CommDir::Recv => {
                         inbound.push(i);
@@ -224,7 +234,7 @@ pub fn repair_job(job: &Job, cfg: &LintConfig, crashed: usize) -> Result<RepairO
                 }
                 continue;
             }
-            match f.op {
+            match op {
                 Op::InitSlot { slot, .. } | Op::ClearSlot { slot } => {
                     taint.remove(slot);
                 }
@@ -248,18 +258,16 @@ pub fn repair_job(job: &Job, cfg: &LintConfig, crashed: usize) -> Result<RepairO
     let components = connected_components(&inbound, &outbound, &deps);
 
     // --- edit state ------------------------------------------------------
-    let mut edits: Vec<Edit> = flat
-        .iter()
-        .enumerate()
-        .map(|(r, fp)| Edit {
-            ops: fp.ops.iter().map(|f| Some(f.op.clone())).collect(),
+    let mut edits: Vec<Edit> = (0..ranks)
+        .map(|r| Edit {
+            ops: view.rank_ops(r).iter().cloned().map(Some).collect(),
             inserts: BTreeMap::new(),
             tail_reqs: Vec::new(),
             next_req: job.reqs_needed(r),
             next_slot: job.slots_needed(r),
         })
         .collect();
-    let mut next_tag: Tag = fresh_tag_base(&flat);
+    let mut next_tag: Tag = fresh_tag_base(view);
     let mut notes = Vec::new();
     let mut stats = (0usize, 0usize, 0usize); // dropped, rewired, inserted
 
@@ -286,7 +294,7 @@ pub fn repair_job(job: &Job, cfg: &LintConfig, crashed: usize) -> Result<RepairO
             Shape::DropIn => {
                 // Sinks: drop each live sender's matching send.
                 for &i in &comp.inbound {
-                    let cp = matching.recv_match[crashed][&i];
+                    let cp = matched(crashed, i);
                     drops.push((cp.rank, cp.flat));
                     notes.push(format!("drop-in: rank {} no longer sends to {crashed}", cp.rank));
                 }
@@ -295,7 +303,7 @@ pub fn repair_job(job: &Job, cfg: &LintConfig, crashed: usize) -> Result<RepairO
                 // R's own data: drop each live receiver's matching receive
                 // (and, by cascade, whatever consumed it).
                 for &o in &comp.outbound {
-                    let cp = matching.send_match[crashed][&o];
+                    let cp = matched(crashed, o);
                     drops.push((cp.rank, cp.flat));
                     notes.push(format!(
                         "drop-out: rank {} forgoes {crashed}'s contribution",
@@ -305,15 +313,14 @@ pub fn repair_job(job: &Job, cfg: &LintConfig, crashed: usize) -> Result<RepairO
             }
             Shape::FanOut => {
                 let i = comp.inbound[0];
-                let src = matching.recv_match[crashed][&i];
-                let src_slot = flat[src.rank].ops[src.flat]
-                    .op
+                let src = matched(crashed, i);
+                let src_slot = view.rank_ops(src.rank)[src.flat]
                     .comm_meta()
                     .expect("matched send is a comm op")
                     .slot;
                 let mut clones: Vec<Op> = Vec::new();
                 for &o in &comp.outbound {
-                    let dst = matching.send_match[crashed][&o];
+                    let dst = matched(crashed, o);
                     if dst.rank == src.rank {
                         // The forward would return to the promoted rank
                         // itself: its copy of the data is already in place —
@@ -327,20 +334,8 @@ pub fn repair_job(job: &Job, cfg: &LintConfig, crashed: usize) -> Result<RepairO
                     }
                     let tag = next_tag;
                     next_tag += 1;
-                    let clone = match flat[crashed].ops[o].op {
-                        Op::Send { to, bytes, filter, .. } => {
-                            Op::Send { to: *to, tag, bytes: *bytes, slot: src_slot, filter: *filter }
-                        }
-                        Op::Isend { to, bytes, filter, .. } => Op::Isend {
-                            to: *to,
-                            tag,
-                            bytes: *bytes,
-                            slot: src_slot,
-                            filter: *filter,
-                            req: edits[src.rank].fresh_req(),
-                        },
-                        _ => unreachable!("outbound is a send"),
-                    };
+                    let forward = &view.rank_ops(crashed)[o];
+                    let clone = forward_clone(forward, tag, src_slot, &mut edits[src.rank]);
                     clones.push(clone);
                     rewire_recv(&mut edits[dst.rank], dst.flat, src.rank, tag);
                     stats.1 += 1;
@@ -353,13 +348,13 @@ pub fn repair_job(job: &Job, cfg: &LintConfig, crashed: usize) -> Result<RepairO
                 replace_send(&mut edits[src.rank], src.flat, clones, &mut stats);
             }
             Shape::PipedFanOut => {
-                let sends = |rank: usize, idx: usize| match flat[rank].ops[idx].op {
+                let sends = |rank: usize, idx: usize| match view.rank_ops(rank)[idx] {
                     Op::Send { bytes, slot, filter, .. }
-                    | Op::Isend { bytes, slot, filter, .. } => (*bytes, *slot, *filter),
+                    | Op::Isend { bytes, slot, filter, .. } => (bytes, slot, filter),
                     ref other => unreachable!("matched send is a send: {other:?}"),
                 };
                 let sources: Vec<_> =
-                    comp.inbound.iter().map(|&i| matching.recv_match[crashed][&i]).collect();
+                    comp.inbound.iter().map(|&i| matched(crashed, i)).collect();
                 let src_rank = sources[0].rank;
                 if sources.iter().any(|cp| cp.rank != src_rank) {
                     return Err(weave());
@@ -382,7 +377,7 @@ pub fn repair_job(job: &Job, cfg: &LintConfig, crashed: usize) -> Result<RepairO
                 }
                 let mut clones_for: Vec<Vec<Op>> = vec![Vec::new(); sources.len()];
                 for &o in &comp.outbound {
-                    let dst = matching.send_match[crashed][&o];
+                    let dst = matched(crashed, o);
                     if dst.rank == src_rank {
                         // The forward would return to the promoted rank:
                         // its copy is already in place.
@@ -396,20 +391,8 @@ pub fn repair_job(job: &Job, cfg: &LintConfig, crashed: usize) -> Result<RepairO
                     let (_, src_slot, _) = sends(src_rank, sources[seg].flat);
                     let tag = next_tag;
                     next_tag += 1;
-                    let clone = match flat[crashed].ops[o].op {
-                        Op::Send { to, bytes, filter, .. } => {
-                            Op::Send { to: *to, tag, bytes: *bytes, slot: src_slot, filter: *filter }
-                        }
-                        Op::Isend { to, bytes, filter, .. } => Op::Isend {
-                            to: *to,
-                            tag,
-                            bytes: *bytes,
-                            slot: src_slot,
-                            filter: *filter,
-                            req: edits[src_rank].fresh_req(),
-                        },
-                        _ => unreachable!("outbound is a send"),
-                    };
+                    let forward = &view.rank_ops(crashed)[o];
+                    let clone = forward_clone(forward, tag, src_slot, &mut edits[src_rank]);
                     clones_for[seg].push(clone);
                     rewire_recv(&mut edits[dst.rank], dst.flat, src_rank, tag);
                     stats.1 += 1;
@@ -430,19 +413,18 @@ pub fn repair_job(job: &Job, cfg: &LintConfig, crashed: usize) -> Result<RepairO
             }
             Shape::FanIn => {
                 let o = comp.outbound[0];
-                let dst = matching.send_match[crashed][&o];
-                let recv_slot = flat[dst.rank].ops[dst.flat]
-                    .op
+                let dst = matched(crashed, o);
+                let recv_slot = view.rank_ops(dst.rank)[dst.flat]
                     .comm_meta()
                     .expect("matched receive is a comm op")
                     .slot;
                 // The fold ops on the consumer that digest the received
                 // value — cloned once per extra source.
-                let folds = fold_ops(&flat[dst.rank], dst.flat, recv_slot)?;
+                let folds = fold_ops(view.rank_ops(dst.rank), dst.rank, dst.flat, recv_slot)?;
                 let insert_at = folds.last().copied().unwrap_or(dst.flat);
                 let mut first = true;
                 for &i in &comp.inbound {
-                    let src = matching.recv_match[crashed][&i];
+                    let src = matched(crashed, i);
                     if src.rank == dst.rank {
                         // The consumer contributed via R itself: its own
                         // term is already in its accumulator — drop the
@@ -454,8 +436,7 @@ pub fn repair_job(job: &Job, cfg: &LintConfig, crashed: usize) -> Result<RepairO
                         ));
                         continue;
                     }
-                    let bytes = flat[src.rank].ops[src.flat]
-                        .op
+                    let bytes = view.rank_ops(src.rank)[src.flat]
                         .comm_meta()
                         .expect("matched send is a comm op")
                         .bytes
@@ -497,91 +478,66 @@ pub fn repair_job(job: &Job, cfg: &LintConfig, crashed: usize) -> Result<RepairO
     }
 
     // --- cascading drops --------------------------------------------------
+    // A dropped send orphans its counterpart receive. A dropped receive
+    // kills the value its slot carried: walk forward, dropping readers of
+    // dead slots until a pure overwrite revives them.
     while let Some((r, i)) = drops.pop() {
         debug_assert_ne!(r, crashed);
         let Some(op) = edits[r].ops[i].take() else { continue };
         stats.0 += 1;
-        if let Some(m) = op.comm_meta() {
-            if let Some(req) = m.req {
-                edits[r].scrub_req(i, req);
+        let Some(m) = op.comm_meta() else { continue };
+        if let Some(req) = m.req {
+            edits[r].scrub_req(i, req);
+        }
+        let survivor = |cp: &Counterpart| cp.rank != crashed;
+        if m.dir == CommDir::Send {
+            drops.extend(view.counterpart(r, i).filter(survivor).map(|cp| (cp.rank, cp.flat)));
+            continue;
+        }
+        let mut dead: HashSet<Slot> = HashSet::from([m.slot]);
+        for j in i + 1..edits[r].ops.len() {
+            let Some(o) = edits[r].ops[j].as_ref() else { continue };
+            let (reads, m) = (slots_read(o), o.comm_meta());
+            // Pure overwrite targets of a dropped op die with it;
+            // read-modify-write targets keep their prior value.
+            let overwrite = slot_written(o).filter(|w| !reads.contains(&Some(*w)));
+            if !reads.iter().flatten().any(|s| dead.contains(s)) {
+                if let Some(w) = overwrite {
+                    dead.remove(&w);
+                }
+                continue;
             }
-            match m.dir {
-                // A dropped send orphans its counterpart receive.
-                CommDir::Send => {
-                    if let Some(cp) = matching.send_match[r].get(&i) {
-                        if cp.rank != crashed {
-                            drops.push((cp.rank, cp.flat));
-                        }
-                    }
-                    continue;
-                }
-                // A dropped receive kills the value its slot carried: walk
-                // forward, dropping readers of dead slots until a pure
-                // overwrite revives them.
-                CommDir::Recv => {
-                    let mut dead: HashSet<Slot> = HashSet::from([m.slot]);
-                    for j in i + 1..edits[r].ops.len() {
-                        let Some(o) = edits[r].ops[j].as_ref() else { continue };
-                        let reads = o.slots_read();
-                        let writes = o.slots_written();
-                        if reads.iter().any(|s| dead.contains(s)) {
-                            let is_send = matches!(o.comm_meta(), Some(m) if m.dir == CommDir::Send);
-                            let req = o.comm_meta().and_then(|m| m.req);
-                            // Pure overwrite targets of the dropped op die
-                            // with it; read-modify-write targets keep their
-                            // prior value.
-                            for w in &writes {
-                                if !reads.contains(w) {
-                                    dead.insert(*w);
-                                }
-                            }
-                            edits[r].ops[j] = None;
-                            stats.0 += 1;
-                            if let Some(req) = req {
-                                edits[r].scrub_req(j, req);
-                            }
-                            if is_send {
-                                if let Some(cp) = matching.send_match[r].get(&j) {
-                                    if cp.rank != crashed {
-                                        drops.push((cp.rank, cp.flat));
-                                    }
-                                }
-                            }
-                        } else {
-                            for w in &writes {
-                                if !reads.contains(w) {
-                                    dead.remove(w);
-                                }
-                            }
-                        }
-                    }
-                }
+            dead.extend(overwrite);
+            edits[r].ops[j] = None;
+            stats.0 += 1;
+            if let Some(req) = m.and_then(|m| m.req) {
+                edits[r].scrub_req(j, req);
+            }
+            if m.is_some_and(|m| m.dir == CommDir::Send) {
+                drops.extend(view.counterpart(r, j).filter(survivor).map(|cp| (cp.rank, cp.flat)));
             }
         }
     }
 
     // --- reassembly -------------------------------------------------------
     let mut repaired: Vec<RankProgram> = Vec::with_capacity(ranks);
-    for (r, prog) in programs.iter().enumerate() {
+    for (r, edit) in edits.iter().enumerate() {
         if r == crashed {
             repaired.push(RankProgram::new());
             continue;
         }
-        let edit = &edits[r];
         let mut out = RankProgram::new();
-        let mut idx = 0usize;
-        for seg in &prog.segments {
-            let mut ops: Vec<Op> = Vec::with_capacity(seg.ops.len());
-            for _ in &seg.ops {
+        for (label, range) in view.rank_segs(r) {
+            let mut ops: Vec<Op> = Vec::with_capacity(range.len());
+            for idx in range.map(|i| i - view.start[r]) {
                 if let Some(op) = edit.ops[idx].clone() {
                     ops.push(op);
                 }
                 if let Some(ins) = edit.inserts.get(&idx) {
                     ops.extend(ins.iter().cloned());
                 }
-                idx += 1;
             }
-            out.segments.push(Segment { label: seg.label, ops });
+            out.segments.push(Segment { label, ops });
         }
         if !edit.tail_reqs.is_empty() {
             out.push_anon(vec![Op::waitall(edit.tail_reqs.clone())]);
@@ -607,9 +563,18 @@ pub fn certified_repair(
     cfg: &LintConfig,
     crashed: usize,
 ) -> Result<RepairOutcome, RepairError> {
-    let out = repair_job(job, cfg, crashed)?;
-    let report = lint_job(&out.job, cfg);
-    let cone = crash_cone(&out.job, cfg, &[CrashPoint::on_entry(crashed)]);
+    certify(repair_job(job, cfg, crashed), cfg)
+}
+
+/// Accept a produced repair only if it re-verifies (see [`certified_repair`]).
+pub(crate) fn certify(
+    repaired: Result<RepairOutcome, RepairError>,
+    cfg: &LintConfig,
+) -> Result<RepairOutcome, RepairError> {
+    let out = repaired?;
+    let view = View::new(&out.job);
+    let report = lint_view(&view, cfg);
+    let cone = cone_of(&view, cfg, &[CrashPoint::on_entry(out.crashed)]);
     if !report.is_clean() || !cone.is_empty() {
         return Err(RepairError::CertificationFailed {
             report: Box::new(report),
@@ -663,12 +628,24 @@ fn connected_components(
 }
 
 /// Largest tag in the job plus one: the base for fresh repair channels.
-fn fresh_tag_base(flat: &[crate::FlatProgram<'_>]) -> Tag {
-    flat.iter()
-        .flat_map(|fp| fp.ops.iter())
-        .filter_map(|f| f.op.comm_meta().map(|m| m.tag))
+fn fresh_tag_base(view: &View) -> Tag {
+    view.ops
+        .iter()
+        .filter_map(|op| op.comm_meta().map(|m| m.tag))
         .max()
         .map_or(0, |t| t + 1)
+}
+
+/// The crashed rank's forwarding send `op`, re-issued from `slot` of the
+/// promoted rank (whose edit state `edit` is) on a fresh `tag`.
+fn forward_clone(op: &Op, tag: Tag, slot: Slot, edit: &mut Edit) -> Op {
+    match *op {
+        Op::Send { to, bytes, filter, .. } => Op::Send { to, tag, bytes, slot, filter },
+        Op::Isend { to, bytes, filter, .. } => {
+            Op::Isend { to, tag, bytes, slot, filter, req: edit.fresh_req() }
+        }
+        _ => unreachable!("outbound is a send"),
+    }
 }
 
 /// Redirect a receive in place to a new source and tag (kind, slot and
@@ -727,40 +704,37 @@ fn replace_send(edit: &mut Edit, idx: usize, clones: Vec<Op>, stats: &mut (usize
 /// consumer forwards the dead rank's aggregate onward; growing that pattern
 /// per extra source would duplicate messages, so it is unsupported.
 fn fold_ops(
-    prog: &crate::FlatProgram<'_>,
+    prog: &[Op],
+    rank: usize,
     recv_idx: usize,
     recv_slot: Slot,
 ) -> Result<Vec<usize>, RepairError> {
     let mut folds = Vec::new();
-    for (j, f) in prog.ops.iter().enumerate().skip(recv_idx + 1) {
-        let reads = f.op.slots_read();
-        let writes = f.op.slots_written();
-        if reads.contains(&recv_slot) {
-            if f.op.comm_meta().is_some() {
+    for (j, op) in prog.iter().enumerate().skip(recv_idx + 1) {
+        if slots_read(op).contains(&Some(recv_slot)) {
+            if op.comm_meta().is_some() {
                 return Err(RepairError::Unsupported {
                     reason: format!(
-                        "fan-in consumer rank {} forwards the received value (flat op {j}); \
-                         duplicating the forward per source is not a sound rewrite",
-                        f.loc.rank
+                        "fan-in consumer rank {rank} forwards the received value (flat op {j}); \
+                         duplicating the forward per source is not a sound rewrite"
                     ),
                 });
             }
-            match f.op {
+            match op {
                 Op::ReduceLocal { .. } | Op::MergeMove { .. } | Op::OverwriteMove { .. } => {
                     folds.push(j);
                 }
                 other => {
                     return Err(RepairError::Unsupported {
                         reason: format!(
-                            "fan-in consumer rank {} digests the received value with {other:?}; \
+                            "fan-in consumer rank {rank} digests the received value with {other:?}; \
                              only fold ops (ReduceLocal/MergeMove/OverwriteMove) can be cloned \
-                             per source",
-                            f.loc.rank
+                             per source"
                         ),
                     });
                 }
             }
-        } else if writes.contains(&recv_slot) {
+        } else if slot_written(op) == Some(recv_slot) {
             break; // pure overwrite: the window ends.
         }
     }

@@ -6,9 +6,8 @@ use pap_collectives::{build, CollSpec, DEFAULT_SEG_BYTES};
 use pap_sim::{Job, RankProgram};
 use serde::{Deserialize, Serialize};
 
-use crate::{lint_job, LintConfig};
+use crate::{lint_job, Diagnostic, LintConfig};
 
-/// All kinds, in registry order.
 /// Whether the builders of a kind consume `spec.root` (rooted collectives,
 /// plus Allreduce whose reduce+bcast composition routes through the root).
 pub(crate) fn uses_root(kind: CollectiveKind) -> bool {
@@ -182,24 +181,26 @@ pub fn sweep_registry(cfg: &SweepConfig) -> SweepSummary {
                 let programs: Vec<RankProgram> =
                     built.rank_ops.into_iter().map(RankProgram::from_ops).collect();
                 let report = lint_job(&Job::new(programs), &lint_cfg);
-                let lines = report
-                    .diagnostics
-                    .iter()
-                    .map(|d| {
-                        let sev = match d.severity {
-                            crate::Severity::Error => "error",
-                            crate::Severity::Warning => "warning",
-                        };
-                        format!("{sev}[{}] {}: {}", d.class, d.loc, d.message)
-                    })
-                    .collect();
+                let lines = report.diagnostics.iter().map(Diagnostic::line).collect();
                 (report.errors(), report.warnings(), lines)
             }
             Err(e) => (1, 0, vec![format!("error[build] {e}")]),
         }
     });
 
-    let mut algo_rows: Vec<AlgRow> = Vec::new();
+    // One row per registered algorithm, in registry order.
+    let mut algo_rows: Vec<AlgRow> = CollectiveKind::ALL
+        .into_iter()
+        .flat_map(algorithms)
+        .map(|a| AlgRow {
+            collective: a.kind.name().to_string(),
+            alg: a.id,
+            name: a.name.to_string(),
+            cases: 0,
+            errors: 0,
+            warnings: 0,
+        })
+        .collect();
     let mut findings = Vec::new();
     let (mut errors, mut warnings, mut clean) = (0usize, 0usize, 0usize);
     for (case, (errs, warns, lines)) in cases.iter().zip(&results) {
@@ -219,25 +220,15 @@ pub fn sweep_registry(cfg: &SweepConfig) -> SweepSummary {
                 diagnostics: lines.clone(),
             });
         }
-        let key = (case.kind.name().to_string(), case.alg);
-        match algo_rows.iter_mut().find(|r| (r.collective.clone(), r.alg) == key) {
-            Some(row) => {
-                row.cases += 1;
-                row.errors += errs;
-                row.warnings += warns;
-            }
-            None => algo_rows.push(AlgRow {
-                collective: key.0,
-                alg: case.alg,
-                name: pap_collectives::registry::algorithm(case.kind, case.alg)
-                    .map(|a| a.name.to_string())
-                    .unwrap_or_default(),
-                cases: 1,
-                errors: *errs,
-                warnings: *warns,
-            }),
-        }
+        let row = algo_rows
+            .iter_mut()
+            .find(|r| r.collective == case.kind.name() && r.alg == case.alg)
+            .expect("cases come from the registry");
+        row.cases += 1;
+        row.errors += errs;
+        row.warnings += warns;
     }
+    algo_rows.retain(|r| r.cases > 0);
 
     SweepSummary {
         ranks: cfg.ranks.clone(),

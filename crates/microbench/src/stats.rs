@@ -30,18 +30,6 @@ impl RunStats {
         self.lasts().sum::<f64>() / self.reps.len() as f64
     }
 
-    /// Median last delay.
-    pub fn median_last(&self) -> f64 {
-        let mut v: Vec<f64> = self.lasts().collect();
-        v.sort_by(|a, b| a.partial_cmp(b).expect("finite measurements"));
-        let n = v.len();
-        if n % 2 == 1 {
-            v[n / 2]
-        } else {
-            (v[n / 2 - 1] + v[n / 2]) / 2.0
-        }
-    }
-
     /// Minimum last delay.
     pub fn min_last(&self) -> f64 {
         self.lasts().fold(f64::INFINITY, f64::min)
@@ -80,17 +68,10 @@ mod tests {
     fn aggregates() {
         let s = RunStats::new(vec![m(1.0, 2.0), m(3.0, 4.0), m(2.0, 3.0)]);
         assert!((s.mean_last() - 2.0).abs() < 1e-12);
-        assert_eq!(s.median_last(), 2.0);
         assert_eq!(s.min_last(), 1.0);
         assert_eq!(s.max_last(), 3.0);
         assert!((s.mean_total() - 3.0).abs() < 1e-12);
         assert_eq!(s.len(), 3);
-    }
-
-    #[test]
-    fn even_count_median_averages() {
-        let s = RunStats::new(vec![m(1.0, 1.0), m(2.0, 2.0)]);
-        assert!((s.median_last() - 1.5).abs() < 1e-12);
     }
 
     #[test]

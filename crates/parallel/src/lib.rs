@@ -120,16 +120,6 @@ where
     slots.into_iter().map(|s| s.expect("par_map slot unfilled")).collect()
 }
 
-/// [`par_map`] over an index range instead of a slice.
-pub fn par_map_range<U, F>(n: usize, f: F) -> Vec<U>
-where
-    U: Send,
-    F: Fn(usize) -> U + Sync,
-{
-    let idx: Vec<usize> = (0..n).collect();
-    par_map(&idx, |_, &i| f(i))
-}
-
 /// Run `f` with this thread marked as a pool worker, so any [`par_map`]
 /// it performs (directly or transitively) stays sequential. Long-running
 /// services use this to keep total parallelism bounded by their own pool
@@ -351,7 +341,6 @@ mod tests {
         let empty: Vec<u32> = Vec::new();
         assert!(par_map(&empty, |_, x| *x).is_empty());
         assert_eq!(par_map(&[42u32], |_, x| *x), vec![42]);
-        assert_eq!(par_map_range(3, |i| i * i), vec![0, 1, 4]);
     }
 
     #[test]

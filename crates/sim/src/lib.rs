@@ -132,12 +132,6 @@ impl SimConfig {
         self
     }
 
-    /// Replace the noise model, keeping everything else.
-    pub fn with_noise(mut self, noise: NoiseModel) -> Self {
-        self.noise = noise;
-        self
-    }
-
     /// Replace the fault spec, keeping everything else.
     pub fn with_faults(mut self, faults: FaultSpec) -> Self {
         self.faults = faults;

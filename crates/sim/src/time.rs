@@ -23,12 +23,6 @@ pub fn secs_to_us(t: SimTime) -> f64 {
     t * 1e6
 }
 
-/// Convert a time in seconds to milliseconds (for reporting).
-#[inline]
-pub fn secs_to_ms(t: SimTime) -> f64 {
-    t * 1e3
-}
-
 /// Total-order wrapper over a finite `f64` timestamp, for use as a
 /// `BinaryHeap` key. Construction asserts finiteness, which makes the total
 /// order legitimate.
@@ -70,7 +64,6 @@ mod tests {
         assert!((us(1.0) - 1e-6).abs() < 1e-18);
         assert!((ms(1.0) - 1e-3).abs() < 1e-15);
         assert!((secs_to_us(us(3.5)) - 3.5).abs() < 1e-9);
-        assert!((secs_to_ms(ms(3.5)) - 3.5).abs() < 1e-9);
     }
 
     #[test]

@@ -6,17 +6,18 @@
 //!
 //! Selection only consumes *rankings*, so the acceptance bar is rank
 //! correlation (Spearman ≥ 0.8 per (collective, pattern) cell), with a
-//! looser magnitude bound as a sanity net. A golden fixture in
+//! looser magnitude bound as a sanity net. On a single node, where the
+//! model has no NIC contention to approximate, it must instead be exact. A golden fixture in
 //! `results/model_vs_sim_fig4.json` pins the orderings; regenerate it with
 //! `PAP_UPDATE_FIXTURES=1 cargo test --release --test differential`.
 
 use std::sync::OnceLock;
 
-use pap::arrival::Shape;
-use pap::collectives::registry::experiment_ids;
-use pap::collectives::CollectiveKind;
+use pap::arrival::{generate, Shape};
+use pap::collectives::registry::{algorithms, experiment_ids};
+use pap::collectives::{CollSpec, CollectiveKind};
 use pap::core::{differential_grid, DiffCell};
-use pap::microbench::BenchConfig;
+use pap::microbench::{measure, BenchConfig};
 use pap::sim::Platform;
 
 const RANKS: usize = 64;
@@ -103,6 +104,48 @@ fn fig4_model_magnitudes_bounded() {
         "model magnitudes drifted from the simulator:\n{}",
         violations.join("\n")
     );
+}
+
+/// On one node there is no NIC to contend for, so the hand model has
+/// nothing to approximate: SimCluster packs up to 32 ranks on one node, and
+/// there `pap_model::predict` must reproduce a noise-free simulator
+/// measurement to 1e-9 relative — every registered algorithm, a latency-
+/// and a bandwidth-bound size, every arrival shape. Drift between the
+/// schedule builders and the hand model shows up here as a number, not
+/// only as a rank flip at 64 ranks.
+#[test]
+fn single_node_model_is_exact() {
+    const SKEW: f64 = 100e-6;
+    let cfg = BenchConfig::simulation();
+    let mut worst: (f64, String) = (0.0, String::new());
+    for p in [2, 3, 13, 32] {
+        let platform = Platform::simcluster(p);
+        for kind in CollectiveKind::ALL {
+            for a in algorithms(kind) {
+                for bytes in [8, 1 << 20] {
+                    let spec = CollSpec::new(kind, a.id, bytes);
+                    for shape in Shape::SUITE {
+                        let pattern = generate(shape, p, SKEW, 7);
+                        let sim = measure(&platform, &spec, &pattern, &cfg).expect("simulator run");
+                        let model =
+                            pap::model::predict(&platform, &spec, &pattern).expect("model prediction");
+                        for (what, s, m) in [
+                            ("d_hat", sim.mean_last(), model.last_delay),
+                            ("d_star", sim.mean_total(), model.total_delay),
+                        ] {
+                            let rel = (m - s).abs() / s.abs().max(f64::MIN_POSITIVE);
+                            if rel > worst.0 {
+                                let at = format!("{kind} A{} p={p} {bytes} B {shape:?} {what}", a.id);
+                                worst = (rel, format!("{at}: sim {s:e} model {m:e}"));
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+    eprintln!("single-node worst relative gap {:.2e} at {}", worst.0, worst.1);
+    assert!(worst.0 <= 1e-9, "model and simulator disagree on one node: {:.2e} at {}", worst.0, worst.1);
 }
 
 /// Golden-fixture regression: the per-cell orderings and (rounded)

@@ -5,6 +5,10 @@
 //! and interior victims. This is the correspondence `fault_sweep` relies on
 //! when it settles crash cells statically instead of simulating them.
 //!
+//! A second, fixture-free pass repeats the differential at 256 ranks, far
+//! past the 16-rank grid, so the correspondence is pinned at the scale the
+//! selection rule is used at.
+//!
 //! The golden fixture `results/lint_fault_cones.json` pins the cones
 //! themselves, so a schedule or analysis change that silently moves a
 //! blast radius shows up as a diff. Regenerate after an intentional change
@@ -122,4 +126,35 @@ fn static_cones_match_engine_starvation_exactly() {
         "fault-cone fixture is stale; if the schedule/analysis change is \
          intentional, regenerate with PAP_UPDATE_FIXTURES=1"
     );
+}
+
+/// The same differential at 256 ranks, without a fixture: every registered
+/// algorithm, one eager and one rendezvous size, victims 1 and 255.
+#[test]
+fn static_cones_match_engine_starvation_at_256_ranks() {
+    const P: usize = 256;
+    let lint_cfg = LintConfig::default();
+    let platform = Platform::simcluster(P);
+    let mut cases = 0;
+    for kind in KINDS {
+        for a in algorithms(kind) {
+            for bytes in SIZES {
+                let job = registry_job(kind, a.id, P, bytes);
+                for victim in [1, P - 1] {
+                    let cone = crash_cone(&job, &lint_cfg, &[CrashPoint::on_entry(victim)]);
+                    let faults = FaultSpec::none().with_crash(victim, 0.0);
+                    let cfg = SimConfig { faults, ..SimConfig::default() };
+                    let engine = run_ref(&platform, &job, &cfg).map_or_else(|e| e.starved_ranks(), |_| vec![]);
+                    assert_eq!(
+                        cone.starved_ranks(),
+                        engine,
+                        "static cone and engine starvation disagree: {kind} A{} {bytes} B victim {victim}",
+                        a.id
+                    );
+                    cases += 1;
+                }
+            }
+        }
+    }
+    assert!(cases >= 100, "registry coverage shrank to {cases} cases");
 }
