@@ -16,19 +16,19 @@ pub struct FtConfig {
     /// 32 768 B — the size the paper traces and tunes).
     pub bytes_per_pair: u64,
     /// Base local compute per iteration (seconds), before imbalance.
-    pub compute_per_iter: f64,
+    pub(crate) compute_per_iter: f64,
     /// Alltoall algorithm ID (1–4, Table II) — the knob under study.
     pub alltoall_alg: u8,
     /// Allreduce algorithm ID for the checksum.
-    pub allreduce_alg: u8,
+    pub(crate) allreduce_alg: u8,
     /// Checksum vector size (bytes).
-    pub checksum_bytes: u64,
+    pub(crate) checksum_bytes: u64,
     /// Persistent compute-imbalance model.
-    pub imbalance: ImbalanceModel,
+    pub(crate) imbalance: ImbalanceModel,
     /// Seed for imbalance and engine noise.
     pub seed: u64,
     /// Override the platform's noise model (None = platform default).
-    pub noise: Option<NoiseModel>,
+    pub(crate) noise: Option<NoiseModel>,
 }
 
 impl FtConfig {
@@ -76,7 +76,7 @@ pub struct FtReport {
     /// communication + the waiting induced by arrival imbalance).
     pub mpi_time: f64,
     /// Number of Alltoall calls executed.
-    pub alltoall_calls: usize,
+    pub(crate) alltoall_calls: usize,
 }
 
 /// Run the FT proxy. Returns the report and the raw outcome (whose labelled

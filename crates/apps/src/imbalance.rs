@@ -14,25 +14,27 @@ use serde::{Deserialize, Serialize};
 
 /// Persistent compute-imbalance model.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ImbalanceModel {
+pub(crate) struct ImbalanceModel {
     /// Std-dev of the per-node slowdown component (fraction; e.g. 0.05).
-    pub node_sigma: f64,
+    pub(crate) node_sigma: f64,
     /// Std-dev of the per-rank slowdown component.
-    pub rank_sigma: f64,
+    pub(crate) rank_sigma: f64,
 }
 
 impl ImbalanceModel {
-    /// No persistent imbalance (arrival skew then comes only from noise).
-    pub const NONE: ImbalanceModel = ImbalanceModel { node_sigma: 0.0, rank_sigma: 0.0 };
-
     /// A production-like default: nodes differ by a few percent, ranks by a
     /// little on top.
-    pub const DEFAULT: ImbalanceModel = ImbalanceModel { node_sigma: 0.04, rank_sigma: 0.015 };
+    pub(crate) const DEFAULT: ImbalanceModel =
+        ImbalanceModel { node_sigma: 0.04, rank_sigma: 0.015 };
 
     /// Per-rank multiplicative compute factors (≥ 0.5), deterministic in
     /// `seed`. `node_of` maps ranks to nodes so that co-located ranks share
     /// the node component.
-    pub fn factors(&self, p: usize, node_of: impl Fn(usize) -> usize, seed: u64) -> Vec<f64> {
+    pub(crate) fn factors(
+        &self,
+        p: usize,
+        node_of: impl Fn(usize) -> usize, seed: u64,
+    ) -> Vec<f64> {
         let nodes = (0..p).map(&node_of).max().map_or(1, |m| m + 1);
         let mut rng = ChaCha8Rng::seed_from_u64(seed ^ 0x1B41_AACE);
         let node_f: Vec<f64> = (0..nodes).map(|_| 1.0 + self.node_sigma * gauss(&mut rng)).collect();
@@ -52,7 +54,7 @@ mod tests {
 
     #[test]
     fn none_is_identity() {
-        let f = ImbalanceModel::NONE.factors(8, |r| r / 4, 1);
+        let f = ImbalanceModel { node_sigma: 0.0, rank_sigma: 0.0 }.factors(8, |r| r / 4, 1);
         assert!(f.iter().all(|&x| x == 1.0));
     }
 

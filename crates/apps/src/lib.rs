@@ -13,15 +13,14 @@
 //!   whole paper is about),
 //! * a small per-iteration checksum `MPI_Allreduce`.
 //!
-//! A second proxy ([`stencil`]) exercises an Allreduce-dominated workload.
+//! A second proxy (`stencil`) exercises an Allreduce-dominated workload.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod ft;
-pub mod imbalance;
-pub mod stencil;
+pub(crate) mod ft;
+pub(crate) mod imbalance;
+pub(crate) mod stencil;
 
-pub use ft::{run_ft, FtConfig, FtReport};
-pub use imbalance::ImbalanceModel;
-pub use stencil::{run_stencil, StencilConfig, StencilReport};
+pub use ft::{run_ft, FtConfig};
+pub use stencil::{run_stencil, StencilConfig};

@@ -16,17 +16,17 @@ pub struct StencilConfig {
     /// Iterations (e.g. CG steps).
     pub iterations: usize,
     /// Allreduce vector size in bytes (dot product: 8–16 B typically).
-    pub allreduce_bytes: u64,
+    pub(crate) allreduce_bytes: u64,
     /// Allreduce algorithm ID (2–6, Table II).
-    pub allreduce_alg: u8,
+    pub(crate) allreduce_alg: u8,
     /// Base compute per iteration (seconds).
-    pub compute_per_iter: f64,
+    pub(crate) compute_per_iter: f64,
     /// Persistent imbalance model.
-    pub imbalance: ImbalanceModel,
+    pub(crate) imbalance: ImbalanceModel,
     /// Seed.
-    pub seed: u64,
+    pub(crate) seed: u64,
     /// Noise override (None = platform default).
-    pub noise: Option<NoiseModel>,
+    pub(crate) noise: Option<NoiseModel>,
 }
 
 impl StencilConfig {
@@ -42,12 +42,6 @@ impl StencilConfig {
             noise: None,
         }
     }
-
-    /// Replace the Allreduce algorithm.
-    pub fn with_allreduce(mut self, alg: u8) -> Self {
-        self.allreduce_alg = alg;
-        self
-    }
 }
 
 /// Outcome of a stencil proxy run.
@@ -56,7 +50,7 @@ pub struct StencilReport {
     /// Wall-clock runtime.
     pub total_runtime: f64,
     /// Number of Allreduce calls.
-    pub allreduce_calls: usize,
+    pub(crate) allreduce_calls: usize,
 }
 
 /// Run the stencil proxy. Allreduce phases carry label kind 2,
@@ -105,8 +99,9 @@ mod tests {
         // runtimes (the compute dominates and allreduce is small).
         let platform = Platform::simcluster(8);
         let base = StencilConfig { noise: Some(NoiseModel::None), ..StencilConfig::cg_like(8) };
-        let r3 = run_stencil(&platform, &base.clone().with_allreduce(3)).unwrap().0;
-        let r4 = run_stencil(&platform, &base.with_allreduce(4)).unwrap().0;
+        let r3 =
+            run_stencil(&platform, &StencilConfig { allreduce_alg: 3, ..base.clone() }).unwrap().0;
+        let r4 = run_stencil(&platform, &StencilConfig { allreduce_alg: 4, ..base }).unwrap().0;
         let ratio = r3.total_runtime / r4.total_runtime;
         assert!((0.8..1.25).contains(&ratio), "ratio {ratio}");
     }

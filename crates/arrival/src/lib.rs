@@ -18,12 +18,12 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod measured;
-pub mod pattern;
-pub mod shapes;
+pub(crate) mod measured;
+pub(crate) mod pattern;
+pub(crate) mod shapes;
 
 pub use measured::{classify_delays, MeasuredPattern};
-pub use pattern::{parse_pattern_file, render_pattern_file, ArrivalPattern};
+pub use pattern::{render_pattern_file, ArrivalPattern};
 pub use shapes::{generate, Shape};
 
 #[cfg(test)]

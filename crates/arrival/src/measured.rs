@@ -14,14 +14,14 @@ use crate::shapes::{generate, Shape};
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct MeasuredPattern {
     /// Provenance label (e.g. `"ft_scenario@hydra"`).
-    pub name: String,
+    pub(crate) name: String,
     /// Average per-rank delay (seconds), relative to the first arriver.
     pub avg_delay: Vec<f64>,
     /// Largest single-call skew observed while tracing (the paper uses this
     /// to size artificial patterns in the Fig. 8 experiments).
-    pub max_observed_skew: f64,
+    pub(crate) max_observed_skew: f64,
     /// Number of collective calls aggregated.
-    pub calls: usize,
+    pub(crate) calls: usize,
 }
 
 impl MeasuredPattern {

@@ -44,36 +44,11 @@ impl ArrivalPattern {
         self.delays.iter().copied().fold(0.0, f64::max)
     }
 
-    /// Mean delay across ranks.
-    pub fn mean_delay(&self) -> f64 {
-        self.delays.iter().sum::<f64>() / self.delays.len() as f64
-    }
-
     /// Delay of one rank.
     ///
     /// This is the paper's `get_arrival_pattern_delay()` (Listing 1).
     pub fn delay_of(&self, rank: usize) -> f64 {
         self.delays[rank]
-    }
-
-    /// A copy rescaled so the maximum skew equals `target_skew`.
-    /// An all-zero pattern stays all-zero.
-    pub fn rescaled(&self, target_skew: f64) -> ArrivalPattern {
-        assert!(target_skew >= 0.0);
-        let cur = self.max_skew();
-        if cur == 0.0 {
-            return self.clone();
-        }
-        let f = target_skew / cur;
-        ArrivalPattern {
-            name: self.name.clone(),
-            delays: self.delays.iter().map(|d| d * f).collect(),
-        }
-    }
-
-    /// A copy with a new name.
-    pub fn named(&self, name: impl Into<String>) -> ArrivalPattern {
-        ArrivalPattern { name: name.into(), delays: self.delays.clone() }
     }
 }
 
@@ -87,29 +62,6 @@ pub fn render_pattern_file(pattern: &ArrivalPattern) -> String {
     out
 }
 
-/// Parse the paper's pattern file format. Blank lines and `#` comments are
-/// ignored.
-pub fn parse_pattern_file(name: &str, text: &str) -> Result<ArrivalPattern, String> {
-    let mut delays = Vec::new();
-    for (lineno, line) in text.lines().enumerate() {
-        let line = line.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let d: f64 = line
-            .parse()
-            .map_err(|e| format!("line {}: bad delay '{line}': {e}", lineno + 1))?;
-        if !d.is_finite() || d < 0.0 {
-            return Err(format!("line {}: delay must be finite and >= 0, got {d}", lineno + 1));
-        }
-        delays.push(d);
-    }
-    if delays.is_empty() {
-        return Err("pattern file contains no delays".into());
-    }
-    Ok(ArrivalPattern::new(name, delays))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,52 +72,23 @@ mod tests {
         let p = ArrivalPattern::new("t", vec![0.0, 1.0, 3.0]);
         assert_eq!(p.len(), 3);
         assert_eq!(p.max_skew(), 3.0);
-        assert!((p.mean_delay() - 4.0 / 3.0).abs() < 1e-12);
         assert_eq!(p.delay_of(1), 1.0);
-    }
-
-    #[test]
-    fn rescale_hits_target() {
-        let p = ArrivalPattern::new("t", vec![0.0, 0.5, 2.0]);
-        let r = p.rescaled(4.0);
-        assert!((r.max_skew() - 4.0).abs() < 1e-12);
-        assert!((r.delays[1] - 1.0).abs() < 1e-12);
-        // All-zero pattern is rescale-invariant.
-        let z = ArrivalPattern::new("z", vec![0.0, 0.0]);
-        assert_eq!(z.rescaled(10.0).delays, vec![0.0, 0.0]);
     }
 
     #[test]
     fn file_format_round_trips() {
         let p = generate(Shape::Random, 40, 1.25e-3, 3);
         let text = render_pattern_file(&p);
-        let back = parse_pattern_file("random", &text).unwrap();
+        let back: Vec<f64> = text.lines().map(|l| l.parse().unwrap()).collect();
         assert_eq!(back.len(), 40);
-        for (a, b) in p.delays.iter().zip(&back.delays) {
+        for (a, b) in p.delays.iter().zip(&back) {
             assert!((a - b).abs() < 1e-9);
         }
-    }
-
-    #[test]
-    fn file_parser_handles_comments_and_errors() {
-        let ok = parse_pattern_file("x", "# header\n0.5\n\n1.0\n").unwrap();
-        assert_eq!(ok.delays, vec![0.5, 1.0]);
-        assert!(parse_pattern_file("x", "abc\n").is_err());
-        assert!(parse_pattern_file("x", "-1.0\n").is_err());
-        assert!(parse_pattern_file("x", "# nothing\n").is_err());
     }
 
     #[test]
     #[should_panic]
     fn negative_delay_rejected() {
         let _ = ArrivalPattern::new("bad", vec![-0.1]);
-    }
-
-    #[test]
-    fn named_copy_keeps_delays() {
-        let p = ArrivalPattern::new("a", vec![0.0, 1.0]);
-        let q = p.named("b");
-        assert_eq!(q.name, "b");
-        assert_eq!(q.delays, p.delays);
     }
 }

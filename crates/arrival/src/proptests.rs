@@ -4,7 +4,7 @@
 
 use proptest::prelude::*;
 
-use crate::pattern::{parse_pattern_file, render_pattern_file, ArrivalPattern};
+use crate::pattern::render_pattern_file;
 use crate::shapes::{generate, Shape};
 
 fn any_shape() -> impl Strategy<Value = Shape> {
@@ -46,30 +46,6 @@ proptest! {
         }
     }
 
-    /// Rescaling reaches the target skew exactly and preserves delay shape
-    /// (ratios).
-    #[test]
-    fn rescale_preserves_shape(
-        shape in any_shape(),
-        p in 2usize..100,
-        target_us in 0.1f64..1e5,
-        seed in any::<u64>(),
-    ) {
-        let pat = generate(shape, p, 1e-3, seed);
-        let target = target_us * 1e-6;
-        let r = pat.rescaled(target);
-        if pat.max_skew() > 0.0 {
-            prop_assert!((r.max_skew() - target).abs() < target * 1e-9);
-            // Ordering of ranks by delay is preserved.
-            let ord = |v: &[f64]| {
-                let mut idx: Vec<usize> = (0..v.len()).collect();
-                idx.sort_by(|&a, &b| v[a].partial_cmp(&v[b]).unwrap().then(a.cmp(&b)));
-                idx
-            };
-            prop_assert_eq!(ord(&pat.delays), ord(&r.delays));
-        }
-    }
-
     /// The pattern file format round-trips with nanosecond fidelity.
     #[test]
     fn file_round_trip(
@@ -80,18 +56,10 @@ proptest! {
     ) {
         let pat = generate(shape, p, skew_us * 1e-6, seed);
         let text = render_pattern_file(&pat);
-        let back = parse_pattern_file(&pat.name, &text).unwrap();
+        let back: Vec<f64> = text.lines().map(|l| l.parse().unwrap()).collect();
         prop_assert_eq!(back.len(), p);
-        for (a, b) in pat.delays.iter().zip(&back.delays) {
+        for (a, b) in pat.delays.iter().zip(&back) {
             prop_assert!((a - b).abs() < 1e-9);
         }
-    }
-
-    /// Mean delay is always within [0, max_skew].
-    #[test]
-    fn mean_within_bounds(delays in proptest::collection::vec(0.0f64..1.0, 1..200)) {
-        let pat = ArrivalPattern::new("t", delays);
-        prop_assert!(pat.mean_delay() >= 0.0);
-        prop_assert!(pat.mean_delay() <= pat.max_skew() + 1e-15);
     }
 }

@@ -277,26 +277,26 @@ pub fn fig6(scale: Scale) -> String {
 }
 
 /// Per-machine data shared by Figs. 7–9.
-pub struct MachineStudy {
+pub(crate) struct MachineStudy {
     /// Which machine.
-    pub machine: MachineId,
+    pub(crate) machine: MachineId,
     /// Actual FT runtimes per Alltoall algorithm `(alg, seconds)`.
-    pub ft_runtimes: Vec<(u8, f64)>,
+    pub(crate) ft_runtimes: Vec<(u8, f64)>,
     /// Critical-path compute time of the FT run (mpisee-style).
-    pub ft_compute: f64,
+    pub(crate) ft_compute: f64,
     /// FT Alltoall call count.
-    pub ft_calls: usize,
+    pub(crate) ft_calls: usize,
     /// The (algorithms × patterns incl. FT-Scenario) benchmark matrix at
     /// the FT message size.
-    pub matrix: BenchMatrix,
+    pub(crate) matrix: BenchMatrix,
     /// Max skew observed while tracing (sizes the artificial patterns).
-    pub traced_skew: f64,
+    pub(crate) traced_skew: f64,
 }
 
 /// Run the full §V study for one machine: trace FT, extract the
 /// FT-Scenario, benchmark all Alltoall algorithms under the pattern suite
 /// + FT-Scenario, and measure actual FT runtimes per algorithm.
-pub fn machine_study(machine: MachineId, scale: Scale) -> MachineStudy {
+pub(crate) fn machine_study(machine: MachineId, scale: Scale) -> MachineStudy {
     let (platform, base_cfg) = ft_setup(machine, scale);
     let algs = experiment_ids(CollectiveKind::Alltoall);
 

@@ -11,7 +11,7 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod figures;
+pub(crate) mod figures;
 mod scale;
 
 pub use figures::*;

@@ -19,11 +19,11 @@ use serde::{Deserialize, Serialize};
 pub const CHECK_RANKS: usize = 64;
 
 /// Message sizes of the Fig. 4 comparison grid.
-pub const CHECK_SIZES: [u64; 3] = [8, 1024, 32_768];
+pub(crate) const CHECK_SIZES: [u64; 3] = [8, 1024, 32_768];
 
 /// Arrival-time skew of the comparison grid, as a factor of the calibrated
 /// mean no-delay runtime (the setting of the differential test tier).
-pub const CHECK_SKEW: f64 = 1.5;
+pub(crate) const CHECK_SKEW: f64 = 1.5;
 
 /// One compared grid cell.
 #[derive(Debug, Clone, Serialize, Deserialize)]

@@ -40,7 +40,7 @@ pub struct FitReport {
     pub spec: PlatformSpec,
     /// Fitted combined CPU overhead `o_s + o_r` (seconds); the spec splits
     /// it evenly between the two sides.
-    pub overhead: f64,
+    pub(crate) overhead: f64,
     /// Median relative residual of the ladder fit.
     pub median_rel_residual: f64,
     /// Worst relative residual of the ladder fit.
@@ -49,7 +49,7 @@ pub struct FitReport {
     /// bare-transfer time vs the fitted point-to-point prediction).
     pub collective_rel_err: f64,
     /// Estimated relative noise (robust sigma of repetition scatter).
-    pub noise_sigma: f64,
+    pub(crate) noise_sigma: f64,
     /// Number of ladder observations used.
     pub observations: usize,
 }
@@ -196,8 +196,8 @@ fn rel_residuals(points: &[Point], x: &[f64], threshold: u64) -> Vec<f64> {
 
 /// Fit a [`PlatformSpec`] from a measured probe.
 ///
-/// Errors with [`FitError::BadProbe`] when the probe is structurally
-/// unusable, and [`FitError::Rejected`] (listing every violated guideline)
+/// Errors with `FitError::BadProbe` when the probe is structurally
+/// unusable, and `FitError::Rejected` (listing every violated guideline)
 /// when the solved parameters are not physically credible — a rejected fit
 /// must not be registered or served.
 pub fn fit_probe(probe: &Probe) -> Result<FitReport, FitError> {

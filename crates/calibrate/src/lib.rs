@@ -10,16 +10,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod check;
-pub mod fit;
-pub mod probe;
+pub(crate) mod check;
+pub(crate) mod fit;
+pub(crate) mod probe;
 
-pub use check::{
-    selection_agreement, AgreementCell, AgreementReport, ParamRow, CHECK_RANKS, CHECK_SIZES,
-    CHECK_SKEW,
-};
-pub use fit::{fit_probe, FitError, FitReport};
-pub use probe::{
-    synthesize_probe, FanoutObs, LadderObs, Probe, ProbeConfig, ReduceObs, Scope, LADDER,
-    PROBE_FORMAT, REDUCE_SIZES,
-};
+pub use check::{selection_agreement, AgreementReport, CHECK_RANKS};
+pub use fit::{fit_probe, FitReport};
+pub use probe::{synthesize_probe, Probe, ProbeConfig};

@@ -22,22 +22,22 @@ use serde::{Deserialize, Serialize};
 
 /// Version stamp of the serialized probe payload (and of the `Calibrate`
 /// wire frame that carries it).
-pub const PROBE_FORMAT: u32 = 1;
+pub(crate) const PROBE_FORMAT: u32 = 1;
 
 /// Default message-size ladder (bytes): log-spaced, dense around the common
 /// eager/rendezvous thresholds (16 KiB – 64 KiB) so the protocol jump falls
 /// between two adjacent rungs.
-pub const LADDER: [u64; 11] =
+pub(crate) const LADDER: [u64; 11] =
     [64, 256, 1024, 4096, 8192, 16_384, 32_768, 65_536, 131_072, 262_144, 1_048_576];
 
 /// Sizes of the small reduce collective used to pin the local-reduction cost
 /// and cross-check the fitted point-to-point form across both protocol
 /// regimes.
-pub const REDUCE_SIZES: [u64; 3] = [16_384, 65_536, 1_048_576];
+pub(crate) const REDUCE_SIZES: [u64; 3] = [16_384, 65_536, 1_048_576];
 
 /// Which level of the hierarchy a ladder observation crossed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
-pub enum Scope {
+pub(crate) enum Scope {
     /// Both endpoints on the same node.
     Intra,
     /// Endpoints on different nodes.
@@ -48,9 +48,9 @@ pub enum Scope {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct LadderObs {
     /// Link level crossed.
-    pub scope: Scope,
+    pub(crate) scope: Scope,
     /// Message size in bytes.
-    pub bytes: u64,
+    pub(crate) bytes: u64,
     /// One-way times in seconds, one per repetition (skew-corrected).
     pub reps: Vec<f64>,
 }
@@ -58,47 +58,47 @@ pub struct LadderObs {
 /// Paired timings of the small reduce collective: the bare transfer and the
 /// same transfer followed by a local reduction of the payload.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ReduceObs {
+pub(crate) struct ReduceObs {
     /// Payload size in bytes.
-    pub bytes: u64,
+    pub(crate) bytes: u64,
     /// Receive-only completion times (seconds).
-    pub base: Vec<f64>,
+    pub(crate) base: Vec<f64>,
     /// Receive+reduce completion times (seconds).
-    pub reduced: Vec<f64>,
+    pub(crate) reduced: Vec<f64>,
 }
 
 /// Concurrent inter-node fan-out timings, separating serialized from
 /// parallel NIC egress.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct FanoutObs {
+pub(crate) struct FanoutObs {
     /// Per-lane message size in bytes.
-    pub bytes: u64,
+    pub(crate) bytes: u64,
     /// Number of concurrent sender→receiver lanes (distinct destination
     /// nodes, all senders on one source node).
-    pub lanes: usize,
+    pub(crate) lanes: usize,
     /// Makespan of a single lane (seconds).
-    pub single: Vec<f64>,
+    pub(crate) single: Vec<f64>,
     /// Makespan of all lanes launched together (seconds).
-    pub fanned: Vec<f64>,
+    pub(crate) fanned: Vec<f64>,
 }
 
 /// A complete measured probe: everything `fit_probe` needs, nothing fitted.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Probe {
     /// Payload format version ([`PROBE_FORMAT`]).
-    pub format: u32,
+    pub(crate) format: u32,
     /// Suggested machine name (becomes `custom:<name>` unless overridden).
     pub name: String,
     /// Number of compute nodes of the probed machine (operator-known).
-    pub nodes: usize,
+    pub(crate) nodes: usize,
     /// Rank slots per node (operator-known).
-    pub cores_per_node: usize,
+    pub(crate) cores_per_node: usize,
     /// Ping-pong ladder observations, both scopes.
     pub ladder: Vec<LadderObs>,
     /// Small-collective (reduce) observations.
-    pub reduce: Vec<ReduceObs>,
+    pub(crate) reduce: Vec<ReduceObs>,
     /// NIC fan-out observations, absent when the machine has a single node.
-    pub fanout: Option<FanoutObs>,
+    pub(crate) fanout: Option<FanoutObs>,
 }
 
 impl Probe {
@@ -109,11 +109,6 @@ impl Probe {
             return Err(format!("probe format {} unsupported (expected {PROBE_FORMAT})", p.format));
         }
         Ok(p)
-    }
-
-    /// Serialize to JSON.
-    pub fn to_json(&self) -> String {
-        serde_json::to_string(self).expect("probe serializes")
     }
 }
 
@@ -356,7 +351,7 @@ mod tests {
         assert!(p.ladder.iter().any(|o| o.scope == Scope::Inter));
         assert!(!p.reduce.is_empty());
         assert!(p.fanout.is_some());
-        let back = Probe::from_json(&p.to_json()).unwrap();
+        let back = Probe::from_json(&serde_json::to_string(&p).unwrap()).unwrap();
         assert_eq!(back.ladder.len(), p.ladder.len());
         assert_eq!(back.cores_per_node, p.cores_per_node);
     }

@@ -10,15 +10,15 @@ use serde::{Deserialize, Serialize};
 pub struct NodeClock {
     /// Offset at global time 0 (seconds). Realistic NTP-synchronized
     /// clusters sit in the 10 µs – 10 ms range.
-    pub offset: f64,
+    pub(crate) offset: f64,
     /// Relative drift (dimensionless); typical crystal oscillators drift a
     /// few ppm (1e-6).
-    pub drift: f64,
+    pub(crate) drift: f64,
 }
 
 impl NodeClock {
     /// The perfect clock (offset 0, no drift).
-    pub const IDEAL: NodeClock = NodeClock { offset: 0.0, drift: 0.0 };
+    pub(crate) const IDEAL: NodeClock = NodeClock { offset: 0.0, drift: 0.0 };
 
     /// Local reading at global time `g`.
     #[inline]
@@ -28,7 +28,7 @@ impl NodeClock {
 
     /// Global time at which the local clock reads `l` (exact inverse).
     #[inline]
-    pub fn global_of(&self, l: f64) -> f64 {
+    pub(crate) fn global_of(&self, l: f64) -> f64 {
         (l - self.offset) / (1.0 + self.drift)
     }
 }
@@ -41,16 +41,10 @@ pub struct ClusterClocks {
 }
 
 impl ClusterClocks {
-    /// All-ideal clocks (the simulation setting of §III, where no
-    /// synchronization is needed).
-    pub fn ideal(nodes: usize) -> Self {
-        ClusterClocks { nodes: vec![NodeClock::IDEAL; nodes] }
-    }
-
     /// Random realistic clocks: offsets uniform in `±max_offset`, drifts
     /// uniform in `±max_drift`. Node 0 is the reference (ideal) so that
     /// "global time" is well defined as its clock.
-    pub fn generate(nodes: usize, max_offset: f64, max_drift: f64, seed: u64) -> Self {
+    pub(crate) fn generate(nodes: usize, max_offset: f64, max_drift: f64, seed: u64) -> Self {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let mut v = Vec::with_capacity(nodes);
         for i in 0..nodes {
@@ -73,13 +67,8 @@ impl ClusterClocks {
     }
 
     /// Number of nodes.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.nodes.len()
-    }
-
-    /// Whether there are no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
     }
 
     /// Largest pairwise clock disagreement at global time `g` — what an

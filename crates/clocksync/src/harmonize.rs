@@ -48,11 +48,12 @@ pub fn observe(clocks: &ClusterClocks, calib: &[SyncedClock], node: usize, g: f6
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::clock::NodeClock;
     use crate::hca3::{sync_cluster, Hca3Config};
 
     #[test]
     fn ideal_clocks_start_exactly_on_target() {
-        let clocks = ClusterClocks::ideal(4);
+        let clocks = ClusterClocks { nodes: vec![NodeClock::IDEAL; 4] };
         let calib = vec![SyncedClock::PERFECT; 4];
         let starts = harmonize_starts(&clocks, &calib, 8, |r| r / 2, 1.0, 0.0);
         assert!(starts.iter().all(|&s| s == 1.0));
@@ -72,7 +73,7 @@ mod tests {
 
     #[test]
     fn past_target_fires_immediately() {
-        let clocks = ClusterClocks::ideal(2);
+        let clocks = ClusterClocks { nodes: vec![NodeClock::IDEAL; 2] };
         let calib = vec![SyncedClock::PERFECT; 2];
         let starts = harmonize_starts(&clocks, &calib, 2, |r| r, 1.0, 5.0);
         assert!(starts.iter().all(|&s| s == 5.0));

@@ -28,14 +28,14 @@ use crate::clock::{ClusterClocks, NodeClock};
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct Hca3Config {
     /// Ping-pongs per parent/child link per pass.
-    pub exchanges: usize,
+    pub(crate) exchanges: usize,
     /// One-way link latency (seconds) of the sync network.
-    pub link_latency: f64,
+    pub(crate) link_latency: f64,
     /// Relative jitter of each one-way delay (fraction of latency, one-sided).
-    pub jitter_frac: f64,
+    pub(crate) jitter_frac: f64,
     /// Settling time between the two passes of the drift regression
     /// (seconds). Longer windows estimate drift better.
-    pub drift_window: f64,
+    pub(crate) drift_window: f64,
 }
 
 impl Default for Hca3Config {
@@ -49,9 +49,9 @@ impl Default for Hca3Config {
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct SyncedClock {
     /// Estimated offset of the local clock at global 0.
-    pub est_offset: f64,
+    pub(crate) est_offset: f64,
     /// Estimated drift of the local clock.
-    pub est_drift: f64,
+    pub(crate) est_drift: f64,
 }
 
 impl SyncedClock {
@@ -67,7 +67,7 @@ impl SyncedClock {
     /// Local reading this calibration expects at global time `g` (used to
     /// spin until a harmonized start).
     #[inline]
-    pub fn local_of(&self, g: f64) -> f64 {
+    pub(crate) fn local_of(&self, g: f64) -> f64 {
         g * (1.0 + self.est_drift) + self.est_offset
     }
 
@@ -238,7 +238,7 @@ mod tests {
 
     #[test]
     fn single_node_trivial() {
-        let clocks = ClusterClocks::ideal(1);
+        let clocks = ClusterClocks { nodes: vec![NodeClock::IDEAL; 1] };
         let est = sync_cluster(&clocks, &Hca3Config::default(), 0);
         assert_eq!(est.len(), 1);
     }

@@ -23,10 +23,10 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod clock;
-pub mod harmonize;
-pub mod hca3;
+pub(crate) mod clock;
+pub(crate) mod harmonize;
+pub(crate) mod hca3;
 
-pub use clock::{ClusterClocks, NodeClock};
+pub use clock::ClusterClocks;
 pub use harmonize::{harmonize_starts, observe};
 pub use hca3::{sync_cluster, sync_cluster_offset_only, Hca3Config, SyncedClock};

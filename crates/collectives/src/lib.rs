@@ -38,21 +38,21 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod adaptive;
-pub mod allgather;
-pub mod allreduce;
-pub mod alltoall;
-pub mod gather;
-pub mod scatter;
-pub mod barrier;
-pub mod bcast;
-pub mod reduce;
+pub(crate) mod adaptive;
+pub(crate) mod allgather;
+pub(crate) mod allreduce;
+pub(crate) mod alltoall;
+pub(crate) mod gather;
+pub(crate) mod scatter;
+pub(crate) mod barrier;
+pub(crate) mod bcast;
+pub(crate) mod reduce;
 pub mod registry;
-pub mod spec;
+pub(crate) mod spec;
 pub mod topo;
-pub mod verify;
+pub(crate) mod verify;
 
 pub use adaptive::build_arrival_aware_reduce;
-pub use registry::{algorithms, Algorithm, CollectiveKind};
+pub use registry::CollectiveKind;
 pub use spec::{build, BuildError, Built, CollSpec, DEFAULT_SEG_BYTES, TAG_SPAN};
 pub use verify::verify;

@@ -108,7 +108,7 @@ pub struct Algorithm {
     /// (the paper omits two-process-only and consistently-poor algorithms).
     pub in_paper_experiments: bool,
     /// Whether the algorithm segments the vector (uses `seg_bytes`).
-    pub segmented: bool,
+    pub(crate) segmented: bool,
 }
 
 /// Table II + substrates. IDs within a kind are unique and sorted.

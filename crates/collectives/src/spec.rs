@@ -67,7 +67,7 @@ pub struct Built {
     pub rank_ops: Vec<Vec<Op>>,
     /// Number of logical segments/chunks the data coordinates use (the
     /// verification grid).
-    pub nseg: u32,
+    pub(crate) nseg: u32,
 }
 
 /// Why a spec could not be built.

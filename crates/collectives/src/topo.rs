@@ -13,11 +13,11 @@ pub struct TreeNode {
 /// Virtual rank of `rank` when the tree is re-rooted at `root`:
 /// `(rank - root) mod p`, so the root has vrank 0.
 #[inline]
-pub fn vrank(rank: usize, root: usize, p: usize) -> usize {
+pub(crate) fn vrank(rank: usize, root: usize, p: usize) -> usize {
     (rank + p - root) % p
 }
 
-/// Inverse of [`vrank`].
+/// Inverse of `vrank`.
 #[inline]
 pub fn actual(v: usize, root: usize, p: usize) -> usize {
     (v + root) % p

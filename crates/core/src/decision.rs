@@ -14,9 +14,9 @@ use crate::table::TuningTable;
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct DecisionLogic {
     /// Machine name the table was tuned on.
-    pub machine: String,
+    pub(crate) machine: String,
     /// The underlying tuning decisions.
-    pub table: TuningTable,
+    pub(crate) table: TuningTable,
 }
 
 /// How a decision was reached (for diagnostics/telemetry).

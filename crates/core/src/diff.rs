@@ -134,7 +134,7 @@ fn ranks(vals: &[f64]) -> Vec<f64> {
 /// Spearman rank correlation (tie-aware: Pearson correlation of the
 /// fractional ranks). Returns 1.0 for degenerate inputs (n < 2 or constant
 /// ranks on either side — nothing to disagree about).
-pub fn spearman(a: &[f64], b: &[f64]) -> f64 {
+pub(crate) fn spearman(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len());
     if a.len() < 2 {
         return 1.0;
@@ -159,7 +159,7 @@ pub fn spearman(a: &[f64], b: &[f64]) -> f64 {
 }
 
 /// Kendall τ-b (tie-corrected). Returns 1.0 for degenerate inputs.
-pub fn kendall(a: &[f64], b: &[f64]) -> f64 {
+pub(crate) fn kendall(a: &[f64], b: &[f64]) -> f64 {
     assert_eq!(a.len(), b.len());
     let n = a.len();
     if n < 2 {

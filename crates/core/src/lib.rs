@@ -17,27 +17,27 @@
 //! 3. [`select`] applies a [`SelectionPolicy`];
 //! 4. [`TuningTable`] persists decisions per (machine, collective, ranks,
 //!    message size) — the artifact an MPI library's decision logic consumes;
-//! 5. [`predict`] projects application runtimes from micro-benchmark data
+//! 5. `predict` projects application runtimes from micro-benchmark data
 //!    (Fig. 9).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod decision;
-pub mod diff;
-pub mod fault;
-pub mod matrix;
-pub mod predict;
+pub(crate) mod decision;
+pub(crate) mod diff;
+pub(crate) mod fault;
+pub(crate) mod matrix;
+pub(crate) mod predict;
 pub mod report;
 pub mod selection;
-pub mod table;
+pub(crate) mod table;
 pub mod tuner;
 
 pub use decision::{DecisionLogic, DecisionSource};
-pub use diff::{differential_grid, kendall, spearman, DiffCell};
+pub use diff::{differential_grid, DiffCell};
 pub use fault::{render_fault_table, select_fault_robust, FaultMatrix};
 pub use matrix::BenchMatrix;
-pub use predict::{predict_app_runtime, AppPrediction};
+pub use predict::predict_app_runtime;
 pub use selection::{select, select_with_faults, SelectionPolicy};
 pub use table::{nearer_size, TuningEntry, TuningTable};
 pub use tuner::{tune_machine, TunePlan, TuneRecord};

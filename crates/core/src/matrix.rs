@@ -80,7 +80,7 @@ impl BenchMatrix {
     /// Row-normalized values (each row divided by its minimum), the
     /// semantics of the Fig. 8 heatmaps: the fastest algorithm per pattern
     /// reads 1.0.
-    pub fn normalized_rows(&self) -> Vec<Vec<f64>> {
+    pub(crate) fn normalized_rows(&self) -> Vec<Vec<f64>> {
         self.values
             .iter()
             .map(|row| {
@@ -123,7 +123,7 @@ impl BenchMatrix {
     /// Robustness values (Fig. 6): `d̂ᵏ/d̂^{no_delay} − 1` per (pattern,
     /// algorithm). Negative = the algorithm absorbed skew; positive = it
     /// slowed down. Requires a `no_delay` row.
-    pub fn robustness_vs_no_delay(&self) -> Option<Vec<Vec<f64>>> {
+    pub(crate) fn robustness_vs_no_delay(&self) -> Option<Vec<Vec<f64>>> {
         let nd = self.pattern_index("no_delay")?;
         Some(
             self.values
@@ -141,7 +141,7 @@ impl BenchMatrix {
     /// Robustness classification with the paper's ±25 % thresholds:
     /// `-1` (green: ≥25 % faster), `0` (gray: within ±25 %), `+1` (red:
     /// ≥25 % slower).
-    pub fn robustness_classes(&self, threshold: f64) -> Option<Vec<Vec<i8>>> {
+    pub(crate) fn robustness_classes(&self, threshold: f64) -> Option<Vec<Vec<i8>>> {
         Some(
             self.robustness_vs_no_delay()?
                 .iter()

@@ -6,7 +6,7 @@ use crate::matrix::BenchMatrix;
 /// Render a generic table: `values[row][col]`, formatted by `fmt`, with an
 /// extra mark from `mark(row, col)` appended to each cell (e.g. `*` for the
 /// best algorithm, `+` for the good set).
-pub fn render_table(
+pub(crate) fn render_table(
     title: &str,
     col_names: &[String],
     row_names: &[String],

@@ -11,7 +11,7 @@ pub enum Severity {
     Error,
 }
 
-/// The kind of defect a [`Diagnostic`] reports.
+/// The kind of defect a `Diagnostic` reports.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
 pub enum DiagClass {
     /// A send or receive names its own rank as the peer.
@@ -54,7 +54,7 @@ pub enum DiagClass {
 
 impl DiagClass {
     /// Stable lower-snake name (JSON output, fixtures).
-    pub fn name(self) -> &'static str {
+    pub(crate) fn name(self) -> &'static str {
         match self {
             DiagClass::SelfMessage => "self_message",
             DiagClass::PeerOutOfRange => "peer_out_of_range",
@@ -83,13 +83,13 @@ impl std::fmt::Display for DiagClass {
 
 /// Coordinates of one op: `(rank, segment, op-within-segment)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
-pub struct OpLoc {
+pub(crate) struct OpLoc {
     /// The rank whose program contains the op.
-    pub rank: usize,
+    pub(crate) rank: usize,
     /// Segment index within the rank program.
-    pub seg: usize,
+    pub(crate) seg: usize,
     /// Op index within the segment.
-    pub op: usize,
+    pub(crate) op: usize,
 }
 
 impl std::fmt::Display for OpLoc {
@@ -102,16 +102,16 @@ impl std::fmt::Display for OpLoc {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Diagnostic {
     /// What kind of defect.
-    pub class: DiagClass,
+    pub(crate) class: DiagClass,
     /// How bad it is.
     pub severity: Severity,
     /// The primary op the finding anchors to.
-    pub loc: OpLoc,
+    pub(crate) loc: OpLoc,
     /// Human-readable description.
-    pub message: String,
+    pub(crate) message: String,
     /// Other ops involved (the matching peer, the cycle members, the
     /// shadowed write, …).
-    pub related: Vec<OpLoc>,
+    pub(crate) related: Vec<OpLoc>,
 }
 
 impl Diagnostic {
@@ -129,21 +129,21 @@ impl Diagnostic {
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct LintReport {
     /// All findings, sorted by location then class.
-    pub diagnostics: Vec<Diagnostic>,
+    pub(crate) diagnostics: Vec<Diagnostic>,
     /// Number of ranks analyzed.
-    pub ranks: usize,
+    pub(crate) ranks: usize,
     /// Number of ops analyzed.
-    pub ops: usize,
+    pub(crate) ops: usize,
 }
 
 impl LintReport {
     /// Number of error-severity findings.
-    pub fn errors(&self) -> usize {
+    pub(crate) fn errors(&self) -> usize {
         self.diagnostics.iter().filter(|d| d.severity == Severity::Error).count()
     }
 
     /// Number of warning-severity findings.
-    pub fn warnings(&self) -> usize {
+    pub(crate) fn warnings(&self) -> usize {
         self.diagnostics.iter().filter(|d| d.severity == Severity::Warning).count()
     }
 

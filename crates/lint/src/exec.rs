@@ -44,10 +44,10 @@ type Protocol = Option<u64>;
 /// Where a rank stopped for good, and on whom.
 pub(crate) struct Stalled {
     /// The op (global index) it cannot complete.
-    pub at: usize,
+    pub(crate) at: usize,
     /// The rank whose op it waits for; `None` when the op (or one of the
     /// waited requests) has no matched counterpart.
-    pub on: Option<usize>,
+    pub(crate) on: Option<usize>,
 }
 
 /// Run the protocol passes and emit deadlock / fragility diagnostics.
@@ -97,7 +97,11 @@ enum Wait {
 /// Crashed ranks are frozen and reported as *not* stalled (dead by design,
 /// not starved); survivors transitively blocked on them surface as
 /// stalled: the crash cone.
-pub(crate) fn execute(view: &View, proto: Protocol, crashed: &[Option<usize>]) -> Vec<Option<Stalled>> {
+pub(crate) fn execute(
+    view: &View,
+    proto: Protocol,
+    crashed: &[Option<usize>],
+) -> Vec<Option<Stalled>> {
     let ranks = view.ranks();
     let limit = |r: usize| crashed.get(r).copied().flatten();
     let mut pos = view.start[..ranks].to_vec();

@@ -39,10 +39,10 @@ use crate::LintConfig;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CrashPoint {
     /// The crashed rank.
-    pub rank: usize,
+    pub(crate) rank: usize,
     /// Completed-op count (flattened program order). `0` = died on entry,
     /// before contributing anything to any channel.
-    pub op: usize,
+    pub(crate) op: usize,
 }
 
 impl CrashPoint {
@@ -56,9 +56,9 @@ impl CrashPoint {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StarvedOp {
     /// The starved survivor.
-    pub rank: usize,
+    pub(crate) rank: usize,
     /// Coordinates of the op it can never complete.
-    pub loc: OpLoc,
+    pub(crate) loc: OpLoc,
 }
 
 /// The crash cone of one (set of) fail-stop point(s): every surviving rank
@@ -66,7 +66,7 @@ pub struct StarvedOp {
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CrashCone {
     /// The crash points the cone was computed for.
-    pub crashes: Vec<CrashPoint>,
+    pub(crate) crashes: Vec<CrashPoint>,
     /// Starved survivors (crashed ranks are dead by design, not starved).
     pub starved: Vec<StarvedOp>,
 }
@@ -116,15 +116,15 @@ pub(crate) fn cone_of(view: &View, cfg: &LintConfig, crashes: &[CrashPoint]) -> 
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct BlastRadius {
     /// Rank count of the job.
-    pub ranks: usize,
+    pub(crate) ranks: usize,
     /// `entry_starved[r]` = survivors starved when rank `r` dies on entry.
     pub entry_starved: Vec<usize>,
     /// Ranks whose entry crash starves at least one survivor.
-    pub critical: Vec<usize>,
+    pub(crate) critical: Vec<usize>,
     /// Largest entry cone.
-    pub max_starved: usize,
+    pub(crate) max_starved: usize,
     /// Mean entry-cone size across ranks.
-    pub mean_starved: f64,
+    pub(crate) mean_starved: f64,
 }
 
 /// Compute the entry cone of every rank (one fixpoint per rank).
@@ -203,18 +203,18 @@ pub struct FaultCaseRow {
     /// Rank count.
     pub ranks: usize,
     /// Root used to build the schedule.
-    pub root: usize,
+    pub(crate) root: usize,
     /// Message size in bytes.
     pub bytes: u64,
     /// `entry_starved[r]`: survivors starved when rank `r` dies on entry.
-    pub entry_starved: Vec<usize>,
+    pub(crate) entry_starved: Vec<usize>,
     /// Ranks whose entry crash starves at least one survivor.
-    pub critical: Vec<usize>,
+    pub(crate) critical: Vec<usize>,
     /// The crash victim chosen for repair: the non-root rank with the
     /// largest entry cone.
     pub victim: usize,
     /// The victim's entry-cone starved ranks.
-    pub victim_starved: Vec<usize>,
+    pub(crate) victim_starved: Vec<usize>,
     /// The certified-repair verdict for the victim crash.
     pub repair: RepairVerdict,
 }
@@ -225,40 +225,40 @@ pub struct FaultAlgRow {
     /// Collective name.
     pub collective: String,
     /// Algorithm ID.
-    pub alg: u8,
+    pub(crate) alg: u8,
     /// Algorithm name (Table II).
     pub name: String,
     /// Cases analyzed.
     pub cases: usize,
     /// Largest entry cone over all cases and crash ranks.
-    pub max_starved: usize,
+    pub(crate) max_starved: usize,
     /// Mean entry-cone size over all cases and crash ranks.
-    pub mean_starved: f64,
+    pub(crate) mean_starved: f64,
     /// Mean fraction of ranks whose entry crash starves someone.
-    pub critical_frac: f64,
+    pub(crate) critical_frac: f64,
     /// Cases whose victim repair certified.
     pub repaired: usize,
     /// Cases with no mechanical rewrite.
-    pub unsupported: usize,
+    pub(crate) unsupported: usize,
     /// Cases whose rewrite failed certification (repair bugs).
-    pub cert_failed: usize,
+    pub(crate) cert_failed: usize,
 }
 
 /// The fault-sweep document (`papctl lint --faults --json`).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FaultSweepSummary {
     /// Rank counts covered.
-    pub ranks: Vec<usize>,
+    pub(crate) ranks: Vec<usize>,
     /// Sizes covered.
-    pub sizes: Vec<u64>,
+    pub(crate) sizes: Vec<u64>,
     /// Eager threshold used.
-    pub eager_threshold: u64,
+    pub(crate) eager_threshold: u64,
     /// Total cases analyzed.
     pub cases: usize,
     /// Victim repairs that certified.
     pub repaired: usize,
     /// Cases with no mechanical rewrite.
-    pub unsupported: usize,
+    pub(crate) unsupported: usize,
     /// Rewrites that failed certification (must be zero).
     pub cert_failed: usize,
     /// Per-algorithm aggregates, registry order.

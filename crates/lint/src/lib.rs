@@ -34,10 +34,10 @@
 //! ## Fault reachability and repair
 //!
 //! The same fixpoint answers *"who starves if rank `R` dies after `k`
-//! ops?"* ([`crash_cone`], [`blast_radius`] in [`faults`]) — exactly the
+//! ops?"* ([`crash_cone`], [`blast_radius`] in `faults`) — exactly the
 //! engine's starved-rank set for an entry crash, differentially pinned on
 //! the whole registry. Where the crashed
-//! rank's dependence structure allows, [`repair`] rewrites the schedule to
+//! rank's dependence structure allows, `repair` rewrites the schedule to
 //! route around the dead rank; [`certified_repair`] accepts a rewrite only
 //! if it re-lints clean across all diagnostic classes *and* leaves an
 //! empty residual cone.
@@ -45,7 +45,7 @@
 //! ## Surfaces
 //!
 //! * [`lint_job`] — lint one job;
-//! * [`sweep`] — lint every registered algorithm across rank counts, roots
+//! * `sweep` — lint every registered algorithm across rank counts, roots
 //!   and eager-straddling sizes (`papctl lint`);
 //! * [`sweep_faults`] — registry-wide crash cones, blast radii and
 //!   certified victim repairs (`papctl lint --faults`);
@@ -56,24 +56,24 @@
 
 mod channels;
 mod dataflow;
-pub mod diag;
+pub(crate) mod diag;
 mod exec;
-pub mod faults;
-pub mod repair;
+pub(crate) mod faults;
+pub(crate) mod repair;
 mod requests;
-pub mod sweep;
+pub(crate) mod sweep;
 mod view;
 
 use pap_sim::{Job, Platform};
 
 use view::View;
 
-pub use diag::{DiagClass, Diagnostic, LintReport, OpLoc, Severity};
+pub use diag::{DiagClass, Severity};
+pub(crate) use diag::{Diagnostic, LintReport};
 pub use faults::{
-    blast_radius, crash_cone, sweep_faults, BlastRadius, CrashCone, CrashPoint,
-    FaultAlgRow, FaultCaseRow, FaultSweepConfig, FaultSweepSummary, RepairVerdict, StarvedOp,
+    blast_radius, crash_cone, sweep_faults, CrashPoint, FaultSweepConfig, RepairVerdict,
 };
-pub use repair::{certified_repair, repair_job, RepairError, RepairOutcome};
+pub use repair::{certified_repair, repair_job, RepairError};
 pub use sweep::{sweep_registry, SweepConfig, SweepSummary};
 
 /// Linter configuration.

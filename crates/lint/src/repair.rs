@@ -116,7 +116,7 @@ pub struct RepairOutcome {
     /// The rewritten job (the crashed rank's program is empty).
     pub job: Job,
     /// The rank routed around.
-    pub crashed: usize,
+    pub(crate) crashed: usize,
     /// Ops removed from survivor programs (crashed-rank ops not counted).
     pub dropped: usize,
     /// Survivor ops rewritten in place (redirected peers/tags).

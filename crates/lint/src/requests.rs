@@ -11,7 +11,11 @@ use crate::view::{View, NONE};
 
 /// Build the request table of `view` as `(wait_off, waited)` (see
 /// [`View::waited`]).
-pub(crate) fn table(view: &View, job: &Job, diags: &mut Vec<Diagnostic>) -> (Vec<usize>, Vec<usize>) {
+pub(crate) fn table(
+    view: &View,
+    job: &Job,
+    diags: &mut Vec<Diagnostic>) -> (Vec<usize>, Vec<usize>,
+) {
     let mut wait_off = Vec::with_capacity(view.ops.len() + 1);
     let mut waited = Vec::new();
     wait_off.push(0);

@@ -55,9 +55,9 @@ pub struct CaseFinding {
     /// Message size.
     pub bytes: u64,
     /// Error-severity findings.
-    pub errors: usize,
+    pub(crate) errors: usize,
     /// Warning-severity findings.
-    pub warnings: usize,
+    pub(crate) warnings: usize,
     /// Rendered diagnostics (one line per finding).
     pub diagnostics: Vec<String>,
 }
@@ -70,13 +70,13 @@ pub struct AlgRow {
     /// Algorithm ID.
     pub alg: u8,
     /// Algorithm name (Table II).
-    pub name: String,
+    pub(crate) name: String,
     /// Cases linted.
     pub cases: usize,
     /// Total error-severity findings across the cases.
-    pub errors: usize,
+    pub(crate) errors: usize,
     /// Total warning-severity findings.
-    pub warnings: usize,
+    pub(crate) warnings: usize,
 }
 
 /// Aggregated sweep result (the `papctl lint --json` document and the

@@ -24,36 +24,36 @@ pub(crate) const NONE: usize = usize::MAX;
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct Counterpart {
     /// Peer rank.
-    pub rank: usize,
+    pub(crate) rank: usize,
     /// Index of the counterpart in the peer's flattened program.
-    pub flat: usize,
+    pub(crate) flat: usize,
 }
 
 pub(crate) struct View {
     /// Every op, rank-major.
-    pub ops: Vec<Op>,
+    pub(crate) ops: Vec<Op>,
     /// Rank `r` owns `ops[start[r]..start[r + 1]]`.
-    pub start: Vec<usize>,
+    pub(crate) start: Vec<usize>,
     /// Segments, rank-major: label and the global index one past the last op.
     segs: Vec<(Option<Label>, usize)>,
     /// Rank `r`'s segments are `segs[seg_start[r]..seg_start[r + 1]]`.
     seg_start: Vec<usize>,
     /// Slots each rank references (its largest slot index plus one).
-    pub slots: Vec<usize>,
+    pub(crate) slots: Vec<usize>,
     /// FIFO counterpart of each send and receive ([`NONE`] when unmatched
     /// or not a message op).
-    pub pair: Vec<usize>,
+    pub(crate) pair: Vec<usize>,
     /// `WaitAll` op `i` completes the requests posted by ops
     /// `waited[wait_off[i]..wait_off[i + 1]]` (duplicates and never-posted
     /// requests left out); empty for every other op.
-    pub wait_off: Vec<usize>,
-    pub waited: Vec<usize>,
+    pub(crate) wait_off: Vec<usize>,
+    pub(crate) waited: Vec<usize>,
     /// Matching and request-lifecycle findings, found while building.
-    pub findings: Vec<Diagnostic>,
+    pub(crate) findings: Vec<Diagnostic>,
 }
 
 impl View {
-    pub fn new(job: &Job) -> Self {
+    pub(crate) fn new(job: &Job) -> Self {
         let ranks = job.ranks();
         let mut ops = Vec::with_capacity(job.total_ops());
         let mut start = Vec::with_capacity(ranks + 1);
@@ -87,22 +87,25 @@ impl View {
         view
     }
 
-    pub fn ranks(&self) -> usize {
+    pub(crate) fn ranks(&self) -> usize {
         self.start.len() - 1
     }
 
     /// Global indices of rank `r`'s ops.
-    pub fn range(&self, r: usize) -> Range<usize> {
+    pub(crate) fn range(&self, r: usize) -> Range<usize> {
         self.start[r]..self.start[r + 1]
     }
 
     /// Rank `r`'s flattened program.
-    pub fn rank_ops(&self, r: usize) -> &[Op] {
+    pub(crate) fn rank_ops(&self, r: usize) -> &[Op] {
         &self.ops[self.range(r)]
     }
 
     /// Rank `r`'s segments: label and global op range.
-    pub fn rank_segs(&self, r: usize) -> impl Iterator<Item = (Option<Label>, Range<usize>)> + '_ {
+    pub(crate) fn rank_segs(
+        &self,
+        r: usize,
+    ) -> impl Iterator<Item = (Option<Label>, Range<usize>)> + '_ {
         let mut begin = self.start[r];
         self.segs[self.seg_start[r]..self.seg_start[r + 1]].iter().map(move |&(label, end)| {
             let range = begin..end;
@@ -112,12 +115,12 @@ impl View {
     }
 
     /// The ops that posted the requests `WaitAll` op `i` completes.
-    pub fn waited(&self, i: usize) -> &[usize] {
+    pub(crate) fn waited(&self, i: usize) -> &[usize] {
         &self.waited[self.wait_off[i]..self.wait_off[i + 1]]
     }
 
     /// The counterpart of op `i` of rank `r`, per-rank addressed.
-    pub fn counterpart(&self, r: usize, i: usize) -> Option<Counterpart> {
+    pub(crate) fn counterpart(&self, r: usize, i: usize) -> Option<Counterpart> {
         let j = self.start[r] + i;
         let c = self.pair[j];
         (c != NONE).then(|| {
@@ -128,7 +131,7 @@ impl View {
     }
 
     /// The `(rank, segment, op)` coordinates of global op `i`.
-    pub fn loc(&self, i: usize) -> OpLoc {
+    pub(crate) fn loc(&self, i: usize) -> OpLoc {
         let rank = self.start.partition_point(|&s| s <= i) - 1;
         let segs = &self.segs[self.seg_start[rank]..self.seg_start[rank + 1]];
         let seg = segs.partition_point(|&(_, end)| end <= i);

@@ -61,7 +61,7 @@ fn t975(df: usize) -> f64 {
 }
 
 /// Relative 95 % CI half-width of the mean of `xs`.
-pub fn relative_ci(xs: &[f64]) -> f64 {
+pub(crate) fn relative_ci(xs: &[f64]) -> f64 {
     let n = xs.len();
     if n < 2 {
         return f64::INFINITY;

@@ -38,14 +38,14 @@ pub const FAULT_GRID_VERSION: u32 = 2;
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FaultScenario {
     /// Scenario name (the grid row label, e.g. `"stall_root"`).
-    pub name: String,
+    pub(crate) name: String,
     /// The faults injected while the collective runs.
-    pub faults: FaultSpec,
+    pub(crate) faults: FaultSpec,
 }
 
 impl FaultScenario {
     /// Build a named scenario.
-    pub fn new(name: impl Into<String>, faults: FaultSpec) -> Self {
+    pub(crate) fn new(name: impl Into<String>, faults: FaultSpec) -> Self {
         FaultScenario { name: name.into(), faults }
     }
 }
@@ -98,9 +98,9 @@ pub fn standard_grid(p: usize, t: f64) -> Vec<FaultScenario> {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct FaultCell {
     /// Algorithm ID.
-    pub alg: u8,
+    pub(crate) alg: u8,
     /// Scenario name.
-    pub scenario: String,
+    pub(crate) scenario: String,
     /// Mean last delay `d̂` over the surviving ranks, or `None` when the
     /// algorithm could not finish under the scenario (starved dependents).
     pub mean_last: Option<f64>,
@@ -124,7 +124,7 @@ pub struct FaultSweepResult {
     /// Scenario names in sweep order.
     pub scenarios: Vec<String>,
     /// All cells (algs × scenarios), algorithm-major.
-    pub cells: Vec<FaultCell>,
+    pub(crate) cells: Vec<FaultCell>,
     /// [`FAULT_GRID_VERSION`] the sweep ran under; `0` for evidence
     /// persisted before grids were versioned. Consumers reject mismatches
     /// rather than compare incomparable scenario timings.
@@ -164,7 +164,7 @@ fn statically_decidable(faults: &FaultSpec, cfg: &BenchConfig) -> bool {
 ///
 /// Entry-crash scenarios are pre-filtered by `pap-lint`'s static crash
 /// cone: a non-empty cone settles the cell as `mean_last = None` (flagged
-/// [`FaultCell::statically_decided`]) without spending a simulator run —
+/// `FaultCell::statically_decided`) without spending a simulator run —
 /// the differential test tier pins the static and simulated starved sets
 /// against each other, so the shortcut cannot drift from the engine.
 pub fn fault_sweep(

@@ -110,7 +110,7 @@ impl BenchConfig {
     }
 
     /// Inject a fault spec into every repetition (see [`BenchConfig::faults`]).
-    pub fn with_faults(mut self, faults: FaultSpec) -> Self {
+    pub(crate) fn with_faults(mut self, faults: FaultSpec) -> Self {
         self.faults = faults;
         self
     }

@@ -22,20 +22,18 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod adaptive;
-pub mod faultgrid;
-pub mod harness;
+pub(crate) mod adaptive;
+pub(crate) mod faultgrid;
+pub(crate) mod harness;
 pub mod profile;
-pub mod stats;
+pub(crate) mod stats;
 pub mod sweep;
 
-pub use adaptive::{measure_adaptive, relative_ci, AdaptiveStats, StopRule};
-pub use faultgrid::{
-    fault_sweep, standard_grid, FaultCell, FaultScenario, FaultSweepResult, FAULT_GRID_VERSION,
-};
-pub use harness::{measure, Backend, BenchConfig, BenchError, Measurement, START_TARGET};
+pub use adaptive::{measure_adaptive, StopRule};
+pub use faultgrid::{fault_sweep, standard_grid, FaultSweepResult, FAULT_GRID_VERSION};
+pub use harness::{measure, Backend, BenchConfig, BenchError, START_TARGET};
 pub use profile::{profile, profile_with_faults, Profile};
-pub use stats::RunStats;
+pub(crate) use stats::RunStats;
 pub use sweep::{
-    calibrate_avg_runtime, no_delay_runtime, sweep, sweep_cells, SkewPolicy, SweepCell, SweepResult, SweepSpec,
+    calibrate_avg_runtime, no_delay_runtime, sweep, sweep_cells, SkewPolicy, SweepResult, SweepSpec,
 };

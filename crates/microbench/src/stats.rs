@@ -16,7 +16,7 @@ impl RunStats {
     ///
     /// # Panics
     /// Panics on an empty set.
-    pub fn new(reps: Vec<Measurement>) -> Self {
+    pub(crate) fn new(reps: Vec<Measurement>) -> Self {
         assert!(!reps.is_empty(), "need at least one repetition");
         RunStats { reps }
     }
@@ -48,11 +48,6 @@ impl RunStats {
     /// Number of repetitions.
     pub fn len(&self) -> usize {
         self.reps.len()
-    }
-
-    /// Whether there are no repetitions (never true after construction).
-    pub fn is_empty(&self) -> bool {
-        self.reps.is_empty()
     }
 }
 

@@ -28,15 +28,15 @@ pub enum SkewPolicy {
 
 /// One measured cell of a sweep.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct SweepCell {
+pub(crate) struct SweepCell {
     /// Algorithm ID.
-    pub alg: u8,
+    pub(crate) alg: u8,
     /// Pattern name (a shape name or a measured-pattern name).
-    pub pattern: String,
+    pub(crate) pattern: String,
     /// The max skew actually applied (seconds).
-    pub skew: f64,
+    pub(crate) skew: f64,
     /// Measurement statistics.
-    pub stats: RunStats,
+    pub(crate) stats: RunStats,
 }
 
 /// Results of one (collective, message size) sweep.
@@ -51,12 +51,12 @@ pub struct SweepResult {
     /// Pattern names in sweep order.
     pub patterns: Vec<String>,
     /// All cells (algs × patterns).
-    pub cells: Vec<SweepCell>,
+    pub(crate) cells: Vec<SweepCell>,
 }
 
 impl SweepResult {
     /// The cell of (algorithm, pattern), if present.
-    pub fn cell(&self, alg: u8, pattern: &str) -> Option<&SweepCell> {
+    pub(crate) fn cell(&self, alg: u8, pattern: &str) -> Option<&SweepCell> {
         self.cells.iter().find(|c| c.alg == alg && c.pattern == pattern)
     }
 

@@ -19,7 +19,7 @@
 //! asserts rank-order agreement (Spearman ≥ 0.8) and bounded relative error
 //! on the paper's Fig. 4 grid.
 //!
-//! Entry point: [`predict`] (or [`predict_exits`] for per-rank exit times).
+//! Entry point: [`predict`] (or `predict_exits` for per-rank exit times).
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -102,7 +102,7 @@ pub fn predict(
 /// Per-rank exit times for one collective when rank `r` starts at
 /// `arrivals[r]` (seconds). This is the raw quantity [`predict`] reduces to
 /// the paper's delay metrics.
-pub fn predict_exits(
+pub(crate) fn predict_exits(
     platform: &Platform,
     spec: &CollSpec,
     arrivals: &[f64],

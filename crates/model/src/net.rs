@@ -29,9 +29,9 @@ thread_local! {
 pub(crate) struct MsgOut {
     /// When the send request completes: `ts` for eager (the sender is free
     /// as soon as the injection is scheduled), egress-done for rendezvous.
-    pub send_done: f64,
+    pub(crate) send_done: f64,
     /// When the receive request completes (delivery matched + `o_r`).
-    pub recv_done: f64,
+    pub(crate) recv_done: f64,
 }
 
 /// Shared network state: per-node NIC egress/ingress serialization clocks.
@@ -46,7 +46,7 @@ pub(crate) struct Net<'p> {
 }
 
 impl<'p> Net<'p> {
-    pub fn new(pf: &'p Platform) -> Self {
+    pub(crate) fn new(pf: &'p Platform) -> Self {
         let nodes = pf.occupied_nodes();
         let node = NODE_TABLE.with(|c| {
             let mut c = c.borrow_mut();
@@ -73,7 +73,7 @@ impl<'p> Net<'p> {
     /// egress and destination ingress NIC clocks when the platform enables
     /// NIC serialization.
     #[inline]
-    pub fn msg(&mut self, src: usize, dst: usize, bytes: u64, pre: f64, tr: f64) -> MsgOut {
+    pub(crate) fn msg(&mut self, src: usize, dst: usize, bytes: u64, pre: f64, tr: f64) -> MsgOut {
         let pf = self.pf;
         let eager = pf.is_eager(bytes);
         let ts = pre + pf.send_overhead;

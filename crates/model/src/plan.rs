@@ -35,11 +35,11 @@ pub(crate) enum TreeId {
 /// A tree topology plus its two replay orders, built once per (id, p).
 pub(crate) struct TreePlan {
     /// Per-vrank tree views.
-    pub nodes: Vec<TreeNode>,
+    pub(crate) nodes: Vec<TreeNode>,
     /// Ranks deepest-first (children before parents): gather-like phases.
-    pub up: Vec<usize>,
+    pub(crate) up: Vec<usize>,
     /// Ranks shallowest-first (parents before children): scatter-like phases.
-    pub down: Vec<usize>,
+    pub(crate) down: Vec<usize>,
 }
 
 /// Depth of every node, resolved iteratively (a pipeline tree is a single

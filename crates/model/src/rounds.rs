@@ -102,7 +102,12 @@ fn wrap(x: usize, p: usize) -> usize {
 
 /// Allreduce ID 3: recursive doubling with fold-in/fold-out of the excess
 /// ranks beyond the largest power of two.
-pub(crate) fn allreduce_recdbl(pf: &Platform, net: &mut Net, bytes: u64, starts: &[f64]) -> Vec<f64> {
+pub(crate) fn allreduce_recdbl(
+    pf: &Platform,
+    net: &mut Net,
+    bytes: u64,
+    starts: &[f64],
+) -> Vec<f64> {
     let p = starts.len();
     let mut locals = starts.to_vec();
     let p2 = topo::pow2_floor(p);
@@ -237,7 +242,12 @@ fn halving_rounds(
 
 /// Allreduce ID 6: Rabenseifner — fold, recursive-halving reduce-scatter,
 /// recursive-doubling allgather, unfold.
-pub(crate) fn allreduce_rabenseifner(pf: &Platform, net: &mut Net, bytes: u64, starts: &[f64]) -> Vec<f64> {
+pub(crate) fn allreduce_rabenseifner(
+    pf: &Platform,
+    net: &mut Net,
+    bytes: u64,
+    starts: &[f64],
+) -> Vec<f64> {
     let p = starts.len();
     let mut locals = starts.to_vec();
     let p2 = topo::pow2_floor(p);
@@ -318,7 +328,13 @@ pub(crate) fn reduce_rabenseifner(
 /// Alltoall IDs 1 and 4: linear with a request window. Per batch, each rank
 /// posts irecv/isend pairs for every distance in the batch, then waits on
 /// the whole window.
-pub(crate) fn alltoall_linear(pf: &Platform, net: &mut Net, m: u64, window: usize, starts: &[f64]) -> Vec<f64> {
+pub(crate) fn alltoall_linear(
+    pf: &Platform,
+    net: &mut Net,
+    m: u64,
+    window: usize,
+    starts: &[f64],
+) -> Vec<f64> {
     let p = starts.len();
     let mut locals = starts.to_vec();
     if p == 1 {

@@ -21,8 +21,8 @@ use crate::plan::TreePlan;
 /// outstanding send requests (waitall / trailing blocking send), or `−∞` if
 /// none.
 pub(crate) struct RankEnds {
-    pub local: Vec<f64>,
-    pub pending: Vec<f64>,
+    pub(crate) local: Vec<f64>,
+    pub(crate) pending: Vec<f64>,
 }
 
 impl RankEnds {
@@ -31,7 +31,7 @@ impl RankEnds {
     }
 
     /// Exit time per rank: local clock joined with all pending completions.
-    pub fn finish(&self) -> Vec<f64> {
+    pub(crate) fn finish(&self) -> Vec<f64> {
         self.local.iter().zip(&self.pending).map(|(&l, &pend)| l.max(pend)).collect()
     }
 }
@@ -183,7 +183,13 @@ fn subtree_size(v: usize, p: usize) -> u64 {
 
 /// Gather ID 1: every non-root rank blocking-sends its block to the root,
 /// which receives them blocking in rank order.
-pub(crate) fn linear_gather(pf: &Platform, net: &mut Net, root: usize, m: u64, starts: &[f64]) -> Vec<f64> {
+pub(crate) fn linear_gather(
+    pf: &Platform,
+    net: &mut Net,
+    root: usize,
+    m: u64,
+    starts: &[f64],
+) -> Vec<f64> {
     let mut exits = starts.to_vec();
     let mut t = starts[root];
     for (i, &start) in starts.iter().enumerate() {
@@ -234,7 +240,13 @@ pub(crate) fn binomial_gather(
 
 /// Scatter ID 1: the root blocking-sends each rank's block in rank order;
 /// every non-root rank's single op is the blocking recv.
-pub(crate) fn linear_scatter(pf: &Platform, net: &mut Net, root: usize, m: u64, starts: &[f64]) -> Vec<f64> {
+pub(crate) fn linear_scatter(
+    pf: &Platform,
+    net: &mut Net,
+    root: usize,
+    m: u64,
+    starts: &[f64],
+) -> Vec<f64> {
     let mut exits = starts.to_vec();
     let mut t = starts[root];
     for (i, &start) in starts.iter().enumerate() {

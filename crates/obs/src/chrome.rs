@@ -29,25 +29,25 @@ use serde::{Content, Deserialize, Error, Serialize};
 /// `None` fields are omitted from the JSON, keeping the output close to
 /// what the format documents for each phase type.
 #[derive(Debug, Clone, PartialEq)]
-pub struct TraceEvent {
+pub(crate) struct TraceEvent {
     /// Event name (span label, flow name, or metadata kind).
-    pub name: String,
+    pub(crate) name: String,
     /// Phase: `B`, `E`, `s`, `f`, `M`, …
-    pub ph: String,
+    pub(crate) ph: String,
     /// Timestamp in microseconds. Metadata events omit it.
-    pub ts: Option<f64>,
+    pub(crate) ts: Option<f64>,
     /// Process ID (lane group).
-    pub pid: u64,
+    pub(crate) pid: u64,
     /// Thread ID (lane).
-    pub tid: u64,
+    pub(crate) tid: u64,
     /// Category list (comma-separated), e.g. `"collective"` / `"msg"`.
-    pub cat: Option<String>,
+    pub(crate) cat: Option<String>,
     /// Flow-event binding ID (`s`/`f` pairs share one).
-    pub id: Option<u64>,
+    pub(crate) id: Option<u64>,
     /// Flow binding point; `"e"` attaches the arrow to the enclosing slice.
-    pub bp: Option<String>,
+    pub(crate) bp: Option<String>,
     /// Free-form arguments shown in the Perfetto detail pane.
-    pub args: Option<Vec<(String, Content)>>,
+    pub(crate) args: Option<Vec<(String, Content)>>,
 }
 
 impl TraceEvent {
@@ -130,10 +130,10 @@ impl Deserialize for TraceEvent {
 #[derive(Debug, Default, Clone)]
 pub struct ChromeTrace {
     /// The events, in emission order (viewers sort by `ts` themselves).
-    pub events: Vec<TraceEvent>,
+    pub(crate) events: Vec<TraceEvent>,
     /// Top-level free-form metadata (e.g. `d_hat`, `pattern`), rendered as
     /// an `"otherData"` object when non-empty.
-    pub metadata: Vec<(String, Content)>,
+    pub(crate) metadata: Vec<(String, Content)>,
 }
 
 impl Serialize for ChromeTrace {
@@ -199,7 +199,7 @@ impl ChromeTrace {
     }
 
     /// Begin a duration slice on lane (`pid`, `tid`) at `ts_us`.
-    pub fn begin(&mut self, pid: u64, tid: u64, name: &str, cat: &str, ts_us: f64) {
+    pub(crate) fn begin(&mut self, pid: u64, tid: u64, name: &str, cat: &str, ts_us: f64) {
         let mut ev = TraceEvent::new(name, "B", pid, tid);
         ev.ts = Some(ts_us);
         ev.cat = Some(cat.to_string());
@@ -257,7 +257,7 @@ impl ChromeTrace {
     /// Spans within one thread are properly nested (RAII guards follow
     /// stack discipline), so B/E events are interleaved via an end-time
     /// stack to keep each lane's emission order timestamp-monotone.
-    pub fn push_spans(&mut self, pid: u64, spans: &[crate::trace::SpanRecord]) {
+    pub(crate) fn push_spans(&mut self, pid: u64, spans: &[crate::trace::SpanRecord]) {
         let mut by_thread: std::collections::BTreeMap<u64, Vec<&crate::trace::SpanRecord>> =
             std::collections::BTreeMap::new();
         for s in spans {
@@ -317,7 +317,7 @@ pub fn from_spans(spans: &[crate::trace::SpanRecord]) -> ChromeTrace {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct TraceStats {
     /// Total events, metadata included.
-    pub events: usize,
+    pub(crate) events: usize,
     /// Completed B/E slice pairs.
     pub slices: usize,
     /// Flow `s`/`f` pairs sharing an ID.

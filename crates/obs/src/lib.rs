@@ -8,7 +8,7 @@
 //!   query, no locking — so instrumentation can stay compiled into the hot
 //!   paths of the simulator, the sweep fan-out and the daemon permanently
 //!   (the `obs_overhead` Criterion bench in `pap-bench` pins the cost).
-//! * **Metrics** ([`metrics`]): a registry of named counters, gauges and
+//! * **Metrics** ([`Registry`]): a registry of named counters, gauges and
 //!   fixed-bucket histograms. Handles are cheap `Arc`-backed atomics that
 //!   record with relaxed stores; metrics are always on (a handful of atomic
 //!   adds per *run*, never per simulated event). `papd`'s `Stats`, the
@@ -36,16 +36,12 @@
 use std::sync::atomic::{AtomicBool, Ordering};
 
 pub mod chrome;
-pub mod metrics;
+pub(crate) mod metrics;
 pub mod trace;
 
-pub use chrome::{validate_trace, ChromeTrace, TraceEvent, TraceStats};
-pub use metrics::{
-    global, Counter, Gauge, Histogram, HistogramSnapshot, MetricsSnapshot, Registry,
-};
-pub use trace::{
-    drain_spans, pump_spans, set_span_stream, span, SpanGuard, SpanRecord, SpanSink,
-};
+pub use chrome::{validate_trace, ChromeTrace};
+pub use metrics::{global, Counter, Gauge, Histogram, MetricsSnapshot, Registry};
+pub use trace::{drain_spans, pump_spans, set_span_stream, span, SpanRecord};
 
 /// Process-wide span-capture gate. Relaxed is sufficient: observers only
 /// need *eventual* agreement, and a span started just before `set_enabled`
@@ -63,7 +59,7 @@ pub fn set_enabled(on: bool) {
 /// This is the *entire* disabled-path cost of [`span`]: one relaxed atomic
 /// load and a branch.
 #[inline(always)]
-pub fn enabled() -> bool {
+pub(crate) fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 

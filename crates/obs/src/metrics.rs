@@ -58,7 +58,7 @@ impl Gauge {
     }
 
     /// Current value.
-    pub fn get(&self) -> i64 {
+    pub(crate) fn get(&self) -> i64 {
         self.0.load(Ordering::Relaxed)
     }
 }
@@ -238,11 +238,11 @@ pub struct BucketSnapshot {
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct HistogramSnapshot {
     /// Metric name.
-    pub name: String,
+    pub(crate) name: String,
     /// Total observations.
     pub count: u64,
     /// Sum of all observed values.
-    pub sum: u64,
+    pub(crate) sum: u64,
     /// Per-bucket counts (non-cumulative), overflow last.
     pub buckets: Vec<BucketSnapshot>,
 }
@@ -255,7 +255,7 @@ pub struct MetricsSnapshot {
     /// Gauges, sorted by name.
     pub gauges: Vec<NamedGauge>,
     /// Histograms, sorted by name.
-    pub histograms: Vec<HistogramSnapshot>,
+    pub(crate) histograms: Vec<HistogramSnapshot>,
 }
 
 impl MetricsSnapshot {

@@ -7,7 +7,7 @@
 //! buffer — an uncontended mutex around a fixed-capacity ring, never the
 //! global registry lock.
 //!
-//! Rings hold the most recent [`RING_CAPACITY`] records per thread; older
+//! Rings hold the most recent `RING_CAPACITY` records per thread; older
 //! records are overwritten and counted in [`dropped_spans`] so exporters can
 //! report truncation instead of silently presenting a partial timeline.
 
@@ -16,7 +16,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Instant;
 
 /// Completed-span capacity of one thread's ring buffer.
-pub const RING_CAPACITY: usize = 1 << 14;
+pub(crate) const RING_CAPACITY: usize = 1 << 14;
 
 /// One completed span, in nanoseconds since the process trace epoch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -93,7 +93,7 @@ fn epoch() -> Instant {
 }
 
 /// Nanoseconds since the process trace epoch (first observability use).
-pub fn now_ns() -> u64 {
+pub(crate) fn now_ns() -> u64 {
     epoch().elapsed().as_nanos().min(u64::MAX as u128) as u64
 }
 
@@ -160,13 +160,13 @@ pub fn dropped_spans() -> u64 {
 }
 
 /// A streaming span consumer: called with each drained batch, oldest-first.
-pub type SpanSink = Box<dyn FnMut(&[SpanRecord]) + Send>;
+pub(crate) type SpanSink = Box<dyn FnMut(&[SpanRecord]) + Send>;
 
 static STREAM: Mutex<Option<SpanSink>> = Mutex::new(None);
 
 /// Install (or, with `None`, remove) the process-wide streaming span sink.
 ///
-/// Rings hold only the most recent [`RING_CAPACITY`] records per thread: a
+/// Rings hold only the most recent `RING_CAPACITY` records per thread: a
 /// long sweep or tune overflows them long before it finishes, and a single
 /// end-of-run [`drain_spans`] would silently present the tail. A streaming
 /// sink plus periodic [`pump_spans`] calls inside the long loop moves

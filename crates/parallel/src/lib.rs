@@ -261,11 +261,6 @@ impl Pool {
         true
     }
 
-    /// Number of tasks waiting in the queue (not yet started).
-    pub fn backlog(&self) -> usize {
-        self.shared.queue.lock().expect("pool queue poisoned").tasks.len()
-    }
-
     /// Graceful shutdown: stop intake, run every queued task, join workers.
     pub fn join(self) {
         self.finish(true);

@@ -11,7 +11,7 @@ use std::cell::Cell;
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use pap_collectives::CollectiveKind;
-use pap_fleet::{Fleet, FleetClient, FleetConfig};
+use pap_service::fleet::{Fleet, FleetClient, FleetConfig};
 use pap_service::{QueryRequest, ServeConfig};
 
 const KINDS: [CollectiveKind; 3] =

@@ -13,7 +13,7 @@ use std::hash::Hash;
 /// Lookup is `O(1)`, insert-at-capacity is `O(n)` for the eviction scan —
 /// fine for the hundreds-of-entries answer cache this backs, and it keeps
 /// the structure to one `HashMap` with no unsafe pointer juggling.
-pub struct Lru<K, V> {
+pub(crate) struct Lru<K, V> {
     capacity: usize,
     clock: u64,
     map: HashMap<K, (u64, V)>,
@@ -21,22 +21,17 @@ pub struct Lru<K, V> {
 
 impl<K: Hash + Eq + Clone, V> Lru<K, V> {
     /// Create a cache holding at most `capacity` entries.
-    pub fn new(capacity: usize) -> Self {
+    pub(crate) fn new(capacity: usize) -> Self {
         Lru { capacity, clock: 0, map: HashMap::new() }
     }
 
     /// Number of entries currently held.
-    pub fn len(&self) -> usize {
+    pub(crate) fn len(&self) -> usize {
         self.map.len()
     }
 
-    /// Whether the cache holds no entries.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
     /// Look up `key`, refreshing its recency on hit.
-    pub fn get(&mut self, key: &K) -> Option<&V> {
+    pub(crate) fn get(&mut self, key: &K) -> Option<&V> {
         self.clock += 1;
         let clock = self.clock;
         self.map.get_mut(key).map(|slot| {
@@ -47,7 +42,7 @@ impl<K: Hash + Eq + Clone, V> Lru<K, V> {
 
     /// Insert (or replace) `key`, evicting the least-recently-used entry if
     /// the cache is full.
-    pub fn insert(&mut self, key: K, value: V) {
+    pub(crate) fn insert(&mut self, key: K, value: V) {
         if self.capacity == 0 {
             return;
         }
@@ -60,11 +55,6 @@ impl<K: Hash + Eq + Clone, V> Lru<K, V> {
             }
         }
         self.map.insert(key, (self.clock, value));
-    }
-
-    /// Drop every entry.
-    pub fn clear(&mut self) {
-        self.map.clear();
     }
 }
 
@@ -100,7 +90,7 @@ mod tests {
     fn zero_capacity_disables_the_cache() {
         let mut c = Lru::new(0);
         c.insert("a", 1);
-        assert!(c.is_empty());
+        assert_eq!(c.len(), 0);
         assert_eq!(c.get(&"a"), None);
     }
 }

@@ -58,7 +58,7 @@ impl Client {
     }
 
     /// One request/reply round trip; checks the echoed `id`.
-    pub fn call(&mut self, req: Request) -> Result<Reply, String> {
+    pub(crate) fn call(&mut self, req: Request) -> Result<Reply, String> {
         let id = self.send(req)?;
         let env = self.recv()?;
         if env.id != id {
@@ -119,7 +119,7 @@ impl Client {
     }
 
     /// Pull one page of the server's L2 evidence (warm replication).
-    pub fn replicate(&mut self, offset: usize, limit: usize) -> Result<ReplicaDump, String> {
+    pub(crate) fn replicate(&mut self, offset: usize, limit: usize) -> Result<ReplicaDump, String> {
         match self.call(Request::Replicate { offset, limit })? {
             Reply::Replica(d) => Ok(d),
             Reply::Error(e) => Err(format!("{:?}: {}", e.code, e.message)),

@@ -21,7 +21,7 @@ use crate::store::{CellKey, TierStore};
 /// Largest [`Request::Replicate`] page the server will return: 16 cells
 /// per frame keeps a page (matrix plus fault evidence per cell) well under
 /// [`MAX_FRAME_BYTES`].
-pub const REPLICA_PAGE_MAX: usize = 16;
+pub(crate) const REPLICA_PAGE_MAX: usize = 16;
 
 /// What serving one frame on the event loop produced.
 pub(crate) enum Step {
@@ -34,9 +34,9 @@ pub(crate) enum Step {
 /// A frame whose answer needs measurement: a cold cell or a calibration.
 pub(crate) struct SlowFrame {
     /// The request id, echoed in the reply.
-    pub id: u64,
+    pub(crate) id: u64,
     /// When the frame was decoded (its latency runs until the reply).
-    pub start: Instant,
+    pub(crate) start: Instant,
     work: SlowWork,
 }
 
@@ -55,7 +55,7 @@ pub(crate) struct Dispatcher {
 
 impl Dispatcher {
     /// Assemble a dispatcher over a seeded store.
-    pub fn new(
+    pub(crate) fn new(
         shutdown: Arc<AtomicBool>,
         stats: Arc<Stats>,
         store: Arc<TierStore>,
@@ -65,20 +65,20 @@ impl Dispatcher {
     }
 
     /// Whether shutdown has been requested (in-band or out).
-    pub fn shutdown_requested(&self) -> bool {
+    pub(crate) fn shutdown_requested(&self) -> bool {
         self.shutdown.load(Ordering::SeqCst)
     }
 
     /// Count and build the reply for an oversized frame (no newline within
     /// [`MAX_FRAME_BYTES`]); the connection must close after sending it —
     /// there is no way to find the next frame boundary.
-    pub fn oversized_frame_reply(&self) -> ReplyEnvelope {
+    pub(crate) fn oversized_frame_reply(&self) -> ReplyEnvelope {
         self.error(0, ErrorCode::BadFrame, format!("frame exceeds {MAX_FRAME_BYTES} bytes"))
     }
 
     /// Count and build the reply for a slow frame the compute pool refused
     /// (queue full or closing), recording its latency like any answer.
-    pub fn pool_refused(&self, id: u64, start: Instant) -> ReplyEnvelope {
+    pub(crate) fn pool_refused(&self, id: u64, start: Instant) -> ReplyEnvelope {
         self.stats.record_latency(start.elapsed());
         self.error(id, ErrorCode::Internal, "compute pool full or closed")
     }
@@ -86,7 +86,7 @@ impl Dispatcher {
     /// Decode and serve one frame (without its trailing newline); never
     /// panics out. Counts the frame; records its latency when answered
     /// inline ([`Dispatcher::run_slow`] records it for slow frames).
-    pub fn serve_frame(&self, line: &[u8]) -> Step {
+    pub(crate) fn serve_frame(&self, line: &[u8]) -> Step {
         self.stats.frame();
         let start = Instant::now();
         let step = catch_unwind(AssertUnwindSafe(|| self.step(line, start)))
@@ -99,7 +99,7 @@ impl Dispatcher {
 
     /// Measure a slow frame's answer (on a compute-pool worker); never
     /// panics out. Records the frame's latency from decode to reply.
-    pub fn run_slow(&self, frame: SlowFrame) -> ReplyEnvelope {
+    pub(crate) fn run_slow(&self, frame: SlowFrame) -> ReplyEnvelope {
         let SlowFrame { id, start, work } = frame;
         let reply = catch_unwind(AssertUnwindSafe(|| match work {
             SlowWork::Query(q) => self.query_reply(id, self.store.compute_miss(&q)),

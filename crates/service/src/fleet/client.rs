@@ -16,13 +16,10 @@ use std::net::SocketAddr;
 use std::time::Duration;
 
 use pap_obs::MetricsSnapshot;
-use pap_service::proto::{
-    CalibrateAnswer, CalibrateRequest, ErrorReply, QueryAnswer, QueryRequest, Reply, Request,
-    StatsReport,
-};
-use pap_service::Client;
 
-use crate::ring::Ring;
+use super::ring::Ring;
+use crate::proto::{ErrorReply, QueryAnswer, QueryRequest, Reply, Request, StatsReport};
+use crate::Client;
 
 /// Attempts per shard before it is declared dead (first try + retries).
 const ATTEMPTS_PER_SHARD: usize = 3;
@@ -53,11 +50,6 @@ impl FleetClient {
             addrs,
             registry: pap_obs::Registry::new(),
         }
-    }
-
-    /// Number of shards (dead or alive).
-    pub fn shards(&self) -> usize {
-        self.addrs.len()
     }
 
     /// Liveness flags, by shard (false once a shard exhausted its retries).
@@ -97,7 +89,10 @@ impl FleetClient {
     /// Route and serve one query with retry and failover. The outer
     /// `Result` is transport-level ("no shard could serve this"); the
     /// inner carries the server's typed rejection, if any.
-    pub fn query_slot(&mut self, q: QueryRequest) -> Result<Result<QueryAnswer, ErrorReply>, String> {
+    pub(crate) fn query_slot(
+        &mut self,
+        q: QueryRequest,
+    ) -> Result<Result<QueryAnswer, ErrorReply>, String> {
         self.registry.counter("fleet_client_routes").add(1);
         let order = self.ring.failover_order(&q.machine, &q.collective.to_string(), q.ranks);
         let mut last_err = "fleet has no shards".to_string();
@@ -129,7 +124,7 @@ impl FleetClient {
         Err(format!("no live shard could serve the query: {last_err}"))
     }
 
-    /// Like [`FleetClient::query_slot`] but flattening the server's typed
+    /// Like `FleetClient::query_slot` but flattening the server's typed
     /// rejection into the error string.
     pub fn query(&mut self, q: QueryRequest) -> Result<QueryAnswer, String> {
         match self.query_slot(q)? {
@@ -176,43 +171,6 @@ impl FleetClient {
             }
         }
         Ok(slots.into_iter().map(|s| s.expect("every query was routed")).collect())
-    }
-
-    /// Broadcast a calibration to every live shard, so whichever shard a
-    /// later query routes to (including after failovers) knows the fitted
-    /// machine and serves its L2 grid hot. Returns `(shard, answer)` pairs
-    /// for the shards that accepted; a shard-level rejection fails the
-    /// call (every shard runs the same guideline gate, so one rejection
-    /// means all would reject).
-    pub fn calibrate_all(
-        &mut self,
-        name: &str,
-        ranks: usize,
-        probe: pap_calibrate::Probe,
-    ) -> Result<Vec<(usize, CalibrateAnswer)>, String> {
-        let mut out = Vec::new();
-        for shard in 0..self.addrs.len() {
-            if !self.alive[shard] {
-                continue;
-            }
-            let req = CalibrateRequest {
-                name: name.to_string(),
-                ranks,
-                probe: probe.clone(),
-            };
-            match self.call_on(shard, Request::Calibrate(req)) {
-                Ok(Reply::Calibrated(a)) => out.push((shard, a)),
-                Ok(Reply::Error(e)) => {
-                    return Err(format!("shard {shard} rejected calibration: {}", e.message))
-                }
-                Ok(other) => return Err(format!("unexpected reply {other:?}")),
-                Err(_) => {} // dead shards simply drop out, as in stats
-            }
-        }
-        if out.is_empty() {
-            return Err("no live shard accepted the calibration".to_string());
-        }
-        Ok(out)
     }
 
     /// One round of stats: a `Metrics` frame to every live shard. Returns
@@ -273,7 +231,7 @@ fn combine(snaps: Vec<(usize, MetricsSnapshot)>) -> (StatsReport, Vec<(usize, St
 #[cfg(test)]
 mod tests {
     use super::*;
-    use pap_service::stats::Stats;
+    use crate::stats::Stats;
 
     /// One shard's snapshot: one 80 µs query, three L2 cells, the given
     /// warmth and uptime.

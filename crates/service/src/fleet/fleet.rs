@@ -3,17 +3,17 @@
 //!
 //! Shard 0 seeds per the base config (snapshot file or startup tuning
 //! sweep). Every later shard builds a cold store, drains shard 0's L2
-//! over the real wire ([`crate::replication::replicate_from`]), marks
+//! over the real wire ([`super::replication::replicate_from`]), marks
 //! itself warm, and only then starts serving — so its very first query
 //! answers from L2 with no startup tuning of its own. All shards serve
-//! the identical evidence; the [`crate::client::FleetClient`] ring only
+//! the identical evidence; the [`super::client::FleetClient`] ring only
 //! decides which shard's caches a key keeps hot.
 
 use std::net::SocketAddr;
 
-use pap_service::{build_store, ServeConfig, Server};
+use crate::{build_store, ServeConfig, Server};
 
-use crate::replication::replicate_from;
+use super::replication::replicate_from;
 
 /// How to start a fleet.
 #[derive(Debug, Clone)]
@@ -22,8 +22,24 @@ pub struct FleetConfig {
     pub shards: usize,
     /// Per-shard serve config. `addr` is the *base* address: port 0 gives
     /// every shard its own ephemeral port; a fixed port `p` puts shard `i`
-    /// on `p + i`.
+    /// on `p + i`, and [`Fleet::start`] refuses a fleet whose last port
+    /// would pass 65535.
     pub base: ServeConfig,
+}
+
+/// Shard `i`'s bind address: the base itself when its port is 0 (every
+/// shard gets its own ephemeral port), else the base port plus `i`, which
+/// must stay a valid port.
+fn shard_addr(base: SocketAddr, i: usize) -> Result<SocketAddr, String> {
+    if base.port() == 0 {
+        return Ok(base);
+    }
+    let port = u128::from(base.port()) + i as u128;
+    let port = u16::try_from(port)
+        .map_err(|_| format!("shard {i} would bind port {port}, past the last port 65535"))?;
+    let mut a = base;
+    a.set_port(port);
+    Ok(a)
 }
 
 /// A running fleet of shards.
@@ -43,16 +59,12 @@ impl Fleet {
             .addr
             .parse()
             .map_err(|e| format!("bad fleet base address {}: {e}", cfg.base.addr))?;
-        let shard_addr = |i: usize| {
-            let mut a = base_addr;
-            if a.port() != 0 {
-                a.set_port(a.port() + i as u16);
-            }
-            a
-        };
+        // The last shard has the highest port: checking it before any shard
+        // starts checks them all.
+        shard_addr(base_addr, cfg.shards - 1)?;
 
         let mut cfg0 = cfg.base.clone();
-        cfg0.addr = shard_addr(0).to_string();
+        cfg0.addr = shard_addr(base_addr, 0)?.to_string();
         let first = Server::start(cfg0)?;
         let donor = first.local_addr();
 
@@ -60,7 +72,7 @@ impl Fleet {
         let mut nodes = vec![Some(first)];
         for i in 1..cfg.shards {
             let mut ci = cfg.base.clone();
-            ci.addr = shard_addr(i).to_string();
+            ci.addr = shard_addr(base_addr, i)?.to_string();
             // Replicas never tune or load files themselves; they pull the
             // donor's evidence over the wire.
             ci.snapshot = None;
@@ -116,5 +128,27 @@ impl Fleet {
             node.stop();
             node.join();
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn shard_ports_count_up_from_a_fixed_base() {
+        let base: SocketAddr = "127.0.0.1:65534".parse().unwrap();
+        assert_eq!(shard_addr(base, 0).unwrap(), base);
+        assert_eq!(shard_addr(base, 1).unwrap().port(), 65535);
+        assert_eq!(
+            shard_addr(base, 2).unwrap_err(),
+            "shard 2 would bind port 65536, past the last port 65535"
+        );
+    }
+
+    #[test]
+    fn an_ephemeral_base_gives_every_shard_port_zero() {
+        let base: SocketAddr = "127.0.0.1:0".parse().unwrap();
+        assert_eq!(shard_addr(base, 7).unwrap(), base);
     }
 }

@@ -45,13 +45,8 @@ impl Ring {
         Ring { points, shards }
     }
 
-    /// Number of shard slots the ring was built over.
-    pub fn shards(&self) -> usize {
-        self.shards
-    }
-
     /// Hash of a routing key. Exposed so tests can reason about placement.
-    pub fn key_hash(machine: &str, collective: &str, ranks: usize) -> u64 {
+    pub(crate) fn key_hash(machine: &str, collective: &str, ranks: usize) -> u64 {
         let mut buf = Vec::with_capacity(machine.len() + collective.len() + 24);
         buf.extend_from_slice(machine.as_bytes());
         buf.push(0);

@@ -8,19 +8,22 @@
 //! arriving?"* — the deployment story for arrival-pattern-aware selection.
 //!
 //! * [`proto`] — the versioned newline-delimited-JSON wire protocol.
-//! * [`server`] — `papd` itself: one epoll loop driving a sans-IO session
+//! * [`Server`] — `papd` itself: one epoll loop driving a sans-IO session
 //!   per connection, slow frames (cold cells, calibration) on a bounded
 //!   compute pool, graceful shutdown that drains in-flight frames.
-//! * [`store`] — the tier logic: **L1** (LRU of resolved answers, guarded
+//! * [`TierStore`] — the tier logic: **L1** (LRU of resolved answers, guarded
 //!   by evidence generations) → **L2** (precomputed benchmark matrices,
 //!   exact then nearest-size) → **L3** (cold cells computed with the model
 //!   backend, plus background simulator refinement that upgrades cells in
 //!   place).
-//! * [`snapshot`] — the warm-restart format shared with `papctl tune
+//! * [`Snapshot`] — the warm-restart format shared with `papctl tune
 //!   --out`: decisions *and* their evidence matrices, so a restarted
 //!   daemon re-applies any policy without re-tuning.
-//! * [`client`] — the reference protocol client used by `papctl query`,
+//! * [`Client`] — the reference protocol client used by `papctl query`,
 //!   the tests, and the loopback benchmark.
+//! * [`fleet`] — the sharded serving tier (`papctl fleet …`):
+//!   consistent-hash routing, warm shard-to-shard replication, fleet-wide
+//!   stats; each shard is a [`Server`].
 //! * [`cli`] — the strict flag parser every `papctl` command and `papd`
 //!   use, and the one serve entry (`papd`, `papctl serve`).
 //!
@@ -32,24 +35,24 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod cache;
+pub(crate) mod cache;
 pub mod cli;
-pub mod client;
+pub(crate) mod client;
 mod dispatch;
+pub mod fleet;
 pub mod proto;
-pub mod server;
+pub(crate) mod server;
 mod session;
-pub mod snapshot;
-pub mod stats;
-pub mod store;
+pub(crate) mod snapshot;
+pub(crate) mod stats;
+pub(crate) mod store;
 
 pub use client::Client;
 pub use proto::{
-    decode_reply, decode_request, encode_frame, CalibrateAnswer, CalibrateRequest, ErrorCode,
-    ErrorReply, QueryAnswer, QueryRequest, ReplicaCell, ReplicaDump, Reply, ReplyEnvelope, Request,
-    RequestEnvelope, StatsReport, Tier, MAX_FRAME_BYTES, PROTO_VERSION,
+    decode_reply, decode_request, encode_frame, ErrorCode, QueryAnswer, QueryRequest, Reply,
+    ReplyEnvelope, Request, RequestEnvelope, StatsReport, Tier, MAX_FRAME_BYTES, PROTO_VERSION,
 };
-pub use dispatch::REPLICA_PAGE_MAX;
+pub(crate) use dispatch::REPLICA_PAGE_MAX;
 pub use server::{build_store, install_signal_shutdown, ServeConfig, Server};
-pub use snapshot::{Snapshot, SnapshotCell, SNAPSHOT_FORMAT};
-pub use store::{measure_fault_matrix, CellKey, DefaultPolicy, TierStore};
+pub use snapshot::Snapshot;
+pub use store::{measure_fault_matrix, TierStore};

@@ -76,12 +76,12 @@ pub enum Request {
 pub struct CalibrateRequest {
     /// Name to register the fitted machine under (served as
     /// `custom:<name>`; lowercase letters, digits, `.`, `_`, `-`).
-    pub name: String,
+    pub(crate) name: String,
     /// Rank count to pre-tune the published L2 grid at.
-    pub ranks: usize,
+    pub(crate) ranks: usize,
     /// The measured probe (its own `format` field versions the payload
     /// independently of [`PROTO_VERSION`]).
-    pub probe: pap_calibrate::Probe,
+    pub(crate) probe: pap_calibrate::Probe,
 }
 
 /// The answer to a [`Request::Calibrate`]: the accepted fit and what the
@@ -172,16 +172,6 @@ pub enum Tier {
 }
 
 impl Tier {
-    /// Stable lower-case label (used in stats and logs).
-    pub fn label(self) -> &'static str {
-        match self {
-            Tier::L1 => "l1",
-            Tier::L2 => "l2",
-            Tier::L2Near => "l2_near",
-            Tier::Computed => "computed",
-        }
-    }
-
     /// Human wording for interactive output (`papctl query`): what serving
     /// from this tier actually meant.
     pub fn describe(self) -> &'static str {
@@ -328,7 +318,7 @@ pub fn decode_reply(line: &str) -> Result<ReplyEnvelope, String> {
 }
 
 /// Convenience constructor for an error reply envelope.
-pub fn error_reply(id: u64, code: ErrorCode, message: impl Into<String>) -> ReplyEnvelope {
+pub(crate) fn error_reply(id: u64, code: ErrorCode, message: impl Into<String>) -> ReplyEnvelope {
     ReplyEnvelope {
         v: PROTO_VERSION,
         id,
@@ -341,26 +331,26 @@ pub fn error_reply(id: u64, code: ErrorCode, message: impl Into<String>) -> Repl
 /// optional fault evidence, producing backend, and generation (so L1
 /// entries derived from a replicated cell stay comparable to the donor's).
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ReplicaCell {
+pub(crate) struct ReplicaCell {
     /// Canonical machine name the evidence is for.
-    pub machine: String,
+    pub(crate) machine: String,
     /// Collective kind.
-    pub collective: CollectiveKind,
+    pub(crate) collective: CollectiveKind,
     /// Rank count.
-    pub ranks: usize,
+    pub(crate) ranks: usize,
     /// Message size in bytes.
-    pub bytes: u64,
+    pub(crate) bytes: u64,
     /// The machine's status-quo (fixed production default) algorithm ID.
-    pub status_quo: u8,
+    pub(crate) status_quo: u8,
     /// The `(pattern × algorithm)` evidence grid.
-    pub matrix: BenchMatrix,
+    pub(crate) matrix: BenchMatrix,
     /// Degraded-mode evidence, when the donor had any for this cell.
     #[serde(default)]
-    pub faults: Option<FaultMatrix>,
+    pub(crate) faults: Option<FaultMatrix>,
     /// Backend that produced the evidence (`"model"` or `"sim"`).
-    pub backend: String,
+    pub(crate) backend: String,
     /// Donor's evidence generation for the cell.
-    pub generation: u64,
+    pub(crate) generation: u64,
 }
 
 /// One page of a server's L2 store ([`Reply::Replica`]). Pages are stable
@@ -371,11 +361,11 @@ pub struct ReplicaCell {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ReplicaDump {
     /// Total cells in the donor's L2 store at reply time.
-    pub total: usize,
+    pub(crate) total: usize,
     /// Offset this page starts at (echoed from the request).
-    pub offset: usize,
+    pub(crate) offset: usize,
     /// The cells, in stable export order.
-    pub cells: Vec<ReplicaCell>,
+    pub(crate) cells: Vec<ReplicaCell>,
 }
 
 /// Latency histogram bucket of a [`StatsReport`] (cumulative-style upper
@@ -514,7 +504,7 @@ impl StatsReport {
     /// (`"<=100us"`, `"<=inf"`). Histograms only bound quantiles from
     /// above, so the label reports the bucket edge, not an interpolated
     /// value. Returns `"n/a"` when the histogram is empty.
-    pub fn latency_quantile_label(&self, q: f64) -> String {
+    pub(crate) fn latency_quantile_label(&self, q: f64) -> String {
         let total: u64 = self.latency.iter().map(|b| b.count).sum();
         if total == 0 {
             return "n/a".to_string();

@@ -108,7 +108,7 @@ const FIRST_CONN_TOKEN: u64 = 2;
 
 /// Build and seed the stats + store pair a daemon serves from, per the
 /// config's snapshot/tuning directives ([`Server::start`]; the fleet
-/// warm-replicates into it before [`Server::serve`] exposes it).
+/// warm-replicates into it before `Server::serve` exposes it).
 pub fn build_store(cfg: &ServeConfig) -> Result<(Arc<Stats>, Arc<TierStore>), String> {
     let stats = Arc::new(Stats::new());
     let store = Arc::new(TierStore::new(
@@ -168,7 +168,11 @@ impl Server {
     /// Start serving an externally seeded store — the warm replication
     /// path: the fleet spawner builds the store, drains a peer's L2 into
     /// it, and only then exposes the shard.
-    pub fn serve(cfg: &ServeConfig, stats: Arc<Stats>, store: Arc<TierStore>) -> Result<Server, String> {
+    pub(crate) fn serve(
+        cfg: &ServeConfig,
+        stats: Arc<Stats>,
+        store: Arc<TierStore>,
+    ) -> Result<Server, String> {
         // Best effort: the server holds one fd per client.
         let _ = pap_sysio::raise_nofile_limit(WANT_NOFILE);
 
@@ -217,11 +221,6 @@ impl Server {
     /// The server's stats block.
     pub fn stats(&self) -> &Arc<Stats> {
         self.store.stats()
-    }
-
-    /// The server's tier store.
-    pub fn store(&self) -> &Arc<TierStore> {
-        &self.store
     }
 
     /// Whether a shutdown has been requested.

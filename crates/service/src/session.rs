@@ -36,28 +36,28 @@ pub(crate) struct Session {
 
 impl Session {
     /// Whether the event loop should read from the peer.
-    pub fn reading(&self) -> bool {
+    pub(crate) fn reading(&self) -> bool {
         !self.read_closed && !self.close_after_flush
     }
 
     /// Whether a slow frame is on the compute pool.
-    pub fn busy(&self) -> bool {
+    pub(crate) fn busy(&self) -> bool {
         self.busy.is_some()
     }
 
     /// Bytes read from the peer; [`Session::serve`] frames them.
-    pub fn recv(&mut self, bytes: &[u8]) {
+    pub(crate) fn recv(&mut self, bytes: &[u8]) {
         self.rbuf.extend_from_slice(bytes);
     }
 
     /// The peer sent EOF, or the drain made its one read: read no more.
-    pub fn eof(&mut self) {
+    pub(crate) fn eof(&mut self) {
         self.read_closed = true;
     }
 
     /// Serve buffered frames in order until one is slow (returned, to
     /// submit), the session is closing, or none is complete.
-    pub fn serve(&mut self, dispatcher: &Dispatcher) -> Option<SlowFrame> {
+    pub(crate) fn serve(&mut self, dispatcher: &Dispatcher) -> Option<SlowFrame> {
         let mut served = 0;
         let mut slow = None;
         while self.busy.is_none() && !self.close_after_flush {
@@ -84,45 +84,45 @@ impl Session {
     }
 
     /// The slow frame's encoded reply: queue it, serve what waited.
-    pub fn complete(&mut self, reply: &[u8], dispatcher: &Dispatcher) -> Option<SlowFrame> {
+    pub(crate) fn complete(&mut self, reply: &[u8], dispatcher: &Dispatcher) -> Option<SlowFrame> {
         self.wbuf.extend_from_slice(reply);
         self.busy = None;
         self.serve(dispatcher)
     }
 
     /// The pool refused the slow frame: answer it, serve what waited.
-    pub fn refused(&mut self, dispatcher: &Dispatcher) -> Option<SlowFrame> {
+    pub(crate) fn refused(&mut self, dispatcher: &Dispatcher) -> Option<SlowFrame> {
         let (id, start) = self.busy.take().expect("a refused session has a slow frame");
         self.queue(&dispatcher.pool_refused(id, start));
         self.serve(dispatcher)
     }
 
     /// Encoded replies waiting to be written.
-    pub fn output(&self) -> &[u8] {
+    pub(crate) fn output(&self) -> &[u8] {
         &self.wbuf
     }
 
     /// The event loop wrote the first `n` bytes of [`Session::output`]
     /// (all of them, but for a full socket buffer).
-    pub fn wrote(&mut self, n: usize) {
+    pub(crate) fn wrote(&mut self, n: usize) {
         self.wbuf.drain(..n);
     }
 
     /// The socket is dead: drop the output and serve nothing more.
-    pub fn fail(&mut self) {
+    pub(crate) fn fail(&mut self) {
         self.close_after_flush = true;
         self.wbuf.clear();
     }
 
     /// The readiness to wait for: none while busy, write while output is
     /// pending.
-    pub fn interest(&self) -> Option<Interest> {
+    pub(crate) fn interest(&self) -> Option<Interest> {
         let write = !self.output().is_empty();
         self.busy.is_none().then_some(if write { Interest::READ_WRITE } else { Interest::READ })
     }
 
     /// Nothing left to do: close.
-    pub fn finished(&self) -> bool {
+    pub(crate) fn finished(&self) -> bool {
         self.busy.is_none() && self.output().is_empty() && !self.reading()
     }
 

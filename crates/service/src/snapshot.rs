@@ -6,13 +6,13 @@
 //! including per-pattern `best_under:<shape>` picks for queries that carry
 //! arrival samples — without re-running the tuning sweep.
 
-use pap_core::{BenchMatrix, FaultMatrix, TuneRecord, TuningEntry, TuningTable};
+use pap_core::{BenchMatrix, FaultMatrix, TuneRecord, TuningEntry};
 use serde::{Deserialize, Serialize};
 
 use crate::store::{check_evidence, CellKey};
 
 /// Current snapshot file format version.
-pub const SNAPSHOT_FORMAT: u32 = 1;
+pub(crate) const SNAPSHOT_FORMAT: u32 = 1;
 
 /// One tuned cell: the decision plus the evidence it was made from.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -20,9 +20,9 @@ pub struct SnapshotCell {
     /// The robust-policy decision for this cell.
     pub entry: TuningEntry,
     /// What the status-quo (no-delay-fastest) policy would have picked.
-    pub status_quo: u8,
+    pub(crate) status_quo: u8,
     /// The benchmark matrix backing the decision.
-    pub matrix: BenchMatrix,
+    pub(crate) matrix: BenchMatrix,
     /// Degraded-mode evidence (`papctl tune --faults`): lets a restarted
     /// `papd --policy fault_robust` answer without re-measuring the fault
     /// grid. Absent in snapshots written without `--faults`.
@@ -34,13 +34,13 @@ pub struct SnapshotCell {
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Snapshot {
     /// File format version ([`SNAPSHOT_FORMAT`]).
-    pub format: u32,
+    pub(crate) format: u32,
     /// Canonical machine name the cells were tuned on.
     pub machine: String,
     /// Rank count the cells were tuned at.
-    pub ranks: usize,
+    pub(crate) ranks: usize,
     /// Backend that produced the evidence (`"model"` or `"sim"`).
-    pub backend: String,
+    pub(crate) backend: String,
     /// All tuned cells.
     pub cells: Vec<SnapshotCell>,
 }
@@ -63,15 +63,6 @@ impl Snapshot {
                 })
                 .collect(),
         }
-    }
-
-    /// The decisions as a plain [`TuningTable`] (what `papctl tune` prints).
-    pub fn table(&self) -> TuningTable {
-        let mut t = TuningTable::new();
-        for cell in &self.cells {
-            t.insert(cell.entry.clone());
-        }
-        t
     }
 
     /// Serialize to pretty JSON.
@@ -104,7 +95,7 @@ impl Snapshot {
     }
 
     /// Read and validate a snapshot from `path`.
-    pub fn load(path: &std::path::Path) -> Result<Self, String> {
+    pub(crate) fn load(path: &std::path::Path) -> Result<Self, String> {
         let s = std::fs::read_to_string(path).map_err(|e| format!("read {}: {e}", path.display()))?;
         Self::from_json(&s)
     }
@@ -134,7 +125,6 @@ mod tests {
         let back = Snapshot::from_json(&snap.to_json()).unwrap();
         assert_eq!(back, snap);
         assert_eq!(back.cells.len(), 2);
-        assert_eq!(back.table().len(), 2);
     }
 
     #[test]

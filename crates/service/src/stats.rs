@@ -15,14 +15,14 @@ use crate::proto::{EndpointCounters, LatencyBucket, StatsReport, TierCounters};
 
 /// Upper bounds (µs) of the fixed latency histogram buckets; the implicit
 /// last bucket (`u64::MAX`) catches everything slower.
-pub const LATENCY_BOUNDS_US: [u64; 12] =
+pub(crate) const LATENCY_BOUNDS_US: [u64; 12] =
     [1, 2, 5, 10, 20, 50, 100, 200, 500, 1_000, 5_000, 50_000];
 
 /// Upper bounds (basis points, 1 bp = 0.01%) of the calibration
 /// fit-quality histogram: the median relative residual of each accepted
 /// fit. The guideline gate rejects fits above 1500 bp, so the overflow
 /// bucket stays empty unless the gate loosens.
-pub const FIT_RESIDUAL_BOUNDS_BP: [u64; 8] = [10, 25, 50, 100, 250, 500, 1_000, 1_500];
+pub(crate) const FIT_RESIDUAL_BOUNDS_BP: [u64; 8] = [10, 25, 50, 100, 250, 500, 1_000, 1_500];
 
 /// Declares [`Stats`], its constructor, the counters' recording methods
 /// and the `name` table from one list of metrics.
@@ -53,7 +53,7 @@ macro_rules! stats {
 
         impl Stats {
             /// Fresh metric block; uptime starts now.
-            pub fn new() -> Self {
+            pub(crate) fn new() -> Self {
                 let registry = Registry::new();
                 Stats {
                     started: Instant::now(),
@@ -74,33 +74,33 @@ macro_rules! stats {
 
 stats! {
     counters {
-        pub fn connection => connections = "papd.connections",
-        pub fn frame => frames = "papd.frames",
-        pub fn endpoint_query => query = "papd.endpoint.query",
-        pub fn endpoint_stats => stats = "papd.endpoint.stats",
-        pub fn endpoint_ping => ping = "papd.endpoint.ping",
-        pub fn endpoint_shutdown => shutdown = "papd.endpoint.shutdown",
-        pub fn endpoint_calibrate => calibrate = "papd.endpoint.calibrate",
-        pub fn endpoint_error => error = "papd.endpoint.error",
+        pub(crate) fn connection => connections = "papd.connections",
+        pub(crate) fn frame => frames = "papd.frames",
+        pub(crate) fn endpoint_query => query = "papd.endpoint.query",
+        pub(crate) fn endpoint_stats => stats = "papd.endpoint.stats",
+        pub(crate) fn endpoint_ping => ping = "papd.endpoint.ping",
+        pub(crate) fn endpoint_shutdown => shutdown = "papd.endpoint.shutdown",
+        pub(crate) fn endpoint_calibrate => calibrate = "papd.endpoint.calibrate",
+        pub(crate) fn endpoint_error => error = "papd.endpoint.error",
         fn count_calibration_accepted => calibrations_accepted = "papd.calibration.accepted",
-        pub fn calibration_rejected => calibrations_rejected = "papd.calibration.rejected",
-        pub fn l1_hit => l1_hits = "papd.tier.l1_hits",
-        pub fn l2_exact_hit => l2_exact = "papd.tier.l2_exact",
-        pub fn l2_near_hit => l2_near = "papd.tier.l2_near",
-        pub fn tier_miss => miss = "papd.tier.miss",
-        pub fn refine_scheduled => refines_scheduled = "papd.refines.scheduled",
-        pub fn refine_applied => refines_applied = "papd.refines.applied",
-        pub fn refine_dropped => refines_dropped = "papd.refines.dropped",
+        pub(crate) fn calibration_rejected => calibrations_rejected = "papd.calibration.rejected",
+        pub(crate) fn l1_hit => l1_hits = "papd.tier.l1_hits",
+        pub(crate) fn l2_exact_hit => l2_exact = "papd.tier.l2_exact",
+        pub(crate) fn l2_near_hit => l2_near = "papd.tier.l2_near",
+        pub(crate) fn tier_miss => miss = "papd.tier.miss",
+        pub(crate) fn refine_scheduled => refines_scheduled = "papd.refines.scheduled",
+        pub(crate) fn refine_applied => refines_applied = "papd.refines.applied",
+        pub(crate) fn refine_dropped => refines_dropped = "papd.refines.dropped",
     }
     gauges {
         /// Current L1 entry count, maintained by the store (`.set(n)`).
-        pub l1_entries = "papd.l1_entries",
+        pub(crate) l1_entries = "papd.l1_entries",
         /// Current L2 cell count, maintained by the store (`.set(n)`).
-        pub l2_cells = "papd.l2_cells",
+        pub(crate) l2_cells = "papd.l2_cells",
         /// 1 once the L2 store was seeded from a snapshot file or a donor.
-        pub snapshot_loaded = "papd.snapshot_loaded",
+        pub(crate) snapshot_loaded = "papd.snapshot_loaded",
         /// 1 once a tuning sweep ran at startup.
-        pub tuned_at_startup = "papd.tuned_at_startup",
+        pub(crate) tuned_at_startup = "papd.tuned_at_startup",
         uptime_ms = "papd.uptime_ms",
     }
     histograms {
@@ -117,13 +117,13 @@ impl Default for Stats {
 
 impl Stats {
     /// Record one request's handling latency in the fixed-bucket histogram.
-    pub fn record_latency(&self, elapsed: Duration) {
+    pub(crate) fn record_latency(&self, elapsed: Duration) {
         self.latency.record(elapsed.as_micros().min(u64::MAX as u128) as u64);
     }
 
     /// Count an accepted calibration and record its fit quality (the
     /// median relative residual, in basis points).
-    pub fn calibration_accepted(&self, median_rel_residual: f64) {
+    pub(crate) fn calibration_accepted(&self, median_rel_residual: f64) {
         self.count_calibration_accepted();
         let bp = (median_rel_residual.max(0.0) * 10_000.0).round();
         self.calibration_residual_bp.record(bp.min(u64::MAX as f64) as u64);
@@ -137,7 +137,7 @@ impl Stats {
 
     /// Generic metrics snapshot: this server's registry merged with the
     /// process-global one (simulator / pool / harness metrics).
-    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
+    pub(crate) fn metrics_snapshot(&self) -> MetricsSnapshot {
         let mut snap = self.snapshot();
         snap.merge(pap_obs::global().snapshot());
         snap
@@ -155,7 +155,7 @@ impl StatsReport {
     /// metric by name, and a missing metric reads as zero. On a merged
     /// snapshot the gauges are sums too, so `snapshot_loaded` and
     /// `tuned_at_startup` read "any shard" and `uptime_s` the total.
-    pub fn from_snapshot(snap: &MetricsSnapshot) -> StatsReport {
+    pub(crate) fn from_snapshot(snap: &MetricsSnapshot) -> StatsReport {
         let count = |metric: &str| snap.counter(metric).unwrap_or(0);
         let gauge = |metric: &str| snap.gauge(metric).unwrap_or(0);
         let latency = snap.histogram(name::latency).map_or_else(Vec::new, |h| {

@@ -48,13 +48,13 @@ use crate::stats::Stats;
 #[derive(Debug, Clone, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct CellKey {
     /// Canonical machine name.
-    pub machine: String,
+    pub(crate) machine: String,
     /// Collective kind.
-    pub kind: CollectiveKind,
+    pub(crate) kind: CollectiveKind,
     /// Rank count.
-    pub ranks: usize,
+    pub(crate) ranks: usize,
     /// Message size (bytes).
-    pub bytes: u64,
+    pub(crate) bytes: u64,
 }
 
 impl CellKey {
@@ -72,20 +72,20 @@ impl std::fmt::Display for CellKey {
 
 /// One L2 evidence cell.
 #[derive(Debug, Clone)]
-pub struct CellEvidence {
+pub(crate) struct CellEvidence {
     /// The benchmark matrix (algorithms × arrival patterns).
-    pub matrix: BenchMatrix,
+    pub(crate) matrix: BenchMatrix,
     /// The status-quo (no-delay-fastest) pick, kept for reporting.
-    pub status_quo: u8,
+    pub(crate) status_quo: u8,
     /// Degraded-mode evidence (algorithms × fault scenarios), measured
     /// lazily the first time a fault-robust query hits the cell. Always
     /// sim-backed (the analytical model has no fault model).
-    pub faults: Option<FaultMatrix>,
+    pub(crate) faults: Option<FaultMatrix>,
     /// Backend that produced the matrix (`"model"` or `"sim"`).
-    pub backend: String,
+    pub(crate) backend: String,
     /// Bumped on every refinement upgrade; L1 entries derived from an older
     /// generation are stale.
-    pub generation: u64,
+    pub(crate) generation: u64,
 }
 
 /// The one check on evidence cells before `papd` may serve them: snapshot
@@ -227,7 +227,7 @@ pub struct TierStore {
 
 impl TierStore {
     /// Create an empty store.
-    pub fn new(
+    pub(crate) fn new(
         stats: Arc<Stats>,
         l1_capacity: usize,
         default_policy: DefaultPolicy,
@@ -248,12 +248,12 @@ impl TierStore {
     }
 
     /// The stats block this store reports into.
-    pub fn stats(&self) -> &Arc<Stats> {
+    pub(crate) fn stats(&self) -> &Arc<Stats> {
         &self.stats
     }
 
     /// Seed L2 from a tuning run's records. Returns the number of cells.
-    pub fn ingest_records(
+    pub(crate) fn ingest_records(
         &self,
         machine: &str,
         records: &[TuneRecord],
@@ -275,7 +275,7 @@ impl TierStore {
     /// Seed L2 from a warm-restart snapshot. Cells carrying fault evidence
     /// (`papctl tune --faults`) seed it too, so a `--policy fault_robust`
     /// daemon answers straight from L2 with no lazy fault-grid re-measure.
-    pub fn ingest_snapshot(&self, snap: &Snapshot) -> Result<usize, String> {
+    pub(crate) fn ingest_snapshot(&self, snap: &Snapshot) -> Result<usize, String> {
         let cells = snap.cells.iter().map(|sc| {
             let cell = CellEvidence {
                 matrix: sc.matrix.clone(),
@@ -292,7 +292,7 @@ impl TierStore {
     /// Ingest a page of replicated cells (the receiving side of
     /// [`TierStore::export_cells`]), checked like a snapshot. Returns the
     /// number of cells ingested.
-    pub fn ingest_replica(&self, cells: &[ReplicaCell]) -> Result<usize, String> {
+    pub(crate) fn ingest_replica(&self, cells: &[ReplicaCell]) -> Result<usize, String> {
         let cells = cells.iter().map(|rc| {
             let (kind, ranks, bytes) = (rc.collective, rc.ranks, rc.bytes);
             let key = CellKey { machine: rc.machine.clone(), kind, ranks, bytes };
@@ -332,7 +332,7 @@ impl TierStore {
     /// (machine, collective, ranks, bytes), so a client paging
     /// `offset = 0, n, 2n, …` over an unchanging store sees every cell
     /// exactly once. Returns `(total, page)`.
-    pub fn export_cells(&self, offset: usize, limit: usize) -> (usize, Vec<ReplicaCell>) {
+    pub(crate) fn export_cells(&self, offset: usize, limit: usize) -> (usize, Vec<ReplicaCell>) {
         let l2 = self.l2.read().expect("l2 lock");
         let page = l2
             .iter()
@@ -363,7 +363,7 @@ impl TierStore {
     /// cells (the caller owns the worker pool — same contract as
     /// [`TierStore::resolve`]). A probe the guideline gate rejects is a
     /// client error and registers nothing.
-    pub fn calibrate(
+    pub(crate) fn calibrate(
         &self,
         req: &CalibrateRequest,
     ) -> Result<(CalibrateAnswer, Vec<CellKey>), String> {
@@ -403,8 +403,8 @@ impl TierStore {
         Ok((answer, tickets))
     }
 
-    /// Resolve one query through the tiers: [`TierStore::lookup`], then
-    /// [`TierStore::compute_miss`] when the caches cannot answer.
+    /// Resolve one query through the tiers: `TierStore::lookup`, then
+    /// `TierStore::compute_miss` when the caches cannot answer.
     ///
     /// Returns the answer plus, when a background sim refinement should be
     /// scheduled for the evidence cell, that cell's key (the caller owns the
@@ -420,14 +420,20 @@ impl TierStore {
     /// means the answer needs measurement — a cold cell, or fault evidence
     /// a fault-robust query must add to an L2 cell. Counts a tier only on a
     /// hit.
-    pub fn lookup(&self, q: &QueryRequest) -> Result<Option<(QueryAnswer, Option<CellKey>)>, String> {
+    pub(crate) fn lookup(
+        &self,
+        q: &QueryRequest,
+    ) -> Result<Option<(QueryAnswer, Option<CellKey>)>, String> {
         self.resolve_tiers(q, false)
     }
 
     /// The measuring half of [`TierStore::resolve`]: re-check the caches (a
     /// racing query may have published the cell meanwhile), then compute
     /// what they lack.
-    pub fn compute_miss(&self, q: &QueryRequest) -> Result<(QueryAnswer, Option<CellKey>), String> {
+    pub(crate) fn compute_miss(
+        &self,
+        q: &QueryRequest,
+    ) -> Result<(QueryAnswer, Option<CellKey>), String> {
         Ok(self.resolve_tiers(q, true)?.expect("a measuring resolution always answers"))
     }
 
@@ -565,7 +571,7 @@ impl TierStore {
     /// Re-measure `key` with the simulator and upgrade the cell if it is
     /// still the generation the refinement started from. Called from a
     /// background worker; never panics on missing cells.
-    pub fn refine(&self, key: &CellKey) {
+    pub(crate) fn refine(&self, key: &CellKey) {
         let started_from = self.l2.read().expect("l2 lock").get(key).map(|cell| cell.generation);
         let (Some(started_from), Ok(machine_id)) = (started_from, key.machine.parse::<MachineId>()) else {
             return self.cancel_refine(key);
@@ -605,7 +611,7 @@ impl TierStore {
     }
 
     /// Abandon a scheduled refinement (e.g. the worker pool rejected it).
-    pub fn cancel_refine(&self, key: &CellKey) {
+    pub(crate) fn cancel_refine(&self, key: &CellKey) {
         self.refining.lock().expect("refining lock").remove(key);
         self.stats.refine_dropped();
     }
@@ -721,7 +727,7 @@ pub fn measure_fault_matrix(
 }
 
 /// Stable wire label of a selection policy.
-pub fn policy_label(policy: &SelectionPolicy) -> String {
+pub(crate) fn policy_label(policy: &SelectionPolicy) -> String {
     match policy {
         SelectionPolicy::NoDelayFastest => "no_delay_fastest".to_string(),
         SelectionPolicy::RobustAverage { .. } => "robust".to_string(),

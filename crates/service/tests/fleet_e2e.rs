@@ -2,7 +2,7 @@
 //! recovery and aggregated stats.
 
 use pap_collectives::CollectiveKind;
-use pap_fleet::{Fleet, FleetClient, FleetConfig};
+use pap_service::fleet::{Fleet, FleetClient, FleetConfig};
 use pap_service::{Client, QueryRequest, ServeConfig, Tier};
 
 fn base(tune: bool) -> ServeConfig {

@@ -1,7 +1,7 @@
 //! Property tests pinning the consistent-hash ring's stability guarantees
 //! under shard-set changes — the contract client failover depends on.
 
-use pap_fleet::Ring;
+use pap_service::fleet::Ring;
 use proptest::prelude::*;
 
 fn machines() -> impl Strategy<Value = String> {

@@ -50,8 +50,8 @@ pub(crate) enum COp {
 /// op in [`Job::ops`].
 #[derive(Debug, Clone, Copy)]
 pub(crate) struct CSeg {
-    pub end: u32,
-    pub label: Option<Label>,
+    pub(crate) end: u32,
+    pub(crate) label: Option<Label>,
 }
 
 /// A complete simulation job: one program per rank, stored once, as the

@@ -27,22 +27,17 @@ pub struct RankSet {
 
 impl RankSet {
     /// Empty set.
-    pub fn new() -> Self {
+    pub(crate) fn new() -> Self {
         Self::default()
     }
 
     /// Singleton set `{rank}`.
-    pub fn singleton(rank: usize) -> Self {
+    pub(crate) fn singleton(rank: usize) -> Self {
         std::iter::once(rank).collect()
     }
 
-    /// Set `{0, 1, …, p-1}`.
-    pub fn full(p: usize) -> Self {
-        (0..p).collect()
-    }
-
     /// Insert a rank. Returns `true` if it was newly inserted.
-    pub fn insert(&mut self, rank: usize) -> bool {
+    pub(crate) fn insert(&mut self, rank: usize) -> bool {
         let (w, b) = (rank / 64, rank % 64);
         if w >= self.words.len() {
             self.words.resize(w + 1, 0);
@@ -74,12 +69,12 @@ impl RankSet {
     }
 
     /// Whether the two sets share any rank.
-    pub fn intersects(&self, other: &RankSet) -> bool {
+    pub(crate) fn intersects(&self, other: &RankSet) -> bool {
         self.words.iter().zip(&other.words).any(|(a, b)| a & b != 0)
     }
 
     /// In-place union.
-    pub fn union_with(&mut self, other: &RankSet) {
+    pub(crate) fn union_with(&mut self, other: &RankSet) {
         if other.words.len() > self.words.len() {
             self.words.resize(other.words.len(), 0);
         }
@@ -89,7 +84,7 @@ impl RankSet {
     }
 
     /// Iterate over members in ascending order.
-    pub fn iter(&self) -> impl Iterator<Item = usize> + '_ {
+    pub(crate) fn iter(&self) -> impl Iterator<Item = usize> + '_ {
         self.words
             .iter()
             .enumerate()
@@ -109,7 +104,7 @@ impl FromIterator<usize> for RankSet {
 
 /// Logical block coordinate: `(origin, index)` for data movement, `(0, seg)`
 /// for reductions.
-pub type BlockCoord = (u32, u32);
+pub(crate) type BlockCoord = (u32, u32);
 
 /// Selects a subset of a slot's blocks, for sends that transfer only part of
 /// a buffer (segmented algorithms, reduce-scatter chunks, Bruck rounds).
@@ -155,7 +150,7 @@ pub enum BlockFilter {
 impl BlockFilter {
     /// Whether `coord` passes the filter.
     #[inline]
-    pub fn matches(&self, coord: BlockCoord) -> bool {
+    pub(crate) fn matches(&self, coord: BlockCoord) -> bool {
         match *self {
             BlockFilter::All => true,
             BlockFilter::SegRange(lo, hi) => coord.1 >= lo && coord.1 < hi,
@@ -173,7 +168,7 @@ impl BlockFilter {
 }
 
 /// Initial content of a slot: a `Copy` descriptor that the engine turns into
-/// a payload ([`SlotInit::value`]) only when it tracks data, so timing-only
+/// a payload (`SlotInit::value`) only when it tracks data, so timing-only
 /// runs of 10K-rank schedules never allocate input payloads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SlotInit {
@@ -219,7 +214,7 @@ impl SlotInit {
     }
 
     /// Build the payload this descriptor stands for.
-    pub fn value(self) -> Value {
+    pub(crate) fn value(self) -> Value {
         let (coord0, owner, lo, hi) = match self {
             SlotInit::Empty => return Value::empty(),
             SlotInit::Reduce { rank, lo, hi } => (0, rank, lo, hi),
@@ -243,7 +238,7 @@ pub struct Value {
 
 impl Value {
     /// Empty value.
-    pub fn empty() -> Self {
+    pub(crate) fn empty() -> Self {
         Self::default()
     }
 
@@ -272,11 +267,6 @@ impl Value {
         self.blocks.get(&coord)
     }
 
-    /// Insert/replace one block.
-    pub fn set(&mut self, coord: BlockCoord, contribs: RankSet) {
-        self.blocks_mut().insert(coord, contribs);
-    }
-
     /// Iterate over `(coord, contributors)` in coordinate order.
     pub fn iter(&self) -> impl Iterator<Item = (BlockCoord, &RankSet)> {
         self.blocks.iter().map(|(&c, s)| (c, s))
@@ -287,14 +277,14 @@ impl Value {
     ///
     /// Returns `Err` with a description on double-count; the merge still
     /// proceeds (so downstream checks see the union).
-    pub fn reduce_from(&mut self, other: &Value) -> Result<(), String> {
+    pub(crate) fn reduce_from(&mut self, other: &Value) -> Result<(), String> {
         self.union_from(other, "double-counted contribution in block", "∩", RankSet::intersects)
     }
 
     /// Movement merge: union of block maps. A block arriving twice with the
     /// *same* contributors is idempotent; differing contributors are an
     /// error (two different things claiming the same coordinate).
-    pub fn merge_from(&mut self, other: &Value) -> Result<(), String> {
+    pub(crate) fn merge_from(&mut self, other: &Value) -> Result<(), String> {
         self.union_from(other, "conflicting content for block", "vs", |a, b| a != b)
     }
 
@@ -333,7 +323,7 @@ impl Value {
 
     /// Extract a sub-value containing only blocks with coordinates for which
     /// `pred` returns true (used by schedules that send a slice of a slot).
-    pub fn filtered(&self, mut pred: impl FnMut(BlockCoord) -> bool) -> Value {
+    pub(crate) fn filtered(&self, mut pred: impl FnMut(BlockCoord) -> bool) -> Value {
         Self::from_map(
             self.blocks
                 .iter()
@@ -346,7 +336,7 @@ impl Value {
     /// Overwrite merge: replace/insert every block of `other` (no conflict
     /// checking). Used by allgather phases where complete blocks replace
     /// stale partials.
-    pub fn overwrite_from(&mut self, other: &Value) {
+    pub(crate) fn overwrite_from(&mut self, other: &Value) {
         if self.is_empty() {
             self.blocks = Arc::clone(&other.blocks);
             return;
@@ -359,7 +349,7 @@ impl Value {
 
     /// Remove every block matching `filter` (e.g. blocks just forwarded in a
     /// Bruck round).
-    pub fn drop_matching(&mut self, filter: BlockFilter) {
+    pub(crate) fn drop_matching(&mut self, filter: BlockFilter) {
         if self.blocks.keys().any(|&c| filter.matches(c)) {
             self.blocks_mut().retain(|&c, _| !filter.matches(c));
         }
@@ -386,7 +376,7 @@ mod tests {
 
     #[test]
     fn rankset_full_and_union() {
-        let f = RankSet::full(100);
+        let f: RankSet = (0..100).collect();
         assert!(f.is_full(100));
         assert!(!f.is_full(101));
         let mut a = RankSet::singleton(1);
@@ -428,7 +418,7 @@ mod tests {
         a.merge_from(&SlotInit::movement_block(0, 3).value()).unwrap();
         // A block claiming the same coordinate with other contributors: error.
         let mut rogue = Value::empty();
-        rogue.set((0, 3), RankSet::singleton(7));
+        rogue.blocks_mut().insert((0, 3), RankSet::singleton(7));
         assert!(a.merge_from(&rogue).is_err());
     }
 
@@ -472,7 +462,7 @@ mod tests {
     fn overwrite_and_drop() {
         let mut v = SlotInit::movement_blocks(0, 0, 4).value();
         let mut repl = Value::empty();
-        repl.set((0, 1), RankSet::singleton(9));
+        repl.blocks_mut().insert((0, 1), RankSet::singleton(9));
         v.overwrite_from(&repl);
         assert!(v.get((0, 1)).unwrap().contains(9));
         v.drop_matching(BlockFilter::SegRange(0, 2));
@@ -480,11 +470,13 @@ mod tests {
         assert!(v.get((0, 2)).is_some() && v.get((0, 0)).is_none());
     }
 
-    /// Reference construction: one `set` per block, each with its own
+    /// Reference construction: one insert per block, each with its own
     /// singleton contributor set.
     fn eager(coord0: u32, owner: usize, lo: u32, hi: u32) -> Value {
         let mut v = Value::empty();
-        (lo..hi).for_each(|i| v.set((coord0, i), RankSet::singleton(owner)));
+        for i in lo..hi {
+            v.blocks_mut().insert((coord0, i), RankSet::singleton(owner));
+        }
         v
     }
 

@@ -9,7 +9,7 @@
 //! insertion order without changing the model. Ties are therefore broken by
 //! a key computed from the program alone:
 //!
-//! * `kind` — [`QEvent::KIND_WAKE`] < inject < wire-arrival < delivered,
+//! * `kind` — `QEvent::KIND_WAKE` < inject < wire-arrival < delivered,
 //! * `uid` — for rank wakes the rank id; for message events a stable message
 //!   uid `(src_rank << 40) | k` where `k` counts the rank's sends in program
 //!   order. Both are execution-independent.
@@ -43,17 +43,17 @@ pub struct QEvent {
 
 impl QEvent {
     /// Resume a rank (uid = rank).
-    pub const KIND_WAKE: u8 = 0;
+    pub(crate) const KIND_WAKE: u8 = 0;
     /// Message ready for network injection.
-    pub const KIND_INJECT: u8 = 1;
+    pub(crate) const KIND_INJECT: u8 = 1;
     /// Message bits fully arrived at the destination NIC.
-    pub const KIND_WIRE: u8 = 2;
+    pub(crate) const KIND_WIRE: u8 = 2;
     /// Message content available to the destination rank.
-    pub const KIND_DELIVERED: u8 = 3;
+    pub(crate) const KIND_DELIVERED: u8 = 3;
     /// A rank halts permanently ([`crate::fault::RankCrash`]; uid = rank).
     /// Sorts after same-instant message events: work completing exactly at
     /// the crash time still lands.
-    pub const KIND_CRASH: u8 = 4;
+    pub(crate) const KIND_CRASH: u8 = 4;
 }
 
 impl Eq for QEvent {}
@@ -136,7 +136,7 @@ impl EventQueue {
     /// seconds (the engine passes the inter-node latency): buckets are half
     /// the hint wide, or `FALLBACK_WIDTH` when the hint is not a finite
     /// positive number.
-    pub fn for_gap(gap_hint: f64) -> Self {
+    pub(crate) fn for_gap(gap_hint: f64) -> Self {
         let width = if gap_hint.is_finite() && gap_hint > 0.0 { gap_hint * 0.5 } else { FALLBACK_WIDTH };
         Self::new(width)
     }
@@ -175,19 +175,6 @@ impl EventQueue {
         }
         self.len -= 1;
         self.cur_events.pop()
-    }
-
-    /// The minimum pending event, without removing it. Takes `&mut self`
-    /// because the ring may advance to find it.
-    #[inline]
-    pub fn peek(&mut self) -> Option<&QEvent> {
-        if self.len == 0 {
-            return None;
-        }
-        while self.cur_events.is_empty() {
-            self.advance();
-        }
-        self.cur_events.last()
     }
 
     /// Number of pending events.
@@ -373,17 +360,5 @@ mod tests {
             }
             assert_eq!(drain(&mut q), want, "gap hint {hint}");
         }
-    }
-
-    #[test]
-    fn peek_matches_pop() {
-        let mut c = EventQueue::new(1e-6);
-        for i in 0..100u64 {
-            c.push(ev(((i * 37) % 50) as f64 * 1e-6, (i % 4) as u8, i));
-        }
-        while let Some(&p) = c.peek() {
-            assert_eq!(c.pop(), Some(p));
-        }
-        assert!(c.is_empty());
     }
 }

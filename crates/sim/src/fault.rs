@@ -35,16 +35,16 @@ use serde::{Deserialize, Serialize};
 
 use crate::time::SimTime;
 
-/// Wildcard node index for [`LinkFault`] endpoints: matches every node.
+/// Wildcard node index for `LinkFault` endpoints: matches every node.
 pub const ANY_NODE: usize = usize::MAX;
 
 /// Largest accepted fault timestamp/duration (seconds). Bounds the
 /// arithmetic (`t + stall`, `wire × factor`) away from `f64` overflow so a
 /// validated spec can never push a non-finite event time into the engine.
-pub const MAX_FAULT_TIME: f64 = 1e12;
+pub(crate) const MAX_FAULT_TIME: f64 = 1e12;
 
 /// Largest accepted slowdown factor for links and storms.
-pub const MAX_FAULT_FACTOR: f64 = 1e9;
+pub(crate) const MAX_FAULT_FACTOR: f64 = 1e9;
 
 /// A rank freeze: at simulated time `at`, rank `rank` stops making progress
 /// for `stall` seconds. Work completing at or after `at` is pushed back.
@@ -210,7 +210,7 @@ impl FaultSpec {
     /// product of every storm window covering `(rank, t)`. Pure function of
     /// its arguments, hence safe under any event processing order.
     #[inline]
-    pub fn storm_factor(&self, rank: usize, t: SimTime) -> f64 {
+    pub(crate) fn storm_factor(&self, rank: usize, t: SimTime) -> f64 {
         let mut f = 1.0;
         for s in &self.storms {
             if rank >= s.first_rank && rank <= s.last_rank && t >= s.from && t < s.until {
@@ -224,7 +224,7 @@ impl FaultSpec {
     /// `(src_node, dst_node)` channel at simulated time `t`. Pure function
     /// of its arguments.
     #[inline]
-    pub fn link_factor(&self, src_node: usize, dst_node: usize, t: SimTime) -> f64 {
+    pub(crate) fn link_factor(&self, src_node: usize, dst_node: usize, t: SimTime) -> f64 {
         let mut f = 1.0;
         for lf in &self.links {
             if (lf.src_node == ANY_NODE || lf.src_node == src_node)

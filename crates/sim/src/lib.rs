@@ -52,23 +52,19 @@
 mod compiled;
 pub mod data;
 pub mod engine;
-pub mod fault;
-pub mod noise;
-pub mod platform;
+pub(crate) mod fault;
+pub(crate) mod noise;
+pub(crate) mod platform;
 pub mod program;
-pub mod time;
+pub(crate) mod time;
 pub mod timeline;
 
-pub use data::{RankSet, SlotInit, Value};
+pub use data::{SlotInit, Value};
 pub use engine::{run, run_par, run_ref, run_with_arrivals, RunOutcome, SimError};
-pub use fault::{FaultSpec, LinkFault, NoiseStorm, RankCrash, RankStall, ANY_NODE};
+pub use fault::{FaultSpec, ANY_NODE};
 pub use noise::NoiseModel;
-pub use platform::{
-    custom_platform_spec, register_custom_platform, CustomTag, LinkParams, MachineId, Platform,
-    PlatformSpec,
-};
-pub use program::{CommDir, CommMeta, Job, Label, Op, RankProgram, Segment};
-pub use time::{secs_to_us, us, SimTime};
+pub use platform::{register_custom_platform, LinkParams, MachineId, Platform, PlatformSpec};
+pub use program::{Job, Label, Op, RankProgram, Segment};
 
 /// Engine configuration: RNG seed, noise model, and whether message payloads
 /// are tracked for dataflow verification.

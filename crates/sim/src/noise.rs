@@ -51,13 +51,13 @@ impl NoiseModel {
     }
 
     /// Whether this model perturbs durations at all.
-    pub fn is_none(&self) -> bool {
+    pub(crate) fn is_none(&self) -> bool {
         matches!(self, NoiseModel::None)
     }
 
     /// Sample the multiplicative jitter applied to wire transfer times
     /// (detours are CPU-side and do not stretch the wire).
-    pub fn wire_factor(&self, rng: &mut ChaCha8Rng) -> f64 {
+    pub(crate) fn wire_factor(&self, rng: &mut ChaCha8Rng) -> f64 {
         match *self {
             NoiseModel::None => 1.0,
             NoiseModel::Gaussian { sigma_frac } | NoiseModel::HeavyTail { sigma_frac, .. } => {
@@ -69,7 +69,7 @@ impl NoiseModel {
     /// Perturb a CPU-side duration (compute, overheads, reductions). Zero
     /// durations stay zero.
     #[inline]
-    pub fn perturb(&self, duration: f64, rng: &mut ChaCha8Rng) -> f64 {
+    pub(crate) fn perturb(&self, duration: f64, rng: &mut ChaCha8Rng) -> f64 {
         match *self {
             NoiseModel::None => duration,
             _ if duration == 0.0 => 0.0,

@@ -90,7 +90,7 @@ fn custom_registry() -> &'static RwLock<CustomRegistry> {
 }
 
 /// Largest accepted custom machine name.
-pub const CUSTOM_NAME_MAX: usize = 48;
+pub(crate) const CUSTOM_NAME_MAX: usize = 48;
 
 fn validate_custom_name(name: &str) -> Result<String, String> {
     let norm = name.trim().to_ascii_lowercase();
@@ -121,7 +121,7 @@ pub fn register_custom_platform(name: &str, spec: PlatformSpec) -> Result<Machin
 }
 
 /// Fitted parameters of a custom machine, if it has been registered.
-pub fn custom_platform_spec(machine: MachineId) -> Option<PlatformSpec> {
+pub(crate) fn custom_platform_spec(machine: MachineId) -> Option<PlatformSpec> {
     match machine {
         MachineId::Custom(tag) => {
             custom_registry().read().unwrap().specs.get(tag.0 as usize).cloned().flatten()
@@ -157,7 +157,7 @@ impl MachineId {
     }
 
     /// Whether this is a calibrated custom machine (not a built-in preset).
-    pub fn is_custom(self) -> bool {
+    pub(crate) fn is_custom(self) -> bool {
         matches!(self, MachineId::Custom(_))
     }
 
@@ -233,7 +233,7 @@ impl Deserialize for MachineId {
 /// Machine parameters without a rank layout: everything [`Platform::preset`]
 /// knows about a machine except `machine` and `ranks`. This is the unit that
 /// `pap-calibrate` fits from a probe and that the custom-machine registry
-/// stores; [`Platform::from_spec`] instantiates it for a rank count.
+/// stores; `Platform::from_spec` instantiates it for a rank count.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PlatformSpec {
     /// Number of compute nodes available at baseline.
@@ -381,7 +381,7 @@ impl Platform {
     ///
     /// # Panics
     /// Panics if `ranks` is zero.
-    pub fn from_spec(machine: MachineId, spec: &PlatformSpec, ranks: usize) -> Self {
+    pub(crate) fn from_spec(machine: MachineId, spec: &PlatformSpec, ranks: usize) -> Self {
         assert!(ranks > 0, "platform needs at least one rank");
         let mut nodes = spec.nodes;
         if ranks > nodes * spec.cores_per_node {
@@ -403,23 +403,6 @@ impl Platform {
         }
     }
 
-    /// The machine parameters of this platform, without the rank layout
-    /// (inverse of [`Platform::from_spec`] up to the scale-out rule).
-    pub fn spec(&self) -> PlatformSpec {
-        PlatformSpec {
-            nodes: self.nodes,
-            cores_per_node: self.cores_per_node,
-            intra: self.intra,
-            inter: self.inter,
-            eager_threshold: self.eager_threshold,
-            send_overhead: self.send_overhead,
-            recv_overhead: self.recv_overhead,
-            reduce_cost_per_byte: self.reduce_cost_per_byte,
-            nic_serialization: self.nic_serialization,
-            default_noise: self.default_noise,
-        }
-    }
-
     /// The noise-free simulation platform of §III-A with `ranks` ranks.
     pub fn simcluster(ranks: usize) -> Self {
         Self::preset(MachineId::SimCluster, ranks)
@@ -435,11 +418,6 @@ impl Platform {
         Self::preset(MachineId::Galileo100, ranks)
     }
 
-    /// Discoverer analogue with `ranks` ranks.
-    pub fn discoverer(ranks: usize) -> Self {
-        Self::preset(MachineId::Discoverer, ranks)
-    }
-
     /// Node hosting `rank` (block mapping).
     #[inline]
     pub fn node_of(&self, rank: usize) -> usize {
@@ -448,13 +426,13 @@ impl Platform {
 
     /// Whether two ranks share a node.
     #[inline]
-    pub fn same_node(&self, a: usize, b: usize) -> bool {
+    pub(crate) fn same_node(&self, a: usize, b: usize) -> bool {
         self.node_of(a) == self.node_of(b)
     }
 
     /// Link parameters governing a message from `a` to `b`.
     #[inline]
-    pub fn link(&self, a: usize, b: usize) -> &LinkParams {
+    pub(crate) fn link(&self, a: usize, b: usize) -> &LinkParams {
         if self.same_node(a, b) {
             &self.intra
         } else {
@@ -523,7 +501,7 @@ mod tests {
     fn presets_have_distinct_regimes() {
         let h = Platform::hydra(4);
         let g = Platform::galileo100(4);
-        let d = Platform::discoverer(4);
+        let d = Platform::preset(MachineId::Discoverer, 4);
         // The FT message size (32768 B) must fall in different protocol
         // regimes on different machines — one lever behind Fig. 7/8.
         assert!(!h.is_eager(32_768));
@@ -610,7 +588,7 @@ mod tests {
 
     #[test]
     fn registered_custom_machine_builds_platforms() {
-        let spec = PlatformSpec { nodes: 4, cores_per_node: 8, ..Platform::hydra(1).spec() };
+        let spec = PlatformSpec { nodes: 4, cores_per_node: 8, ..builtin_spec(MachineId::Hydra).unwrap() };
         let m = register_custom_platform("reg-test", spec.clone()).unwrap();
         let p = Platform::try_preset(m, 16).unwrap();
         assert_eq!(p.machine, m);
@@ -628,18 +606,9 @@ mod tests {
     }
 
     #[test]
-    fn spec_round_trips_through_from_spec() {
-        for m in MachineId::ALL {
-            let p = Platform::preset(m, 8);
-            let rebuilt = Platform::from_spec(m, &p.spec(), 8);
-            assert_eq!(rebuilt.eager_threshold, p.eager_threshold);
-            assert_eq!(rebuilt.intra, p.intra);
-            assert_eq!(rebuilt.inter, p.inter);
-            assert_eq!(rebuilt.nodes, p.nodes);
-        }
-        // PlatformSpec itself serde round-trips (it is the calibration
-        // artifact format).
-        let spec = Platform::discoverer(4).spec();
+    fn platform_spec_serde_round_trips() {
+        // PlatformSpec is the calibration artifact format.
+        let spec = builtin_spec(MachineId::Discoverer).unwrap();
         let s = serde_json::to_string(&spec).unwrap();
         let back: PlatformSpec = serde_json::from_str(&s).unwrap();
         assert_eq!(back, spec);

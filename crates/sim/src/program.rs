@@ -61,7 +61,7 @@ pub struct CommMeta {
     /// The completion request for non-blocking ops, `None` for blocking ones.
     pub req: Option<ReqId>,
     /// Whether the op may block the issuing rank (`Send`/`Recv`).
-    pub blocking: bool,
+    pub(crate) blocking: bool,
 }
 
 /// One operation of a rank program.
@@ -372,12 +372,12 @@ pub struct Segment {
 
 impl Segment {
     /// Unlabelled segment.
-    pub fn anon(ops: Vec<Op>) -> Self {
+    pub(crate) fn anon(ops: Vec<Op>) -> Self {
         Segment { label: None, ops }
     }
 
     /// Labelled segment.
-    pub fn labeled(label: Label, ops: Vec<Op>) -> Self {
+    pub(crate) fn labeled(label: Label, ops: Vec<Op>) -> Self {
         Segment { label: Some(label), ops }
     }
 }

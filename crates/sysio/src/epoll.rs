@@ -45,7 +45,7 @@ pub struct Interest {
     /// Wake when the fd is readable (or the peer half-closed).
     pub readable: bool,
     /// Wake when the fd is writable.
-    pub writable: bool,
+    pub(crate) writable: bool,
 }
 
 impl Interest {
@@ -73,8 +73,6 @@ pub struct Event {
     pub token: u64,
     /// Data can be read (or the peer closed its write half).
     pub readable: bool,
-    /// The fd accepts writes.
-    pub writable: bool,
     /// Error or hangup: the connection should be torn down after a final
     /// drain attempt.
     pub closed: bool,
@@ -150,7 +148,6 @@ impl Epoll {
             out.push(Event {
                 token: data,
                 readable: events & (EPOLLIN | EPOLLRDHUP | EPOLLHUP) != 0,
-                writable: events & EPOLLOUT != 0,
                 closed: events & (EPOLLERR | EPOLLHUP) != 0,
             });
         }
@@ -196,10 +193,11 @@ mod tests {
         let got = rx.read(&mut buf).unwrap();
         assert_eq!(&buf[..got], b"ping\n");
 
-        // Write interest on an idle socket reports writable immediately.
+        // Write interest on an idle socket wakes immediately: nothing is
+        // left to read, so the event is the socket's writability.
         ep.modify(rx.as_raw_fd(), 7, Interest::READ_WRITE).unwrap();
         let n = ep.wait(&mut events, 16, Some(Duration::from_secs(5))).unwrap();
-        assert!(n >= 1 && events[0].writable);
+        assert!(n >= 1 && !events[0].readable && !events[0].closed);
 
         // Peer close surfaces as readable (EOF) so the loop drains and closes.
         drop(tx);

@@ -17,7 +17,5 @@ mod rlimit;
 mod signal;
 
 pub use epoll::{Epoll, Event, Interest};
-pub use rlimit::{nofile_limit, raise_nofile_limit};
-pub use signal::{
-    install_shutdown_flag, raise_signal, reset_shutdown_flag, shutdown_requested, SIGINT, SIGTERM,
-};
+pub use rlimit::raise_nofile_limit;
+pub use signal::{install_shutdown_flag, raise_signal, shutdown_requested, SIGTERM};

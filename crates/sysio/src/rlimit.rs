@@ -19,7 +19,7 @@ extern "C" {
 }
 
 /// The current (soft, hard) file-descriptor limits.
-pub fn nofile_limit() -> io::Result<(u64, u64)> {
+pub(crate) fn nofile_limit() -> io::Result<(u64, u64)> {
     let mut rl = RLimit { cur: 0, max: 0 };
     if unsafe { getrlimit(RLIMIT_NOFILE, &mut rl) } != 0 {
         return Err(io::Error::last_os_error());

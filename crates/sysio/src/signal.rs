@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 /// SIGTERM signal number (Linux).
 pub const SIGTERM: i32 = 15;
 /// SIGINT signal number (Linux).
-pub const SIGINT: i32 = 2;
+pub(crate) const SIGINT: i32 = 2;
 
 static SHUTDOWN: AtomicBool = AtomicBool::new(false);
 
@@ -40,15 +40,9 @@ pub fn install_shutdown_flag() -> io::Result<()> {
     Ok(())
 }
 
-/// Whether a shutdown signal has arrived since the last reset.
+/// Whether a shutdown signal has arrived.
 pub fn shutdown_requested() -> bool {
     SHUTDOWN.load(Ordering::SeqCst)
-}
-
-/// Clear the flag — for tests and for daemons that restart their accept
-/// loop after a drain.
-pub fn reset_shutdown_flag() {
-    SHUTDOWN.store(false, Ordering::SeqCst);
 }
 
 /// Send `sig` to the current process (test hook for the loopback
@@ -67,11 +61,11 @@ mod tests {
     #[test]
     fn sigterm_sets_the_flag() {
         install_shutdown_flag().unwrap();
-        reset_shutdown_flag();
+        SHUTDOWN.store(false, Ordering::SeqCst);
         assert!(!shutdown_requested());
         raise_signal(SIGTERM).unwrap();
         assert!(shutdown_requested());
-        reset_shutdown_flag();
+        SHUTDOWN.store(false, Ordering::SeqCst);
         assert!(!shutdown_requested());
     }
 }

@@ -41,13 +41,13 @@ impl Default for TracerConfig {
 /// One traced collective call: per-rank observed arrival and exit times.
 /// Unsampled ranks hold `NaN`.
 #[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct CallRecord {
+pub(crate) struct CallRecord {
     /// Call sequence number (the label's `seq`).
-    pub seq: u32,
+    pub(crate) seq: u32,
     /// Observed arrival time per rank.
-    pub arrivals: Vec<f64>,
+    pub(crate) arrivals: Vec<f64>,
     /// Observed exit time per rank.
-    pub exits: Vec<f64>,
+    pub(crate) exits: Vec<f64>,
 }
 
 impl CallRecord {
@@ -55,23 +55,9 @@ impl CallRecord {
         self.arrivals.iter().zip(&self.exits).filter(|(a, _)| !a.is_nan()).map(|(&a, &e)| (a, e))
     }
 
-    /// Total delay `d* = max(e_i) − min(a_i)` (Eq. 1), over sampled ranks.
-    pub fn total_delay(&self) -> f64 {
-        let min_a = self.sampled().map(|(a, _)| a).fold(f64::INFINITY, f64::min);
-        let max_e = self.sampled().map(|(_, e)| e).fold(f64::NEG_INFINITY, f64::max);
-        max_e - min_a
-    }
-
-    /// Last delay `d̂ = max(e_i) − max(a_i)` (Eq. 2), over sampled ranks.
-    pub fn last_delay(&self) -> f64 {
-        let max_a = self.sampled().map(|(a, _)| a).fold(f64::NEG_INFINITY, f64::max);
-        let max_e = self.sampled().map(|(_, e)| e).fold(f64::NEG_INFINITY, f64::max);
-        max_e - max_a
-    }
-
     /// Per-rank delay relative to the first sampled arriver; NaN for
     /// unsampled ranks.
-    pub fn delays(&self) -> Vec<f64> {
+    pub(crate) fn delays(&self) -> Vec<f64> {
         let min_a = self.sampled().map(|(a, _)| a).fold(f64::INFINITY, f64::min);
         self.arrivals.iter().map(|&a| a - min_a).collect()
     }
@@ -82,11 +68,11 @@ impl CallRecord {
 pub struct CollectiveTrace {
     /// The label kind that was traced (e.g.
     /// `CollectiveKind::Alltoall.label_kind()`).
-    pub kind: u32,
+    pub(crate) kind: u32,
     /// Number of ranks in the job.
-    pub ranks: usize,
+    pub(crate) ranks: usize,
     /// Sampled calls, in sequence order.
-    pub calls: Vec<CallRecord>,
+    pub(crate) calls: Vec<CallRecord>,
 }
 
 impl CollectiveTrace {
@@ -234,17 +220,6 @@ mod tests {
     }
 
     #[test]
-    fn metrics_match_equations_1_and_2() {
-        let out = fake_outcome();
-        let tr = CollectiveTrace::from_outcome(&out, 4, 3, &TracerConfig::default(), ideal_observer);
-        let c = &tr.calls[0];
-        // arrivals 0.0..0.3, exits 0.5..0.8.
-        assert!((c.total_delay() - 0.8).abs() < 1e-12); // max e - min a
-        assert!((c.last_delay() - 0.5).abs() < 1e-12); // max e - max a
-        assert!(c.last_delay() <= c.total_delay());
-    }
-
-    #[test]
     fn call_sampling_keeps_every_kth() {
         let out = fake_outcome();
         let cfg = TracerConfig { call_stride: 2, rank_stride: 1 };
@@ -261,8 +236,6 @@ mod tests {
         let c = &tr.calls[0];
         assert!(!c.arrivals[0].is_nan() && !c.arrivals[2].is_nan());
         assert!(c.arrivals[1].is_nan() && c.arrivals[3].is_nan());
-        // Metrics still work over the sampled subset.
-        assert!((c.last_delay() - 0.5).abs() < 1e-12);
     }
 
     #[test]

@@ -625,7 +625,7 @@ fn cmd_fleet(sub: &str, args: &Args) -> Result<(), String> {
         "serve" => {
             let shards = args.flag("shards", 2usize)?;
             let base = serve_config(args)?;
-            let fleet = pap::fleet::Fleet::start(pap::fleet::FleetConfig { shards, base })?;
+            let fleet = pap::service::fleet::Fleet::start(pap::service::fleet::FleetConfig { shards, base })?;
             for (i, addr) in fleet.addrs().iter().enumerate() {
                 println!("papd shard {i} listening on {addr}");
             }
@@ -658,7 +658,7 @@ fn cmd_fleet(sub: &str, args: &Args) -> Result<(), String> {
             let collective: CollectiveKind = args.arg(1)?;
             let bytes: u64 = args.arg(2)?;
             let ranks = args.flag("ranks", 16usize)?;
-            let mut client = pap::fleet::FleetClient::new(fleet_addrs(args)?);
+            let mut client = pap::service::fleet::FleetClient::new(fleet_addrs(args)?);
             let q = QueryRequest { machine, collective, bytes, ranks, arrivals: None };
             let shard = client.route(&q).ok_or("fleet has no live shards")?;
             let answer = client.query(q)?;
@@ -680,7 +680,7 @@ fn cmd_fleet(sub: &str, args: &Args) -> Result<(), String> {
             Ok(())
         }
         "stats" => {
-            let mut client = pap::fleet::FleetClient::new(fleet_addrs(args)?);
+            let mut client = pap::service::fleet::FleetClient::new(fleet_addrs(args)?);
             let (agg, shards) = client.stats_by_shard()?;
             if args.has("json") {
                 println!("{}", serde_json::to_string_pretty(&agg).map_err(|e| e.to_string())?);
@@ -699,7 +699,7 @@ fn cmd_fleet(sub: &str, args: &Args) -> Result<(), String> {
             Ok(())
         }
         "shutdown" => {
-            let mut client = pap::fleet::FleetClient::new(fleet_addrs(args)?);
+            let mut client = pap::service::fleet::FleetClient::new(fleet_addrs(args)?);
             client.shutdown_all();
             println!("fleet acknowledged shutdown");
             Ok(())

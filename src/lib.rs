@@ -35,12 +35,12 @@
 //! * [`service`] — `papd`, the online selection daemon (`papctl serve` /
 //!   `papctl query`): tiered caching over precomputed tuning evidence,
 //!   arrival-sample classification, background sim refinement; one epoll
-//!   event loop serves every connection, cold cells run on a compute pool
+//!   event loop serves every connection, cold cells run on a compute pool;
+//!   its `fleet` module is the sharded serving tier (`papctl fleet …`):
+//!   consistent-hash routing, warm shard-to-shard replication, each shard
+//!   one daemon
 //! * [`sysio`] — std-only OS plumbing for the serving tier: epoll
 //!   readiness polling, signal-driven shutdown flags, fd-limit control
-//! * [`fleet`] — sharded serving tier (`papctl fleet …`): consistent-hash
-//!   routing, warm shard-to-shard replication; each shard is a `service`
-//!   daemon
 //! * [`bench`](mod@bench) — the paper's table/figure drivers (`papctl figures …`)
 //!
 //! See `examples/quickstart.rs` for a five-minute tour and DESIGN.md for the
@@ -56,7 +56,6 @@ pub use pap_calibrate as calibrate;
 pub use pap_clocksync as clocksync;
 pub use pap_collectives as collectives;
 pub use pap_core as core;
-pub use pap_fleet as fleet;
 pub use pap_lint as lint;
 pub use pap_microbench as microbench;
 pub use pap_model as model;
