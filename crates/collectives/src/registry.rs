@@ -107,53 +107,53 @@ pub struct Algorithm {
     /// Whether the paper's real-machine experiments include this ID
     /// (the paper omits two-process-only and consistently-poor algorithms).
     pub in_paper_experiments: bool,
-    /// Whether the algorithm segments the vector (uses `seg_bytes`).
-    pub(crate) segmented: bool,
+    /// Whether the schedule changes with `CollSpec::root` (sweeps visit one root otherwise).
+    pub reads_root: bool,
 }
 
 /// Table II + substrates. IDs within a kind are unique and sorted.
 pub const ALGORITHMS: &[Algorithm] = &[
     // ---- MPI_Reduce (Table II: 1..7) ----
-    Algorithm { kind: CollectiveKind::Reduce, id: 1, name: "Linear", abbrev: "Lin", smpi_alias: Some("flat_tree"), in_paper_experiments: true, segmented: false },
-    Algorithm { kind: CollectiveKind::Reduce, id: 2, name: "Chain", abbrev: "Chain", smpi_alias: Some("ompi_chain"), in_paper_experiments: true, segmented: true },
-    Algorithm { kind: CollectiveKind::Reduce, id: 3, name: "Pipeline", abbrev: "Pipe", smpi_alias: Some("ompi_pipeline"), in_paper_experiments: true, segmented: true },
-    Algorithm { kind: CollectiveKind::Reduce, id: 4, name: "Binary", abbrev: "Bin", smpi_alias: Some("ompi_binary"), in_paper_experiments: true, segmented: true },
-    Algorithm { kind: CollectiveKind::Reduce, id: 5, name: "Binomial", abbrev: "Binom", smpi_alias: Some("ompi_binomial"), in_paper_experiments: true, segmented: false },
-    Algorithm { kind: CollectiveKind::Reduce, id: 6, name: "In-order Binary", abbrev: "In-Bin", smpi_alias: Some("ompi_in_order_binary"), in_paper_experiments: true, segmented: false },
-    Algorithm { kind: CollectiveKind::Reduce, id: 7, name: "Rabenseifner", abbrev: "Raben", smpi_alias: Some("scatter_gather"), in_paper_experiments: true, segmented: false },
+    Algorithm { kind: CollectiveKind::Reduce, id: 1, name: "Linear", abbrev: "Lin", smpi_alias: Some("flat_tree"), in_paper_experiments: true, reads_root: true },
+    Algorithm { kind: CollectiveKind::Reduce, id: 2, name: "Chain", abbrev: "Chain", smpi_alias: Some("ompi_chain"), in_paper_experiments: true, reads_root: true },
+    Algorithm { kind: CollectiveKind::Reduce, id: 3, name: "Pipeline", abbrev: "Pipe", smpi_alias: Some("ompi_pipeline"), in_paper_experiments: true, reads_root: true },
+    Algorithm { kind: CollectiveKind::Reduce, id: 4, name: "Binary", abbrev: "Bin", smpi_alias: Some("ompi_binary"), in_paper_experiments: true, reads_root: true },
+    Algorithm { kind: CollectiveKind::Reduce, id: 5, name: "Binomial", abbrev: "Binom", smpi_alias: Some("ompi_binomial"), in_paper_experiments: true, reads_root: true },
+    Algorithm { kind: CollectiveKind::Reduce, id: 6, name: "In-order Binary", abbrev: "In-Bin", smpi_alias: Some("ompi_in_order_binary"), in_paper_experiments: true, reads_root: true },
+    Algorithm { kind: CollectiveKind::Reduce, id: 7, name: "Rabenseifner", abbrev: "Raben", smpi_alias: Some("scatter_gather"), in_paper_experiments: true, reads_root: true },
     // ---- MPI_Allreduce (Table II: 2..6; ID 1 exists in Open MPI but the
     //      paper omits it from the experiments) ----
-    Algorithm { kind: CollectiveKind::Allreduce, id: 1, name: "Linear", abbrev: "Lin", smpi_alias: None, in_paper_experiments: false, segmented: false },
-    Algorithm { kind: CollectiveKind::Allreduce, id: 2, name: "Non-overlapping", abbrev: "Non-ovlp", smpi_alias: Some("redbcast"), in_paper_experiments: true, segmented: false },
-    Algorithm { kind: CollectiveKind::Allreduce, id: 3, name: "Recursive Doubling", abbrev: "Rec-Dbl", smpi_alias: Some("rdb"), in_paper_experiments: true, segmented: false },
-    Algorithm { kind: CollectiveKind::Allreduce, id: 4, name: "Ring", abbrev: "Ring", smpi_alias: Some("lr"), in_paper_experiments: true, segmented: false },
-    Algorithm { kind: CollectiveKind::Allreduce, id: 5, name: "Segmented Ring", abbrev: "Seg-Ring", smpi_alias: Some("ompi_ring_segmented"), in_paper_experiments: true, segmented: true },
-    Algorithm { kind: CollectiveKind::Allreduce, id: 6, name: "Rabenseifner", abbrev: "Raben", smpi_alias: Some("rab_rdb"), in_paper_experiments: true, segmented: false },
+    Algorithm { kind: CollectiveKind::Allreduce, id: 1, name: "Linear", abbrev: "Lin", smpi_alias: None, in_paper_experiments: false, reads_root: true },
+    Algorithm { kind: CollectiveKind::Allreduce, id: 2, name: "Non-overlapping", abbrev: "Non-ovlp", smpi_alias: Some("redbcast"), in_paper_experiments: true, reads_root: true },
+    Algorithm { kind: CollectiveKind::Allreduce, id: 3, name: "Recursive Doubling", abbrev: "Rec-Dbl", smpi_alias: Some("rdb"), in_paper_experiments: true, reads_root: false },
+    Algorithm { kind: CollectiveKind::Allreduce, id: 4, name: "Ring", abbrev: "Ring", smpi_alias: Some("lr"), in_paper_experiments: true, reads_root: false },
+    Algorithm { kind: CollectiveKind::Allreduce, id: 5, name: "Segmented Ring", abbrev: "Seg-Ring", smpi_alias: Some("ompi_ring_segmented"), in_paper_experiments: true, reads_root: false },
+    Algorithm { kind: CollectiveKind::Allreduce, id: 6, name: "Rabenseifner", abbrev: "Raben", smpi_alias: Some("rab_rdb"), in_paper_experiments: true, reads_root: false },
     // ---- MPI_Alltoall (Table II: 1..4) ----
-    Algorithm { kind: CollectiveKind::Alltoall, id: 1, name: "Linear", abbrev: "Lin", smpi_alias: Some("basic_linear"), in_paper_experiments: true, segmented: false },
-    Algorithm { kind: CollectiveKind::Alltoall, id: 2, name: "Pairwise", abbrev: "Pair", smpi_alias: Some("pair"), in_paper_experiments: true, segmented: false },
-    Algorithm { kind: CollectiveKind::Alltoall, id: 3, name: "Modified Bruck", abbrev: "M-Bruck", smpi_alias: Some("bruck"), in_paper_experiments: true, segmented: false },
-    Algorithm { kind: CollectiveKind::Alltoall, id: 4, name: "Linear with Sync", abbrev: "L-Sync", smpi_alias: None, in_paper_experiments: true, segmented: false },
+    Algorithm { kind: CollectiveKind::Alltoall, id: 1, name: "Linear", abbrev: "Lin", smpi_alias: Some("basic_linear"), in_paper_experiments: true, reads_root: false },
+    Algorithm { kind: CollectiveKind::Alltoall, id: 2, name: "Pairwise", abbrev: "Pair", smpi_alias: Some("pair"), in_paper_experiments: true, reads_root: false },
+    Algorithm { kind: CollectiveKind::Alltoall, id: 3, name: "Modified Bruck", abbrev: "M-Bruck", smpi_alias: Some("bruck"), in_paper_experiments: true, reads_root: false },
+    Algorithm { kind: CollectiveKind::Alltoall, id: 4, name: "Linear with Sync", abbrev: "L-Sync", smpi_alias: None, in_paper_experiments: true, reads_root: false },
     // ---- MPI_Bcast (substrate) ----
-    Algorithm { kind: CollectiveKind::Bcast, id: 1, name: "Linear", abbrev: "Lin", smpi_alias: Some("flat_tree"), in_paper_experiments: false, segmented: false },
-    Algorithm { kind: CollectiveKind::Bcast, id: 2, name: "Chain", abbrev: "Chain", smpi_alias: Some("ompi_chain"), in_paper_experiments: false, segmented: true },
-    Algorithm { kind: CollectiveKind::Bcast, id: 3, name: "Pipeline", abbrev: "Pipe", smpi_alias: Some("ompi_pipeline"), in_paper_experiments: false, segmented: true },
-    Algorithm { kind: CollectiveKind::Bcast, id: 4, name: "Binary", abbrev: "Bin", smpi_alias: None, in_paper_experiments: false, segmented: true },
-    Algorithm { kind: CollectiveKind::Bcast, id: 5, name: "Binomial", abbrev: "Binom", smpi_alias: Some("ompi_binomial"), in_paper_experiments: false, segmented: true },
+    Algorithm { kind: CollectiveKind::Bcast, id: 1, name: "Linear", abbrev: "Lin", smpi_alias: Some("flat_tree"), in_paper_experiments: false, reads_root: true },
+    Algorithm { kind: CollectiveKind::Bcast, id: 2, name: "Chain", abbrev: "Chain", smpi_alias: Some("ompi_chain"), in_paper_experiments: false, reads_root: true },
+    Algorithm { kind: CollectiveKind::Bcast, id: 3, name: "Pipeline", abbrev: "Pipe", smpi_alias: Some("ompi_pipeline"), in_paper_experiments: false, reads_root: true },
+    Algorithm { kind: CollectiveKind::Bcast, id: 4, name: "Binary", abbrev: "Bin", smpi_alias: None, in_paper_experiments: false, reads_root: true },
+    Algorithm { kind: CollectiveKind::Bcast, id: 5, name: "Binomial", abbrev: "Binom", smpi_alias: Some("ompi_binomial"), in_paper_experiments: false, reads_root: true },
     // ---- MPI_Barrier (substrate) ----
-    Algorithm { kind: CollectiveKind::Barrier, id: 1, name: "Dissemination", abbrev: "Diss", smpi_alias: None, in_paper_experiments: false, segmented: false },
+    Algorithm { kind: CollectiveKind::Barrier, id: 1, name: "Dissemination", abbrev: "Diss", smpi_alias: None, in_paper_experiments: false, reads_root: false },
     // ---- MPI_Allgather (the paper's related work studies its arrival
     //      sensitivity; Open MPI tuned numbering) ----
-    Algorithm { kind: CollectiveKind::Allgather, id: 1, name: "Linear", abbrev: "Lin", smpi_alias: Some("gather_bcast"), in_paper_experiments: false, segmented: false },
-    Algorithm { kind: CollectiveKind::Allgather, id: 2, name: "Bruck", abbrev: "Bruck", smpi_alias: Some("bruck"), in_paper_experiments: false, segmented: false },
-    Algorithm { kind: CollectiveKind::Allgather, id: 3, name: "Recursive Doubling", abbrev: "Rec-Dbl", smpi_alias: Some("rdb"), in_paper_experiments: false, segmented: false },
-    Algorithm { kind: CollectiveKind::Allgather, id: 4, name: "Ring", abbrev: "Ring", smpi_alias: Some("ring"), in_paper_experiments: false, segmented: false },
-    Algorithm { kind: CollectiveKind::Allgather, id: 5, name: "Neighbor Exchange", abbrev: "Neigh", smpi_alias: Some("NTSLR_NB"), in_paper_experiments: false, segmented: false },
+    Algorithm { kind: CollectiveKind::Allgather, id: 1, name: "Linear", abbrev: "Lin", smpi_alias: Some("gather_bcast"), in_paper_experiments: false, reads_root: true },
+    Algorithm { kind: CollectiveKind::Allgather, id: 2, name: "Bruck", abbrev: "Bruck", smpi_alias: Some("bruck"), in_paper_experiments: false, reads_root: false },
+    Algorithm { kind: CollectiveKind::Allgather, id: 3, name: "Recursive Doubling", abbrev: "Rec-Dbl", smpi_alias: Some("rdb"), in_paper_experiments: false, reads_root: false },
+    Algorithm { kind: CollectiveKind::Allgather, id: 4, name: "Ring", abbrev: "Ring", smpi_alias: Some("ring"), in_paper_experiments: false, reads_root: false },
+    Algorithm { kind: CollectiveKind::Allgather, id: 5, name: "Neighbor Exchange", abbrev: "Neigh", smpi_alias: Some("NTSLR_NB"), in_paper_experiments: false, reads_root: false },
     // ---- MPI_Gather / MPI_Scatter (substrates & rooted collectives) ----
-    Algorithm { kind: CollectiveKind::Gather, id: 1, name: "Linear", abbrev: "Lin", smpi_alias: None, in_paper_experiments: false, segmented: false },
-    Algorithm { kind: CollectiveKind::Gather, id: 2, name: "Binomial", abbrev: "Binom", smpi_alias: Some("ompi_binomial"), in_paper_experiments: false, segmented: false },
-    Algorithm { kind: CollectiveKind::Scatter, id: 1, name: "Linear", abbrev: "Lin", smpi_alias: None, in_paper_experiments: false, segmented: false },
-    Algorithm { kind: CollectiveKind::Scatter, id: 2, name: "Binomial", abbrev: "Binom", smpi_alias: Some("ompi_binomial"), in_paper_experiments: false, segmented: false },
+    Algorithm { kind: CollectiveKind::Gather, id: 1, name: "Linear", abbrev: "Lin", smpi_alias: None, in_paper_experiments: false, reads_root: true },
+    Algorithm { kind: CollectiveKind::Gather, id: 2, name: "Binomial", abbrev: "Binom", smpi_alias: Some("ompi_binomial"), in_paper_experiments: false, reads_root: true },
+    Algorithm { kind: CollectiveKind::Scatter, id: 1, name: "Linear", abbrev: "Lin", smpi_alias: None, in_paper_experiments: false, reads_root: true },
+    Algorithm { kind: CollectiveKind::Scatter, id: 2, name: "Binomial", abbrev: "Binom", smpi_alias: Some("ompi_binomial"), in_paper_experiments: false, reads_root: true },
 ];
 
 /// All algorithms of one collective, sorted by ID.
@@ -209,6 +209,30 @@ mod tests {
         }
         assert_eq!(CollectiveKind::from_str("alltoall").unwrap(), CollectiveKind::Alltoall);
         assert!(CollectiveKind::from_str("gatherv").is_err());
+    }
+
+    #[test]
+    fn reads_root_matches_the_builders() {
+        // A row reads the root exactly when some root builds a schedule
+        // other than root 0's.
+        for a in ALGORITHMS {
+            for p in [5, 8, 12] {
+                for bytes in [1024, 128 * 1024] {
+                    let at = |root| {
+                        let spec = crate::CollSpec::new(a.kind, a.id, bytes).with_root(root);
+                        crate::build(&spec, p).unwrap().rank_ops
+                    };
+                    let base = at(0);
+                    assert_eq!(
+                        (1..p).any(|r| at(r) != base),
+                        a.reads_root,
+                        "{} alg {} at p={p}, {bytes} B",
+                        a.kind,
+                        a.id
+                    );
+                }
+            }
+        }
     }
 
     #[test]

@@ -25,7 +25,7 @@
 use pap_sim::Op;
 
 use crate::diag::{DiagClass, Diagnostic, Severity};
-use crate::view::{slot_written, slots_read, View, NONE};
+use crate::view::{View, NONE};
 
 #[derive(Clone, Copy, PartialEq)]
 enum SlotState {
@@ -65,7 +65,7 @@ pub(crate) fn check(view: &View) -> Vec<Diagnostic> {
                     folds.push((i, delivered[from], from, bytes));
                 }
             }
-            for slot in slots_read(op).into_iter().chain([slot_written(op)]).flatten() {
+            for slot in op.slots_read().into_iter().chain([op.slot_written()]).flatten() {
                 delivered[slot] = NONE;
             }
             if let Op::Recv { slot, .. } | Op::Irecv { slot, .. } = *op {
@@ -94,7 +94,7 @@ pub(crate) fn check(view: &View) -> Vec<Diagnostic> {
             };
 
             // Value-consuming reads.
-            for slot in slots_read(op).into_iter().flatten() {
+            for slot in op.slots_read().into_iter().flatten() {
                 hazard_check(slot, &mut state, &mut diags);
                 if let Some(ls) = &mut live[slot] {
                     ls.authored = false; // value observed: store is live

@@ -32,7 +32,7 @@ use serde::{Deserialize, Serialize};
 use crate::diag::OpLoc;
 use crate::exec;
 use crate::view::View;
-use crate::LintConfig;
+use crate::{LintConfig, SweepConfig};
 
 /// A static fail-stop point: the rank completed exactly its first `op`
 /// flattened ops, then died attempting the next one.
@@ -151,35 +151,6 @@ fn blast_of(cones: &[CrashCone]) -> BlastRadius {
     BlastRadius { ranks, entry_starved, critical, max_starved, mean_starved }
 }
 
-/// Configuration of the registry-wide fault sweep (`papctl lint --faults`).
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct FaultSweepConfig {
-    /// Rank counts to cover (power-of-two and non-power-of-two).
-    pub ranks: Vec<usize>,
-    /// Message sizes in bytes (should straddle the eager threshold).
-    pub sizes: Vec<u64>,
-    /// Eager threshold for the reachability fixpoint.
-    pub eager_threshold: u64,
-    /// Segment size for segmented algorithms.
-    pub seg_bytes: u64,
-    /// Also attempt a certified repair of each case's worst crash.
-    pub repair: bool,
-}
-
-impl Default for FaultSweepConfig {
-    fn default() -> Self {
-        FaultSweepConfig {
-            ranks: vec![8, 12, 32],
-            // One eager size, one rendezvous size: the protocol split flips
-            // which sends block, which changes the cones.
-            sizes: vec![1024, 128 * 1024],
-            eager_threshold: 16 * 1024,
-            seg_bytes: pap_collectives::DEFAULT_SEG_BYTES,
-            repair: true,
-        }
-    }
-}
-
 /// The repair verdict of one sweep case.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub enum RepairVerdict {
@@ -189,8 +160,6 @@ pub enum RepairVerdict {
     Unsupported(String),
     /// A rewrite was produced but failed re-verification — a repair bug.
     CertFailed(String),
-    /// Repair was not attempted (`FaultSweepConfig::repair` off).
-    Skipped,
 }
 
 /// One (algorithm, ranks, size) case of the fault sweep.
@@ -210,8 +179,8 @@ pub struct FaultCaseRow {
     pub(crate) entry_starved: Vec<usize>,
     /// Ranks whose entry crash starves at least one survivor.
     pub(crate) critical: Vec<usize>,
-    /// The crash victim chosen for repair: the non-root rank with the
-    /// largest entry cone.
+    /// The crash victim chosen for repair: the rank with the largest entry
+    /// cone, not the root when the schedule reads it.
     pub victim: usize,
     /// The victim's entry-cone starved ranks.
     pub(crate) victim_starved: Vec<usize>,
@@ -315,68 +284,56 @@ impl FaultSweepSummary {
 }
 
 /// Run the fault sweep: compute the blast radius of every registered
-/// algorithm across `cfg.ranks` and `cfg.sizes` (root 0 — cones are
-/// isomorphic under root relabeling), then attempt a certified repair of
-/// each case's worst non-root crash. Cases fan out over the `pap-parallel`
-/// worker pool; the result is deterministic and order-independent.
-pub fn sweep_faults(cfg: &FaultSweepConfig) -> FaultSweepSummary {
-    use pap_collectives::registry::algorithms;
+/// algorithm across `cfg.ranks` and one eager and one rendezvous size
+/// (root 0 — cones are isomorphic under root relabeling), then attempt a
+/// certified repair of each case's worst crash, keeping the root out of
+/// the victims of schedules that read it. Cases fan out over the
+/// `pap-parallel` worker pool; the result is deterministic and
+/// order-independent.
+pub fn sweep_faults(cfg: &SweepConfig) -> FaultSweepSummary {
+    use pap_collectives::registry::{algorithms, Algorithm};
     use pap_collectives::{build, CollSpec, CollectiveKind};
     use pap_sim::RankProgram;
 
-    struct Case {
-        kind: pap_collectives::registry::CollectiveKind,
-        alg: u8,
-        p: usize,
-        bytes: u64,
-    }
-    let mut cases = Vec::new();
-    for kind in CollectiveKind::ALL {
-        for a in algorithms(kind) {
-            for &p in &cfg.ranks {
-                for &bytes in &cfg.sizes {
-                    cases.push(Case { kind, alg: a.id, p, bytes });
-                }
+    let sizes = cfg.fault_sizes();
+    let mut cases: Vec<(&Algorithm, usize, u64)> = Vec::new();
+    for a in CollectiveKind::ALL.into_iter().flat_map(algorithms) {
+        for &p in &cfg.ranks {
+            for &bytes in &sizes {
+                cases.push((a, p, bytes));
             }
         }
     }
 
     let lint_cfg = LintConfig { eager_threshold: cfg.eager_threshold };
-    let rows: Vec<FaultCaseRow> = pap_parallel::par_map(&cases, |_, case| {
+    let rows: Vec<FaultCaseRow> = pap_parallel::par_map(&cases, |_, &(a, p, bytes)| {
         let root = 0usize;
-        let spec = CollSpec::new(case.kind, case.alg, case.bytes)
-            .with_root(root)
-            .with_seg_bytes(cfg.seg_bytes);
-        let built = build(&spec, case.p).expect("registry build");
+        let built = build(&CollSpec::new(a.kind, a.id, bytes), p).expect("registry build");
         let job = Job::new(built.rank_ops.into_iter().map(RankProgram::from_ops).collect());
         let view = View::new(&job);
         let cones = entry_cones(&view, &lint_cfg);
         let blast = blast_of(&cones);
-        // Worst non-root crash: the root's death voids the collective's
-        // semantics, so repair targets a non-root rank (ties → lowest).
-        let victim = (0..case.p)
-            .filter(|&r| !crate::sweep::uses_root(case.kind) || r != root)
+        // Worst crash (ties → lowest rank). The root's death voids a
+        // root-reading collective's semantics, so repair targets another.
+        let victim = (0..p)
+            .filter(|&r| !a.reads_root || r != root)
             .max_by_key(|&r| (blast.entry_starved[r], usize::MAX - r))
             .unwrap_or(0);
         let victim_starved = cones[victim].starved_ranks();
-        let repair = if cfg.repair {
-            let repaired = crate::repair::repair_view(&job, &view, &lint_cfg, victim);
-            match crate::repair::certify(repaired, &lint_cfg) {
-                Ok(_) => RepairVerdict::Certified,
-                Err(e @ crate::repair::RepairError::Unsupported { .. }) => {
-                    RepairVerdict::Unsupported(e.to_string())
-                }
-                Err(e) => RepairVerdict::CertFailed(e.to_string()),
+        let repaired = crate::repair::repair_view(&job, &view, &lint_cfg, victim);
+        let repair = match crate::repair::certify(repaired, &lint_cfg) {
+            Ok(_) => RepairVerdict::Certified,
+            Err(e @ crate::repair::RepairError::Unsupported { .. }) => {
+                RepairVerdict::Unsupported(e.to_string())
             }
-        } else {
-            RepairVerdict::Skipped
+            Err(e) => RepairVerdict::CertFailed(e.to_string()),
         };
         FaultCaseRow {
-            collective: case.kind.name().to_string(),
-            alg: case.alg,
-            ranks: case.p,
+            collective: a.kind.name().to_string(),
+            alg: a.id,
+            ranks: p,
             root,
-            bytes: case.bytes,
+            bytes,
             entry_starved: blast.entry_starved,
             critical: blast.critical,
             victim,
@@ -418,7 +375,6 @@ pub fn sweep_faults(cfg: &FaultSweepConfig) -> FaultSweepSummary {
             RepairVerdict::Certified => entry.repaired += 1,
             RepairVerdict::Unsupported(_) => entry.unsupported += 1,
             RepairVerdict::CertFailed(_) => entry.cert_failed += 1,
-            RepairVerdict::Skipped => {}
         }
     }
     algo_rows.retain(|r| r.cases > 0);
@@ -429,7 +385,7 @@ pub fn sweep_faults(cfg: &FaultSweepConfig) -> FaultSweepSummary {
 
     FaultSweepSummary {
         ranks: cfg.ranks.clone(),
-        sizes: cfg.sizes.clone(),
+        sizes,
         eager_threshold: cfg.eager_threshold,
         cases: rows.len(),
         repaired: algo_rows.iter().map(|r| r.repaired).sum(),

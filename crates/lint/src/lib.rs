@@ -70,9 +70,7 @@ use view::View;
 
 pub use diag::{DiagClass, Severity};
 pub(crate) use diag::{Diagnostic, LintReport};
-pub use faults::{
-    blast_radius, crash_cone, sweep_faults, CrashPoint, FaultSweepConfig, RepairVerdict,
-};
+pub use faults::{blast_radius, crash_cone, sweep_faults, CrashPoint, RepairVerdict};
 pub use repair::{certified_repair, repair_job, RepairError};
 pub use sweep::{sweep_registry, SweepConfig, SweepSummary};
 

@@ -53,7 +53,7 @@ use pap_sim::program::{CommDir, ReqId, Slot, Tag};
 use pap_sim::{Job, Op, RankProgram, Segment};
 
 use crate::faults::{cone_of, CrashPoint};
-use crate::view::{slot_written, slots_read, Counterpart, View};
+use crate::view::{Counterpart, View};
 use crate::{lint_view, LintConfig, LintReport};
 
 /// Why a repair was not produced (or not accepted).
@@ -497,10 +497,10 @@ pub(crate) fn repair_view(
         let mut dead: HashSet<Slot> = HashSet::from([m.slot]);
         for j in i + 1..edits[r].ops.len() {
             let Some(o) = edits[r].ops[j].as_ref() else { continue };
-            let (reads, m) = (slots_read(o), o.comm_meta());
+            let (reads, m) = (o.slots_read(), o.comm_meta());
             // Pure overwrite targets of a dropped op die with it;
             // read-modify-write targets keep their prior value.
-            let overwrite = slot_written(o).filter(|w| !reads.contains(&Some(*w)));
+            let overwrite = o.slot_written().filter(|w| !reads.contains(&Some(*w)));
             if !reads.iter().flatten().any(|s| dead.contains(s)) {
                 if let Some(w) = overwrite {
                     dead.remove(&w);
@@ -711,7 +711,7 @@ fn fold_ops(
 ) -> Result<Vec<usize>, RepairError> {
     let mut folds = Vec::new();
     for (j, op) in prog.iter().enumerate().skip(recv_idx + 1) {
-        if slots_read(op).contains(&Some(recv_slot)) {
+        if op.slots_read().contains(&Some(recv_slot)) {
             if op.comm_meta().is_some() {
                 return Err(RepairError::Unsupported {
                     reason: format!(
@@ -734,7 +734,7 @@ fn fold_ops(
                     });
                 }
             }
-        } else if slot_written(op) == Some(recv_slot) {
+        } else if op.slot_written() == Some(recv_slot) {
             break; // pure overwrite: the window ends.
         }
     }

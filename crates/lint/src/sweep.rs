@@ -1,43 +1,43 @@
 //! Registry sweep: lint every registered algorithm across rank counts,
 //! roots, and eager-threshold-straddling sizes (the `papctl lint` backend).
 
-use pap_collectives::registry::{algorithms, CollectiveKind};
-use pap_collectives::{build, CollSpec, DEFAULT_SEG_BYTES};
+use pap_collectives::registry::{algorithms, Algorithm, CollectiveKind};
+use pap_collectives::{build, CollSpec};
 use pap_sim::{Job, RankProgram};
 use serde::{Deserialize, Serialize};
 
 use crate::{lint_job, Diagnostic, LintConfig};
 
-/// Whether the builders of a kind consume `spec.root` (rooted collectives,
-/// plus Allreduce whose reduce+bcast composition routes through the root).
-pub(crate) fn uses_root(kind: CollectiveKind) -> bool {
-    !matches!(kind, CollectiveKind::Alltoall | CollectiveKind::Allgather | CollectiveKind::Barrier)
-}
-
-/// Sweep configuration.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+/// What both registry sweeps ([`sweep_registry`], [`crate::sweep_faults`])
+/// cover: the rank counts, and the eager threshold the sizes straddle.
+#[derive(Debug, Clone)]
 pub struct SweepConfig {
     /// Rank counts to cover (power-of-two and non-power-of-two).
     pub ranks: Vec<usize>,
-    /// Message sizes in bytes; must straddle the eager threshold.
-    pub sizes: Vec<u64>,
-    /// Eager threshold for the deadlock/fragility analysis.
+    /// Eager threshold for the protocol analysis; the sizes derive from it.
     pub eager_threshold: u64,
-    /// Segment size for segmented algorithms.
-    pub seg_bytes: u64,
 }
 
 impl Default for SweepConfig {
     fn default() -> Self {
-        SweepConfig {
-            ranks: vec![8, 12, 32],
-            // 512 B / 16 KiB sit at-or-below the default eager threshold,
-            // 16 KiB + 1 / 128 KiB force rendezvous (and multi-segment
-            // pipelines at the default 8 KiB segment size).
-            sizes: vec![512, 16 * 1024, 16 * 1024 + 1, 128 * 1024],
-            eager_threshold: 16 * 1024,
-            seg_bytes: DEFAULT_SEG_BYTES,
-        }
+        SweepConfig { ranks: vec![8, 12, 32], eager_threshold: 16 * 1024 }
+    }
+}
+
+impl SweepConfig {
+    /// The lint sizes: e/32 and e sit at or below the eager threshold e,
+    /// e + 1 and 8e force rendezvous (and multi-segment pipelines at the
+    /// default segment size).
+    fn lint_sizes(&self) -> Vec<u64> {
+        let e = self.eager_threshold;
+        vec![e.div_ceil(32).max(1), e, e.saturating_add(1), e.saturating_mul(8)]
+    }
+
+    /// The fault sizes: one eager (e/16), one rendezvous (8e). The protocol
+    /// split flips which sends block, which changes the cones.
+    pub(crate) fn fault_sizes(&self) -> Vec<u64> {
+        let e = self.eager_threshold;
+        vec![e.div_ceil(16).max(1), e.saturating_mul(8)]
     }
 }
 
@@ -142,41 +142,28 @@ impl SweepSummary {
     }
 }
 
-#[derive(Clone, Copy)]
-struct Case {
-    kind: CollectiveKind,
-    alg: u8,
-    p: usize,
-    root: usize,
-    bytes: u64,
-}
-
-/// Lint the full registry: every algorithm × `cfg.ranks` × all roots (for
-/// root-consuming collectives) × `cfg.sizes`. Cases fan out over the
-/// `pap-parallel` worker pool; the result is deterministic and
-/// order-independent.
+/// Lint the full registry: every algorithm × `cfg.ranks` × every root (for
+/// rows that read it, one otherwise) × the sizes straddling
+/// `cfg.eager_threshold`. Cases fan out over the `pap-parallel` worker
+/// pool; the result is deterministic and order-independent.
 pub fn sweep_registry(cfg: &SweepConfig) -> SweepSummary {
-    let mut cases = Vec::new();
-    for kind in CollectiveKind::ALL {
-        for a in algorithms(kind) {
-            for &p in &cfg.ranks {
-                let roots: Vec<usize> = if uses_root(kind) { (0..p).collect() } else { vec![0] };
-                for root in roots {
-                    for &bytes in &cfg.sizes {
-                        cases.push(Case { kind, alg: a.id, p, root, bytes });
-                    }
+    let sizes = cfg.lint_sizes();
+    let mut cases: Vec<(&Algorithm, usize, usize, u64)> = Vec::new();
+    for a in CollectiveKind::ALL.into_iter().flat_map(algorithms) {
+        for &p in &cfg.ranks {
+            let roots = if a.reads_root { p } else { 1 };
+            for root in 0..roots {
+                for &bytes in &sizes {
+                    cases.push((a, p, root, bytes));
                 }
             }
         }
     }
 
     let lint_cfg = LintConfig { eager_threshold: cfg.eager_threshold };
-    let seg_bytes = cfg.seg_bytes;
-    let results: Vec<(usize, usize, Vec<String>)> = pap_parallel::par_map(&cases, |_, case| {
-        let spec = CollSpec::new(case.kind, case.alg, case.bytes)
-            .with_root(case.root)
-            .with_seg_bytes(seg_bytes);
-        match build(&spec, case.p) {
+    let results = pap_parallel::par_map(&cases, |_, &(a, p, root, bytes)| {
+        let spec = CollSpec::new(a.kind, a.id, bytes).with_root(root);
+        match build(&spec, p) {
             Ok(built) => {
                 let programs: Vec<RankProgram> =
                     built.rank_ops.into_iter().map(RankProgram::from_ops).collect();
@@ -203,18 +190,18 @@ pub fn sweep_registry(cfg: &SweepConfig) -> SweepSummary {
         .collect();
     let mut findings = Vec::new();
     let (mut errors, mut warnings, mut clean) = (0usize, 0usize, 0usize);
-    for (case, (errs, warns, lines)) in cases.iter().zip(&results) {
+    for (&(a, p, root, bytes), (errs, warns, lines)) in cases.iter().zip(&results) {
         errors += errs;
         warnings += warns;
         if lines.is_empty() {
             clean += 1;
         } else {
             findings.push(CaseFinding {
-                collective: case.kind.name().to_string(),
-                alg: case.alg,
-                ranks: case.p,
-                root: case.root,
-                bytes: case.bytes,
+                collective: a.kind.name().to_string(),
+                alg: a.id,
+                ranks: p,
+                root,
+                bytes,
                 errors: *errs,
                 warnings: *warns,
                 diagnostics: lines.clone(),
@@ -222,7 +209,7 @@ pub fn sweep_registry(cfg: &SweepConfig) -> SweepSummary {
         }
         let row = algo_rows
             .iter_mut()
-            .find(|r| r.collective == case.kind.name() && r.alg == case.alg)
+            .find(|r| r.collective == a.kind.name() && r.alg == a.id)
             .expect("cases come from the registry");
         row.cases += 1;
         row.errors += errs;
@@ -232,7 +219,7 @@ pub fn sweep_registry(cfg: &SweepConfig) -> SweepSummary {
 
     SweepSummary {
         ranks: cfg.ranks.clone(),
-        sizes: cfg.sizes.clone(),
+        sizes,
         eager_threshold: cfg.eager_threshold,
         cases: cases.len(),
         clean_cases: clean,

@@ -10,7 +10,6 @@
 
 use std::ops::Range;
 
-use pap_sim::program::Slot;
 use pap_sim::{Job, Label, Op};
 
 use crate::diag::{Diagnostic, OpLoc};
@@ -137,66 +136,5 @@ impl View {
         let seg = segs.partition_point(|&(_, end)| end <= i);
         let begin = if seg == 0 { self.start[rank] } else { segs[seg - 1].1 };
         OpLoc { rank, seg, op: i - begin }
-    }
-}
-
-/// The slots `op` reads, in [`Op::slots_read`] order, without allocating.
-pub(crate) fn slots_read(op: &Op) -> [Option<Slot>; 2] {
-    match *op {
-        Op::Send { slot, .. } | Op::Isend { slot, .. } | Op::DropBlocks { slot, .. } => {
-            [Some(slot), None]
-        }
-        Op::ReduceLocal { from, into, .. }
-        | Op::MergeMove { from, into }
-        | Op::OverwriteMove { from, into } => [Some(from), Some(into)],
-        Op::CopySlot { from, .. } => [Some(from), None],
-        _ => [None, None],
-    }
-}
-
-/// The slot `op` writes ([`Op::slots_written`] lists at most one).
-pub(crate) fn slot_written(op: &Op) -> Option<Slot> {
-    match *op {
-        Op::Recv { slot, .. }
-        | Op::Irecv { slot, .. }
-        | Op::InitSlot { slot, .. }
-        | Op::ClearSlot { slot }
-        | Op::DropBlocks { slot, .. } => Some(slot),
-        Op::ReduceLocal { into, .. }
-        | Op::MergeMove { into, .. }
-        | Op::OverwriteMove { into, .. }
-        | Op::CopySlot { into, .. } => Some(into),
-        _ => None,
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use pap_sim::SlotInit;
-
-    #[test]
-    fn slot_access_matches_the_op_isa() {
-        let ops = [
-            Op::compute(1.0),
-            Op::SleepUntil { time: 1.0 },
-            Op::send(1, 0, 8, 2),
-            Op::isend(1, 0, 8, 2, 0),
-            Op::recv(1, 0, 3),
-            Op::irecv(1, 0, 3, 0),
-            Op::waitall(vec![0]),
-            Op::ReduceLocal { from: 4, into: 5, bytes: 8 },
-            Op::MergeMove { from: 4, into: 5 },
-            Op::OverwriteMove { from: 4, into: 5 },
-            Op::DropBlocks { slot: 6, filter: pap_sim::data::BlockFilter::All },
-            Op::CopySlot { from: 4, into: 5 },
-            Op::InitSlot { slot: 7, init: SlotInit::Empty },
-            Op::ClearSlot { slot: 7 },
-        ];
-        for op in &ops {
-            let reads: Vec<Slot> = slots_read(op).into_iter().flatten().collect();
-            assert_eq!(reads, op.slots_read(), "{op:?}");
-            assert_eq!(slot_written(op).into_iter().collect::<Vec<_>>(), op.slots_written(), "{op:?}");
-        }
     }
 }

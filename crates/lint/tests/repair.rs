@@ -6,7 +6,7 @@
 use pap_collectives::{build, CollSpec, CollectiveKind};
 use pap_lint::{
     certified_repair, crash_cone, lint_job, repair_job, sweep_faults, CrashPoint,
-    FaultSweepConfig, LintConfig, RepairError, RepairVerdict,
+    LintConfig, RepairError, RepairVerdict, SweepConfig,
 };
 use pap_sim::{run_ref, FaultSpec, Job, Op, Platform, RankProgram, SimConfig, SimError};
 
@@ -201,12 +201,9 @@ fn mutation_reintroduced_crashed_rank_dependency_is_caught() {
 
 #[test]
 fn fault_sweep_certifies_every_produced_repair() {
-    // Smaller grid than the papctl default: test-tier runtime.
-    let cfg = FaultSweepConfig {
-        ranks: vec![8, 12],
-        sizes: vec![EAGER, RDV],
-        ..FaultSweepConfig::default()
-    };
+    // Smaller grid than the papctl default: test-tier runtime. The sizes
+    // derived from the 16 KiB threshold are EAGER and RDV.
+    let cfg = SweepConfig { ranks: vec![8, 12], ..SweepConfig::default() };
     let summary = sweep_faults(&cfg);
     assert!(summary.cases > 0);
     assert_eq!(
@@ -218,8 +215,8 @@ fn fault_sweep_certifies_every_produced_repair() {
     assert!(summary.repaired > 0, "tree topologies must repair:\n{}", summary.render_table());
     // Every tree/chain/dissemination family the rewrite rules target must
     // repair on every case; exchange topologies whose every rank weaves
-    // (recursive doubling, Bruck, allgather-linear's shared gather slot)
-    // may refuse.
+    // (recursive doubling, Bruck) may refuse. Allgather-linear's gather root
+    // weaves too, but as a root it is never the victim.
     for row in &summary.algorithms {
         let must_repair = matches!(
             (row.collective.as_str(), row.name.as_str()),
@@ -230,7 +227,7 @@ fn fault_sweep_certifies_every_produced_repair() {
                 | ("MPI_Bcast", "Binary")
                 | ("MPI_Allgather", "Ring")
                 | ("MPI_Reduce" | "MPI_Allreduce" | "MPI_Alltoall", "Linear")
-                | ("MPI_Bcast" | "MPI_Gather" | "MPI_Scatter", "Linear")
+                | ("MPI_Bcast" | "MPI_Gather" | "MPI_Scatter" | "MPI_Allgather", "Linear")
         );
         if must_repair {
             assert_eq!(

@@ -318,34 +318,36 @@ impl Op {
         matches!(self, Op::Send { .. } | Op::Recv { .. } | Op::WaitAll { .. })
     }
 
-    /// Slots whose *current content* this op consumes. Accumulation targets
-    /// (`into` of `ReduceLocal`/`MergeMove`/`OverwriteMove`) and pruned slots
-    /// count as reads too: the engine folds into / filters their prior value.
-    pub fn slots_read(&self) -> Vec<Slot> {
-        match self {
-            Op::Send { slot, .. } | Op::Isend { slot, .. } => vec![*slot],
+    /// Slots whose *current content* this op consumes, at most two, in
+    /// this order. Accumulation targets (`into` of `ReduceLocal`/
+    /// `MergeMove`/`OverwriteMove`) and pruned slots count as reads too:
+    /// the engine folds into / filters their prior value.
+    pub fn slots_read(&self) -> [Option<Slot>; 2] {
+        match *self {
+            Op::Send { slot, .. } | Op::Isend { slot, .. } | Op::DropBlocks { slot, .. } => {
+                [Some(slot), None]
+            }
             Op::ReduceLocal { from, into, .. }
             | Op::MergeMove { from, into }
-            | Op::OverwriteMove { from, into } => vec![*from, *into],
-            Op::CopySlot { from, .. } => vec![*from],
-            Op::DropBlocks { slot, .. } => vec![*slot],
-            _ => Vec::new(),
+            | Op::OverwriteMove { from, into } => [Some(from), Some(into)],
+            Op::CopySlot { from, .. } => [Some(from), None],
+            _ => [None, None],
         }
     }
 
-    /// Slots this op (or its later completion, for `Irecv`) writes.
-    pub fn slots_written(&self) -> Vec<Slot> {
-        match self {
+    /// The slot this op (or its later completion, for `Irecv`) writes.
+    pub fn slot_written(&self) -> Option<Slot> {
+        match *self {
             Op::Recv { slot, .. }
             | Op::Irecv { slot, .. }
             | Op::InitSlot { slot, .. }
             | Op::ClearSlot { slot }
-            | Op::DropBlocks { slot, .. } => vec![*slot],
+            | Op::DropBlocks { slot, .. } => Some(slot),
             Op::ReduceLocal { into, .. }
             | Op::MergeMove { into, .. }
             | Op::OverwriteMove { into, .. }
-            | Op::CopySlot { into, .. } => vec![*into],
-            _ => Vec::new(),
+            | Op::CopySlot { into, .. } => Some(into),
+            _ => None,
         }
     }
 }
@@ -460,12 +462,31 @@ mod tests {
         assert!(Op::waitall(vec![0]).is_blocking());
         assert!(!Op::isend(1, 0, 8, 0, 0).is_blocking());
         assert!(!Op::compute(1.0).is_blocking());
-        assert_eq!(Op::ReduceLocal { from: 2, into: 5, bytes: 1 }.slots_read(), vec![2, 5]);
-        assert_eq!(Op::ReduceLocal { from: 2, into: 5, bytes: 1 }.slots_written(), vec![5]);
-        assert_eq!(Op::recv(1, 0, 3).slots_read(), Vec::<Slot>::new());
-        assert_eq!(Op::recv(1, 0, 3).slots_written(), vec![3]);
-        assert_eq!(Op::CopySlot { from: 1, into: 2 }.slots_read(), vec![1]);
-        assert_eq!(Op::CopySlot { from: 1, into: 2 }.slots_written(), vec![2]);
+    }
+
+    #[test]
+    fn slot_access_covers_the_op_isa() {
+        // (op, slots read, slot written) for every variant.
+        let table = [
+            (Op::compute(1.0), [None, None], None),
+            (Op::SleepUntil { time: 1.0 }, [None, None], None),
+            (Op::send(1, 0, 8, 2), [Some(2), None], None),
+            (Op::isend(1, 0, 8, 2, 0), [Some(2), None], None),
+            (Op::recv(1, 0, 3), [None, None], Some(3)),
+            (Op::irecv(1, 0, 3, 0), [None, None], Some(3)),
+            (Op::waitall(vec![0]), [None, None], None),
+            (Op::ReduceLocal { from: 4, into: 5, bytes: 8 }, [Some(4), Some(5)], Some(5)),
+            (Op::MergeMove { from: 4, into: 5 }, [Some(4), Some(5)], Some(5)),
+            (Op::OverwriteMove { from: 4, into: 5 }, [Some(4), Some(5)], Some(5)),
+            (Op::DropBlocks { slot: 6, filter: BlockFilter::All }, [Some(6), None], Some(6)),
+            (Op::CopySlot { from: 4, into: 5 }, [Some(4), None], Some(5)),
+            (Op::InitSlot { slot: 7, init: SlotInit::Empty }, [None, None], Some(7)),
+            (Op::ClearSlot { slot: 7 }, [None, None], Some(7)),
+        ];
+        for (op, reads, written) in &table {
+            assert_eq!(op.slots_read(), *reads, "{op:?}");
+            assert_eq!(op.slot_written(), *written, "{op:?}");
+        }
     }
 
     #[test]

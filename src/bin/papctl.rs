@@ -76,8 +76,8 @@ use pap::core::{
     SelectionPolicy, TunePlan,
 };
 use pap::lint::{
-    certified_repair, crash_cone, sweep_faults, sweep_registry, CrashPoint, FaultSweepConfig,
-    LintConfig, RepairVerdict, SweepConfig,
+    certified_repair, crash_cone, sweep_faults, sweep_registry, CrashPoint, LintConfig,
+    RepairVerdict, SweepConfig,
 };
 use pap::microbench::{
     calibrate_avg_runtime, fault_sweep, measure, profile_with_faults, standard_grid, sweep,
@@ -940,34 +940,26 @@ fn cmd_trace(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Parse a `--ranks A,B,C` list, or keep `default`.
-fn ranks_list(args: &Args, default: &[usize]) -> Result<Vec<usize>, String> {
-    match args.opt("ranks") {
-        Some(v) => {
-            let ranks: Vec<usize> = v
-                .split(',')
-                .map(|s| s.trim().parse::<usize>().map_err(|_| format!("--ranks: bad rank count '{s}'")))
-                .collect::<Result<_, _>>()?;
-            if ranks.is_empty() {
-                return Err("--ranks needs at least one rank count".to_string());
-            }
-            Ok(ranks)
-        }
-        None => Ok(default.to_vec()),
+/// The registry sweep's `--ranks A,B,C` and `--eager`; the sizes
+/// straddle the threshold.
+fn sweep_config(args: &Args) -> Result<SweepConfig, String> {
+    let mut cfg = SweepConfig::default();
+    if let Some(v) = args.opt("ranks") {
+        // `split` yields at least one item, so the list is never empty.
+        cfg.ranks = v
+            .split(',')
+            .map(|s| s.trim().parse::<usize>().map_err(|_| format!("--ranks: bad rank count '{s}'")))
+            .collect::<Result<_, _>>()?;
     }
+    cfg.eager_threshold = args.flag("eager", cfg.eager_threshold)?;
+    Ok(cfg)
 }
 
 fn cmd_lint(args: &Args) -> Result<(), String> {
     if args.has("faults") {
         return cmd_lint_faults(args);
     }
-    let defaults = SweepConfig::default();
-    let mut cfg = SweepConfig { ranks: ranks_list(args, &defaults.ranks)?, ..defaults };
-    let eager = args.flag("eager", cfg.eager_threshold)?;
-    cfg.eager_threshold = eager;
-    // Keep the size grid straddling whatever threshold was chosen.
-    cfg.sizes = vec![eager.div_ceil(32).max(1), eager, eager + 1, eager.saturating_mul(8)];
-    let summary = sweep_registry(&cfg);
+    let summary = sweep_registry(&sweep_config(args)?);
     if args.has("json") {
         println!(
             "{}",
@@ -997,14 +989,7 @@ fn cmd_lint(args: &Args) -> Result<(), String> {
 /// each case's worst crash. Purely static (no simulation); fails when any
 /// produced rewrite does not re-verify.
 fn cmd_lint_faults(args: &Args) -> Result<(), String> {
-    let defaults = FaultSweepConfig::default();
-    let mut cfg = FaultSweepConfig { ranks: ranks_list(args, &defaults.ranks)?, ..defaults };
-    let eager = args.flag("eager", cfg.eager_threshold)?;
-    cfg.eager_threshold = eager;
-    // Keep one size on each side of whatever threshold was chosen: the
-    // protocol split changes which sends block, which changes the cones.
-    cfg.sizes = vec![eager.div_ceil(16).max(1), eager.saturating_mul(8)];
-    let summary = sweep_faults(&cfg);
+    let summary = sweep_faults(&sweep_config(args)?);
     if args.has("json") {
         println!("{}", serde_json::to_string_pretty(&summary).map_err(|e| e.to_string())?);
     } else {

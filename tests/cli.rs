@@ -1,6 +1,6 @@
 //! `papctl` end to end: `figures` prints exactly what the `pap-bench`
-//! drivers return, and bad command lines fail before any work, naming the
-//! offending argument.
+//! drivers return, `lint` derives its sizes from `--eager`, and bad
+//! command lines fail before any work, naming the offending argument.
 
 use std::process::{Command, Output};
 
@@ -73,5 +73,26 @@ fn a_sweep_over_no_algorithms_fails_naming_the_collective() {
         assert!(!out.status.success(), "{args:?} exited 0");
         assert!(stderr(&out).contains("has no selectable algorithms"), "{args:?}: {}", stderr(&out));
         assert!(stdout(&out).is_empty(), "{args:?}: no matrix may be printed: {}", stdout(&out));
+    }
+}
+
+/// The grid fields both `lint --json` documents carry.
+#[derive(Debug, PartialEq, serde::Deserialize)]
+struct LintGrid {
+    ranks: Vec<usize>,
+    sizes: Vec<u64>,
+    eager_threshold: u64,
+}
+
+#[test]
+fn lint_sizes_straddle_the_eager_flag() {
+    for (args, sizes) in [
+        (&["lint", "--ranks", "4", "--eager", "4096", "--json"][..], vec![128, 4096, 4097, 32768]),
+        (&["lint", "--faults", "--ranks", "4", "--eager", "4096", "--json"][..], vec![256, 32768]),
+    ] {
+        let out = papctl(args);
+        assert!(out.status.success(), "{args:?}: {}", stderr(&out));
+        let grid: LintGrid = serde_json::from_str(stdout(&out)).expect("one JSON document");
+        assert_eq!(grid, LintGrid { ranks: vec![4], sizes, eager_threshold: 4096 }, "{args:?}");
     }
 }

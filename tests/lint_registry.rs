@@ -1,8 +1,8 @@
 //! Static-analysis gate: the full algorithm registry must lint clean.
 //!
 //! `pap-lint` abstract-interprets every registered algorithm's schedule
-//! (every collective × {8, 12, 32} ranks × all roots × sizes straddling the
-//! eager threshold) with zero simulator runs; this suite asserts no
+//! (every collective × {8, 12, 32} ranks × every root of the schedules that
+//! read it × sizes straddling the eager threshold) with zero simulator runs; this suite asserts no
 //! error-severity finding exists anywhere and pins the diagnostic-free state
 //! in `results/lint_registry.json`. Regenerate the fixture after an
 //! intentional registry change with
