@@ -1,13 +1,13 @@
 //! # pap-lint — static schedule verifier for collective programs
 //!
 //! A zero-execution analyzer over [`pap_sim::Job`]: it abstract-interprets
-//! every rank's op sequence against a *timing-free* channel model — the same
-//! FIFO `(src, dst, tag)` matching and eager/rendezvous protocol split the
-//! engine implements, minus the clock — and reports defects with
-//! `(rank, segment, op)` coordinates and a severity. Because no timing is
-//! involved, one pass covers *every* interleaving the engine could produce,
-//! which is exactly the guarantee dynamic verification (`pap-collectives`'s
-//! post-run dataflow check) cannot give.
+//! every rank's op sequence against a *timing-free* channel model — the
+//! job's own FIFO `(src, dst, tag)` pairing, which the engine runs on too,
+//! and the engine's eager/rendezvous protocol split, minus the clock — and
+//! reports defects with `(rank, segment, op)` coordinates and a severity.
+//! Because no timing is involved, one pass covers *every* interleaving the
+//! engine could produce, which is exactly the guarantee dynamic
+//! verification (`pap-collectives`'s post-run dataflow check) cannot give.
 //!
 //! ## Checks
 //!

@@ -80,7 +80,7 @@ impl View {
             findings: Vec::new(),
         };
         let mut findings = Vec::new();
-        view.pair = channels::pair(&view, &mut findings);
+        view.pair = channels::pair(&view, job, &mut findings);
         (view.wait_off, view.waited) = requests::table(&view, job, &mut findings);
         view.findings = findings;
         view

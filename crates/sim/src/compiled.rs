@@ -14,11 +14,20 @@
 //! blocking), which also halves the dispatch fan-out of the hot loop.
 //! [`Job::program`] decodes one rank back into the builder view for
 //! readers that want `Op`s (`pap-lint`, tests).
+//!
+//! Message matching is a static function of the programs too: by MPI's
+//! non-overtaking rule the k-th send on a `(src, dst, tag)` channel pairs
+//! with the k-th receive posted on it, whatever the timing. [`Job::new`]
+//! pairs every send and receive once, with a per-sender merge-join of
+//! channel ends, and writes a dense pair id into each matched
+//! [`COp::Send`]/[`COp::Recv`] (`CNIL` for an unmatched, self-addressed or
+//! out-of-range end). The engine matches by pair id; [`Job::channels`]
+//! hands the same walk's channels to `pap-lint`.
 
 use std::collections::HashMap;
 
 use crate::data::{BlockFilter, SlotInit};
-use crate::program::{Label, Op, RankProgram, Segment};
+use crate::program::{Label, Op, RankProgram, Segment, Tag};
 use crate::time::SimTime;
 
 /// Sentinel index ("none") for [`COp`] fields.
@@ -32,9 +41,11 @@ pub(crate) enum COp {
     Compute { seconds: SimTime, noisy: bool },
     SleepUntil { time: SimTime },
     /// `req == CNIL`: blocking send. `filter == CNIL`: whole slot.
-    Send { to: u32, slot: u32, tag: u64, bytes: u64, filter: u32, req: u32 },
-    /// `req == CNIL`: blocking receive.
-    Recv { from: u32, slot: u32, tag: u64, req: u32 },
+    /// `pair`: the FIFO pair id shared with the matching receive (`CNIL`:
+    /// none matches).
+    Send { to: u32, slot: u32, tag: u64, bytes: u64, filter: u32, req: u32, pair: u32 },
+    /// `req == CNIL`: blocking receive. `pair` as for `Send`.
+    Recv { from: u32, slot: u32, tag: u64, req: u32, pair: u32 },
     /// Requests `wait_reqs[off .. off + len]`.
     WaitAll { off: u32, len: u32 },
     ReduceLocal { from: u32, into: u32, bytes: u64 },
@@ -77,6 +88,8 @@ pub struct Job {
     pub(crate) req_counts: Vec<u32>,
     /// Slots needed per rank (max referenced slot + 1).
     slot_counts: Vec<u32>,
+    /// Matched send/receive pairs; pair ids are `0 .. pairs`.
+    pub(crate) pairs: u32,
     /// Why the arena cannot index this job (an index at or past [`CNIL`],
     /// or counts summing past `u32`); `run_ref` rejects it with this.
     pub(crate) invalid: Option<String>,
@@ -95,7 +108,7 @@ fn narrow(v: usize, bad: &mut Option<usize>) -> u32 {
 
 impl Job {
     /// Build a job from per-rank programs: flatten them into the op arena
-    /// in one pass and drop them.
+    /// in one pass, drop them, and pair the job's messages.
     pub fn new(programs: Vec<RankProgram>) -> Job {
         let ranks = programs.len();
         let mut job = Job {
@@ -107,10 +120,11 @@ impl Job {
             filters: Vec::new(),
             req_counts: Vec::with_capacity(ranks),
             slot_counts: Vec::with_capacity(ranks),
+            pairs: 0,
             invalid: None,
         };
         let mut filter_ids = HashMap::new();
-        // Borrowed, then dropped whole on return: freeing each rank's ops
+        // Borrowed, then dropped whole before pairing: freeing each rank's ops
         // as soon as it was flattened made perfbench's engine set-up ~7%
         // slower than one pass of frees at the end (2-vCPU AMD EPYC host).
         for (rank, prog) in programs.iter().enumerate() {
@@ -136,6 +150,22 @@ impl Job {
         }
         job.rank_ops.push(job.ops.len() as u32);
         job.rank_segs.push(job.segs.len() as u32);
+        // Pairing runs without the builder ops, so the walk's buffers
+        // never coexist with them.
+        drop(programs);
+        let mut walk = Walk::new(&job);
+        for src in 0..ranks {
+            for c in walk.sender(&job, src) {
+                for (&s, &r) in c.sends.iter().zip(c.recvs) {
+                    for i in [s, r] {
+                        if let COp::Send { pair, .. } | COp::Recv { pair, .. } = &mut job.ops[i] {
+                            *pair = job.pairs;
+                        }
+                    }
+                    job.pairs += 1;
+                }
+            }
+        }
         let sum = |c: &[u32]| c.iter().map(|&n| u64::from(n)).sum::<u64>();
         let (reqs, slots) = (sum(&job.req_counts), sum(&job.slot_counts));
         if job.invalid.is_none() && reqs.max(slots) > u64::from(u32::MAX) {
@@ -164,10 +194,10 @@ impl Job {
             Op::SleepUntil { time } => COp::SleepUntil { time },
             Op::Send { to, tag, bytes, slot, filter: f }
             | Op::Isend { to, tag, bytes, slot, filter: f, .. } => {
-                COp::Send { to: narrow(to), slot: narrow(slot), tag, bytes, filter: filter(f), req }
+                COp::Send { to: narrow(to), slot: narrow(slot), tag, bytes, filter: filter(f), req, pair: CNIL }
             }
             Op::Recv { from, tag, slot } | Op::Irecv { from, tag, slot, .. } => {
-                COp::Recv { from: narrow(from), slot: narrow(slot), tag, req }
+                COp::Recv { from: narrow(from), slot: narrow(slot), tag, req, pair: CNIL }
             }
             Op::WaitAll { ref reqs } => {
                 let off = self.wait_reqs.len() as u32;
@@ -226,14 +256,14 @@ impl Job {
         match *op {
             COp::Compute { seconds, noisy } => Op::Compute { seconds, noisy },
             COp::SleepUntil { time } => Op::SleepUntil { time },
-            COp::Send { to, slot, tag, bytes, filter, req } => {
+            COp::Send { to, slot, tag, bytes, filter, req, .. } => {
                 let (to, slot, filter) = (w(to), w(slot), self.filter(filter));
                 match req {
                     CNIL => Op::Send { to, tag, bytes, slot, filter },
                     req => Op::Isend { to, tag, bytes, slot, filter, req: w(req) },
                 }
             }
-            COp::Recv { from, slot, tag, req } => match req {
+            COp::Recv { from, slot, tag, req, .. } => match req {
                 CNIL => Op::Recv { from: w(from), tag, slot: w(slot) },
                 req => Op::Irecv { from: w(from), tag, slot: w(slot), req: w(req) },
             },
@@ -250,6 +280,16 @@ impl Job {
         }
     }
 
+    /// Every `(src, dst, tag)` channel with at least one valid end, sender
+    /// by sender and, per sender, in `(dst, tag)` order: the walk that
+    /// numbered the job's pairs.
+    pub fn channels(&self, mut f: impl FnMut(Channel<'_>)) {
+        let mut walk = Walk::new(self);
+        for src in 0..self.ranks() {
+            walk.sender(self, src).for_each(&mut f);
+        }
+    }
+
     /// Resolve an arena filter index (`CNIL` = whole slot).
     #[inline]
     pub(crate) fn filter(&self, f: u32) -> BlockFilter {
@@ -261,6 +301,111 @@ impl Job {
     }
 }
 
+/// One `(src, dst, tag)` channel of a [`Job`]: its sends and its
+/// receives, as indices into the job's ops (rank-major, each rank's
+/// segments concatenated) in program order. The FIFO rule pairs
+/// `sends[k]` with `recvs[k]`; the longer list's tail matches nothing.
+#[derive(Debug, Clone, Copy)]
+pub struct Channel<'a> {
+    /// Sending rank.
+    pub src: usize,
+    /// Receiving rank.
+    pub dst: usize,
+    /// The channel's tag.
+    pub tag: Tag,
+    /// The channel's sends.
+    pub sends: &'a [usize],
+    /// The channel's receives.
+    pub recvs: &'a [usize],
+}
+
+/// A sender's end of a channel: `(peer, tag, op index)`. Sorted, one
+/// sender's ends group by channel, each group in program order.
+type End = (u32, Tag, u32);
+
+/// The per-sender merge-join behind [`Job::new`]'s pairing and
+/// [`Job::channels`]. Only the receive index spans the job (8 bytes per
+/// receive, 20 while it is built); the sort buffers hold one sender's ends
+/// at a time.
+struct Walk {
+    /// Valid receives as `(receiving rank, op index)`, grouped by the rank
+    /// they name: those naming rank `s` are
+    /// `recv_of[recv_off[s] .. recv_off[s + 1]]`.
+    recv_off: Vec<u32>,
+    recv_of: Vec<(u32, u32)>,
+    sends: Vec<End>,
+    recvs: Vec<End>,
+    /// The op column of `sends` and `recvs`, as handed out in [`Channel`]s.
+    send_ops: Vec<usize>,
+    recv_ops: Vec<usize>,
+}
+
+impl Walk {
+    fn new(job: &Job) -> Walk {
+        let ranks = job.ranks();
+        // Counting sort of the valid receives by the rank they name.
+        let mut recv_off = vec![0; ranks + 1];
+        let mut named = Vec::new();
+        for dst in 0..ranks {
+            for i in job.rank_ops[dst]..job.rank_ops[dst + 1] {
+                if let COp::Recv { from, .. } = job.ops[i as usize] {
+                    if (from as usize) < ranks && from as usize != dst {
+                        recv_off[from as usize + 1] += 1;
+                        named.push((from, dst as u32, i));
+                    }
+                }
+            }
+        }
+        for s in 0..ranks {
+            recv_off[s + 1] += recv_off[s];
+        }
+        let mut fill = recv_off.clone();
+        let mut recv_of = vec![(0, 0); named.len()];
+        for (src, dst, i) in named {
+            recv_of[fill[src as usize] as usize] = (dst, i);
+            fill[src as usize] += 1;
+        }
+        Walk { recv_off, recv_of, sends: Vec::new(), recvs: Vec::new(), send_ops: Vec::new(), recv_ops: Vec::new() }
+    }
+
+    /// Rank `src`'s channels in `(dst, tag)` order.
+    fn sender<'w>(&'w mut self, job: &Job, src: usize) -> impl Iterator<Item = Channel<'w>> + 'w {
+        let ranks = job.ranks();
+        self.sends.clear();
+        self.sends.extend((job.rank_ops[src]..job.rank_ops[src + 1]).filter_map(|i| match job.ops[i as usize] {
+            COp::Send { to, tag, .. } if (to as usize) < ranks && to as usize != src => Some((to, tag, i)),
+            _ => None,
+        }));
+        self.recvs.clear();
+        self.recvs.extend(self.recv_of[self.recv_off[src] as usize..self.recv_off[src + 1] as usize].iter().map(|&(dst, i)| {
+            let COp::Recv { tag, .. } = job.ops[i as usize] else { unreachable!("indexed op {i} is a receive") };
+            (dst, tag, i)
+        }));
+        for (ends, ops) in [(&mut self.sends, &mut self.send_ops), (&mut self.recvs, &mut self.recv_ops)] {
+            ends.sort_unstable();
+            ops.clear();
+            ops.extend(ends.iter().map(|&(_, _, i)| i as usize));
+        }
+        let (sends, recvs) = (&self.sends[..], &self.recvs[..]);
+        let (send_ops, recv_ops) = (&self.send_ops[..], &self.recv_ops[..]);
+        let (mut s, mut r) = (0, 0);
+        std::iter::from_fn(move || {
+            let &(dst, tag, _) = [sends.get(s), recvs.get(r)].into_iter().flatten().min()?;
+            let on = |ends: &[End], at: usize| at + ends[at..].iter().take_while(|e| (e.0, e.1) == (dst, tag)).count();
+            let (s_end, r_end) = (on(sends, s), on(recvs, r));
+            let c = Channel {
+                src,
+                dst: dst as usize,
+                tag,
+                sends: &send_ops[s..s_end],
+                recvs: &recv_ops[r..r_end],
+            };
+            (s, r) = (s_end, r_end);
+            Some(c)
+        })
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -269,6 +414,62 @@ mod tests {
     fn cop_is_one_cache_line_for_two_ops() {
         // The whole point of the compiled form: a fixed, small op size.
         assert!(std::mem::size_of::<COp>() <= 40, "COp grew: {}", std::mem::size_of::<COp>());
+    }
+
+    #[test]
+    fn pairing_follows_fifo_channels() {
+        let job = Job::new(vec![
+            RankProgram::from_ops(vec![
+                Op::send(1, 1, 8, 0), // 0
+                Op::send(1, 2, 8, 0), // 1
+                Op::send(1, 1, 8, 0), // 2
+                Op::send(1, 2, 8, 0), // 3
+                Op::send(1, 3, 8, 0), // 4: no receive on tag 3
+                Op::send(0, 1, 8, 0), // 5: self-send
+                Op::send(9, 1, 8, 0), // 6: out of range
+            ]),
+            RankProgram::from_ops(vec![
+                Op::recv(0, 2, 0), // 7
+                Op::recv(0, 1, 0), // 8
+                Op::recv(0, 1, 0), // 9
+                Op::recv(0, 2, 0), // 10
+                Op::recv(2, 1, 0), // 11: a second channel into rank 1
+                Op::recv(2, 1, 0), // 12: rank 2 sends only once
+            ]),
+            RankProgram::from_ops(vec![Op::send(1, 1, 8, 0)]), // 13
+            RankProgram::from_ops(vec![Op::recv(3, 0, 0), Op::recv(7, 0, 0)]), // 14, 15
+        ]);
+        let ids: Vec<u32> = job
+            .ops
+            .iter()
+            .map(|op| match *op {
+                COp::Send { pair, .. } | COp::Recv { pair, .. } => pair,
+                _ => unreachable!("only messages here"),
+            })
+            .collect();
+        for (s, r) in [(0, 8), (2, 9), (1, 7), (3, 10), (13, 11)] {
+            assert_ne!(ids[s], CNIL, "op {s} is matched");
+            assert_eq!(ids[s], ids[r], "op {s} pairs with op {r}");
+        }
+        for i in [4, 5, 6, 12, 14, 15] {
+            assert_eq!(ids[i], CNIL, "op {i} matches nothing");
+        }
+        let mut matched: Vec<u32> = ids.into_iter().filter(|&p| p != CNIL).collect();
+        matched.sort_unstable();
+        assert_eq!(job.pairs, 5);
+        assert_eq!(matched, (0..5).flat_map(|p| [p, p]).collect::<Vec<_>>(), "dense ids, one per pair");
+
+        let mut chans = Vec::new();
+        job.channels(|c| chans.push((c.src, c.dst, c.tag, c.sends.to_vec(), c.recvs.to_vec())));
+        assert_eq!(
+            chans,
+            vec![
+                (0, 1, 1, vec![0, 2], vec![8, 9]),
+                (0, 1, 2, vec![1, 3], vec![7, 10]),
+                (0, 1, 3, vec![4], vec![]),
+                (2, 1, 1, vec![13], vec![11, 12]),
+            ]
+        );
     }
 
     #[test]

@@ -3,9 +3,10 @@
 //! Each rank executes its slice of the [`Job`]'s op arena sequentially. Ranks may run ahead
 //! of global event time (lazy virtual time); correctness of message matching
 //! does not depend on processing order because all completion times are
-//! computed from timestamps (`max` of the two sides), and FIFO queues per
-//! `(src, dst, tag)` channel are only ever filled in program order by a
-//! single rank per side.
+//! computed from timestamps (`max` of the two sides), and which receive
+//! matches which send is fixed before the run: [`Job::new`] pairs the k-th
+//! send on each `(src, dst, tag)` channel with the k-th receive posted on
+//! it, both in program order.
 //!
 //! ## Protocols
 //!
@@ -33,10 +34,9 @@
 //!
 //! The engine is built to stay fast from 32 to 100K ranks: events live in a
 //! calendar [`queue::EventQueue`] at every rank count, per-rank and
-//! per-message state in flat arenas, and channels in one hash map sized by
-//! *in-flight* traffic rather than by every channel ever used, so matching
-//! costs the same however many peers a rank has outstanding. See DESIGN.md
-//! §12 for the memory layout.
+//! per-message state in flat arenas, and one match slot per paired message
+//! of the job, so matching is one indexed load however many peers a rank
+//! has outstanding. See DESIGN.md §12 for the memory layout.
 //!
 //! A run is sequential: one `Part` owns every rank. Events are
 //! keyed by a canonical order (see [`queue`]) that no tie in time can
@@ -78,7 +78,8 @@ pub enum SimError {
         /// `(rank, description of the op it is blocked on)`.
         blocked: Vec<(usize, String)>,
     },
-    /// The job referenced invalid ranks/slots or misused requests.
+    /// The job referenced invalid ranks/slots, misused requests or posted an
+    /// eager send that no receive matches.
     InvalidProgram(String),
 }
 
@@ -413,6 +414,39 @@ mod tests {
         // First sent block lands in first posted recv.
         assert!(slots[1][0].get((0, 0)).is_some());
         assert!(slots[1][1].get((0, 1)).is_some());
+
+        // Posting order, not arrival order, decides the match: a rendezvous
+        // Isend followed by an eager Isend on the same tag, so the eager
+        // message lands first, with the receives posted before the sends
+        // (the sender starts late) and after them (the receiver does).
+        let (rdv, eager) = (64 * 1024, 64);
+        for recvs_first in [true, false] {
+            let late = |late: bool| Op::delay(if late { 1e-3 } else { 0.0 });
+            let job = Job::new(vec![
+                RankProgram::from_ops(vec![
+                    Op::InitSlot { slot: 0, init: SlotInit::movement_block(0, 0) },
+                    Op::InitSlot { slot: 1, init: SlotInit::movement_block(0, 1) },
+                    late(recvs_first),
+                    Op::isend(1, 5, rdv, 0, 0),
+                    Op::isend(1, 5, eager, 1, 1),
+                    Op::WaitAll { reqs: vec![0, 1] },
+                ]),
+                RankProgram::from_ops(vec![
+                    late(!recvs_first),
+                    Op::irecv(0, 5, 0, 0),
+                    Op::irecv(0, 5, 1, 1),
+                    Op::WaitAll { reqs: vec![0, 1] },
+                ]),
+            ]);
+            let cfg = SimConfig { record_messages: true, ..SimConfig::tracking() };
+            let out = run(&Platform::simcluster(2), job, &cfg).expect("run");
+            let events = out.msg_events.as_ref().expect("recorded");
+            let landed = |bytes| events.iter().find(|m| m.bytes == bytes).expect("delivered").delivered;
+            assert!(landed(eager) < landed(rdv), "recvs_first {recvs_first}: the eager message lands first");
+            let slots = out.slots.unwrap();
+            assert!(slots[1][0].get((0, 0)).is_some(), "recvs_first {recvs_first}: first posted pair");
+            assert!(slots[1][1].get((0, 1)).is_some(), "recvs_first {recvs_first}: second posted pair");
+        }
     }
 
     #[test]

@@ -9,16 +9,12 @@
 //!   slots live in one flat arena indexed by per-rank prefix offsets, RNGs
 //!   are materialized only when a noise model is active, and payload slots
 //!   only when dataflow tracking is on;
-//! * channels `(src, dst, tag)` are [`Chan`] records in one hash map keyed
-//!   by the packed channel key, with FIFO queues as intrusive lists over
-//!   two shared node arenas — an emptied channel leaves the map, so the
-//!   table tracks in-flight traffic instead of growing with every distinct
-//!   channel ever used (the seed engine's dominant memory cost at 100K
-//!   ranks);
+//! * matching needs no channel table: [`Job::new`] already paired every send
+//!   with its FIFO receive, so each matched pair owns one 4-byte slot in
+//!   [`Part::pairs`], where whichever side posts first leaves the message
+//!   record the other side completes — the matching state is sized by the
+//!   job's matched pairs, not by in-flight traffic;
 //! * messages live in a free-listed arena, as before.
-
-use std::collections::hash_map::Entry;
-use std::collections::HashMap;
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -29,21 +25,23 @@ use crate::compiled::{COp, CNIL};
 use crate::data::{BlockFilter, Value};
 use crate::noise::NoiseModel;
 use crate::platform::Platform;
-use crate::program::{Job, ReqId, Slot, Tag};
+use crate::program::{Job, ReqId, Slot};
 use crate::time::SimTime;
 use crate::SimConfig;
 
 const NIL: u32 = u32::MAX;
 
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 enum Protocol {
+    #[default]
     Eager,
     Rendezvous,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 enum MsgState {
     /// Created; not yet matched with a receive.
+    #[default]
     Unmatched,
     /// Eager data has arrived but no receive was posted yet.
     DeliveredUnmatched(SimTime),
@@ -53,9 +51,8 @@ enum MsgState {
     Done,
 }
 
-/// A posted receive waiting in a channel. Packed to 16 bytes — one of
-/// these sits in the shared `recv_nodes` arena per unmatched receive and
-/// inside every matched [`Msg`], so its size is a per-message cache cost.
+/// A posted receive. Packed to 16 bytes — one sits inside every message
+/// record, so its size is a per-message cache cost.
 #[derive(Debug, Clone, Copy)]
 struct RecvInfo {
     slot: u32,
@@ -65,23 +62,29 @@ struct RecvInfo {
     posted_at: SimTime,
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 enum SenderWake {
     /// Blocking rendezvous `Send`; the rank is parked on it.
     Blocked,
     /// Rendezvous `Isend`; completing egress resolves this request.
     Req(u32),
     /// Eager send: the sender resumed immediately, nothing to wake.
+    #[default]
     None,
 }
 
+/// One message, from whichever side of its pair posts first until the
+/// receive completes. A receive posted before its send leaves a record
+/// holding only `recv`; the send fills in the rest.
+#[derive(Default)]
 struct Msg {
     /// Canonical id `(src << 40) | program-order send counter`; ties network
     /// events to the sender's program, not to one execution's bookkeeping.
     uid: u64,
     src: u32,
     dst: u32,
-    tag: Tag,
+    /// The send's index in the job's op arena (its tag, for the record).
+    op: u32,
     bytes: u64,
     protocol: Protocol,
     /// Sender-side ready time (after `o_s`).
@@ -147,181 +150,10 @@ struct RankState {
     wa_t: SimTime,
 }
 
-/// `(src, dst, tag)` packed into one integer so channel lookups hash a
-/// single u128 instead of a tuple field by field.
-type ChanKey = u128;
-
-#[inline]
-fn chan_key(src: u32, dst: u32, tag: Tag) -> ChanKey {
-    ((src as u128) << 96) | ((dst as u128) << 64) | tag as u128
-}
-
-/// Multiply-xor hasher (FxHash-style) for the channel map.
-/// SipHash dominated the map profile; keys are program-controlled, not
-/// attacker-controlled, so a non-DoS-resistant hash is fine here.
-#[derive(Default)]
-struct ChanHasher {
-    hash: u64,
-}
-
-const CHAN_HASH_K: u64 = 0x517c_c1b7_2722_0a95;
-
 /// Cap on nested inline resumes/deliveries. Bounds stack growth on long
 /// intra-node dependency chains (e.g. a ping-pong loop inside one node);
 /// past the cap the engine falls back to queue events.
 const INLINE_DEPTH_MAX: u32 = 64;
-
-impl std::hash::Hasher for ChanHasher {
-    #[inline]
-    fn finish(&self) -> u64 {
-        // The multiply carries input bits only upwards, so the low bits the
-        // map indexes by would ignore `src` (the key's high word) and every
-        // channel into one rank would probe from the same bucket. Rotating
-        // brings the fully mixed high bits down.
-        self.hash.rotate_left(26)
-    }
-
-    #[inline]
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(b as u64);
-        }
-    }
-
-    #[inline]
-    fn write_u64(&mut self, v: u64) {
-        self.hash = (self.hash.rotate_left(5) ^ v).wrapping_mul(CHAN_HASH_K);
-    }
-
-    #[inline]
-    fn write_u128(&mut self, v: u128) {
-        self.write_u64(v as u64);
-        self.write_u64((v >> 64) as u64);
-    }
-}
-
-type ChanHash = std::hash::BuildHasherDefault<ChanHasher>;
-
-/// A live channel: intrusive FIFO lists of unmatched sends and unmatched
-/// posted receives. Both lists index into the owning table's node arenas.
-#[derive(Clone, Copy)]
-struct Chan {
-    in_head: u32,
-    in_tail: u32,
-    po_head: u32,
-    po_tail: u32,
-}
-
-/// Live channels in one map keyed by the packed [`ChanKey`], with two node
-/// arenas backing the per-channel FIFO queues. A channel's entry is removed
-/// as soon as both queues drain, so the table tracks in-flight traffic only.
-///
-/// A destination can hold hundreds of live channels at once — a linear
-/// alltoall posts a receive from every peer before any send arrives — so
-/// matching must not depend on how many channels share a rank: one hash
-/// probe finds the [`Chan`], stored inline in the map.
-#[derive(Default)]
-struct ChanTable {
-    live: HashMap<ChanKey, Chan, ChanHash>,
-    /// `(message index, next)` nodes for the `incoming` lists.
-    msg_nodes: Vec<(u32, u32)>,
-    free_msg_nodes: Vec<u32>,
-    /// `(receive info, next)` nodes for the `posted` lists.
-    recv_nodes: Vec<(RecvInfo, u32)>,
-    free_recv_nodes: Vec<u32>,
-}
-
-/// Append a value to an intrusive free-listed node arena.
-#[inline]
-fn alloc_node<T: Copy>(nodes: &mut Vec<(T, u32)>, free: &mut Vec<u32>, v: T) -> u32 {
-    match free.pop() {
-        Some(n) => {
-            nodes[n as usize] = (v, NIL);
-            n
-        }
-        None => {
-            nodes.push((v, NIL));
-            (nodes.len() - 1) as u32
-        }
-    }
-}
-
-impl ChanTable {
-    /// A send arrives on `key`: pop the oldest posted receive if one exists,
-    /// otherwise append `msg` to the channel's incoming list.
-    fn send_arrives(&mut self, key: ChanKey, msg: u32) -> Option<RecvInfo> {
-        let mut o = match self.live.entry(key) {
-            Entry::Vacant(v) => {
-                let n = alloc_node(&mut self.msg_nodes, &mut self.free_msg_nodes, msg);
-                v.insert(Chan { in_head: n, in_tail: n, po_head: NIL, po_tail: NIL });
-                return None;
-            }
-            Entry::Occupied(o) => o,
-        };
-        let c = o.get_mut();
-        let head = c.po_head;
-        if head != NIL {
-            let (info, next) = self.recv_nodes[head as usize];
-            c.po_head = next;
-            if next == NIL {
-                c.po_tail = NIL;
-            }
-            if c.in_head == NIL && c.po_head == NIL {
-                o.remove();
-            }
-            self.free_recv_nodes.push(head);
-            return Some(info);
-        }
-        let n = alloc_node(&mut self.msg_nodes, &mut self.free_msg_nodes, msg);
-        if c.in_tail == NIL {
-            c.in_head = n;
-        } else {
-            self.msg_nodes[c.in_tail as usize].1 = n;
-        }
-        c.in_tail = n;
-        None
-    }
-
-    /// A receive arrives on `key`: pop the oldest unmatched send if one
-    /// exists, otherwise append `info` to the channel's posted list.
-    fn recv_arrives(&mut self, key: ChanKey, info: RecvInfo) -> Option<u32> {
-        let mut o = match self.live.entry(key) {
-            Entry::Vacant(v) => {
-                let n = alloc_node(&mut self.recv_nodes, &mut self.free_recv_nodes, info);
-                v.insert(Chan { in_head: NIL, in_tail: NIL, po_head: n, po_tail: n });
-                return None;
-            }
-            Entry::Occupied(o) => o,
-        };
-        let c = o.get_mut();
-        let head = c.in_head;
-        if head != NIL {
-            let (msg, next) = self.msg_nodes[head as usize];
-            c.in_head = next;
-            if next == NIL {
-                c.in_tail = NIL;
-            }
-            if c.in_head == NIL && c.po_head == NIL {
-                o.remove();
-            }
-            self.free_msg_nodes.push(head);
-            return Some(msg);
-        }
-        let n = alloc_node(&mut self.recv_nodes, &mut self.free_recv_nodes, info);
-        if c.po_tail == NIL {
-            c.po_head = n;
-        } else {
-            self.recv_nodes[c.po_tail as usize].1 = n;
-        }
-        c.po_tail = n;
-        None
-    }
-
-    /// Arena slots ever allocated (capacity high-water mark).
-    fn arena_slots(&self) -> usize {
-        self.msg_nodes.len() + self.recv_nodes.len() + self.live.capacity()
-    }
-}
 
 /// The execution core of a run. See the module docs.
 pub(super) struct Part<'a> {
@@ -339,7 +171,9 @@ pub(super) struct Part<'a> {
     reqs: Vec<ReqState>,
     req_base: Vec<u32>,
     queue: EventQueue,
-    chans: ChanTable,
+    /// One slot per matched pair of the job ([`NIL`] until a side posts):
+    /// the message record of the side that posted first.
+    pairs: Vec<u32>,
     msgs: Vec<Msg>,
     free_msgs: Vec<u32>,
     egress_free: Vec<SimTime>,
@@ -482,7 +316,7 @@ impl<'a> Part<'a> {
             reqs: vec![ReqState::Free; nreqs as usize],
             req_base,
             queue,
-            chans: ChanTable::default(),
+            pairs: vec![NIL; job.pairs as usize],
             msgs: Vec::new(),
             free_msgs: Vec::new(),
             egress_free: vec![0.0; nnodes],
@@ -607,9 +441,9 @@ impl<'a> Part<'a> {
             .collect()
     }
 
-    /// Allocated arena slots (messages + channel records + queue nodes).
+    /// Allocated arena slots: message records plus per-pair match slots.
     pub(super) fn arena_slots(&self) -> usize {
-        self.msgs.len() + self.chans.arena_slots()
+        self.msgs.len() + self.pairs.len()
     }
 
     fn fail(&mut self, msg: String) {
@@ -724,7 +558,7 @@ impl<'a> Part<'a> {
 
     /// Resume rank `l` inline (its local clock already carries its logical
     /// time) instead of round-tripping a wake event through the queue.
-    /// Matching is FIFO head-to-head per channel and NIC claims still go
+    /// Matching is fixed by the job's pairing and NIC claims still go
     /// through timestamped events, so with noise off — where no cross-rank
     /// RNG interleaving can shift — the outcome is identical. Refuses (and
     /// returns false, caller schedules a wake) when the rank is already
@@ -834,17 +668,17 @@ impl<'a> Part<'a> {
                 self.step(l);
                 true
             }
-            COp::Send { to, slot, tag, bytes, filter, req } => self.do_send(
+            COp::Send { to, slot, bytes, filter, req, pair, .. } => self.do_send(
                 l,
                 to as usize,
-                tag,
                 bytes,
                 slot as usize,
                 filter,
                 (req != CNIL).then_some(req as usize),
+                pair,
             ),
-            COp::Recv { from, slot, tag, req } => {
-                self.do_recv(l, from as usize, tag, slot as usize, (req != CNIL).then_some(req as usize))
+            COp::Recv { from, slot, req, pair, .. } => {
+                self.do_recv(l, from as usize, slot as usize, (req != CNIL).then_some(req as usize), pair)
             }
             COp::WaitAll { .. } => {
                 if self.enter_waitall(l) {
@@ -949,11 +783,11 @@ impl<'a> Part<'a> {
         &mut self,
         l: usize,
         to: usize,
-        tag: Tag,
         bytes: u64,
         slot: Slot,
         filter: u32,
         req: Option<ReqId>,
+        pair: u32,
     ) -> bool {
         if to >= self.platform.ranks {
             self.fail(format!("rank {l} sends to non-existent rank {to}"));
@@ -961,6 +795,12 @@ impl<'a> Part<'a> {
         }
         if to == l {
             self.fail(format!("rank {l} sends to itself (use CopySlot)"));
+            return false;
+        }
+        let eager = self.platform.is_eager(bytes);
+        if eager && pair == CNIL {
+            // Nothing would ever consume the buffered message.
+            self.fail(format!("rank {l} sends {bytes} B eagerly to rank {to}, but no receive matches it"));
             return false;
         }
         if let Some(r) = req {
@@ -985,7 +825,6 @@ impl<'a> Part<'a> {
             NoiseModel::None => 1.0,
             m => m.wire_factor(&mut self.rngs[l]),
         };
-        let eager = self.platform.is_eager(bytes);
         let payload = self.cfg.track_data.then(|| match self.job.filter(filter) {
             BlockFilter::All => self.slots[l][slot].clone(),
             f => self.slots[l][slot].filtered(|c| f.matches(c)),
@@ -1005,11 +844,11 @@ impl<'a> Part<'a> {
                 None => SenderWake::Blocked,
             }
         };
-        let id = self.alloc_msg(Msg {
+        let (id, waiting) = self.post_send(pair, Msg {
             uid,
             src: l as u32,
             dst: to as u32,
-            tag,
+            op: self.ranks[l].op_i,
             bytes,
             protocol: if eager { Protocol::Eager } else { Protocol::Rendezvous },
             ready: ts,
@@ -1019,7 +858,6 @@ impl<'a> Part<'a> {
             sender_wake,
             payload,
         });
-        let key = chan_key(l as u32, to as u32, tag);
 
         if eager {
             // Sender resumes immediately; data is injected in the background.
@@ -1027,7 +865,7 @@ impl<'a> Part<'a> {
             if let Some(r) = req {
                 *self.req(l, r) = ReqState::Done(ts);
             }
-            if let Some(info) = self.chans.send_arrives(key, id as u32) {
+            if let Some(info) = waiting {
                 self.attach_recv(id, info);
             }
             self.step(l);
@@ -1035,7 +873,7 @@ impl<'a> Part<'a> {
             true
         } else if req.is_some() {
             self.ranks[l].local = ts;
-            if let Some(info) = self.chans.send_arrives(key, id as u32) {
+            if let Some(info) = waiting {
                 self.attach_recv(id, info);
             }
             // Isend: continue; request completes at egress done.
@@ -1048,14 +886,44 @@ impl<'a> Part<'a> {
             // observes a parked sender and schedules the resume wake.
             self.ranks[l].local = ts;
             self.ranks[l].status = Status::BlockedSend;
-            if let Some(info) = self.chans.send_arrives(key, id as u32) {
+            if let Some(info) = waiting {
                 self.attach_recv(id, info);
             }
             false
         }
     }
 
-    fn do_recv(&mut self, l: usize, from: usize, tag: Tag, slot: Slot, req: Option<ReqId>) -> bool {
+    /// Post a send on `pair` (`CNIL`: unmatched): its message takes over the
+    /// record a receive posted first left there, if any, and that
+    /// receive is returned.
+    fn post_send(&mut self, pair: u32, m: Msg) -> (usize, Option<RecvInfo>) {
+        match self.pairs.get(pair as usize).copied().unwrap_or(NIL) {
+            NIL => {
+                let id = self.alloc_msg(m);
+                if let Some(p) = self.pairs.get_mut(pair as usize) {
+                    *p = id as u32;
+                }
+                (id, None)
+            }
+            id => (id as usize, std::mem::replace(&mut self.msgs[id as usize], m).recv),
+        }
+    }
+
+    /// Post a receive on `pair`: the message its send already posted, or
+    /// `None` after leaving `info` for the send (an unmatched receive waits
+    /// forever).
+    fn post_recv(&mut self, pair: u32, info: RecvInfo) -> Option<usize> {
+        match *self.pairs.get(pair as usize)? {
+            NIL => {
+                let id = self.alloc_msg(Msg { recv: Some(info), ..Msg::default() });
+                self.pairs[pair as usize] = id as u32;
+                None
+            }
+            id => Some(id as usize),
+        }
+    }
+
+    fn do_recv(&mut self, l: usize, from: usize, slot: Slot, req: Option<ReqId>, pair: u32) -> bool {
         if from >= self.platform.ranks {
             self.fail(format!("rank {l} receives from non-existent rank {from}"));
             return false;
@@ -1096,8 +964,7 @@ impl<'a> Part<'a> {
             // schedules its resume — which must not be clobbered afterwards.
             self.ranks[l].status = Status::BlockedRecv;
         }
-        if let Some(mid) = self.chans.recv_arrives(chan_key(from as u32, l as u32, tag), info) {
-            let mid = mid as usize;
+        if let Some(mid) = self.post_recv(pair, info) {
             // Eager message already delivered: complete inline.
             if let MsgState::DeliveredUnmatched(t_d) = self.msgs[mid].state {
                 let o_r = self.platform.recv_overhead;
@@ -1211,7 +1078,7 @@ impl<'a> Part<'a> {
             // Shared memory: latency + copy, no NIC. The delivery time is
             // fully determined here; with noise off no RNG draw order can
             // change, so deliver inline instead of scheduling a third event
-            // per message (channel FIFO and all computed times are
+            // per message (the pairing and all computed times are
             // identical — see the module docs on event elision).
             let t_arr = start + link.latency + wire;
             if self.cfg.noise.is_none() && self.inline_depth < INLINE_DEPTH_MAX {
@@ -1313,10 +1180,11 @@ impl<'a> Part<'a> {
     fn finish_recv(&mut self, id: usize, l: usize, slot: Slot, done: SimTime, req: Option<ReqId>) {
         if self.cfg.record_messages {
             let m = &self.msgs[id];
+            let COp::Send { tag, .. } = self.job.ops[m.op as usize] else { unreachable!("a message's op is a send") };
             self.msg_events.push(MsgEvent {
                 src: m.src as usize,
                 dst: m.dst as usize,
-                tag: m.tag,
+                tag,
                 bytes: m.bytes,
                 sent: m.ready,
                 delivered: done,

@@ -11,7 +11,7 @@
 //! them; a job stores its schedule only in that form. [`Job::program`]
 //! decodes one rank back into this view.
 
-pub use crate::compiled::Job;
+pub use crate::compiled::{Channel, Job};
 use crate::data::{BlockFilter, SlotInit};
 use crate::time::SimTime;
 
@@ -24,14 +24,17 @@ pub type ReqId = usize;
 /// Message tag.
 ///
 /// **Invariant (enforced by `pap-lint`):** within one ordered `(src, dst)`
-/// rank pair, a tag names a FIFO channel; the engine matches the k-th send on
-/// a `(src, dst, tag)` channel with the k-th posted receive, in posting
-/// order. A schedule must therefore not keep two messages outstanding on the
-/// same channel unless (a) the FIFO pairing is intended *and* (b) both
-/// messages carry the same byte count — on a transport without total
-/// per-channel ordering the pairing would otherwise be ambiguous. The
-/// `pap-lint` crate reports violations as `TagConflict` (a warning when all
-/// sizes on the channel agree, an error when they differ).
+/// rank pair, a tag names a FIFO channel: the k-th send on a
+/// `(src, dst, tag)` channel matches the k-th receive posted on it. Posting
+/// order is program order, so the matching is static; [`Job::new`] pairs
+/// every message once, and the engine and `pap-lint` both read that
+/// pairing ([`Job::channels`]). A schedule must therefore not keep two
+/// messages outstanding on the same channel unless (a) the FIFO pairing is
+/// intended *and* (b) both messages carry the same byte count — on a
+/// transport without total per-channel ordering the pairing would otherwise
+/// be ambiguous. The `pap-lint` crate reports violations as `TagConflict`
+/// (a warning when all sizes on the channel agree, an error when they
+/// differ).
 pub type Tag = u64;
 
 /// Direction of a point-to-point communication op (see [`Op::comm_meta`]).

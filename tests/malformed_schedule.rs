@@ -49,6 +49,17 @@ fn tampered_collective_deadlocks_not_corrupts() {
     );
 }
 
+/// An eager send that no receive matches fails the run when it is posted,
+/// the way a self-send does, instead of completing with the message lost.
+#[test]
+fn unmatched_eager_send_is_invalid() {
+    let programs = vec![RankProgram::from_ops(vec![Op::send(1, 7, 64, 0)]), RankProgram::new()];
+    match run(&Platform::simcluster(2), Job::new(programs), &SimConfig::default()) {
+        Err(SimError::InvalidProgram(why)) => assert!(why.contains("no receive matches"), "{why}"),
+        other => panic!("expected an invalid program, got {other:?}"),
+    }
+}
+
 /// A corrupted schedule that *completes* with wrong data is caught by
 /// verification (here: a reduce contribution counted twice).
 #[test]
