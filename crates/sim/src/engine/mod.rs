@@ -78,8 +78,9 @@ pub enum SimError {
         /// `(rank, description of the op it is blocked on)`.
         blocked: Vec<(usize, String)>,
     },
-    /// The job referenced invalid ranks/slots, misused requests or posted an
-    /// eager send that no receive matches.
+    /// The job referenced invalid ranks/slots, misused requests, posted an
+    /// eager send that no receive matches, or finished with a request
+    /// nobody waited on or a message nobody completed.
     InvalidProgram(String),
 }
 
@@ -300,6 +301,9 @@ fn assemble(part: Part, cfg: &SimConfig) -> Result<RunOutcome, SimError> {
     let blocked = part.blocked();
     if !blocked.is_empty() {
         return Err(SimError::Deadlock { at: part.last_t, blocked });
+    }
+    if let Some(why) = part.orphan() {
+        return Err(SimError::InvalidProgram(why));
     }
 
     // Canonical orders: phases by rank (stable — within a rank they are

@@ -21,7 +21,7 @@ use rand_chacha::ChaCha8Rng;
 
 use super::queue::{EventQueue, QEvent};
 use super::{MsgEvent, PhaseRecord, SimError};
-use crate::compiled::{COp, CNIL};
+use crate::compiled::{COp, MsgDesc, CNIL};
 use crate::data::{BlockFilter, Value};
 use crate::noise::NoiseModel;
 use crate::platform::Platform;
@@ -83,7 +83,9 @@ struct Msg {
     uid: u64,
     src: u32,
     dst: u32,
-    /// The send's index in the job's op arena (its tag, for the record).
+    /// The index in the job's op arena of the op that posted the record:
+    /// the send (its tag, for the record), or a receive posted first (for
+    /// [`Part::orphan`]).
     op: u32,
     bytes: u64,
     protocol: Protocol,
@@ -441,6 +443,45 @@ impl<'a> Part<'a> {
             .collect()
     }
 
+    /// Why a run that ended with every rank finished still lost work: a
+    /// request nobody waited on (an orphan `Isend` or `Irecv`) or a message
+    /// record left live, naming the op that started it. Crashes drop
+    /// messages and strand requests by design, so a run with crashes in
+    /// its fault spec is not checked.
+    pub(super) fn orphan(&self) -> Option<String> {
+        if self.has_crashes {
+            return None;
+        }
+        let job = self.job;
+        for l in 0..self.ranks.len() {
+            let base = self.req_base[l] as usize;
+            for r in 0..job.req_counts[l] {
+                if self.reqs[base + r as usize] == ReqState::Free {
+                    continue;
+                }
+                let (started, _) = job
+                    .ops_of(l)
+                    .filter(|(_, op)| matches!(op, COp::Send { req, .. } | COp::Recv { req, .. } if *req == r))
+                    .last()
+                    .expect("a request in use was started by an Isend or Irecv");
+                return Some(format!("{}: request {r} is never waited on", self.op_name(started)));
+            }
+        }
+        if self.live_msgs == 0 {
+            return None;
+        }
+        let m = self.msgs.iter().find(|m| m.state != MsgState::Done).expect("a live record is not done");
+        Some(format!("{}: its message is never completed", self.op_name(m.op)))
+    }
+
+    /// `rank l op k (Op)` for the op at arena index `i` (`k` counts from
+    /// the rank's first op, across segments).
+    fn op_name(&self, i: u32) -> String {
+        let job = self.job;
+        let l = job.rank_ops.partition_point(|&start| start <= i) - 1;
+        format!("rank {l} op {} ({:?})", i - job.rank_ops[l], job.decode(&job.ops[i as usize]))
+    }
+
     /// Allocated arena slots: message records plus per-pair match slots.
     pub(super) fn arena_slots(&self) -> usize {
         self.msgs.len() + self.pairs.len()
@@ -668,15 +709,9 @@ impl<'a> Part<'a> {
                 self.step(l);
                 true
             }
-            COp::Send { to, slot, bytes, filter, req, pair, .. } => self.do_send(
-                l,
-                to as usize,
-                bytes,
-                slot as usize,
-                filter,
-                (req != CNIL).then_some(req as usize),
-                pair,
-            ),
+            COp::Send { to, slot, desc, req, pair } => {
+                self.do_send(l, to as usize, slot as usize, desc, (req != CNIL).then_some(req as usize), pair)
+            }
             COp::Recv { from, slot, req, pair, .. } => {
                 self.do_recv(l, from as usize, slot as usize, (req != CNIL).then_some(req as usize), pair)
             }
@@ -743,8 +778,8 @@ impl<'a> Part<'a> {
                 let src = slots[from as usize].clone();
                 slots[into as usize].overwrite_from(&src);
             }
-            COp::DropBlocks { slot, filter } => {
-                let f = self.job.filter(filter);
+            COp::DropBlocks { slot, desc } => {
+                let f = self.job.descs[desc as usize].filter;
                 self.slots[l][slot as usize].drop_matching(f);
             }
             COp::CopySlot { from, into } => slots[into as usize] = slots[from as usize].clone(),
@@ -778,17 +813,8 @@ impl<'a> Part<'a> {
 
     // -- sends & receives ---------------------------------------------------
 
-    #[allow(clippy::too_many_arguments)]
-    fn do_send(
-        &mut self,
-        l: usize,
-        to: usize,
-        bytes: u64,
-        slot: Slot,
-        filter: u32,
-        req: Option<ReqId>,
-        pair: u32,
-    ) -> bool {
+    fn do_send(&mut self, l: usize, to: usize, slot: Slot, desc: u32, req: Option<ReqId>, pair: u32) -> bool {
+        let MsgDesc { bytes, filter, .. } = self.job.descs[desc as usize];
         if to >= self.platform.ranks {
             self.fail(format!("rank {l} sends to non-existent rank {to}"));
             return false;
@@ -825,7 +851,7 @@ impl<'a> Part<'a> {
             NoiseModel::None => 1.0,
             m => m.wire_factor(&mut self.rngs[l]),
         };
-        let payload = self.cfg.track_data.then(|| match self.job.filter(filter) {
+        let payload = self.cfg.track_data.then(|| match filter {
             BlockFilter::All => self.slots[l][slot].clone(),
             f => self.slots[l][slot].filtered(|c| f.matches(c)),
         });
@@ -909,13 +935,13 @@ impl<'a> Part<'a> {
         }
     }
 
-    /// Post a receive on `pair`: the message its send already posted, or
-    /// `None` after leaving `info` for the send (an unmatched receive waits
-    /// forever).
-    fn post_recv(&mut self, pair: u32, info: RecvInfo) -> Option<usize> {
+    /// Post rank `l`'s current receive on `pair`: the message its send
+    /// already posted, or `None` after leaving `info` for the send (an
+    /// unmatched receive waits forever).
+    fn post_recv(&mut self, l: usize, pair: u32, info: RecvInfo) -> Option<usize> {
         match *self.pairs.get(pair as usize)? {
             NIL => {
-                let id = self.alloc_msg(Msg { recv: Some(info), ..Msg::default() });
+                let id = self.alloc_msg(Msg { op: self.ranks[l].op_i, recv: Some(info), ..Msg::default() });
                 self.pairs[pair as usize] = id as u32;
                 None
             }
@@ -964,7 +990,7 @@ impl<'a> Part<'a> {
             // schedules its resume — which must not be clobbered afterwards.
             self.ranks[l].status = Status::BlockedRecv;
         }
-        if let Some(mid) = self.post_recv(pair, info) {
+        if let Some(mid) = self.post_recv(l, pair, info) {
             // Eager message already delivered: complete inline.
             if let MsgState::DeliveredUnmatched(t_d) = self.msgs[mid].state {
                 let o_r = self.platform.recv_overhead;
@@ -1180,11 +1206,11 @@ impl<'a> Part<'a> {
     fn finish_recv(&mut self, id: usize, l: usize, slot: Slot, done: SimTime, req: Option<ReqId>) {
         if self.cfg.record_messages {
             let m = &self.msgs[id];
-            let COp::Send { tag, .. } = self.job.ops[m.op as usize] else { unreachable!("a message's op is a send") };
+            let COp::Send { desc, .. } = self.job.ops[m.op as usize] else { unreachable!("a message's op is a send") };
             self.msg_events.push(MsgEvent {
                 src: m.src as usize,
                 dst: m.dst as usize,
-                tag,
+                tag: self.job.descs[desc as usize].tag,
                 bytes: m.bytes,
                 sent: m.ready,
                 delivered: done,

@@ -60,6 +60,23 @@ fn unmatched_eager_send_is_invalid() {
     }
 }
 
+/// A run that finishes with a request nobody waited on fails naming the
+/// op that started it, instead of ending `Ok` with the work lost: a
+/// rendezvous `Isend` no receive matches, and an `Irecv` no send matches.
+#[test]
+fn unwaited_orphan_request_is_invalid() {
+    for (op, name) in [(Op::isend(1, 7, 64 * 1024, 0, 0), "Isend"), (Op::irecv(1, 7, 0, 0), "Irecv")] {
+        let programs = vec![RankProgram::from_ops(vec![op]), RankProgram::new()];
+        match run(&Platform::simcluster(2), Job::new(programs), &SimConfig::default()) {
+            Err(SimError::InvalidProgram(why)) => {
+                assert!(why.starts_with(&format!("rank 0 op 0 ({name} {{")), "{why}");
+                assert!(why.ends_with("request 0 is never waited on"), "{why}");
+            }
+            other => panic!("expected an invalid program for the orphan {name}, got {other:?}"),
+        }
+    }
+}
+
 /// A corrupted schedule that *completes* with wrong data is caught by
 /// verification (here: a reduce contribution counted twice).
 #[test]
