@@ -110,7 +110,8 @@ fn fig4_model_magnitudes_bounded() {
 /// nothing to approximate: SimCluster packs up to 32 ranks on one node, and
 /// there `pap_model::predict` must reproduce a noise-free simulator
 /// measurement to 1e-9 relative — every registered algorithm, a latency-
-/// and a bandwidth-bound size, every arrival shape. Drift between the
+/// and a bandwidth-bound size, every arrival shape, and for the schedules
+/// that read the root, roots 0, p − 1 and p / 2 as well. Drift between the
 /// schedule builders and the hand model shows up here as a number, not
 /// only as a rank flip at 64 ranks.
 #[test]
@@ -122,21 +123,25 @@ fn single_node_model_is_exact() {
         let platform = Platform::simcluster(p);
         for kind in CollectiveKind::ALL {
             for a in algorithms(kind) {
-                for bytes in [8, 1 << 20] {
-                    let spec = CollSpec::new(kind, a.id, bytes);
-                    for shape in Shape::SUITE {
-                        let pattern = generate(shape, p, SKEW, 7);
-                        let sim = measure(&platform, &spec, &pattern, &cfg).expect("simulator run");
-                        let model =
-                            pap::model::predict(&platform, &spec, &pattern).expect("model prediction");
-                        for (what, s, m) in [
-                            ("d_hat", sim.mean_last(), model.last_delay),
-                            ("d_star", sim.mean_total(), model.total_delay),
-                        ] {
-                            let rel = (m - s).abs() / s.abs().max(f64::MIN_POSITIVE);
-                            if rel > worst.0 {
-                                let at = format!("{kind} A{} p={p} {bytes} B {shape:?} {what}", a.id);
-                                worst = (rel, format!("{at}: sim {s:e} model {m:e}"));
+                let mut roots = if a.reads_root { vec![0, p - 1, p / 2] } else { vec![0] };
+                roots.dedup();
+                for &root in &roots {
+                    for bytes in [8, 1 << 20] {
+                        let spec = CollSpec::new(kind, a.id, bytes).with_root(root);
+                        for shape in Shape::SUITE {
+                            let pattern = generate(shape, p, SKEW, 7);
+                            let sim = measure(&platform, &spec, &pattern, &cfg).expect("simulator run");
+                            let model =
+                                pap::model::predict(&platform, &spec, &pattern).expect("model prediction");
+                            for (what, s, m) in [
+                                ("d_hat", sim.mean_last(), model.last_delay),
+                                ("d_star", sim.mean_total(), model.total_delay),
+                            ] {
+                                let rel = (m - s).abs() / s.abs().max(f64::MIN_POSITIVE);
+                                if rel > worst.0 {
+                                    let at = format!("{kind} A{} p={p} root {root} {bytes} B {shape:?} {what}", a.id);
+                                    worst = (rel, format!("{at}: sim {s:e} model {m:e}"));
+                                }
                             }
                         }
                     }
