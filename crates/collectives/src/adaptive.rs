@@ -24,6 +24,7 @@ use pap_sim::data::SlotInit;
 use pap_sim::Op;
 
 use crate::spec::{BuildError, Built, CollSpec};
+use crate::steps::{self, Fold};
 use crate::topo;
 
 /// Maximum size of the leaf binomial groups of the ladder.
@@ -71,8 +72,7 @@ pub fn build_arrival_aware_reduce(spec: &CollSpec, p: usize, delays: &[f64]) -> 
             let node = topo::binomial(v, len);
             for &cv in &node.children {
                 let child = group[len - 1 - cv];
-                ops_of[rank].push(Op::recv(child, tag + cv as u64, 1));
-                ops_of[rank].push(Op::ReduceLocal { from: 1, into: 0, bytes });
+                steps::recv(&mut ops_of[rank], child, tag + cv as u64, Fold::Reduce(bytes));
             }
             if let Some(pv) = node.parent {
                 let parent = group[len - 1 - pv];
@@ -84,8 +84,7 @@ pub fn build_arrival_aware_reduce(spec: &CollSpec, p: usize, delays: &[f64]) -> 
         if let Some(prev) = prev_group_root {
             let tag = spec.tag_base + 0x8000 + gi as u64;
             ops_of[prev].push(Op::send(group_root, tag, bytes, 0));
-            ops_of[group_root].push(Op::recv(prev, tag, 1));
-            ops_of[group_root].push(Op::ReduceLocal { from: 1, into: 0, bytes });
+            steps::recv(&mut ops_of[group_root], prev, tag, Fold::Reduce(bytes));
         }
         prev_group_root = Some(group_root);
     }
@@ -95,8 +94,7 @@ pub fn build_arrival_aware_reduce(spec: &CollSpec, p: usize, delays: &[f64]) -> 
     if last != spec.root {
         let tag = spec.tag_base + 0xFFFF;
         ops_of[last].push(Op::send(spec.root, tag, bytes, 0));
-        ops_of[spec.root].push(Op::recv(last, tag, 1));
-        ops_of[spec.root].push(Op::CopySlot { from: 1, into: 0 });
+        steps::recv(&mut ops_of[spec.root], last, tag, Fold::Copy);
     }
 
     Ok(Built { rank_ops: ops_of, nseg: 1 })

@@ -15,6 +15,7 @@ use pap_sim::Op;
 
 use crate::registry::CollectiveKind;
 use crate::spec::{BuildError, Built, CollSpec};
+use crate::steps::{self, Fold, Part};
 
 /// Build the allgather schedules. Dispatched from [`crate::build`].
 pub(crate) fn build(spec: &CollSpec, p: usize) -> Result<Built, BuildError> {
@@ -63,17 +64,17 @@ fn gather_then_bcast(spec: &CollSpec, p: usize) -> Built {
         tag_base: spec.tag_base + 0x40000,
         ..spec.clone()
     };
-    let bc = crate::bcast::build_propagate(&bc_spec, p);
-    let rank_ops = g
-        .rank_ops
-        .into_iter()
-        .zip(bc.rank_ops)
-        .map(|(mut a, b)| {
-            a.extend(b);
-            a
-        })
-        .collect();
-    Built { rank_ops, nseg: p as u32 }
+    steps::then(g, crate::bcast::build_propagate(&bc_spec, p))
+}
+
+/// Rank `me`'s own block: the result slot every allgather starts from.
+fn own_block(me: usize) -> Vec<Op> {
+    vec![Op::InitSlot { slot: 0, init: SlotInit::movement_block(me, me as u32) }]
+}
+
+/// `len` consecutive origins starting at `start`, on the ring of `p`.
+fn origins(start: usize, len: usize, p: usize) -> BlockFilter {
+    BlockFilter::OffsetRange { on_origin: true, base: start as u32, lo: 0, hi: len as u32, modulo: p as u32 }
 }
 
 /// ID 2: Bruck allgather — `ceil(log2 p)` rounds; in round `k` rank `i`
@@ -82,38 +83,18 @@ fn gather_then_bcast(spec: &CollSpec, p: usize) -> Built {
 /// Works for any `p`.
 fn bruck(spec: &CollSpec, p: usize) -> Built {
     let m = spec.bytes;
-    let mut rank_ops = Vec::with_capacity(p);
-    for me in 0..p {
-        let mut ops = vec![Op::InitSlot { slot: 0, init: SlotInit::movement_block(me, me as u32) }];
+    steps::per_rank(p, p, |me| {
+        let mut ops = own_block(me);
         let mut k = 0u32;
         while (1usize << k) < p {
             let d = 1usize << k;
             let send_cnt = d.min(p - d);
-            let dst = (me + p - d) % p;
-            let src = (me + d) % p;
-            let tag = spec.tag_base + k as u64;
-            ops.push(Op::isend_part(
-                dst,
-                tag,
-                send_cnt as u64 * m,
-                0,
-                BlockFilter::OffsetRange {
-                    on_origin: true,
-                    base: me as u32,
-                    lo: 0,
-                    hi: send_cnt as u32,
-                    modulo: p as u32,
-                },
-                0,
-            ));
-            ops.push(Op::irecv(src, tag, 1, 1));
-            ops.push(Op::waitall(vec![0, 1]));
-            ops.push(Op::MergeMove { from: 1, into: 0 });
+            let part = Part::of(send_cnt as u64 * m, origins(me, send_cnt, p));
+            steps::exchange(&mut ops, (me + p - d) % p, (me + d) % p, spec.tag_base + k as u64, part, 1, Fold::Merge);
             k += 1;
         }
-        rank_ops.push(ops);
-    }
-    Built { rank_ops, nseg: p as u32 }
+        ops
+    })
 }
 
 /// ID 3: recursive doubling (power-of-two `p`): in round `k`, partners at
@@ -121,51 +102,32 @@ fn bruck(spec: &CollSpec, p: usize) -> Built {
 fn recursive_doubling(spec: &CollSpec, p: usize) -> Built {
     debug_assert!(p.is_power_of_two());
     let m = spec.bytes;
-    let steps = p.trailing_zeros() as usize;
-    let mut rank_ops = Vec::with_capacity(p);
-    for me in 0..p {
-        let mut ops = vec![Op::InitSlot { slot: 0, init: SlotInit::movement_block(me, me as u32) }];
-        for k in 0..steps {
+    steps::per_rank(p, p, |me| {
+        let mut ops = own_block(me);
+        for k in 0..p.trailing_zeros() as usize {
             let d = 1usize << k;
-            let partner = me ^ d;
-            let tag = spec.tag_base + k as u64;
-            ops.push(Op::isend(partner, tag, d as u64 * m, 0, 0));
-            ops.push(Op::irecv(partner, tag, 1, 1));
-            ops.push(Op::waitall(vec![0, 1]));
-            ops.push(Op::MergeMove { from: 1, into: 0 });
+            let peer = me ^ d;
+            steps::exchange(&mut ops, peer, peer, spec.tag_base + k as u64, Part::all(d as u64 * m), 1, Fold::Merge);
         }
-        rank_ops.push(ops);
-    }
-    Built { rank_ops, nseg: p as u32 }
+        ops
+    })
 }
 
 /// ID 4: ring — `p−1` steps; step `t` forwards the block received in step
 /// `t−1` (starting with one's own) to the right neighbor.
 fn ring(spec: &CollSpec, p: usize) -> Built {
     let m = spec.bytes;
-    let mut rank_ops = Vec::with_capacity(p);
-    for me in 0..p {
+    steps::per_rank(p, p, |me| {
         let right = (me + 1) % p;
         let left = (me + p - 1) % p;
-        let mut ops = vec![Op::InitSlot { slot: 0, init: SlotInit::movement_block(me, me as u32) }];
+        let mut ops = own_block(me);
         for t in 0..p.saturating_sub(1) {
             let send_origin = (me + p - t) % p;
-            let tag = spec.tag_base + t as u64;
-            ops.push(Op::isend_part(
-                right,
-                tag,
-                m,
-                0,
-                BlockFilter::SegRange(send_origin as u32, send_origin as u32 + 1),
-                0,
-            ));
-            ops.push(Op::irecv(left, tag, 1, 1));
-            ops.push(Op::waitall(vec![0, 1]));
-            ops.push(Op::MergeMove { from: 1, into: 0 });
+            let part = Part::segs(m, send_origin, send_origin + 1);
+            steps::exchange(&mut ops, right, left, spec.tag_base + t as u64, part, 1, Fold::Merge);
         }
-        rank_ops.push(ops);
-    }
-    Built { rank_ops, nseg: p as u32 }
+        ops
+    })
 }
 
 /// ID 5: neighbor exchange (even `p`): pairs swap their own blocks, then
@@ -184,11 +146,10 @@ fn neighbor_exchange(spec: &CollSpec, p: usize) -> Built {
     // last[r] = window received in the previous step.
     let mut last: Vec<(usize, usize)> = (0..p).map(|r| (r, 1)).collect();
     // send window at step s, per rank:
-    let steps = p / 2;
-    let mut send_windows: Vec<Vec<(usize, usize)>> = vec![vec![(0, 0); p]; steps];
-    let mut partner_of: Vec<Vec<usize>> = vec![vec![0; p]; steps];
-    for s in 0..steps {
-        let mut new_last = last.clone();
+    let rounds = p / 2;
+    let mut send_windows: Vec<Vec<(usize, usize)>> = vec![vec![(0, 0); p]; rounds];
+    let mut partner_of: Vec<Vec<usize>> = vec![vec![0; p]; rounds];
+    for s in 0..rounds {
         for r in 0..p {
             let partner = if s == 0 {
                 r ^ 1
@@ -210,44 +171,21 @@ fn neighbor_exchange(spec: &CollSpec, p: usize) -> Built {
                 last[r]
             };
             send_windows[s][r] = win;
-            new_last[r] = send_windows[s][partner]; // will be fixed below
         }
         // What each rank receives is what its partner sends this step.
-        for r in 0..p {
-            let partner = partner_of[s][r];
-            new_last[r] = send_windows[s][partner];
-        }
-        last = new_last;
+        last = (0..p).map(|r| send_windows[s][partner_of[s][r]]).collect();
     }
 
-    let mut rank_ops = Vec::with_capacity(p);
-    for me in 0..p {
-        let mut ops = vec![Op::InitSlot { slot: 0, init: SlotInit::movement_block(me, me as u32) }];
-        for s in 0..steps {
-            let partner = partner_of[s][me];
+    steps::per_rank(p, p, |me| {
+        let mut ops = own_block(me);
+        for s in 0..rounds {
+            let peer = partner_of[s][me];
             let (start, len) = send_windows[s][me];
-            let tag = spec.tag_base + s as u64;
-            ops.push(Op::isend_part(
-                partner,
-                tag,
-                len as u64 * m,
-                0,
-                BlockFilter::OffsetRange {
-                    on_origin: true,
-                    base: start as u32,
-                    lo: 0,
-                    hi: len as u32,
-                    modulo: p as u32,
-                },
-                0,
-            ));
-            ops.push(Op::irecv(partner, tag, 1, 1));
-            ops.push(Op::waitall(vec![0, 1]));
-            ops.push(Op::MergeMove { from: 1, into: 0 });
+            let part = Part::of(len as u64 * m, origins(start, len, p));
+            steps::exchange(&mut ops, peer, peer, spec.tag_base + s as u64, part, 1, Fold::Merge);
         }
-        rank_ops.push(ops);
-    }
-    Built { rank_ops, nseg: p as u32 }
+        ops
+    })
 }
 
 #[cfg(test)]

@@ -4,6 +4,7 @@
 use pap_sim::{Op, SlotInit};
 
 use crate::spec::{BuildError, Built, CollSpec};
+use crate::steps::{self, Fold, Part};
 
 /// Build the barrier schedules. Dispatched from [`crate::build`].
 pub(crate) fn build(spec: &CollSpec, p: usize) -> Result<Built, BuildError> {
@@ -16,8 +17,7 @@ pub(crate) fn build(spec: &CollSpec, p: usize) -> Result<Built, BuildError> {
 /// Dissemination barrier: `ceil(log2 p)` rounds; in round `k` rank `i`
 /// signals `(i + 2^k) mod p` and waits for a signal from `(i - 2^k) mod p`.
 fn dissemination(spec: &CollSpec, p: usize) -> Built {
-    let mut rank_ops = Vec::with_capacity(p);
-    for me in 0..p {
+    steps::per_rank(p, 0, |me| {
         let mut ops = Vec::new();
         if p > 1 {
             // Signal payload: the 1-byte tokens are sent from slot 0, which
@@ -28,17 +28,11 @@ fn dissemination(spec: &CollSpec, p: usize) -> Built {
         let mut k = 0u32;
         while (1usize << k) < p {
             let d = 1usize << k;
-            let to = (me + d) % p;
-            let from = (me + p - d) % p;
-            let tag = spec.tag_base + k as u64;
-            ops.push(Op::isend(to, tag, 1, 0, 0));
-            ops.push(Op::irecv(from, tag, 1, 1));
-            ops.push(Op::waitall(vec![0, 1]));
+            steps::exchange(&mut ops, (me + d) % p, (me + p - d) % p, spec.tag_base + k as u64, Part::all(1), 1, Fold::Keep);
             k += 1;
         }
-        rank_ops.push(ops);
-    }
-    Built { rank_ops, nseg: 0 }
+        ops
+    })
 }
 
 #[cfg(test)]

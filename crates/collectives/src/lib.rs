@@ -49,6 +49,7 @@ pub(crate) mod bcast;
 pub(crate) mod reduce;
 pub mod registry;
 pub(crate) mod spec;
+pub(crate) mod steps;
 pub mod topo;
 pub(crate) mod verify;
 

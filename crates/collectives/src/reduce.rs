@@ -11,7 +11,8 @@ use pap_sim::data::{BlockFilter, SlotInit};
 use pap_sim::Op;
 
 use crate::spec::{BuildError, Built, CollSpec};
-use crate::topo::{self, TreeNode};
+use crate::steps::{self, Fold};
+use crate::topo::{self, ChunkPrefix, TreeNode};
 
 /// Build the reduce schedules. Dispatched from [`crate::build`].
 pub(crate) fn build(spec: &CollSpec, p: usize) -> Result<Built, BuildError> {
@@ -32,37 +33,26 @@ pub(crate) fn build(spec: &CollSpec, p: usize) -> Result<Built, BuildError> {
 fn tree_reduce(spec: &CollSpec, p: usize, segmented: bool, tree_of: impl Fn(usize) -> TreeNode) -> Built {
     let segs = if segmented { topo::seg_sizes(spec.bytes, spec.seg_bytes) } else { vec![spec.bytes] };
     let nseg = segs.len();
-    let mut rank_ops = Vec::with_capacity(p);
-    for me in 0..p {
-        let v = topo::vrank(me, spec.root, p);
-        let node = tree_of(v);
+    steps::per_rank(p, nseg, |me| {
+        let node = tree_of(topo::vrank(me, spec.root, p));
         let mut ops = Vec::with_capacity(2 + nseg * (node.children.len() * 2 + 1));
         ops.push(Op::InitSlot { slot: 0, init: SlotInit::reduce_input(me, 0, nseg as u32) });
         for (s, &seg_bytes) in segs.iter().enumerate() {
             let tag = spec.tag_base + s as u64;
             for &cv in &node.children {
-                let child = topo::actual(cv, spec.root, p);
-                ops.push(Op::recv(child, tag, 1));
-                ops.push(Op::ReduceLocal { from: 1, into: 0, bytes: seg_bytes });
+                steps::recv(&mut ops, topo::actual(cv, spec.root, p), tag, Fold::Reduce(seg_bytes));
             }
             if let Some(pv) = node.parent {
                 let parent = topo::actual(pv, spec.root, p);
-                ops.push(Op::isend_part(
-                    parent,
-                    tag,
-                    seg_bytes,
-                    0,
-                    BlockFilter::SegRange(s as u32, s as u32 + 1),
-                    s,
-                ));
+                let seg = BlockFilter::SegRange(s as u32, s as u32 + 1);
+                ops.push(Op::isend_part(parent, tag, seg_bytes, 0, seg, s));
             }
         }
         if node.parent.is_some() && nseg > 0 {
             ops.push(Op::waitall((0..nseg).collect()));
         }
-        rank_ops.push(ops);
-    }
-    Built { rank_ops, nseg: nseg as u32 }
+        ops
+    })
 }
 
 /// ID 6: reduction along an "in-order" binary tree over actual ranks, rooted
@@ -70,13 +60,11 @@ fn tree_reduce(spec: &CollSpec, p: usize, segmented: bool, tree_of: impl Fn(usiz
 fn in_order_binary(spec: &CollSpec, p: usize) -> Built {
     let bytes = spec.bytes;
     let forward_tag = spec.tag_base + 0x8000;
-    let mut rank_ops = Vec::with_capacity(p);
-    for me in 0..p {
+    steps::per_rank(p, 1, |me| {
         let node = topo::in_order_binary(me, p);
         let mut ops = vec![Op::InitSlot { slot: 0, init: SlotInit::reduce_input(me, 0, 1) }];
         for &child in &node.children {
-            ops.push(Op::recv(child, spec.tag_base, 1));
-            ops.push(Op::ReduceLocal { from: 1, into: 0, bytes });
+            steps::recv(&mut ops, child, spec.tag_base, Fold::Reduce(bytes));
         }
         if let Some(parent) = node.parent {
             ops.push(Op::send(parent, spec.tag_base, bytes, 0));
@@ -87,13 +75,11 @@ fn in_order_binary(spec: &CollSpec, p: usize) -> Built {
             if me == p - 1 {
                 ops.push(Op::send(spec.root, forward_tag, bytes, 0));
             } else if me == spec.root {
-                ops.push(Op::recv(p - 1, forward_tag, 1));
-                ops.push(Op::CopySlot { from: 1, into: 0 });
+                steps::recv(&mut ops, p - 1, forward_tag, Fold::Copy);
             }
         }
-        rank_ops.push(ops);
-    }
-    Built { rank_ops, nseg: 1 }
+        ops
+    })
 }
 
 /// ID 7: Rabenseifner — recursive-halving reduce-scatter followed by a
@@ -101,86 +87,33 @@ fn in_order_binary(spec: &CollSpec, p: usize) -> Built {
 /// excess ranks into partners first.
 fn rabenseifner(spec: &CollSpec, p: usize) -> Built {
     let p2 = topo::pow2_floor(p);
-    let r = p - p2;
-    let steps = p2.trailing_zeros() as usize;
-    let chunks = topo::split_chunks(spec.bytes, p2);
-    // Prefix sums for O(1) range-byte queries.
-    let mut prefix = vec![0u64; p2 + 1];
-    for (i, &c) in chunks.iter().enumerate() {
-        prefix[i + 1] = prefix[i] + c;
-    }
-    let range_bytes = |lo: usize, hi: usize| prefix[hi] - prefix[lo];
-
-    let mut rank_ops = Vec::with_capacity(p);
-    for me in 0..p {
+    let rounds = p2.trailing_zeros() as usize;
+    let ch = ChunkPrefix::new(spec.bytes, p2);
+    steps::per_rank(p, p2, |me| {
         let v = topo::vrank(me, spec.root, p);
         let act = |w: usize| topo::actual(w, spec.root, p);
         let mut ops = vec![Op::InitSlot { slot: 0, init: SlotInit::reduce_input(me, 0, p2 as u32) }];
-
-        if v >= p2 {
-            // Excess rank: contribute the whole vector to the partner, done.
-            ops.push(Op::send(act(v - p2), spec.tag_base, spec.bytes, 0));
-            rank_ops.push(ops);
-            continue;
-        }
-        if v < r {
-            ops.push(Op::recv(act(v + p2), spec.tag_base, 1));
-            ops.push(Op::ReduceLocal { from: 1, into: 0, bytes: spec.bytes });
-        }
-
-        // Recursive halving: after step t, this rank holds the partial
-        // reduction of chunk interval [lo, hi).
-        let (mut lo, mut hi) = (0usize, p2);
-        for t in 0..steps {
-            let d = p2 >> (t + 1);
-            let partner = v ^ d;
-            debug_assert_eq!(hi - lo, 2 * d);
-            let mid = lo + d;
-            let (keep, send) = if v & d == 0 { ((lo, mid), (mid, hi)) } else { ((mid, hi), (lo, mid)) };
-            let tag = spec.tag_base + 1 + t as u64;
-            ops.push(Op::isend_part(
-                act(partner),
-                tag,
-                range_bytes(send.0, send.1),
-                0,
-                BlockFilter::SegRange(send.0 as u32, send.1 as u32),
-                0,
-            ));
-            ops.push(Op::irecv(act(partner), tag, 1, 1));
-            ops.push(Op::waitall(vec![0, 1]));
-            ops.push(Op::ReduceLocal { from: 1, into: 0, bytes: range_bytes(keep.0, keep.1) });
-            lo = keep.0;
-            hi = keep.1;
-        }
-        // After halving, each active vrank owns exactly its own chunk.
-        debug_assert!(steps == 0 || (lo == v && hi == v + 1));
-
-        // Binomial gather of the fully reduced chunks to vrank 0.
-        for t in 0..steps {
-            let d = 1 << t;
-            let tag = spec.tag_base + 1 + (steps + t) as u64;
-            if v & d != 0 {
-                ops.push(Op::send_part(
-                    act(v - d),
-                    tag,
-                    range_bytes(lo, hi),
-                    0,
-                    BlockFilter::SegRange(lo as u32, hi as u32),
-                ));
-                break;
-            } else {
-                let donor = v + d;
-                ops.push(Op::recv(act(donor), tag, 1));
+        steps::fold(&mut ops, spec, v, p, act, false, |ops| {
+            steps::halving(ops, v, &ch, spec.tag_base + 1, act);
+            // Binomial gather of the fully reduced chunks to vrank 0: vrank
+            // v owns chunks [v, hi), and each donor doubles the interval.
+            let mut hi = v + 1;
+            for t in 0..rounds {
+                let d = 1 << t;
+                let tag = spec.tag_base + 1 + (rounds + t) as u64;
+                if v & d != 0 {
+                    let seg = BlockFilter::SegRange(v as u32, hi as u32);
+                    ops.push(Op::send_part(act(v - d), tag, ch.range(v, hi), 0, seg));
+                    break;
+                }
                 // The incoming chunks are complete; they replace whatever
                 // stale partials remained in the accumulator.
-                ops.push(Op::OverwriteMove { from: 1, into: 0 });
-                // Donor owned [v+d, v+2d); our interval doubles.
-                hi = lo + 2 * d;
+                steps::recv(ops, act(v + d), tag, Fold::Overwrite);
+                hi = v + 2 * d;
             }
-        }
-        rank_ops.push(ops);
-    }
-    Built { rank_ops, nseg: p2 as u32 }
+        });
+        ops
+    })
 }
 
 #[cfg(test)]

@@ -10,8 +10,8 @@
 use pap_sim::data::{BlockFilter, SlotInit};
 use pap_sim::Op;
 
-use crate::gather::subtree_size;
 use crate::spec::{BuildError, Built, CollSpec};
+use crate::steps;
 use crate::topo;
 
 /// Build the scatter schedules. Dispatched from [`crate::build`].
@@ -26,31 +26,20 @@ pub(crate) fn build(spec: &CollSpec, p: usize) -> Result<Built, BuildError> {
 /// ID 1: the root sends each rank its block directly.
 fn linear(spec: &CollSpec, p: usize) -> Built {
     let m = spec.bytes;
-    let mut rank_ops = Vec::with_capacity(p);
-    for me in 0..p {
+    steps::per_rank(p, p, |me| {
         let mut ops = Vec::new();
         if me == spec.root {
             ops.push(Op::InitSlot { slot: 1, init: SlotInit::movement_blocks(spec.root, 0, p as u32) });
             // Own block.
             ops.push(Op::InitSlot { slot: 0, init: SlotInit::movement_block(spec.root, spec.root as u32) });
-            for i in 0..p {
-                if i == spec.root {
-                    continue;
-                }
-                ops.push(Op::send_part(
-                    i,
-                    spec.tag_base,
-                    m,
-                    1,
-                    BlockFilter::SegRange(i as u32, i as u32 + 1),
-                ));
+            for i in (0..p).filter(|&i| i != spec.root) {
+                ops.push(Op::send_part(i, spec.tag_base, m, 1, BlockFilter::SegRange(i as u32, i as u32 + 1)));
             }
         } else {
             ops.push(Op::recv(spec.root, spec.tag_base, 0));
         }
-        rank_ops.push(ops);
-    }
-    Built { rank_ops, nseg: p as u32 }
+        ops
+    })
 }
 
 /// ID 2: binomial-tree scatter — each internal node receives its subtree's
@@ -58,8 +47,7 @@ fn linear(spec: &CollSpec, p: usize) -> Built {
 /// edge).
 fn binomial(spec: &CollSpec, p: usize) -> Built {
     let m = spec.bytes;
-    let mut rank_ops = Vec::with_capacity(p);
-    for me in 0..p {
+    steps::per_rank(p, p, |me| {
         let v = topo::vrank(me, spec.root, p);
         let node = topo::binomial(v, p);
         let mut ops = Vec::new();
@@ -74,40 +62,20 @@ fn binomial(spec: &CollSpec, p: usize) -> Built {
         // Open MPI does, so deep subtrees start early).
         for &cv in node.children.iter().rev() {
             let child = topo::actual(cv, spec.root, p);
-            let size = subtree_size(cv, p);
+            let size = topo::subtree_size(cv, p);
             // Window [cv, cv+size) in vrank space = offsets relative to the
             // root in actual-rank space.
-            ops.push(Op::send_part(
-                child,
-                spec.tag_base + cv as u64,
-                size as u64 * m,
-                1,
-                BlockFilter::OffsetRange {
-                    on_origin: false,
-                    base: topo::actual(cv, spec.root, p) as u32,
-                    lo: 0,
-                    hi: size as u32,
-                    modulo: p as u32,
-                },
-            ));
+            let window = BlockFilter::OffsetRange { on_origin: false, base: child as u32, lo: 0, hi: size as u32, modulo: p as u32 };
+            ops.push(Op::send_part(child, spec.tag_base + cv as u64, size as u64 * m, 1, window));
         }
         // Keep only my own block in the result slot.
         ops.push(Op::MergeMove { from: 1, into: 0 });
         if p > 1 {
-            ops.push(Op::DropBlocks {
-                slot: 0,
-                filter: BlockFilter::OffsetRange {
-                    on_origin: false,
-                    base: me as u32,
-                    lo: 1,
-                    hi: p as u32,
-                    modulo: p as u32,
-                },
-            });
+            let others = BlockFilter::OffsetRange { on_origin: false, base: me as u32, lo: 1, hi: p as u32, modulo: p as u32 };
+            ops.push(Op::DropBlocks { slot: 0, filter: others });
         }
-        rank_ops.push(ops);
-    }
-    Built { rank_ops, nseg: p as u32 }
+        ops
+    })
 }
 
 #[cfg(test)]
