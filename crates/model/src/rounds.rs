@@ -12,7 +12,7 @@
 
 use std::cell::RefCell;
 
-use pap_collectives::topo;
+use pap_collectives::topo::{self, ChunkPrefix};
 use pap_sim::Platform;
 
 use crate::net::{MsgOut, Net};
@@ -112,11 +112,7 @@ pub(crate) fn allreduce_recdbl(
     let mut locals = starts.to_vec();
     let p2 = topo::pow2_floor(p);
     let r = p - p2;
-    let gamma = pf.reduce_cost_per_byte;
-    for me in 0..r {
-        blocking_pair(pf, net, me + p2, me, bytes, &mut locals);
-        locals[me] += bytes as f64 * gamma;
-    }
+    fold_in(pf, net, bytes, p2, |v| v, &mut locals);
     let active: Vec<usize> = (0..p2).collect();
     let b = vec![bytes; p2];
     let mut partner = Vec::with_capacity(p2);
@@ -174,70 +170,46 @@ pub(crate) fn allreduce_ring(
     locals
 }
 
-/// Chunk-interval bookkeeping shared by the two Rabenseifner variants:
-/// prefix sums over `split_chunks(bytes, p2)`.
-struct Chunks {
-    prefix: Vec<u64>,
-}
-
-impl Chunks {
-    fn new(bytes: u64, p2: usize) -> Self {
-        let chunks = topo::split_chunks(bytes, p2);
-        let mut prefix = vec![0u64; p2 + 1];
-        for (i, &c) in chunks.iter().enumerate() {
-            prefix[i + 1] = prefix[i] + c;
-        }
-        Chunks { prefix }
-    }
-
-    fn range(&self, lo: usize, hi: usize) -> u64 {
-        self.prefix[hi] - self.prefix[lo]
-    }
-}
-
 /// Recursive-halving reduce-scatter over vranks `0..p2` (the shared first
-/// half of both Rabenseifner variants). `act` maps virtual to actual ranks,
-/// precomputed as a table: the per-step loops look it up per vrank, and a
-/// rotation with its modulo behind a dynamic call would dominate them.
-/// Returns the per-vrank `[lo, hi)` interval (always `[v, v+1)` after all
-/// steps, tracked explicitly for the doubling phase).
-fn halving_rounds(
-    pf: &Platform,
-    net: &mut Net,
-    p2: usize,
-    ch: &Chunks,
-    act: &[usize],
-    locals: &mut [f64],
-) -> Vec<(usize, usize)> {
-    let steps = p2.trailing_zeros() as usize;
-    let active: Vec<usize> = act.to_vec();
+/// half of both Rabenseifner variants), with the builders' keep/send split
+/// ([`topo::halve`]). `act` maps virtual to actual ranks, precomputed as a
+/// table: the per-step loops look it up per vrank, and a rotation with its
+/// modulo behind a dynamic call would dominate them. Afterwards vrank `v`
+/// holds chunk interval `[v, v + 1)`.
+fn halving_rounds(pf: &Platform, net: &mut Net, ch: &ChunkPrefix, act: &[usize], locals: &mut [f64]) {
+    let p2 = ch.count();
     let mut pos = vec![usize::MAX; locals.len()];
-    for (i, &r) in active.iter().enumerate() {
+    for (i, &r) in act.iter().enumerate() {
         pos[r] = i;
     }
-    let mut iv = vec![(0usize, p2); p2];
-    let mut next = Vec::with_capacity(p2);
+    let mut lo = vec![0usize; p2];
     let mut to = Vec::with_capacity(p2);
     let mut sb = Vec::with_capacity(p2);
     let mut rb = Vec::with_capacity(p2);
-    for t in 0..steps {
+    for t in 0..p2.trailing_zeros() {
         let d = p2 >> (t + 1);
         to.clear();
         sb.clear();
         rb.clear();
-        next.clear();
-        for (v, &(lo, hi)) in iv.iter().enumerate() {
-            let mid = lo + d;
-            let (keep, send) = if v & d == 0 { ((lo, mid), (mid, hi)) } else { ((mid, hi), (lo, mid)) };
+        for (v, lo) in lo.iter_mut().enumerate() {
+            let (keep, send) = topo::halve(v, d, *lo);
             to.push(act[v ^ d]);
             sb.push(ch.range(send.0, send.1));
             rb.push(ch.range(keep.0, keep.1));
-            next.push(keep);
+            *lo = keep.0;
         }
-        exchange_round(pf, net, &active, &pos, &to, &to, &sb, &rb, locals);
-        std::mem::swap(&mut iv, &mut next);
+        exchange_round(pf, net, act, &pos, &to, &to, &sb, &rb, locals);
     }
-    iv
+}
+
+/// Fold-in of the excess vranks `p2..p` (`act` maps vranks to ranks): each
+/// blocking-sends its input to vrank `v − p2`, which reduces it in.
+fn fold_in(pf: &Platform, net: &mut Net, bytes: u64, p2: usize, act: impl Fn(usize) -> usize, locals: &mut [f64]) {
+    for v in p2..locals.len() {
+        let dst = act(v - p2);
+        blocking_pair(pf, net, act(v), dst, bytes, locals);
+        locals[dst] += bytes as f64 * pf.reduce_cost_per_byte;
+    }
 }
 
 /// Allreduce ID 6: Rabenseifner — fold, recursive-halving reduce-scatter,
@@ -252,16 +224,12 @@ pub(crate) fn allreduce_rabenseifner(
     let mut locals = starts.to_vec();
     let p2 = topo::pow2_floor(p);
     let r = p - p2;
-    let gamma = pf.reduce_cost_per_byte;
-    for me in 0..r {
-        blocking_pair(pf, net, me + p2, me, bytes, &mut locals);
-        locals[me] += bytes as f64 * gamma;
-    }
-    let ch = Chunks::new(bytes, p2);
-    let id: Vec<usize> = (0..p2).collect();
-    let mut iv = halving_rounds(pf, net, p2, &ch, &id, &mut locals);
-    let steps = p2.trailing_zeros() as usize;
+    fold_in(pf, net, bytes, p2, |v| v, &mut locals);
+    let ch = ChunkPrefix::new(bytes, p2);
     let active: Vec<usize> = (0..p2).collect();
+    halving_rounds(pf, net, &ch, &active, &mut locals);
+    let mut iv: Vec<(usize, usize)> = (0..p2).map(|v| (v, v + 1)).collect();
+    let steps = p2.trailing_zeros() as usize;
     let zero = vec![0u64; p2];
     let mut to = Vec::with_capacity(p2);
     let mut sb = Vec::with_capacity(p2);
@@ -295,19 +263,14 @@ pub(crate) fn reduce_rabenseifner(
     let p = starts.len();
     let mut locals = starts.to_vec();
     let p2 = topo::pow2_floor(p);
-    let gamma = pf.reduce_cost_per_byte;
+    fold_in(pf, net, bytes, p2, |v| topo::actual(v, root, p), &mut locals);
     let act: Vec<usize> = (0..p2).map(|v| topo::actual(v, root, p)).collect();
-    for v in p2..p {
-        let folded = topo::actual(v, root, p);
-        blocking_pair(pf, net, folded, act[v - p2], bytes, &mut locals);
-        locals[act[v - p2]] += bytes as f64 * gamma;
-    }
-    let ch = Chunks::new(bytes, p2);
-    let iv = halving_rounds(pf, net, p2, &ch, &act, &mut locals);
+    let ch = ChunkPrefix::new(bytes, p2);
+    halving_rounds(pf, net, &ch, &act, &mut locals);
     let steps = p2.trailing_zeros() as usize;
     // Binomial gather: in step t, vranks with bit t set blocking-send their
     // interval to v − 2^t and are done; receivers double their interval.
-    let mut hi_of: Vec<usize> = iv.iter().map(|&(_, hi)| hi).collect();
+    let mut hi_of: Vec<usize> = (1..=p2).collect();
     let mut done = vec![false; p2];
     for t in 0..steps {
         let d = 1usize << t;

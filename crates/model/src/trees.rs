@@ -9,8 +9,11 @@
 //! the end of its schedule are folded into a running per-rank maximum in
 //! `pending` and joined with the exit time by [`RankEnds::finish`]. Tree
 //! topologies and replay orders come pre-built from [`crate::plan`]; the
-//! per-eval state here is a handful of flat buffers.
+//! vrank rotation and binomial subtree sizes are the builders' own
+//! [`pap_collectives::topo`] helpers. The per-eval state here is a handful
+//! of flat buffers.
 
+use pap_collectives::topo::{self, actual};
 use pap_sim::Platform;
 
 use crate::net::Net;
@@ -159,28 +162,6 @@ pub(crate) fn in_order_reduce(
     exits
 }
 
-/// Virtual-to-actual rank rotation (mirrors `topo::actual`, local so the
-/// per-message hot loop stays branch-cheap).
-#[inline(always)]
-fn actual(v: usize, root: usize, p: usize) -> usize {
-    let a = v + root;
-    if a >= p {
-        a - p
-    } else {
-        a
-    }
-}
-
-/// Size of the binomial subtree rooted at virtual rank `v` (mirrors the
-/// builder's `subtree_size` in `pap-collectives`).
-fn subtree_size(v: usize, p: usize) -> u64 {
-    if v == 0 {
-        p as u64
-    } else {
-        (1u64 << v.trailing_zeros()).min((p - v) as u64)
-    }
-}
-
 /// Gather ID 1: every non-root rank blocking-sends its block to the root,
 /// which receives them blocking in rank order.
 pub(crate) fn linear_gather(
@@ -225,7 +206,7 @@ pub(crate) fn binomial_gather(
         for &cv in node.children.iter().rev() {
             let c = actual(cv, root, p);
             t += pf.recv_overhead;
-            let out = net.msg(c, r, subtree_size(cv, p) * m, pres[cv], t);
+            let out = net.msg(c, r, topo::subtree_size(cv, p) as u64 * m, pres[cv], t);
             ends.pending[c] = ends.pending[c].max(out.send_done);
             t = out.recv_done;
         }
@@ -285,7 +266,7 @@ pub(crate) fn binomial_scatter(
         for &cv in node.children.iter().rev() {
             let c = actual(cv, root, p);
             let tr = starts[c] + pf.recv_overhead;
-            let out = net.msg(r, c, subtree_size(cv, p) * m, t, tr);
+            let out = net.msg(r, c, topo::subtree_size(cv, p) as u64 * m, t, tr);
             t = out.send_done;
             begin[c] = out.recv_done;
         }
