@@ -194,8 +194,7 @@ fn dispatch(
             3 => rounds::allreduce_recdbl(pf, net, spec.bytes, starts),
             4 => rounds::allreduce_ring(pf, net, spec.bytes, 1, starts),
             5 => {
-                let chunk = (spec.bytes / p as u64).max(1);
-                let phases = chunk.div_ceil(spec.seg_bytes).max(1) as usize;
+                let phases = topo::ring_phases(spec.bytes, p, spec.seg_bytes);
                 rounds::allreduce_ring(pf, net, spec.bytes, phases, starts)
             }
             6 => rounds::allreduce_rabenseifner(pf, net, spec.bytes, starts),
