@@ -15,21 +15,12 @@ use std::fmt::Write;
 use pap::collectives::registry::ALGORITHMS;
 use pap::collectives::{build, CollSpec, DEFAULT_SEG_BYTES};
 
+mod pin;
+use pin::Fnv;
+
 const RANKS: [usize; 12] = [1, 2, 3, 4, 5, 7, 8, 12, 13, 16, 32, 64];
 const BYTES: [u64; 5] = [0, 1, 8, 16_385, 100_000];
 const SEG_BYTES: [u64; 2] = [DEFAULT_SEG_BYTES, 1000];
-
-/// 64-bit FNV-1a over everything written to it.
-struct Fnv(u64);
-
-impl Write for Fnv {
-    fn write_str(&mut self, s: &str) -> std::fmt::Result {
-        for b in s.bytes() {
-            self.0 = (self.0 ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
-        }
-        Ok(())
-    }
-}
 
 /// `(entry name, digest)` for the whole grid, in registry order.
 fn digests() -> Vec<(String, String)> {
@@ -39,7 +30,7 @@ fn digests() -> Vec<(String, String)> {
             let mut roots = if a.reads_root { vec![0, 1, p - 1] } else { vec![0] };
             roots.retain(|&r| r < p);
             roots.dedup();
-            let mut h = Fnv(0xcbf2_9ce4_8422_2325);
+            let mut h = Fnv::default();
             for bytes in BYTES {
                 for seg in SEG_BYTES {
                     for &root in &roots {
@@ -73,12 +64,7 @@ fn every_registry_schedule_is_pinned_op_for_op() {
         writeln!(s, "  \"ranks\": {RANKS:?},").unwrap();
         writeln!(s, "  \"bytes\": {BYTES:?},").unwrap();
         writeln!(s, "  \"seg_bytes\": {SEG_BYTES:?},").unwrap();
-        s.push_str("  \"digests\": [\n");
-        for (i, (name, digest)) in current.iter().enumerate() {
-            let comma = if i + 1 < current.len() { "," } else { "" };
-            writeln!(s, "    [{name:?}, {digest:?}]{comma}").unwrap();
-        }
-        s.push_str("  ]\n}\n");
+        pin::write_digests(&mut s, &current);
         std::fs::write(path, s).unwrap();
         return;
     }
@@ -92,19 +78,7 @@ fn every_registry_schedule_is_pinned_op_for_op() {
         (RANKS.to_vec(), BYTES.to_vec(), SEG_BYTES.to_vec()),
         "the fixture was recorded on another grid"
     );
-    let was = |name: &str| stored.digests.iter().find(|(n, _)| n == name).map(|(_, d)| d.as_str());
-    let mut moved: Vec<String> = current
-        .iter()
-        .filter(|(name, digest)| was(name) != Some(digest.as_str()))
-        .map(|(name, digest)| format!("{name}: {} -> {digest}", was(name).unwrap_or("absent")))
-        .collect();
-    moved.extend(
-        stored
-            .digests
-            .iter()
-            .filter(|(name, _)| !current.iter().any(|(n, _)| n == name))
-            .map(|(name, _)| format!("{name}: no longer in the registry")),
-    );
+    let moved = pin::moved(&current, &stored.digests);
     assert!(
         moved.is_empty(),
         "{} schedule(s) moved; if the change is intentional, regenerate with \
