@@ -25,7 +25,7 @@ use pap_sim::Op;
 
 use crate::spec::{BuildError, Built, CollSpec};
 use crate::steps::{self, Fold};
-use crate::topo;
+use crate::topo::Tree;
 
 /// Maximum size of the leaf binomial groups of the ladder.
 const GROUP: usize = 8;
@@ -69,7 +69,7 @@ pub fn build_arrival_aware_reduce(spec: &CollSpec, p: usize, delays: &[f64]) -> 
             // vrank 0 = latest member; earlier members get higher vranks so
             // they sit deeper (they arrive earlier and can pre-aggregate).
             let v = len - 1 - pos;
-            let node = topo::binomial(v, len);
+            let node = Tree::Binomial.node(v, len);
             for &cv in &node.children {
                 let child = group[len - 1 - cv];
                 steps::recv(&mut ops_of[rank], child, tag + cv as u64, Fold::Reduce(bytes));

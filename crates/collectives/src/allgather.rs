@@ -13,58 +13,21 @@
 use pap_sim::data::{BlockFilter, SlotInit};
 use pap_sim::Op;
 
-use crate::registry::CollectiveKind;
 use crate::spec::{BuildError, Built, CollSpec};
 use crate::steps::{self, Fold, Part};
 
 /// Build the allgather schedules. Dispatched from [`crate::build`].
 pub(crate) fn build(spec: &CollSpec, p: usize) -> Result<Built, BuildError> {
-    match spec.alg {
-        1 => Ok(gather_then_bcast(spec, p)),
+    // ID 1 is a binomial gather and a binomial bcast of the assembled
+    // buffer (Open MPI `basic`); 3 and 5 fall back at some `p`.
+    match spec.runs_as(p) {
+        1 => Ok(steps::composed(spec, p)),
         2 => Ok(bruck(spec, p)),
-        3 => {
-            if p.is_power_of_two() {
-                Ok(recursive_doubling(spec, p))
-            } else {
-                // Open MPI falls back for non-power-of-two communicators;
-                // Bruck handles any p with the same log structure.
-                Ok(bruck(spec, p))
-            }
-        }
+        3 => Ok(recursive_doubling(spec, p)),
         4 => Ok(ring(spec, p)),
-        5 => {
-            if p.is_multiple_of(2) {
-                Ok(neighbor_exchange(spec, p))
-            } else {
-                // Neighbor exchange requires an even process count
-                // (Open MPI falls back to ring for odd p).
-                Ok(ring(spec, p))
-            }
-        }
-        id => Err(BuildError::UnknownAlgorithm(spec.kind, id)),
+        5 => Ok(neighbor_exchange(spec, p)),
+        _ => Err(BuildError::UnknownAlgorithm(spec.kind, spec.alg)),
     }
-}
-
-/// ID 1: binomial gather to rank `root` followed by a binomial broadcast of
-/// the assembled buffer (Open MPI `basic`). The bcast runs in propagate
-/// mode on the per-block grid, so block `j` travels as segment `j`.
-fn gather_then_bcast(spec: &CollSpec, p: usize) -> Built {
-    let g_spec = CollSpec { kind: CollectiveKind::Gather, alg: 2, ..spec.clone() };
-    let g = crate::gather::build(&g_spec, p).expect("gather substrate");
-    // Propagate mode needs exactly p segments (block j travels as segment
-    // j), so the per-block size is clamped to ≥ 1 byte: with `bytes == 0`
-    // the plan would otherwise collapse to a single segment and only block
-    // 0 would ever leave the root.
-    let block = spec.bytes.max(1);
-    let bc_spec = CollSpec {
-        kind: CollectiveKind::Bcast,
-        alg: 5,
-        bytes: block * p as u64,
-        seg_bytes: block,
-        tag_base: spec.tag_base + 0x40000,
-        ..spec.clone()
-    };
-    steps::then(g, crate::bcast::build_propagate(&bc_spec, p))
 }
 
 /// Rank `me`'s own block: the result slot every allgather starts from.
@@ -191,6 +154,7 @@ fn neighbor_exchange(spec: &CollSpec, p: usize) -> Built {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::CollectiveKind;
 
     fn spec(alg: u8) -> CollSpec {
         CollSpec::new(CollectiveKind::Allgather, alg, 256)

@@ -14,7 +14,6 @@
 use pap_sim::data::SlotInit;
 use pap_sim::Op;
 
-use crate::registry::CollectiveKind;
 use crate::spec::{BuildError, Built, CollSpec};
 use crate::steps::{self, Fold, Part};
 use crate::topo::{self, ChunkPrefix};
@@ -22,33 +21,13 @@ use crate::topo::{self, ChunkPrefix};
 /// Build the allreduce schedules. Dispatched from [`crate::build`].
 pub(crate) fn build(spec: &CollSpec, p: usize) -> Result<Built, BuildError> {
     match spec.alg {
-        1 => Ok(reduce_then_bcast(spec, p, 1, 1)),
-        2 => Ok(reduce_then_bcast(spec, p, 5, 5)),
+        1 | 2 => Ok(steps::composed(spec, p)),
         3 => Ok(recursive_doubling(spec, p)),
         4 => Ok(ring(spec, p, 1)),
         5 => Ok(ring(spec, p, topo::ring_phases(spec.bytes, p, spec.seg_bytes))),
         6 => Ok(rabenseifner(spec, p)),
         id => Err(BuildError::UnknownAlgorithm(spec.kind, id)),
     }
-}
-
-/// IDs 1–2: compose a reduce to rank `spec.root` with a bcast from it.
-/// The bcast schedule is built in "propagate" mode: it does not re-init
-/// slot 0 but distributes whatever the reduce left there.
-fn reduce_then_bcast(spec: &CollSpec, p: usize, reduce_alg: u8, bcast_alg: u8) -> Built {
-    let red_spec = CollSpec {
-        kind: CollectiveKind::Reduce,
-        alg: reduce_alg,
-        ..spec.clone()
-    };
-    let red = crate::reduce::build(&red_spec, p).expect("reduce substrate");
-    let bc_spec = CollSpec {
-        kind: CollectiveKind::Bcast,
-        alg: bcast_alg,
-        tag_base: spec.tag_base + 0x40000,
-        ..spec.clone()
-    };
-    steps::then(red, crate::bcast::build_propagate(&bc_spec, p))
 }
 
 /// ID 3: recursive doubling with full-vector exchanges. Non-power-of-two
@@ -141,6 +120,7 @@ fn rabenseifner(spec: &CollSpec, p: usize) -> Built {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::CollectiveKind;
 
     fn spec(alg: u8, bytes: u64) -> CollSpec {
         CollSpec::new(CollectiveKind::Allreduce, alg, bytes)

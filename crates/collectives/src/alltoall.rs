@@ -18,11 +18,12 @@ const RECV_BASE: usize = 4;
 
 /// Build the alltoall schedules. Dispatched from [`crate::build`].
 pub(crate) fn build(spec: &CollSpec, p: usize) -> Result<Built, BuildError> {
+    if let Some(window) = spec.request_window() {
+        return Ok(linear(spec, p, window));
+    }
     match spec.alg {
-        1 => Ok(linear(spec, p, usize::MAX)),
         2 => Ok(pairwise(spec, p)),
         3 => Ok(bruck(spec, p)),
-        4 => Ok(linear(spec, p, 2)),
         id => Err(BuildError::UnknownAlgorithm(spec.kind, id)),
     }
 }
@@ -37,7 +38,8 @@ fn inputs(me: usize, p: usize) -> Vec<Op> {
 }
 
 /// IDs 1 and 4: linear (all requests outstanding) and linear-with-sync
-/// (window of `window` request pairs, synced between batches).
+/// (window of `window` request pairs, synced between batches; see
+/// [`CollSpec::request_window`]).
 fn linear(spec: &CollSpec, p: usize, window: usize) -> Built {
     let m = spec.bytes;
     // Distance k pairs a receive from (me-k) with a send to (me+k), so

@@ -12,36 +12,27 @@ use pap_sim::Op;
 
 use crate::spec::{BuildError, Built, CollSpec};
 use crate::steps::{self, Fold};
-use crate::topo::{self, TreeNode};
+use crate::topo;
 
 /// Build the bcast schedules. Dispatched from [`crate::build`].
 pub(crate) fn build(spec: &CollSpec, p: usize) -> Result<Built, BuildError> {
-    match spec.alg {
-        1..=5 => Ok(tree_bcast(spec, p, true)),
-        id => Err(BuildError::UnknownAlgorithm(spec.kind, id)),
-    }
+    tree_bcast(spec, p, true).ok_or(BuildError::UnknownAlgorithm(spec.kind, spec.alg))
 }
 
 /// Build bcast schedules that *propagate the existing content of slot 0 at
-/// the root* instead of initializing movement blocks — used to compose
-/// reduce+bcast Allreduce algorithms.
+/// the root* instead of initializing movement blocks — the second phase of
+/// the composed algorithms ([`CollSpec::phases`]).
 pub(crate) fn build_propagate(spec: &CollSpec, p: usize) -> Built {
-    tree_bcast(spec, p, false)
+    tree_bcast(spec, p, false).expect("a Bcast tree ID")
 }
 
-/// IDs 1–5: flat (unsegmented), chain, pipeline, binary and binomial.
-fn tree_bcast(spec: &CollSpec, p: usize, init_movement: bool) -> Built {
-    let (segmented, tree_of): (bool, fn(usize, usize) -> TreeNode) = match spec.alg {
-        1 => (false, topo::flat),
-        2 => (true, |v, p| topo::chain(v, p, 4)),
-        3 => (true, topo::pipeline),
-        4 => (true, topo::binary),
-        _ => (true, topo::binomial),
-    };
-    let segs = if segmented { topo::seg_sizes(spec.bytes, spec.seg_bytes) } else { vec![spec.bytes] };
+/// IDs 1–5 ([`CollSpec::tree`]): segmented broadcast along the ID's tree
+/// over virtual ranks (re-rooted at `spec.root`).
+fn tree_bcast(spec: &CollSpec, p: usize, init_movement: bool) -> Option<Built> {
+    let (tree, segs) = spec.tree()?;
     let nseg = segs.len();
-    steps::per_rank(p, nseg, |me| {
-        let node = tree_of(topo::vrank(me, spec.root, p), p);
+    Some(steps::per_rank(p, nseg, |me| {
+        let node = tree.node(topo::vrank(me, spec.root, p), p);
         let mut ops = Vec::new();
         if me == spec.root && init_movement {
             ops.push(Op::InitSlot { slot: 0, init: SlotInit::movement_blocks(spec.root, 0, nseg as u32) });
@@ -63,7 +54,7 @@ fn tree_bcast(spec: &CollSpec, p: usize, init_movement: bool) -> Built {
             ops.push(Op::waitall((0..req).collect()));
         }
         ops
-    })
+    }))
 }
 
 #[cfg(test)]

@@ -11,7 +11,7 @@ use pap_sim::Op;
 
 use crate::spec::{BuildError, Built, CollSpec};
 use crate::steps::{self, Fold};
-use crate::topo;
+use crate::topo::{self, Tree};
 
 /// Build the gather schedules. Dispatched from [`crate::build`].
 pub(crate) fn build(spec: &CollSpec, p: usize) -> Result<Built, BuildError> {
@@ -43,7 +43,7 @@ fn linear(spec: &CollSpec, p: usize) -> Built {
 fn binomial(spec: &CollSpec, p: usize) -> Built {
     steps::per_rank(p, p, |me| {
         let v = topo::vrank(me, spec.root, p);
-        let node = topo::binomial(v, p);
+        let node = Tree::Binomial.node(v, p);
         let mut ops = vec![Op::InitSlot { slot: 0, init: SlotInit::movement_block(me, me as u32) }];
         // Children in *decreasing* distance order: the largest subtree is
         // received first (it was sent last, so this ordering pipelines).

@@ -12,29 +12,26 @@ use pap_sim::Op;
 
 use crate::spec::{BuildError, Built, CollSpec};
 use crate::steps::{self, Fold};
-use crate::topo::{self, ChunkPrefix, TreeNode};
+use crate::topo::{self, ChunkPrefix, Tree};
 
 /// Build the reduce schedules. Dispatched from [`crate::build`].
 pub(crate) fn build(spec: &CollSpec, p: usize) -> Result<Built, BuildError> {
+    if let Some((tree, segs)) = spec.tree() {
+        return Ok(tree_reduce(spec, p, tree, &segs));
+    }
     match spec.alg {
-        1 => Ok(tree_reduce(spec, p, false, |v| topo::flat(v, p))),
-        2 => Ok(tree_reduce(spec, p, true, |v| topo::chain(v, p, 4))),
-        3 => Ok(tree_reduce(spec, p, true, |v| topo::pipeline(v, p))),
-        4 => Ok(tree_reduce(spec, p, true, |v| topo::binary(v, p))),
-        5 => Ok(tree_reduce(spec, p, false, |v| topo::binomial(v, p))),
         6 => Ok(in_order_binary(spec, p)),
         7 => Ok(rabenseifner(spec, p)),
         id => Err(BuildError::UnknownAlgorithm(spec.kind, id)),
     }
 }
 
-/// Generic segmented tree reduction over virtual ranks (tree re-rooted at
-/// `spec.root`).
-fn tree_reduce(spec: &CollSpec, p: usize, segmented: bool, tree_of: impl Fn(usize) -> TreeNode) -> Built {
-    let segs = if segmented { topo::seg_sizes(spec.bytes, spec.seg_bytes) } else { vec![spec.bytes] };
+/// IDs 1–5 ([`CollSpec::tree`]): segmented reduction along `tree` over
+/// virtual ranks (re-rooted at `spec.root`).
+fn tree_reduce(spec: &CollSpec, p: usize, tree: Tree, segs: &[u64]) -> Built {
     let nseg = segs.len();
     steps::per_rank(p, nseg, |me| {
-        let node = tree_of(topo::vrank(me, spec.root, p));
+        let node = tree.node(topo::vrank(me, spec.root, p), p);
         let mut ops = Vec::with_capacity(2 + nseg * (node.children.len() * 2 + 1));
         ops.push(Op::InitSlot { slot: 0, init: SlotInit::reduce_input(me, 0, nseg as u32) });
         for (s, &seg_bytes) in segs.iter().enumerate() {
@@ -61,7 +58,7 @@ fn in_order_binary(spec: &CollSpec, p: usize) -> Built {
     let bytes = spec.bytes;
     let forward_tag = spec.tag_base + 0x8000;
     steps::per_rank(p, 1, |me| {
-        let node = topo::in_order_binary(me, p);
+        let node = Tree::InOrderBinary.node(me, p);
         let mut ops = vec![Op::InitSlot { slot: 0, init: SlotInit::reduce_input(me, 0, 1) }];
         for &child in &node.children {
             steps::recv(&mut ops, child, spec.tag_base, Fold::Reduce(bytes));

@@ -12,7 +12,7 @@ use pap_sim::Op;
 
 use crate::spec::{BuildError, Built, CollSpec};
 use crate::steps;
-use crate::topo;
+use crate::topo::{self, Tree};
 
 /// Build the scatter schedules. Dispatched from [`crate::build`].
 pub(crate) fn build(spec: &CollSpec, p: usize) -> Result<Built, BuildError> {
@@ -49,7 +49,7 @@ fn binomial(spec: &CollSpec, p: usize) -> Built {
     let m = spec.bytes;
     steps::per_rank(p, p, |me| {
         let v = topo::vrank(me, spec.root, p);
-        let node = topo::binomial(v, p);
+        let node = Tree::Binomial.node(v, p);
         let mut ops = Vec::new();
         if me == spec.root {
             ops.push(Op::InitSlot { slot: 1, init: SlotInit::movement_blocks(spec.root, 0, p as u32) });

@@ -5,6 +5,7 @@ use pap_sim::Op;
 use serde::{Deserialize, Serialize};
 
 use crate::registry::{algorithm, CollectiveKind};
+use crate::topo::{self, Tree};
 
 /// Default segment size (bytes) for segmented algorithms — Open MPI's
 /// common `tuned` default magnitude.
@@ -56,6 +57,75 @@ impl CollSpec {
     pub fn with_tag_base(mut self, tag_base: Tag) -> Self {
         self.tag_base = tag_base;
         self
+    }
+
+    // What each algorithm ID is built from, written once for the builders
+    // and for `pap-model`.
+
+    /// The tree and segment sizes of a tree algorithm, or `None`. Reduce
+    /// and Bcast IDs 1–5 run one engine over five trees (Open MPI
+    /// `tuned`); a row says the tree and whether the vector travels in
+    /// `seg_bytes` segments or whole.
+    pub fn tree(&self) -> Option<(Tree, Vec<u64>)> {
+        use CollectiveKind::{Bcast, Reduce};
+        let (tree, segmented) = match (self.kind, self.alg) {
+            (Reduce | Bcast, 1) => (Tree::Flat, false),
+            (Reduce | Bcast, 2) => (Tree::Chain4, true),
+            (Reduce | Bcast, 3) => (Tree::Pipeline, true),
+            (Reduce | Bcast, 4) => (Tree::Binary, true),
+            (Reduce, 5) => (Tree::Binomial, false),
+            (Bcast, 5) => (Tree::Binomial, true),
+            _ => return None,
+        };
+        let segs = if segmented { topo::seg_sizes(self.bytes, self.seg_bytes) } else { vec![self.bytes] };
+        Some((tree, segs))
+    }
+
+    /// The two phases of a composed algorithm at `p` ranks, or `None`.
+    /// Allreduce 1 and 2 reduce to the root (Reduce 1 or 5) and broadcast
+    /// the result (Bcast 1 or 5). Allgather 1 gathers (Gather 2) and
+    /// broadcasts the assembled buffer with Bcast 5 on the per-block grid,
+    /// so block `j` travels as segment `j`. The broadcast propagates what
+    /// the first phase left in slot 0, on tags above the first phase's.
+    pub fn phases(&self, p: usize) -> Option<(CollSpec, CollSpec)> {
+        use CollectiveKind::{Allgather, Allreduce, Bcast, Gather, Reduce};
+        let phase = |kind, alg| CollSpec { kind, alg, ..self.clone() };
+        let (first, bcast) = match (self.kind, self.alg) {
+            (Allreduce, 1) => (phase(Reduce, 1), phase(Bcast, 1)),
+            (Allreduce, 2) => (phase(Reduce, 5), phase(Bcast, 5)),
+            (Allgather, 1) => {
+                // Exactly p segments even at `bytes == 0`: the per-block
+                // size is clamped to ≥ 1 byte, or the grid would collapse
+                // to one segment and only block 0 would leave the root.
+                let block = self.bytes.max(1);
+                (phase(Gather, 2), CollSpec { bytes: block * p as u64, seg_bytes: block, ..phase(Bcast, 5) })
+            }
+            _ => return None,
+        };
+        Some((first, bcast.with_tag_base(self.tag_base + 0x40000)))
+    }
+
+    /// The algorithm ID that runs at `p` ranks. As in Open MPI, Allgather 3
+    /// (recursive doubling) needs a power of two and falls back to Bruck
+    /// (2), and Allgather 5 (neighbor exchange) needs an even count and
+    /// falls back to ring (4). Every other ID runs as itself.
+    pub fn runs_as(&self, p: usize) -> u8 {
+        match (self.kind, self.alg) {
+            (CollectiveKind::Allgather, 3) if !p.is_power_of_two() => 2,
+            (CollectiveKind::Allgather, 5) if !p.is_multiple_of(2) => 4,
+            (_, alg) => alg,
+        }
+    }
+
+    /// How many (receive, send) request pairs a linear Alltoall keeps in
+    /// flight: all of them for ID 1, two for ID 4 (linear with sync).
+    /// `None` for every other algorithm.
+    pub fn request_window(&self) -> Option<usize> {
+        match (self.kind, self.alg) {
+            (CollectiveKind::Alltoall, 1) => Some(usize::MAX),
+            (CollectiveKind::Alltoall, 4) => Some(2),
+            _ => None,
+        }
     }
 }
 

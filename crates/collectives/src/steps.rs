@@ -21,12 +21,16 @@ pub(crate) fn per_rank(p: usize, nseg: usize, rank: impl FnMut(usize) -> Vec<Op>
     Built { rank_ops, nseg: nseg as u32 }
 }
 
-/// Run `second` after `first` on every rank, on `first`'s verification grid.
-pub(crate) fn then(first: Built, second: Built) -> Built {
+/// A composed algorithm ([`CollSpec::phases`]): on every rank, the first
+/// phase and then the broadcast propagating its result, on the first
+/// phase's verification grid.
+pub(crate) fn composed(spec: &CollSpec, p: usize) -> Built {
+    let (first, bcast) = spec.phases(p).expect("a composed algorithm");
+    let first = crate::build(&first, p).expect("first phase");
     let rank_ops = first
         .rank_ops
         .into_iter()
-        .zip(second.rank_ops)
+        .zip(crate::bcast::build_propagate(&bcast, p).rank_ops)
         .map(|(mut a, b)| {
             a.extend(b);
             a

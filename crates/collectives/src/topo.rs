@@ -40,12 +40,49 @@ pub fn subtree_size(v: usize, p: usize) -> usize {
     }
 }
 
+/// The trees of the Table II tree algorithms. Every tree but
+/// `InOrderBinary` is over virtual ranks rooted at vrank 0 (re-rooted with
+/// [`actual`]); `InOrderBinary` is over actual ranks, rooted at `p − 1`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub enum Tree {
+    /// Flat star: vrank 0 is the parent of everyone.
+    Flat,
+    /// Four parallel chains hanging off vrank 0.
+    Chain4,
+    /// One chain: vrank `v`'s parent is `v − 1`, its child `v + 1`.
+    Pipeline,
+    /// Complete binary tree (children `2v + 1`, `2v + 2`).
+    Binary,
+    /// Binomial tree: vrank `v`'s parent clears its lowest set bit.
+    Binomial,
+    /// Open MPI's in-order binary tree (Reduce 6's), over actual ranks.
+    InOrderBinary,
+}
+
+impl Tree {
+    /// Every tree.
+    pub const ALL: [Tree; 6] =
+        [Tree::Flat, Tree::Chain4, Tree::Pipeline, Tree::Binary, Tree::Binomial, Tree::InOrderBinary];
+
+    /// Rank `v`'s parent and children in this tree over `p` ranks.
+    pub fn node(self, v: usize, p: usize) -> TreeNode {
+        match self {
+            Tree::Flat => flat(v, p),
+            Tree::Chain4 => chain(v, p, 4),
+            Tree::Pipeline => chain(v, p, 1),
+            Tree::Binary => binary(v, p),
+            Tree::Binomial => binomial(v, p),
+            Tree::InOrderBinary => in_order_binary(v, p),
+        }
+    }
+}
+
 /// Binomial tree over vranks `0..p` rooted at 0.
 ///
 /// vrank `v`'s parent clears its lowest set bit; its children are
 /// `v + 2^k` for `k` from the position of `v`'s lowest set bit (or the top
 /// for `v = 0`) downwards, i.e. nearest child first in send order.
-pub fn binomial(v: usize, p: usize) -> TreeNode {
+fn binomial(v: usize, p: usize) -> TreeNode {
     let parent = if v == 0 { None } else { Some(v & (v - 1)) };
     let mut children = Vec::new();
     let low = if v == 0 { usize::BITS } else { v.trailing_zeros() };
@@ -61,7 +98,7 @@ pub fn binomial(v: usize, p: usize) -> TreeNode {
 }
 
 /// Complete binary tree over vranks (children `2v+1`, `2v+2`).
-pub fn binary(v: usize, p: usize) -> TreeNode {
+fn binary(v: usize, p: usize) -> TreeNode {
     let parent = if v == 0 { None } else { Some((v - 1) / 2) };
     let children = [2 * v + 1, 2 * v + 2].into_iter().filter(|&c| c < p).collect();
     TreeNode { parent, children }
@@ -70,7 +107,7 @@ pub fn binary(v: usize, p: usize) -> TreeNode {
 /// `nchains` parallel chains hanging off vrank 0: vranks `1..p` are split
 /// into `nchains` consecutive runs; within a run each element's parent is
 /// its predecessor and the run head's parent is 0.
-pub fn chain(v: usize, p: usize, nchains: usize) -> TreeNode {
+fn chain(v: usize, p: usize, nchains: usize) -> TreeNode {
     assert!(nchains >= 1);
     if p == 1 {
         return TreeNode::default();
@@ -101,13 +138,8 @@ pub fn chain(v: usize, p: usize, nchains: usize) -> TreeNode {
     TreeNode { parent: Some(parent), children }
 }
 
-/// Single chain (pipeline): vrank `v`'s parent is `v-1`, child `v+1`.
-pub fn pipeline(v: usize, p: usize) -> TreeNode {
-    chain(v, p, 1)
-}
-
 /// Flat tree: vrank 0 is the parent of everyone.
-pub fn flat(v: usize, p: usize) -> TreeNode {
+fn flat(v: usize, p: usize) -> TreeNode {
     if v == 0 {
         TreeNode { parent: None, children: (1..p).collect() }
     } else {
@@ -119,20 +151,17 @@ pub fn flat(v: usize, p: usize) -> TreeNode {
 /// `p-1` (Open MPI reduces along this tree to rank `size-1` and forwards to
 /// the root if different). Built by recursive halving: the node of range
 /// `[lo, hi)` is `hi-1`; the remaining ranks split into two subranges.
-pub fn in_order_binary(rank: usize, p: usize) -> TreeNode {
-    fn node_of(_lo: usize, hi: usize) -> usize {
-        hi - 1
-    }
+fn in_order_binary(rank: usize, p: usize) -> TreeNode {
     fn locate(lo: usize, hi: usize, rank: usize, parent: Option<usize>) -> TreeNode {
-        let node = node_of(lo, hi);
+        let node = hi - 1;
         let mut children = Vec::new();
         if hi - lo > 1 {
             let mid = lo + (hi - 1 - lo) / 2;
             if mid > lo {
-                children.push(node_of(lo, mid));
+                children.push(mid - 1);
             }
             if hi - 1 > mid {
-                children.push(node_of(mid, hi - 1));
+                children.push(hi - 2);
             }
             if rank != node {
                 return if rank < mid {
@@ -275,55 +304,43 @@ mod tests {
     }
 
     #[test]
-    fn binomial_tree_consistent() {
-        for p in [1, 2, 3, 4, 5, 7, 8, 16, 33, 100] {
-            check_tree(p, |v| binomial(v, p));
+    fn every_tree_is_consistent() {
+        for tree in Tree::ALL {
+            for p in [1, 2, 3, 4, 5, 6, 7, 8, 9, 13, 15, 16, 31, 32, 33, 100] {
+                check_tree(p, |v| tree.node(v, p));
+            }
         }
-        // Known shape at p=8: root children 1,2,4.
-        assert_eq!(binomial(0, 8).children, vec![1, 2, 4]);
-        assert_eq!(binomial(5, 8).parent, Some(4));
-        assert_eq!(binomial(6, 8).children, vec![7]);
-    }
-
-    #[test]
-    fn binary_tree_consistent() {
-        for p in [1, 2, 3, 6, 7, 15, 31, 100] {
-            check_tree(p, |v| binary(v, p));
-        }
-        assert_eq!(binary(0, 7).children, vec![1, 2]);
-        assert_eq!(binary(2, 7).children, vec![5, 6]);
-    }
-
-    #[test]
-    fn chain_trees_consistent() {
         for p in [1, 2, 3, 5, 9, 16, 33] {
-            for nchains in [1, 2, 4, 7] {
+            for nchains in [2, 7] {
                 check_tree(p, |v| chain(v, p, nchains));
             }
         }
-        // Pipeline is a single line.
-        let t = pipeline(3, 8);
-        assert_eq!(t.parent, Some(2));
-        assert_eq!(t.children, vec![4]);
-        // 4 chains over p=9: members 1..8 split 2/2/2/2.
-        assert_eq!(chain(0, 9, 4).children, vec![1, 3, 5, 7]);
-        assert_eq!(chain(2, 9, 4).parent, Some(1));
-        assert!(chain(2, 9, 4).children.is_empty());
     }
 
     #[test]
-    fn flat_tree_consistent() {
-        for p in [1, 2, 5] {
-            check_tree(p, |v| flat(v, p));
-        }
-        assert_eq!(flat(0, 4).children, vec![1, 2, 3]);
+    fn tree_shapes() {
+        // Binomial at p=8: root children 1,2,4.
+        assert_eq!(Tree::Binomial.node(0, 8).children, vec![1, 2, 4]);
+        assert_eq!(Tree::Binomial.node(5, 8).parent, Some(4));
+        assert_eq!(Tree::Binomial.node(6, 8).children, vec![7]);
+        assert_eq!(Tree::Binary.node(0, 7).children, vec![1, 2]);
+        assert_eq!(Tree::Binary.node(2, 7).children, vec![5, 6]);
+        assert_eq!(Tree::Flat.node(0, 4).children, vec![1, 2, 3]);
+        // Pipeline is a single line.
+        let t = Tree::Pipeline.node(3, 8);
+        assert_eq!(t.parent, Some(2));
+        assert_eq!(t.children, vec![4]);
+        // 4 chains over p=9: members 1..8 split 2/2/2/2.
+        assert_eq!(Tree::Chain4.node(0, 9).children, vec![1, 3, 5, 7]);
+        assert_eq!(Tree::Chain4.node(2, 9).parent, Some(1));
+        assert!(Tree::Chain4.node(2, 9).children.is_empty());
     }
 
     #[test]
     fn in_order_binary_consistent_and_rooted_at_last() {
         for p in [1, 2, 3, 4, 5, 8, 13, 32, 100] {
             check_tree(p, |v| in_order_binary(v, p));
-            assert_eq!(in_order_binary(p - 1, p).parent, None, "p={p}");
+            assert_eq!(Tree::InOrderBinary.node(p - 1, p).parent, None, "p={p}");
         }
         // Depth is O(log p): rank 0 at p=1024 should be shallow.
         let mut depth = 0;
@@ -424,14 +441,5 @@ mod tests {
         assert_eq!(pow2_floor(3), 2);
         assert_eq!(pow2_floor(1000), 512);
         assert_eq!(pow2_floor(1024), 1024);
-    }
-
-    #[test]
-    fn node_of_is_range_top() {
-        assert_eq!(node_of_pub(0, 5), 4);
-        fn node_of_pub(lo: usize, hi: usize) -> usize {
-            let _ = lo;
-            hi - 1
-        }
     }
 }

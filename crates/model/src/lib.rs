@@ -12,12 +12,18 @@
 //!
 //! Because each rank's start time is an input, a model predicts the last
 //! delay `d̂` for an arbitrary [`ArrivalPattern`], not just the no-delay
-//! case. The prediction is *not* bit-identical to the simulator — messages
-//! contending for a NIC are resolved in schedule order rather than global
-//! timestamp order — but it tracks the simulator closely enough for
-//! algorithm *selection*; the differential suite in the workspace root
-//! asserts rank-order agreement (Spearman ≥ 0.8) and bounded relative error
-//! on the paper's Fig. 4 grid.
+//! case. Which tree, phases, fallback or request window an algorithm ID
+//! uses comes from the builders' own `CollSpec` methods, so the two cannot
+//! disagree on it.
+//!
+//! The prediction matches the simulator to 1e-9 relative wherever no NIC
+//! is contended: on one node, and across nodes with NIC serialization off
+//! (`single_node_model_is_exact` and `nic_free_model_is_exact` in the
+//! workspace's differential suite). Messages contending for a NIC are
+//! resolved in replay order rather than timestamp order, and under skew
+//! that gap can change the pick: ROADMAP item 17 measured a 54% regret at
+//! Hydra 64. The suite asserts only rank-order agreement (Spearman ≥ 0.8)
+//! and bounded relative error on the paper's Fig. 4 grid.
 //!
 //! Entry point: [`predict`] (or `predict_exits` for per-rank exit times).
 
@@ -26,7 +32,8 @@
 
 use pap_arrival::ArrivalPattern;
 use pap_collectives::registry::{algorithm, CollectiveKind};
-use pap_collectives::{topo, CollSpec};
+use pap_collectives::topo::{self, Tree};
+use pap_collectives::CollSpec;
 use pap_sim::Platform;
 
 mod net;
@@ -34,10 +41,8 @@ mod plan;
 mod rounds;
 mod trees;
 
-use std::rc::Rc;
-
 use net::Net;
-use plan::{tree_plan, TreeId, TreePlan};
+use plan::tree_plan;
 
 /// A model prediction for one (platform, collective, pattern) cell.
 #[derive(Debug, Clone, Copy, PartialEq, serde::Serialize, serde::Deserialize)]
@@ -130,27 +135,6 @@ pub(crate) fn predict_exits(
     Ok(exits.iter().zip(arrivals).map(|(&e, &a)| e.max(a)).collect())
 }
 
-fn seg_plan(bytes: u64, seg_bytes: u64, segmented: bool) -> Vec<u64> {
-    if segmented {
-        topo::seg_sizes(bytes, seg_bytes)
-    } else {
-        vec![bytes]
-    }
-}
-
-fn tree_for(kind_alg: u8, p: usize) -> Option<(Rc<TreePlan>, bool)> {
-    // (cached tree plan over vranks, segmented) for the shared reduce/bcast
-    // tree IDs.
-    match kind_alg {
-        1 => Some((tree_plan(TreeId::Flat, p), false)),
-        2 => Some((tree_plan(TreeId::Chain4, p), true)),
-        3 => Some((tree_plan(TreeId::Pipeline, p), true)),
-        4 => Some((tree_plan(TreeId::Binary, p), true)),
-        5 => Some((tree_plan(TreeId::Binomial, p), true)),
-        _ => None,
-    }
-}
-
 fn dispatch(
     pf: &Platform,
     net: &mut Net,
@@ -159,38 +143,30 @@ fn dispatch(
 ) -> Result<Vec<f64>, ModelError> {
     let p = pf.ranks;
     let unknown = || ModelError::UnknownAlgorithm(spec.kind, spec.alg);
+    // The builders' own per-ID decisions: composed algorithms run their
+    // two phases back to back, tree IDs their table row.
+    if let Some((first, bcast)) = spec.phases(p) {
+        let mid = dispatch(pf, net, &first, starts)?;
+        return dispatch(pf, net, &bcast, &mid);
+    }
+    if let Some((tree, segs)) = spec.tree() {
+        let plan = tree_plan(tree, p);
+        let ends = match spec.kind {
+            CollectiveKind::Reduce => trees::tree_reduce(pf, net, spec.root, &segs, &plan, starts),
+            _ => trees::tree_bcast(pf, net, spec.root, &segs, &plan, starts),
+        };
+        return Ok(ends.finish());
+    }
     let exits = match spec.kind {
         CollectiveKind::Reduce => match spec.alg {
-            1..=5 => {
-                let (plan, seg) = tree_for(spec.alg, p).ok_or_else(unknown)?;
-                // Reduce ID 5 (binomial) is unsegmented in the builder.
-                let seg = seg && spec.alg != 5;
-                let segs = seg_plan(spec.bytes, spec.seg_bytes, seg);
-                trees::tree_reduce(pf, net, spec.root, &segs, &plan, starts).finish()
-            }
             6 => {
-                let plan = tree_plan(TreeId::InOrderBinary, p);
+                let plan = tree_plan(Tree::InOrderBinary, p);
                 trees::in_order_reduce(pf, net, spec.root, spec.bytes, &plan, starts)
             }
             7 => rounds::reduce_rabenseifner(pf, net, spec.root, spec.bytes, starts),
             _ => return Err(unknown()),
         },
-        CollectiveKind::Bcast => {
-            let (plan, seg) = tree_for(spec.alg, p).ok_or_else(unknown)?;
-            let segs = seg_plan(spec.bytes, spec.seg_bytes, seg);
-            trees::tree_bcast(pf, net, spec.root, &segs, &plan, starts).finish()
-        }
         CollectiveKind::Allreduce => match spec.alg {
-            1 | 2 => {
-                // Reduce to root, then broadcast from it (IDs 1 and 2 use
-                // the flat/flat and binomial/binomial substrates).
-                let (plan, bseg) = tree_for(if spec.alg == 1 { 1 } else { 5 }, p).unwrap();
-                let rsegs = vec![spec.bytes];
-                let mid =
-                    trees::tree_reduce(pf, net, spec.root, &rsegs, &plan, starts).finish();
-                let bsegs = seg_plan(spec.bytes, spec.seg_bytes, bseg);
-                trees::tree_bcast(pf, net, spec.root, &bsegs, &plan, &mid).finish()
-            }
             3 => rounds::allreduce_recdbl(pf, net, spec.bytes, starts),
             4 => rounds::allreduce_ring(pf, net, spec.bytes, 1, starts),
             5 => {
@@ -201,49 +177,28 @@ fn dispatch(
             _ => return Err(unknown()),
         },
         CollectiveKind::Alltoall => match spec.alg {
-            1 => rounds::alltoall_linear(pf, net, spec.bytes, usize::MAX, starts),
             2 => rounds::alltoall_pairwise(pf, net, spec.bytes, starts),
             3 => rounds::alltoall_bruck(pf, net, spec.bytes, starts),
-            4 => rounds::alltoall_linear(pf, net, spec.bytes, 2, starts),
-            _ => return Err(unknown()),
+            _ => {
+                let window = spec.request_window().ok_or_else(unknown)?;
+                rounds::alltoall_linear(pf, net, spec.bytes, window, starts)
+            }
         },
         CollectiveKind::Barrier => match spec.alg {
             1 => rounds::barrier_dissemination(pf, net, starts),
             _ => return Err(unknown()),
         },
-        CollectiveKind::Allgather => match spec.alg {
-            1 => {
-                let m = spec.bytes;
-                let plan = tree_plan(TreeId::Binomial, p);
-                let mid = trees::binomial_gather(pf, net, spec.root, m, &plan, starts).finish();
-                // Per-block size clamped to ≥ 1 byte, mirroring the
-                // builder's propagate-mode grid (p segments even at m = 0).
-                let block = m.max(1);
-                let bsegs = topo::seg_sizes(block * p as u64, block);
-                trees::tree_bcast(pf, net, spec.root, &bsegs, &plan, &mid).finish()
-            }
+        CollectiveKind::Allgather => match spec.runs_as(p) {
             2 => rounds::allgather_bruck(pf, net, spec.bytes, starts),
-            3 => {
-                if p.is_power_of_two() {
-                    rounds::allgather_recdbl(pf, net, spec.bytes, starts)
-                } else {
-                    rounds::allgather_bruck(pf, net, spec.bytes, starts)
-                }
-            }
+            3 => rounds::allgather_recdbl(pf, net, spec.bytes, starts),
             4 => rounds::allgather_ring(pf, net, spec.bytes, starts),
-            5 => {
-                if p.is_multiple_of(2) {
-                    rounds::allgather_neighbor(pf, net, spec.bytes, starts)
-                } else {
-                    rounds::allgather_ring(pf, net, spec.bytes, starts)
-                }
-            }
+            5 => rounds::allgather_neighbor(pf, net, spec.bytes, starts),
             _ => return Err(unknown()),
         },
         CollectiveKind::Gather => match spec.alg {
             1 => trees::linear_gather(pf, net, spec.root, spec.bytes, starts),
             2 => {
-                let plan = tree_plan(TreeId::Binomial, p);
+                let plan = tree_plan(Tree::Binomial, p);
                 trees::binomial_gather(pf, net, spec.root, spec.bytes, &plan, starts).finish()
             }
             _ => return Err(unknown()),
@@ -251,11 +206,12 @@ fn dispatch(
         CollectiveKind::Scatter => match spec.alg {
             1 => trees::linear_scatter(pf, net, spec.root, spec.bytes, starts),
             2 => {
-                let plan = tree_plan(TreeId::Binomial, p);
+                let plan = tree_plan(Tree::Binomial, p);
                 trees::binomial_scatter(pf, net, spec.root, spec.bytes, &plan, starts)
             }
             _ => return Err(unknown()),
         },
+        CollectiveKind::Bcast => return Err(unknown()),
     };
     Ok(exits)
 }

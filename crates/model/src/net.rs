@@ -6,9 +6,14 @@
 //! the same arithmetic directly: a message is fully described by the sender's
 //! clock when the send is issued and the receiver's clock when the matching
 //! receive is posted, plus the two NIC clocks of the endpoints' nodes.
-//! Because every algorithm model resolves messages in a causally consistent
-//! order (receivers after senders within each dependency chain), replaying
-//! that arithmetic yields the same timestamps the event queue would produce.
+//! Every algorithm model resolves messages in a causally consistent order
+//! (receivers after senders within each dependency chain). Without
+//! inter-node NIC contention, replaying that arithmetic yields the event
+//! queue's timestamps (`single_node_model_is_exact` and
+//! `nic_free_model_is_exact` in the differential suite hold it to 1e-9).
+//! With it, the NIC clocks here advance in replay order, not time order,
+//! so a message replayed early but sent late delays the ones sent before
+//! it (ROADMAP item 17).
 
 use std::cell::RefCell;
 use std::rc::Rc;

@@ -11,28 +11,9 @@ use std::cell::RefCell;
 use std::collections::HashMap;
 use std::rc::Rc;
 
-use pap_collectives::topo::{self, TreeNode};
+use pap_collectives::topo::{Tree, TreeNode};
 
-/// The tree families used by the models. `Chain4`/`Pipeline`/`Binary`/
-/// `Binomial`/`Flat` are the shared reduce/bcast substrates (IDs 1–5);
-/// `InOrderBinary` is Reduce ID 6's fixed tree over actual ranks.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub(crate) enum TreeId {
-    /// Flat star: root talks to everyone directly.
-    Flat,
-    /// Four parallel chains off the root.
-    Chain4,
-    /// Single pipeline chain.
-    Pipeline,
-    /// Balanced binary tree.
-    Binary,
-    /// Binomial tree.
-    Binomial,
-    /// In-order binary tree rooted at `p − 1`.
-    InOrderBinary,
-}
-
-/// A tree topology plus its two replay orders, built once per (id, p).
+/// A tree topology plus its two replay orders, built once per (tree, p).
 pub(crate) struct TreePlan {
     /// Per-vrank tree views.
     pub(crate) nodes: Vec<TreeNode>,
@@ -73,15 +54,8 @@ fn depths(tree: &[TreeNode]) -> Vec<u32> {
 }
 
 impl TreePlan {
-    fn build(id: TreeId, p: usize) -> TreePlan {
-        let nodes: Vec<TreeNode> = match id {
-            TreeId::Flat => (0..p).map(|v| topo::flat(v, p)).collect(),
-            TreeId::Chain4 => (0..p).map(|v| topo::chain(v, p, 4)).collect(),
-            TreeId::Pipeline => (0..p).map(|v| topo::pipeline(v, p)).collect(),
-            TreeId::Binary => (0..p).map(|v| topo::binary(v, p)).collect(),
-            TreeId::Binomial => (0..p).map(|v| topo::binomial(v, p)).collect(),
-            TreeId::InOrderBinary => (0..p).map(|r| topo::in_order_binary(r, p)).collect(),
-        };
+    fn build(tree: Tree, p: usize) -> TreePlan {
+        let nodes: Vec<TreeNode> = (0..p).map(|v| tree.node(v, p)).collect();
         let d = depths(&nodes);
         let maxd = d.iter().copied().max().unwrap_or(0) as usize;
         // Stable bucket sort by depth: within a depth, original rank order —
@@ -98,25 +72,25 @@ impl TreePlan {
 }
 
 thread_local! {
-    static CACHE: RefCell<HashMap<(TreeId, usize), Rc<TreePlan>>> = RefCell::new(HashMap::new());
+    static CACHE: RefCell<HashMap<(Tree, usize), Rc<TreePlan>>> = RefCell::new(HashMap::new());
 }
 
 /// Upper bound on cached plans per thread; a long-lived daemon serving many
 /// distinct rank counts must not grow without bound.
 const CACHE_CAP: usize = 256;
 
-/// The shared plan for (id, p), built on first use per thread.
-pub(crate) fn tree_plan(id: TreeId, p: usize) -> Rc<TreePlan> {
+/// The shared plan for (tree, p), built on first use per thread.
+pub(crate) fn tree_plan(tree: Tree, p: usize) -> Rc<TreePlan> {
     CACHE.with(|c| {
         let mut c = c.borrow_mut();
-        if let Some(plan) = c.get(&(id, p)) {
+        if let Some(plan) = c.get(&(tree, p)) {
             return Rc::clone(plan);
         }
         if c.len() >= CACHE_CAP {
             c.clear();
         }
-        let plan = Rc::new(TreePlan::build(id, p));
-        c.insert((id, p), Rc::clone(&plan));
+        let plan = Rc::new(TreePlan::build(tree, p));
+        c.insert((tree, p), Rc::clone(&plan));
         plan
     })
 }
@@ -127,31 +101,24 @@ mod tests {
 
     #[test]
     fn orders_match_stable_sort() {
-        for id in [
-            TreeId::Flat,
-            TreeId::Chain4,
-            TreeId::Pipeline,
-            TreeId::Binary,
-            TreeId::Binomial,
-            TreeId::InOrderBinary,
-        ] {
+        for tree in Tree::ALL {
             for p in [1usize, 2, 3, 5, 8, 13, 64, 130] {
-                let plan = TreePlan::build(id, p);
+                let plan = TreePlan::build(tree, p);
                 let d = depths(&plan.nodes);
                 let mut down: Vec<usize> = (0..p).collect();
                 down.sort_by_key(|&v| d[v]);
                 let mut up: Vec<usize> = (0..p).collect();
                 up.sort_by_key(|&v| std::cmp::Reverse(d[v]));
-                assert_eq!(plan.down, down, "{id:?} p={p} down order");
-                assert_eq!(plan.up, up, "{id:?} p={p} up order");
+                assert_eq!(plan.down, down, "{tree:?} p={p} down order");
+                assert_eq!(plan.up, up, "{tree:?} p={p} up order");
             }
         }
     }
 
     #[test]
     fn cache_returns_shared_plan() {
-        let a = tree_plan(TreeId::Binomial, 16);
-        let b = tree_plan(TreeId::Binomial, 16);
+        let a = tree_plan(Tree::Binomial, 16);
+        let b = tree_plan(Tree::Binomial, 16);
         assert!(Rc::ptr_eq(&a, &b));
         assert_eq!(a.nodes.len(), 16);
     }
