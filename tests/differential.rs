@@ -6,8 +6,9 @@
 //!
 //! Selection only consumes *rankings*, so the acceptance bar is rank
 //! correlation (Spearman ≥ 0.8 per (collective, pattern) cell), with a
-//! looser magnitude bound as a sanity net. On a single node, where the
-//! model has no NIC contention to approximate, it must instead be exact. A golden fixture in
+//! looser magnitude bound as a sanity net. On a single node, and across
+//! nodes with NIC serialization off, the model has no NIC contention to
+//! approximate and must instead be exact. A golden fixture in
 //! `results/model_vs_sim_fig4.json` pins the orderings; regenerate it with
 //! `PAP_UPDATE_FIXTURES=1 cargo test --release --test differential`.
 
@@ -18,7 +19,7 @@ use pap::collectives::registry::{algorithms, experiment_ids};
 use pap::collectives::{CollSpec, CollectiveKind};
 use pap::core::{differential_grid, DiffCell};
 use pap::microbench::{measure, BenchConfig};
-use pap::sim::Platform;
+use pap::sim::{MachineId, Platform};
 
 const RANKS: usize = 64;
 const SIZES: [u64; 3] = [8, 1024, 32768];
@@ -109,18 +110,46 @@ fn fig4_model_magnitudes_bounded() {
 /// On one node there is no NIC to contend for, so the hand model has
 /// nothing to approximate: SimCluster packs up to 32 ranks on one node, and
 /// there `pap_model::predict` must reproduce a noise-free simulator
-/// measurement to 1e-9 relative — every registered algorithm, a latency-
-/// and a bandwidth-bound size, every arrival shape, and for the schedules
-/// that read the root, roots 0, p − 1 and p / 2 as well. Drift between the
-/// schedule builders and the hand model shows up here as a number, not
+/// measurement to 1e-9 relative (see [`assert_model_exact`]). Drift between
+/// the schedule builders and the hand model shows up here as a number, not
 /// only as a rank flip at 64 ranks.
 #[test]
 fn single_node_model_is_exact() {
+    assert_model_exact("single-node", [2, 3, 13, 32].map(Platform::simcluster));
+}
+
+/// Across nodes the model's one approximation is the NIC rule: it advances
+/// each node's NIC clocks in the order its replay resolves messages, where
+/// the simulator takes NIC slots in time order (ROADMAP item 17). With NIC
+/// serialization off there is nothing left to approximate, so on
+/// multi-node layouts the model must be exact too. Hydra and Galileo100
+/// (eager thresholds 16 KiB and 64 KiB) at 13 and 32 ranks, 4 cores per
+/// node, put tree and ring edges on both sides of node boundaries.
+#[test]
+fn nic_free_model_is_exact() {
+    let platforms = [MachineId::Hydra, MachineId::Galileo100].into_iter().flat_map(|machine| {
+        [13usize, 32].map(|p| Platform {
+            nodes: p.div_ceil(4),
+            cores_per_node: 4,
+            nic_serialization: false,
+            ..Platform::preset(machine, p)
+        })
+    });
+    assert_model_exact("NIC-free", platforms);
+}
+
+/// `pap_model::predict` reproduces a noise-free simulator measurement to
+/// 1e-9 relative on every platform given: every registered algorithm, a
+/// latency- and a bandwidth-bound size, every arrival shape, and for the
+/// schedules that read the root, roots 0, p − 1 and p / 2 as well. Prints
+/// the worst gap as `<label> worst relative gap …`.
+fn assert_model_exact(label: &str, platforms: impl IntoIterator<Item = Platform>) {
     const SKEW: f64 = 100e-6;
     let cfg = BenchConfig::simulation();
     let mut worst: (f64, String) = (0.0, String::new());
-    for p in [2, 3, 13, 32] {
-        let platform = Platform::simcluster(p);
+    for platform in platforms {
+        let p = platform.ranks;
+        let machine = platform.machine.name();
         for kind in CollectiveKind::ALL {
             for a in algorithms(kind) {
                 let mut roots = if a.reads_root { vec![0, p - 1, p / 2] } else { vec![0] };
@@ -139,7 +168,7 @@ fn single_node_model_is_exact() {
                             ] {
                                 let rel = (m - s).abs() / s.abs().max(f64::MIN_POSITIVE);
                                 if rel > worst.0 {
-                                    let at = format!("{kind} A{} p={p} root {root} {bytes} B {shape:?} {what}", a.id);
+                                    let at = format!("{machine} {kind} A{} p={p} root {root} {bytes} B {shape:?} {what}", a.id);
                                     worst = (rel, format!("{at}: sim {s:e} model {m:e}"));
                                 }
                             }
@@ -149,8 +178,8 @@ fn single_node_model_is_exact() {
             }
         }
     }
-    eprintln!("single-node worst relative gap {:.2e} at {}", worst.0, worst.1);
-    assert!(worst.0 <= 1e-9, "model and simulator disagree on one node: {:.2e} at {}", worst.0, worst.1);
+    eprintln!("{label} worst relative gap {:.2e} at {}", worst.0, worst.1);
+    assert!(worst.0 <= 1e-9, "{label}: model and simulator disagree: {:.2e} at {}", worst.0, worst.1);
 }
 
 /// Golden-fixture regression: the per-cell orderings and (rounded)
