@@ -45,6 +45,8 @@
 
 pub mod queue;
 
+#[cfg(test)]
+mod elision;
 mod part;
 
 use crate::data::Value;

@@ -6,9 +6,9 @@
 //! The state layout is arena/SoA-style for 10K–100K rank scale:
 //!
 //! * per-rank control state ([`RankState`]) is a small flat struct; request
-//!   slots live in one flat arena indexed by per-rank prefix offsets, RNGs
-//!   are materialized only when a noise model is active, and payload slots
-//!   only when dataflow tracking is on;
+//!   slots live in one flat arena indexed by per-rank prefix offsets, the
+//!   per-rank noise ordinals exist only when a noise model is active, and
+//!   payload slots only when dataflow tracking is on;
 //! * matching needs no channel table: [`Job::new`] already paired every send
 //!   with its FIFO receive, so each matched pair owns one 4-byte slot in
 //!   [`Part::pairs`], where whichever side posts first leaves the message
@@ -16,14 +16,11 @@
 //!   job's matched pairs, not by in-flight traffic;
 //! * messages live in a free-listed arena, as before.
 
-use rand::SeedableRng;
-use rand_chacha::ChaCha8Rng;
-
 use super::queue::{EventQueue, QEvent};
 use super::{MsgEvent, PhaseRecord, SimError};
 use crate::compiled::{COp, MsgDesc, CNIL};
 use crate::data::{BlockFilter, Value};
-use crate::noise::NoiseModel;
+use crate::noise::{Draw, NoiseModel};
 use crate::platform::Platform;
 use crate::program::{Job, ReqId, Slot};
 use crate::time::SimTime;
@@ -91,8 +88,8 @@ struct Msg {
     protocol: Protocol,
     /// Sender-side ready time (after `o_s`).
     ready: SimTime,
-    /// Pre-sampled multiplicative noise on the wire time (sampled in sender
-    /// program order so results do not depend on event processing order).
+    /// Multiplicative noise on the wire time, drawn when the send executes
+    /// at the wire site of the sender's noise key.
     wire_factor: f64,
     state: MsgState,
     recv: Option<RecvInfo>,
@@ -155,7 +152,28 @@ struct RankState {
 /// Cap on nested inline resumes/deliveries. Bounds stack growth on long
 /// intra-node dependency chains (e.g. a ping-pong loop inside one node);
 /// past the cap the engine falls back to queue events.
-const INLINE_DEPTH_MAX: u32 = 64;
+pub(super) const INLINE_DEPTH_MAX: u32 = 64;
+
+/// The inline-cascade cap in force. Unit tests can lower it (to 0: queue
+/// every event the engine could elide) to check that elision changes
+/// nothing.
+#[cfg(not(test))]
+#[inline(always)]
+fn inline_cap() -> u32 {
+    INLINE_DEPTH_MAX
+}
+
+#[cfg(test)]
+fn inline_cap() -> u32 {
+    super::elision::INLINE_CAP.with(|c| c.get())
+}
+
+/// Noise sites under one key (see [`Draw`]): a rank's CPU-side overhead or
+/// duration and its send's wire factor share the rank's key; a receive's
+/// completion overhead is keyed by the message uid.
+const SITE_CPU: u64 = 0;
+const SITE_WIRE: u64 = 1;
+const SITE_RECV_DONE: u64 = 2;
 
 /// The execution core of a run. See the module docs.
 pub(super) struct Part<'a> {
@@ -166,9 +184,10 @@ pub(super) struct Part<'a> {
     /// the state — no per-event op clone.
     job: &'a Job,
     ranks: Vec<RankState>,
-    /// Per-rank RNG streams; empty when the noise model is `None` (the
-    /// common sweep configuration), saving one ChaCha init per rank.
-    rngs: Vec<ChaCha8Rng>,
+    /// Per-rank count of drawing ops executed, in program order: the minor
+    /// part of the rank's noise key. Empty when the noise model is `None`
+    /// (the common sweep configuration), so noise-free runs keep no key.
+    draw_seq: Vec<u64>,
     /// Flat request arena; rank `l` owns `req_base[l]..req_base[l+1]`.
     reqs: Vec<ReqState>,
     req_base: Vec<u32>,
@@ -253,16 +272,9 @@ impl<'a> Part<'a> {
         }
         req_base.push(nreqs);
 
-        let rngs = if cfg.noise.is_none() {
-            Vec::new()
-        } else {
-            (0..n)
-                .map(|l| {
-                    ChaCha8Rng::seed_from_u64(
-                        cfg.seed.wrapping_mul(0x9E37_79B9_7F4A_7C15).wrapping_add(l as u64),
-                    )
-                })
-                .collect()
+        let draw_seq = match cfg.noise {
+            NoiseModel::None => Vec::new(),
+            _ => vec![0; n],
         };
         let slots = if cfg.track_data {
             (0..n).map(|l| vec![Value::empty(); job.slots_needed(l)]).collect()
@@ -314,7 +326,7 @@ impl<'a> Part<'a> {
             cfg,
             job,
             ranks,
-            rngs,
+            draw_seq,
             reqs: vec![ReqState::Free; nreqs as usize],
             req_base,
             queue,
@@ -551,13 +563,16 @@ impl<'a> Part<'a> {
         self.ranks[l].status == Status::Crashed
     }
 
-    /// A CPU-side duration with noise and any active noise-storm slowdown
-    /// applied. `at` is the simulated time the work starts; storm windows
-    /// are pure functions of `(rank, at)`, so the factor is independent of
-    /// event processing order.
+    /// A CPU-side duration with noise drawn under `key` and any active
+    /// noise-storm slowdown applied. `at` is the simulated time the work
+    /// starts; storm windows are pure functions of `(rank, at)`, so the
+    /// factor is independent of event processing order, like the draw.
     #[inline]
-    fn cpu_time(&mut self, l: usize, d: SimTime, at: SimTime) -> SimTime {
-        let d = self.perturb(l, d);
+    fn cpu_time(&self, l: usize, d: SimTime, at: SimTime, key: u64, site: u64) -> SimTime {
+        let d = match self.cfg.noise {
+            NoiseModel::None => d,
+            m => m.perturb(d, Draw::new(self.cfg.seed, key, site)),
+        };
         if self.has_storms {
             d * self.cfg.faults.storm_factor(l, at)
         } else {
@@ -599,16 +614,13 @@ impl<'a> Part<'a> {
 
     /// Resume rank `l` inline (its local clock already carries its logical
     /// time) instead of round-tripping a wake event through the queue.
-    /// Matching is fixed by the job's pairing and NIC claims still go
-    /// through timestamped events, so with noise off — where no cross-rank
-    /// RNG interleaving can shift — the outcome is identical. Refuses (and
+    /// Matching is fixed by the job's pairing, noise draws are keyed by
+    /// program order and message uid, and NIC claims still go through
+    /// timestamped events, so the outcome is identical. Refuses (and
     /// returns false, caller schedules a wake) when the rank is already
     /// mid-`advance` or the cascade is deep enough to threaten the stack.
     fn resume_inline(&mut self, l: usize) -> bool {
-        if !self.cfg.noise.is_none()
-            || self.inline_depth >= INLINE_DEPTH_MAX
-            || self.ranks[l].active
-        {
+        if self.inline_depth >= inline_cap() || self.ranks[l].active {
             return false;
         }
         self.inline_depth += 1;
@@ -692,7 +704,12 @@ impl<'a> Part<'a> {
         match *op {
             COp::Compute { seconds, noisy } => {
                 let at = self.ranks[l].local;
-                let d = if noisy { self.cpu_time(l, seconds, at) } else { seconds };
+                let d = if noisy {
+                    let key = self.own_key(l);
+                    self.cpu_time(l, seconds, at, key, SITE_CPU)
+                } else {
+                    seconds
+                };
                 self.ranks[l].local = self.warp(l, at + d);
                 if self.crashed(l) {
                     return false;
@@ -732,7 +749,8 @@ impl<'a> Part<'a> {
             COp::ReduceLocal { from, into, bytes } => {
                 let cost = bytes as f64 * self.platform.reduce_cost_per_byte;
                 let at = self.ranks[l].local;
-                let d = self.cpu_time(l, cost, at);
+                let key = self.own_key(l);
+                let d = self.cpu_time(l, cost, at, key, SITE_CPU);
                 self.ranks[l].local = self.warp(l, at + d);
                 if self.crashed(l) {
                     return false;
@@ -799,10 +817,18 @@ impl<'a> Part<'a> {
         self.ranks[l].op_i += 1;
     }
 
-    fn perturb(&mut self, l: usize, d: SimTime) -> SimTime {
-        match self.cfg.noise {
-            NoiseModel::None => d,
-            m => m.perturb(d, &mut self.rngs[l]),
+    /// Rank `l`'s noise key for its current op, which draws: the rank and
+    /// its count of drawing ops so far, in program order. 0 (unused) when
+    /// the noise model is `None`, which keeps no count.
+    #[inline]
+    fn own_key(&mut self, l: usize) -> u64 {
+        match self.draw_seq.get_mut(l) {
+            Some(seq) => {
+                let key = ((l as u64) << 40) | *seq;
+                *seq += 1;
+                key
+            }
+            None => 0,
         }
     }
 
@@ -838,8 +864,9 @@ impl<'a> Part<'a> {
 
         let o_s = self.platform.send_overhead;
         let at = self.ranks[l].local;
+        let key = self.own_key(l);
         let ts = {
-            let d = self.cpu_time(l, o_s, at);
+            let d = self.cpu_time(l, o_s, at, key, SITE_CPU);
             self.warp(l, at + d)
         };
         if self.crashed(l) {
@@ -849,7 +876,7 @@ impl<'a> Part<'a> {
         }
         let wire_factor = match self.cfg.noise {
             NoiseModel::None => 1.0,
-            m => m.wire_factor(&mut self.rngs[l]),
+            m => m.wire_factor(Draw::new(self.cfg.seed, key, SITE_WIRE)),
         };
         let payload = self.cfg.track_data.then(|| match filter {
             BlockFilter::All => self.slots[l][slot].clone(),
@@ -971,7 +998,8 @@ impl<'a> Part<'a> {
         // aggregating algorithms (Bruck) win small-message collectives over
         // posting one pair of requests per peer.
         let at = self.ranks[l].local;
-        let post = self.cpu_time(l, self.platform.recv_overhead, at);
+        let key = self.own_key(l);
+        let post = self.cpu_time(l, self.platform.recv_overhead, at, key, SITE_CPU);
         let tr = self.warp(l, at + post);
         self.ranks[l].local = tr;
         if self.crashed(l) {
@@ -996,7 +1024,7 @@ impl<'a> Part<'a> {
                 let o_r = self.platform.recv_overhead;
                 let start = tr.max(t_d);
                 let done = {
-                    let d = self.cpu_time(l, o_r, start);
+                    let d = self.cpu_time(l, o_r, start, self.msgs[mid].uid, SITE_RECV_DONE);
                     self.warp(l, start + d)
                 };
                 if self.crashed(l) {
@@ -1040,16 +1068,13 @@ impl<'a> Part<'a> {
     // -- network pipeline ---------------------------------------------------
 
     /// Run the injection pipeline for message `id` inline when it is an
-    /// intra-node transfer in a noise-free run — shared-memory transfers
-    /// claim no NIC resource, so nothing about them depends on global event
-    /// order — otherwise schedule the inject event at `t`.
+    /// intra-node transfer — shared-memory transfers claim no NIC resource,
+    /// so nothing about them depends on global event order — otherwise
+    /// schedule the inject event at `t`.
     fn inject_or_push(&mut self, id: usize, t: SimTime) {
         let m = &self.msgs[id];
         let (src, dst, uid) = (m.src as usize, m.dst as usize, m.uid);
-        if self.cfg.noise.is_none()
-            && self.inline_depth < INLINE_DEPTH_MAX
-            && self.platform.same_node(src, dst)
-        {
+        if self.inline_depth < inline_cap() && self.platform.same_node(src, dst) {
             self.inline_depth += 1;
             self.on_inject(id, t);
             self.inline_depth -= 1;
@@ -1102,12 +1127,12 @@ impl<'a> Part<'a> {
 
         if intra {
             // Shared memory: latency + copy, no NIC. The delivery time is
-            // fully determined here; with noise off no RNG draw order can
-            // change, so deliver inline instead of scheduling a third event
+            // fully determined here and no noise draw depends on processing
+            // order, so deliver inline instead of scheduling a third event
             // per message (the pairing and all computed times are
-            // identical — see the module docs on event elision).
+            // identical — see DESIGN.md §12.1 on event elision).
             let t_arr = start + link.latency + wire;
-            if self.cfg.noise.is_none() && self.inline_depth < INLINE_DEPTH_MAX {
+            if self.inline_depth < inline_cap() {
                 self.inline_depth += 1;
                 self.on_delivered(id, t_arr);
                 self.inline_depth -= 1;
@@ -1135,12 +1160,12 @@ impl<'a> Part<'a> {
             now
         };
         // `delivered` is fully determined at wire-arrival time (the ingress
-        // NIC slot was just claimed), so with noise off — where no RNG draw
-        // order can shift — the delivery is processed inline rather than
-        // through a third queue event per message. Receives posted between
-        // now and `delivered` observe the identical outcome through the
+        // NIC slot was just claimed) and no noise draw depends on processing
+        // order, so the delivery is processed inline rather than through a
+        // third queue event per message. Receives posted between now and
+        // `delivered` observe the identical outcome through the
         // `DeliveredUnmatched` path in `do_recv`.
-        if (delivered <= now || self.cfg.noise.is_none()) && self.inline_depth < INLINE_DEPTH_MAX {
+        if self.inline_depth < inline_cap() {
             self.inline_depth += 1;
             self.on_delivered(id, delivered);
             self.inline_depth -= 1;
@@ -1173,7 +1198,7 @@ impl<'a> Part<'a> {
                 let o_r = self.platform.recv_overhead;
                 let start = now.max(recv.posted_at);
                 let done = {
-                    let d = self.cpu_time(l, o_r, start);
+                    let d = self.cpu_time(l, o_r, start, self.msgs[id].uid, SITE_RECV_DONE);
                     self.warp(l, start + d)
                 };
                 if self.crashed(l) {

@@ -25,8 +25,9 @@
 //!
 //! Random generation (e.g. [`FaultSpec::random_storms`]) happens at
 //! **construction time** from an explicit seed — the engine itself never
-//! draws fault randomness, so fault injection composes with the noise
-//! models and with event elision without changing RNG streams.
+//! draws fault randomness, so fault injection adds no noise draw and moves
+//! none: the engine's noise draws are keyed by program order and message
+//! uid, whatever faults and event elision do to processing order.
 
 use rand::Rng;
 use rand::SeedableRng;

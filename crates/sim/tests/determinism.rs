@@ -8,8 +8,9 @@
 //! scale machinery — startup sweep, calendar queue — is actually engaged),
 //! on a many-channel linear alltoall, and under noise + dataflow tracking +
 //! message recording (where every optional subsystem must stay deterministic
-//! too). Each case runs the job twice, once through [`pap_sim::run`] on a
-//! clone and once through [`pap_sim::run_ref`], so both entry points agree.
+//! too); a noisy two-node run is pinned as well. Each case runs the job
+//! twice, once through [`pap_sim::run`] on a clone and once through
+//! [`pap_sim::run_ref`], so both entry points agree.
 
 use pap_sim::{
     run, run_ref, FaultSpec, Job, NoiseModel, Op, Platform, RankProgram, RunOutcome, SimConfig,
@@ -235,4 +236,25 @@ fn linear_alltoall_512_is_pinned_and_byte_identical() {
         "makespan {:e}",
         out.makespan()
     );
+}
+
+/// A noisy run across nodes: a Gaussian-noise recursive-doubling exchange
+/// on two-node Hydra. Noise draws are keyed by program order and message
+/// uid, so the run takes the same event elision as its noise-free twin —
+/// the event counts are equal — and its counts and makespan are pinned.
+#[test]
+fn noisy_multi_node_rdb_is_pinned_and_elided() {
+    let p = 64;
+    let platform = Platform::hydra(p);
+    assert!(platform.occupied_nodes() > 1);
+    let job = rdb_exchange(p, 4096);
+    let cfg = SimConfig { seed: 0xB17, noise: NoiseModel::gaussian(0.05), ..SimConfig::default() };
+    let noisy = run_twice(&platform, &job, &cfg, "noisy rdb hydra p=64");
+    let quiet = run_ref(&platform, &job, &SimConfig::default()).expect("noise-free run");
+    assert_eq!(noisy.events, quiet.events, "noisy and noise-free runs elide the same events");
+    assert_ne!(noisy.makespan().to_bits(), quiet.makespan().to_bits(), "the noise must bite");
+    // Two events per inter-node message: the 64 of the k = 32 round.
+    assert_eq!(noisy.events, 128, "events");
+    assert_eq!(noisy.messages, 384, "messages");
+    assert_eq!(noisy.makespan().to_bits(), 0x3ef3_b103_eae7_6616, "makespan {:e}", noisy.makespan());
 }
