@@ -27,7 +27,8 @@ pub struct CollSpec {
     /// literature: for Reduce/Allreduce/Bcast this is the total vector size;
     /// for Alltoall it is the per-destination block size.
     pub bytes: u64,
-    /// Root rank (rooted collectives; ignored otherwise).
+    /// Root rank (rooted collectives, see [`CollectiveKind::rooted`];
+    /// ignored otherwise).
     pub root: usize,
     /// Segment size for segmented algorithms.
     pub seg_bytes: u64,
@@ -82,14 +83,16 @@ impl CollSpec {
     }
 
     /// The two phases of a composed algorithm at `p` ranks, or `None`.
-    /// Allreduce 1 and 2 reduce to the root (Reduce 1 or 5) and broadcast
-    /// the result (Bcast 1 or 5). Allgather 1 gathers (Gather 2) and
-    /// broadcasts the assembled buffer with Bcast 5 on the per-block grid,
-    /// so block `j` travels as segment `j`. The broadcast propagates what
-    /// the first phase left in slot 0, on tags above the first phase's.
+    /// Allreduce 1 and 2 reduce to rank 0 (Reduce 1 or 5) and broadcast
+    /// the result (Bcast 1 or 5). Allgather 1 gathers to rank 0 (Gather 2)
+    /// and broadcasts the assembled buffer with Bcast 5 on the per-block
+    /// grid, so block `j` travels as segment `j`. Neither collective has a
+    /// root, so both phases run at root 0 whatever `self.root` says, as in
+    /// Open MPI `tuned` and SMPI. The broadcast propagates what the first
+    /// phase left in slot 0, on tags above the first phase's.
     pub fn phases(&self, p: usize) -> Option<(CollSpec, CollSpec)> {
         use CollectiveKind::{Allgather, Allreduce, Bcast, Gather, Reduce};
-        let phase = |kind, alg| CollSpec { kind, alg, ..self.clone() };
+        let phase = |kind, alg| CollSpec { kind, alg, root: 0, ..self.clone() };
         let (first, bcast) = match (self.kind, self.alg) {
             (Allreduce, 1) => (phase(Reduce, 1), phase(Bcast, 1)),
             (Allreduce, 2) => (phase(Reduce, 5), phase(Bcast, 5)),

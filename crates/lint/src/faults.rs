@@ -287,7 +287,7 @@ impl FaultSweepSummary {
 /// algorithm across `cfg.ranks` and one eager and one rendezvous size
 /// (root 0 — cones are isomorphic under root relabeling), then attempt a
 /// certified repair of each case's worst crash, keeping the root out of
-/// the victims of schedules that read it. Cases fan out over the
+/// the victims of rooted and composed schedules. Cases fan out over the
 /// `pap-parallel` worker pool; the result is deterministic and
 /// order-independent.
 pub fn sweep_faults(cfg: &SweepConfig) -> FaultSweepSummary {
@@ -308,15 +308,19 @@ pub fn sweep_faults(cfg: &SweepConfig) -> FaultSweepSummary {
     let lint_cfg = LintConfig { eager_threshold: cfg.eager_threshold };
     let rows: Vec<FaultCaseRow> = pap_parallel::par_map(&cases, |_, &(a, p, bytes)| {
         let root = 0usize;
-        let built = build(&CollSpec::new(a.kind, a.id, bytes), p).expect("registry build");
+        let spec = CollSpec::new(a.kind, a.id, bytes);
+        let built = build(&spec, p).expect("registry build");
         let job = Job::new(built.rank_ops.into_iter().map(RankProgram::from_ops).collect());
         let view = View::new(&job);
         let cones = entry_cones(&view, &lint_cfg);
         let blast = blast_of(&cones);
         // Worst crash (ties → lowest rank). The root's death voids a
-        // root-reading collective's semantics, so repair targets another.
+        // rooted collective's semantics, and a composed one (reduce or
+        // gather, then bcast) still runs through rank 0 as its hub, so
+        // repair targets another rank there.
+        let spare_root = a.kind.rooted() || spec.phases(p).is_some();
         let victim = (0..p)
-            .filter(|&r| !a.reads_root || r != root)
+            .filter(|&r| !spare_root || r != root)
             .max_by_key(|&r| (blast.entry_starved[r], usize::MAX - r))
             .unwrap_or(0);
         let victim_starved = cones[victim].starved_ranks();
