@@ -184,7 +184,6 @@ fn sim_config(platform: &Platform, cfg: &ProbeConfig, salt: u64) -> SimConfig {
     SimConfig {
         seed: cfg.seed ^ salt.wrapping_mul(0x9E37_79B9_7F4A_7C15),
         noise,
-        record_phases: false,
         ..SimConfig::default()
     }
 }

@@ -679,12 +679,10 @@ impl<'a> Part<'a> {
                 return;
             }
             // Segment complete (op_i ran past its end).
-            if self.cfg.record_phases {
-                if let Some(label) = job.segs[seg_i as usize].label {
-                    let enter = self.ranks[l].seg_enter;
-                    let exit = self.ranks[l].local;
-                    self.phases.push(PhaseRecord { rank: l, label, enter, exit });
-                }
+            if let Some(label) = job.segs[seg_i as usize].label {
+                let enter = self.ranks[l].seg_enter;
+                let exit = self.ranks[l].local;
+                self.phases.push(PhaseRecord { rank: l, label, enter, exit });
             }
             let st = &mut self.ranks[l];
             st.seg_i = seg_i + 1;

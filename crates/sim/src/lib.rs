@@ -86,10 +86,6 @@ pub struct SimConfig {
     /// tracing view of a run). Costs memory proportional to the message
     /// count; off by default.
     pub record_messages: bool,
-    /// Record one [`engine::PhaseRecord`] per labelled segment per rank. On
-    /// by default (the tracer/harness layers consume phases); switch off for
-    /// 100K-rank scale runs where the records alone dominate memory.
-    pub record_phases: bool,
     /// Runtime faults injected into the run (rank stalls/crashes, link
     /// slowdown windows, noise storms). [`FaultSpec::none`] — the default —
     /// takes exactly the fault-free code paths, so output is bit-identical
@@ -105,7 +101,6 @@ impl Default for SimConfig {
             track_data: false,
             noise: NoiseModel::None,
             record_messages: false,
-            record_phases: true,
             faults: FaultSpec::none(),
         }
     }

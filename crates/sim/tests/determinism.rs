@@ -147,7 +147,6 @@ fn noisy_tracked_recorded_run_is_byte_identical() {
         track_data: true,
         noise: NoiseModel::gaussian(0.08),
         record_messages: true,
-        record_phases: true,
         ..SimConfig::default()
     };
     run_twice(&platform, &job, &cfg, "rdb p=1024");
@@ -196,7 +195,6 @@ fn faulted_noisy_tracked_run_is_byte_identical() {
         track_data: true,
         noise: NoiseModel::gaussian(0.08),
         record_messages: true,
-        record_phases: true,
         faults: FaultSpec::none()
             .with_stall(7, 5e-6, 8e-5)
             .with_link(ANY_NODE, 0, 0.0, 1e-3, 5.0)
