@@ -6,7 +6,7 @@
 //! cap is hit).
 
 use pap_arrival::ArrivalPattern;
-use pap_collectives::{CollSpec, TAG_SPAN};
+use pap_collectives::CollSpec;
 use pap_sim::Platform;
 use serde::{Deserialize, Serialize};
 
@@ -100,8 +100,7 @@ pub fn measure_adaptive(
             seed: cfg.seed.wrapping_add(round.wrapping_mul(0x9E37)),
             ..cfg.clone()
         };
-        let spec_round = spec.clone().with_tag_base(spec.tag_base + round * 1024 * TAG_SPAN);
-        let st = measure(platform, &spec_round, pattern, &batch_cfg)?;
+        let st = measure(platform, spec, pattern, &batch_cfg)?;
         reps.extend(st.reps);
         round += 1;
         let lasts: Vec<f64> = reps.iter().map(|m| m.last_delay).collect();

@@ -34,6 +34,4 @@ pub use faultgrid::{fault_sweep, standard_grid, FaultSweepResult, FAULT_GRID_VER
 pub use harness::{measure, Backend, BenchConfig, BenchError, START_TARGET};
 pub use profile::{profile, profile_with_faults, Profile};
 pub(crate) use stats::RunStats;
-pub use sweep::{
-    calibrate_avg_runtime, no_delay_runtime, sweep, sweep_cells, SkewPolicy, SweepResult, SweepSpec,
-};
+pub use sweep::{calibrate_avg_runtime, sweep, sweep_cells, SkewPolicy, SweepResult, SweepSpec};
