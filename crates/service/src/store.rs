@@ -32,7 +32,7 @@ use pap_core::{
     SelectionPolicy, TunePlan, TuneRecord, TuningEntry,
 };
 use pap_microbench::{
-    fault_sweep, no_delay_runtime, standard_grid, sweep, Backend, BenchConfig, BenchError,
+    calibrate_avg_runtime, fault_sweep, standard_grid, sweep, Backend, BenchConfig, BenchError,
     SkewPolicy, FAULT_GRID_VERSION,
 };
 use pap_sim::{register_custom_platform, MachineId, Platform};
@@ -706,9 +706,11 @@ impl TierStore {
 }
 
 /// Measure the standard fault grid for one `(machine, collective, ranks,
-/// bytes)` cell. Always sim-backed: the analytical model has no fault
-/// model. Shared by the store's lazy fault-evidence path and
-/// `papctl tune --faults` (which persists the result into the snapshot).
+/// bytes)` cell, sized by the mean `NoDelay` runtime of the cell's
+/// algorithms as `papctl sweep --faults` sizes it. Always sim-backed: the
+/// analytical model has no fault model. Shared by the store's lazy
+/// fault-evidence path and `papctl tune --faults` (which persists the
+/// result into the snapshot).
 pub fn measure_fault_matrix(
     machine_id: MachineId,
     kind: CollectiveKind,
@@ -719,8 +721,7 @@ pub fn measure_fault_matrix(
     let algs = experiment_ids(kind);
     let cfg = BenchConfig::simulation();
     let context = |e: BenchError| format!("fault grid {kind} @ {bytes} B: {e}");
-    let first = *algs.first().ok_or_else(|| context(BenchError::NoAlgorithms(kind)))?;
-    let t = no_delay_runtime(&platform, kind, first, bytes, &cfg, 0).map_err(context)?;
+    let t = calibrate_avg_runtime(&platform, kind, &algs, bytes, &cfg).map_err(context)?;
     let scenarios = standard_grid(ranks, t);
     let sw = fault_sweep(&platform, kind, &algs, bytes, &scenarios, &cfg).map_err(context)?;
     Ok(FaultMatrix::from_fault_sweep(&sw))
