@@ -26,6 +26,8 @@ use pap::sim::{register_custom_platform, LinkParams, MachineId, Platform};
 use proptest::prelude::*;
 use serde::Serialize;
 
+mod pin;
+
 fn scratch(name: &str) -> PathBuf {
     let mut p = std::env::temp_dir();
     p.push(format!("pap-calibration-{}-{name}", std::process::id()));
@@ -109,19 +111,7 @@ fn fitted_selection_matches_true_presets_on_fig4_grid() {
 
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/results/calibration_agreement.json");
     let current = serde_json::to_string_pretty(&pins).unwrap() + "\n";
-    if std::env::var("PAP_UPDATE_FIXTURES").is_ok_and(|v| v == "1") {
-        std::fs::write(path, current).unwrap();
-        return;
-    }
-    let stored = std::fs::read_to_string(path).expect(
-        "missing results/calibration_agreement.json — generate it with \
-         PAP_UPDATE_FIXTURES=1 cargo test --test calibration",
-    );
-    assert_eq!(
-        stored, current,
-        "fitted-vs-true calibration summary drifted — if intended, regenerate \
-         with PAP_UPDATE_FIXTURES=1 cargo test --test calibration"
-    );
+    pin::check_fixture(path, &current, "cargo test --test calibration");
 }
 
 /// Acceptance: a cold `papd` (no preset, no snapshot) rejects queries for an

@@ -21,6 +21,8 @@ use pap::collectives::{build, CollSpec, CollectiveKind};
 use pap::lint::{crash_cone, CrashPoint, LintConfig};
 use pap::sim::{run_ref, FaultSpec, Job, Platform, RankProgram, SimConfig, SimError};
 
+mod pin;
+
 const RANKS: usize = 16;
 const SIZES: [u64; 2] = [1024, 128 * 1024]; // one eager, one rendezvous
 
@@ -113,19 +115,7 @@ fn static_cones_match_engine_starvation_exactly() {
 
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/results/lint_fault_cones.json");
     let current = serde_json::to_string_pretty(&rows).unwrap() + "\n";
-    if std::env::var("PAP_UPDATE_FIXTURES").is_ok_and(|v| v == "1") {
-        std::fs::write(path, current).unwrap();
-        return;
-    }
-    let stored = std::fs::read_to_string(path).expect(
-        "missing results/lint_fault_cones.json — generate it with \
-         PAP_UPDATE_FIXTURES=1 cargo test --test lint_fault_cones",
-    );
-    assert_eq!(
-        stored, current,
-        "fault-cone fixture is stale; if the schedule/analysis change is \
-         intentional, regenerate with PAP_UPDATE_FIXTURES=1"
-    );
+    pin::check_fixture(path, &current, "cargo test --test lint_fault_cones");
 }
 
 /// The same differential at 256 ranks, without a fixture: every registered

@@ -1,8 +1,31 @@
-//! Digest pins shared by `schedule_identity` and `model_identity`: a 64-bit
-//! FNV-1a hasher, the fixture's digest list written one entry per line, and
-//! the report of which entries moved.
+//! Fixture pins shared by the integration tests: the byte-for-byte check of
+//! a golden file under `results/` that `PAP_UPDATE_FIXTURES=1` regenerates,
+//! and for `schedule_identity` and `model_identity` a 64-bit FNV-1a hasher,
+//! the fixture's digest list written one entry per line, and the report of
+//! which entries moved.
+
+// Each test binary compiles this module and uses only part of it.
+#![allow(dead_code)]
 
 use std::fmt::Write;
+
+/// Whether this run regenerates the fixtures (`PAP_UPDATE_FIXTURES=1`).
+pub fn updating() -> bool {
+    std::env::var("PAP_UPDATE_FIXTURES").is_ok_and(|v| v == "1")
+}
+
+/// Compare `current` with the fixture at `path` byte for byte, or write it
+/// there when regenerating. `command` is the test command that regenerates
+/// the fixture; a failure names it.
+pub fn check_fixture(path: &str, current: &str, command: &str) {
+    if updating() {
+        std::fs::write(path, current).unwrap();
+        return;
+    }
+    let regenerate = format!("regenerate it with PAP_UPDATE_FIXTURES=1 {command}");
+    let stored = std::fs::read_to_string(path).unwrap_or_else(|e| panic!("cannot read {path}: {e}; {regenerate}"));
+    assert_eq!(stored, current, "{path} is stale; if the change is intentional, {regenerate}");
+}
 
 /// 64-bit FNV-1a over everything written to it.
 pub struct Fnv(pub u64);

@@ -15,6 +15,8 @@ use pap::sim::Platform;
 use proptest::prelude::*;
 use serde::Content;
 
+mod pin;
+
 /// The canonical run pinned by the fixture: the paper's Fig. 1 setting — a
 /// reduce whose arrival pattern is linearly skewed (imbalanced-linear), with
 /// the skew on the order of the collective's own runtime.
@@ -36,19 +38,7 @@ fn f64_meta(p: &Profile, key: &str) -> f64 {
 fn fig1_trace_fixture_is_current() {
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/results/profile_fig1.json");
     let current = fig1_profile().trace.to_json_string() + "\n";
-    if std::env::var("PAP_UPDATE_FIXTURES").is_ok_and(|v| v == "1") {
-        std::fs::write(path, current).unwrap();
-        return;
-    }
-    let stored = std::fs::read_to_string(path).expect(
-        "missing results/profile_fig1.json — generate it with \
-         PAP_UPDATE_FIXTURES=1 cargo test --test profile_trace",
-    );
-    assert_eq!(
-        stored, current,
-        "profile trace fixture is stale; if the simulator/exporter change is \
-         intentional, regenerate with PAP_UPDATE_FIXTURES=1"
-    );
+    pin::check_fixture(path, &current, "cargo test --test profile_trace");
 }
 
 #[test]

@@ -2,9 +2,9 @@
 //! ranks, `real_machine(2)`, the three paper collectives at two sizes,
 //! every shape) is pinned in `results/tune_evidence_hydra16.json` — the
 //! picks plus the bits of every d̂ behind them — and must come out the same
-//! at any thread count. It was recorded with one schedule build and one tag
-//! base per measurement, so it also pins that building once per (cell,
-//! algorithm) unit and sharing a tag base changes no bit. Regenerate after
+//! at any thread count. It was recorded with one schedule build per
+//! measurement, so it also pins that building once per (cell, algorithm)
+//! unit changes no bit. Regenerate after
 //! an intentional harness or simulator change with
 //! `PAP_UPDATE_FIXTURES=1 cargo test --test tune_evidence`.
 
@@ -14,6 +14,8 @@ use pap::core::tuner::{tune_machine, TunePlan, TuneRecord};
 use pap::microbench::BenchConfig;
 use pap::sim::{MachineId, Platform};
 use serde::Serialize;
+
+mod pin;
 
 const FIXTURE: &str = concat!(env!("CARGO_MANIFEST_DIR"), "/results/tune_evidence_hydra16.json");
 
@@ -67,20 +69,7 @@ fn tune() -> String {
 
 #[test]
 fn tune_evidence_fixture_is_current() {
-    let current = tune();
-    if std::env::var("PAP_UPDATE_FIXTURES").is_ok_and(|v| v == "1") {
-        std::fs::write(FIXTURE, current).unwrap();
-        return;
-    }
-    let stored = std::fs::read_to_string(FIXTURE).expect(
-        "missing results/tune_evidence_hydra16.json — generate it with \
-         PAP_UPDATE_FIXTURES=1 cargo test --test tune_evidence",
-    );
-    assert_eq!(
-        stored, current,
-        "tune evidence fixture is stale; if the harness/simulator change is \
-         intentional, regenerate with PAP_UPDATE_FIXTURES=1"
-    );
+    pin::check_fixture(FIXTURE, &tune(), "cargo test --test tune_evidence");
 }
 
 #[test]
