@@ -7,7 +7,9 @@
 //! 64-bit FNV-1a digest. `results/model_digests.json` holds the digests, so
 //! a refactor of the model or of the schedule rules it reads cannot move a
 //! single prediction unnoticed. Hydra at 64 ranks spans two nodes, so the
-//! NIC clocks are covered. Regenerate after an intentional model change with
+//! NIC clocks are covered; at 100 ranks both platforms span four nodes of
+//! 32, the last one partly filled, so NIC contention among more than two
+//! nodes and a fold-in/out across nodes are pinned too. Regenerate after an intentional model change with
 //! `PAP_UPDATE_FIXTURES=1 cargo test --test model_identity`.
 
 use std::fmt::Write;
@@ -21,7 +23,7 @@ mod pin;
 use pin::Fnv;
 
 const MACHINES: [MachineId; 2] = [MachineId::SimCluster, MachineId::Hydra];
-const RANKS: [usize; 8] = [1, 2, 3, 5, 8, 13, 17, 64];
+const RANKS: [usize; 9] = [1, 2, 3, 5, 8, 13, 17, 64, 100];
 const BYTES: [u64; 4] = [0, 8, 32 << 10, 1 << 20];
 const SEG_BYTES: [u64; 2] = [8192, 1000];
 const SKEW: f64 = 100e-6;
