@@ -32,7 +32,10 @@ use crate::sweep::derive_seed;
 ///   posts, so the engine's starved set equals `pap-lint`'s static
 ///   entry-crash cone exactly — the alignment the static prefilter and the
 ///   differential tests rely on.
-pub const FAULT_GRID_VERSION: u32 = 2;
+/// * v3 — the grid's clean-run estimate `t` is the mean `NoDelay` runtime
+///   of the cell's algorithms ([`crate::calibrate_avg_runtime`]), not the
+///   first algorithm's, so every window moves with the cell's mean.
+pub const FAULT_GRID_VERSION: u32 = 3;
 
 /// A named fault scenario: one cell column of the fault grid.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
