@@ -8,7 +8,7 @@ use pap_collectives::registry::experiment_ids;
 use pap_collectives::CollectiveKind;
 use serde::{Deserialize, Serialize};
 
-use crate::table::TuningTable;
+use crate::table::{nearer_size, TuningTable};
 
 /// A compiled decision function for one machine.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -24,7 +24,8 @@ pub struct DecisionLogic {
 pub enum DecisionSource {
     /// Exact (ranks, size) tuning point.
     Exact,
-    /// Nearest tuning point in log(ranks) × log(bytes) space.
+    /// Nearest tuned rank count, then the nearest size tuned there
+    /// (both by [`nearer_size`]).
     Interpolated,
     /// No tuning data for the collective: the library default (the lowest
     /// registered experiment algorithm ID).
@@ -48,21 +49,16 @@ impl DecisionLogic {
         {
             return (e.alg, DecisionSource::Exact);
         }
-        // Nearest in log-log space over all entries of this (machine, kind).
-        let lnl = |x: f64| x.max(1.0).ln();
-        let best = self
+        // Nearest tuned rank count, then the nearest size tuned there: both
+        // by the exact rule `TuningTable::lookup` and papd's L2 use.
+        let near = self
             .table
             .entries
             .iter()
             .filter(|e| e.machine == self.machine && e.kind == kind)
-            .min_by(|a, b| {
-                let d = |e: &&crate::table::TuningEntry| {
-                    let dr = lnl(e.ranks as f64) - lnl(ranks as f64);
-                    let db = lnl(e.bytes as f64) - lnl(bytes as f64);
-                    dr * dr + db * db
-                };
-                d(a).partial_cmp(&d(b)).expect("finite distances")
-            });
+            .map(|e| e.ranks)
+            .min_by(|&a, &b| nearer_size(ranks as u64, a as u64, b as u64));
+        let best = near.and_then(|r| self.table.lookup(&self.machine, kind, r, bytes));
         match best {
             Some(e) => (e.alg, DecisionSource::Interpolated),
             None => (
@@ -110,6 +106,34 @@ mod tests {
         );
         // 96 ranks, 8 B → nearest is (64, 8).
         assert_eq!(l.decide(CollectiveKind::Alltoall, 96, 8), (3, DecisionSource::Interpolated));
+    }
+
+    #[test]
+    fn interpolation_uses_the_lookup_rule() {
+        // 2048 B is exactly as far from 1 KiB as from 4 KiB in log space;
+        // the lookup rule breaks the tie toward the smaller size.
+        let mut t = TuningTable::new();
+        t.insert(entry(CollectiveKind::Alltoall, 64, 1024, 1));
+        t.insert(entry(CollectiveKind::Alltoall, 64, 4096, 2));
+        let l = DecisionLogic::new("Hydra", t);
+        let want = l.table.lookup("Hydra", CollectiveKind::Alltoall, 64, 2048).unwrap().alg;
+        assert_eq!(want, 1);
+        assert_eq!(l.decide(CollectiveKind::Alltoall, 64, 2048), (want, DecisionSource::Interpolated));
+        // An exact tie answers the same whatever the insertion order.
+        for order in [[8u64, 32], [32, 8]] {
+            let mut t = TuningTable::new();
+            for b in order {
+                t.insert(entry(CollectiveKind::Alltoall, 64, b, b as u8));
+            }
+            let l = DecisionLogic::new("Hydra", t);
+            assert_eq!(l.decide(CollectiveKind::Alltoall, 64, 16), (8, DecisionSource::Interpolated));
+        }
+        // Rank counts follow the same rule: 128 is halfway between 64 and 256.
+        let mut t = TuningTable::new();
+        t.insert(entry(CollectiveKind::Alltoall, 256, 8, 2));
+        t.insert(entry(CollectiveKind::Alltoall, 64, 8, 3));
+        let l = DecisionLogic::new("Hydra", t);
+        assert_eq!(l.decide(CollectiveKind::Alltoall, 128, 8), (3, DecisionSource::Interpolated));
     }
 
     #[test]
