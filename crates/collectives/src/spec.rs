@@ -120,6 +120,25 @@ impl CollSpec {
         }
     }
 
+    /// Check the spec against `p` ranks: `p > 0`, `root < p`,
+    /// `seg_bytes > 0` and a registered algorithm ID. [`build`] and
+    /// `pap-model` both start here.
+    pub fn validate(&self, p: usize) -> Result<(), BuildError> {
+        if p == 0 {
+            return Err(BuildError::Invalid("p must be positive".into()));
+        }
+        if self.root >= p {
+            return Err(BuildError::Invalid(format!("root {} out of range for p={p}", self.root)));
+        }
+        if self.seg_bytes == 0 {
+            return Err(BuildError::Invalid("seg_bytes must be positive".into()));
+        }
+        if algorithm(self.kind, self.alg).is_none() {
+            return Err(BuildError::UnknownAlgorithm(self.kind, self.alg));
+        }
+        Ok(())
+    }
+
     /// How many (receive, send) request pairs a linear Alltoall keeps in
     /// flight: all of them for ID 1, two for ID 4 (linear with sync).
     /// `None` for every other algorithm.
@@ -165,18 +184,7 @@ impl std::error::Error for BuildError {}
 
 /// Build the per-rank schedules of a collective invocation for `p` ranks.
 pub fn build(spec: &CollSpec, p: usize) -> Result<Built, BuildError> {
-    if p == 0 {
-        return Err(BuildError::Invalid("p must be positive".into()));
-    }
-    if spec.root >= p {
-        return Err(BuildError::Invalid(format!("root {} out of range for p={p}", spec.root)));
-    }
-    if spec.seg_bytes == 0 {
-        return Err(BuildError::Invalid("seg_bytes must be positive".into()));
-    }
-    if algorithm(spec.kind, spec.alg).is_none() {
-        return Err(BuildError::UnknownAlgorithm(spec.kind, spec.alg));
-    }
+    spec.validate(p)?;
     match spec.kind {
         CollectiveKind::Reduce => crate::reduce::build(spec, p),
         CollectiveKind::Allreduce => crate::allreduce::build(spec, p),
