@@ -9,40 +9,30 @@
 //! sends and receives in program order.
 
 use pap_sim::program::Channel;
-use pap_sim::Job;
 
 use crate::diag::{DiagClass, Diagnostic, Severity};
 use crate::view::{View, NONE};
 
-/// The job's pairing over `view.ops` (the counterpart of every matched
-/// send and receive, [`NONE`] elsewhere), reporting self-sends,
+/// The job's pairing over its global op indices (the counterpart of every
+/// matched send and receive, [`NONE`] elsewhere), reporting self-sends,
 /// out-of-range peers, unmatched messages and tag conflicts.
-pub(crate) fn pair(view: &View, job: &Job, diags: &mut Vec<Diagnostic>) -> Vec<usize> {
-    let ranks = view.ranks();
+pub(crate) fn pair(view: &View, diags: &mut Vec<Diagnostic>) -> Vec<usize> {
+    let ranks = view.job.ranks();
     for rank in 0..ranks {
-        for i in view.range(rank) {
-            let Some(m) = view.ops[i].comm_meta() else { continue };
-            if m.peer == rank {
-                diags.push(Diagnostic {
-                    class: DiagClass::SelfMessage,
-                    severity: Severity::Error,
-                    loc: view.loc(i),
-                    message: format!("rank {rank} addresses itself (tag {})", m.tag),
-                    related: vec![],
-                });
+        for i in view.job.rank_range(rank) {
+            let Some(m) = view.job.op(i).comm_meta() else { continue };
+            let (class, message) = if m.peer == rank {
+                (DiagClass::SelfMessage, format!("rank {rank} addresses itself (tag {})", m.tag))
             } else if m.peer >= ranks {
-                diags.push(Diagnostic {
-                    class: DiagClass::PeerOutOfRange,
-                    severity: Severity::Error,
-                    loc: view.loc(i),
-                    message: format!("peer {} out of range for {ranks} ranks", m.peer),
-                    related: vec![],
-                });
-            }
+                (DiagClass::PeerOutOfRange, format!("peer {} out of range for {ranks} ranks", m.peer))
+            } else {
+                continue;
+            };
+            diags.push(Diagnostic { class, severity: Severity::Error, loc: view.loc(rank, i), message, related: vec![] });
         }
     }
-    let mut pair = vec![NONE; view.ops.len()];
-    job.channels(|c| channel(view, c, &mut pair, diags));
+    let mut pair = vec![NONE; view.job.total_ops()];
+    view.job.channels(|c| channel(view, c, &mut pair, diags));
     pair
 }
 
@@ -54,15 +44,15 @@ fn channel(view: &View, c: Channel, pair: &mut [usize], diags: &mut Vec<Diagnost
         pair[s] = r;
         pair[r] = s;
     }
-    for (class, (end, ends), (other, others)) in [
-        (DiagClass::UnmatchedSend, ("send", sends), ("receive", recvs)),
-        (DiagClass::UnmatchedRecv, ("receive", recvs), ("send", sends)),
+    for (class, (end, ends, owner), (other, others)) in [
+        (DiagClass::UnmatchedSend, ("send", sends, src), ("receive", recvs)),
+        (DiagClass::UnmatchedRecv, ("receive", recvs, dst), ("send", sends)),
     ] {
         for &i in ends.iter().skip(others.len()) {
             diags.push(Diagnostic {
                 class,
                 severity: Severity::Error,
-                loc: view.loc(i),
+                loc: view.loc(owner, i),
                 message: format!(
                     "{end} {src}->{dst} tag {tag}: {} {end}(s) but only {} {other}(s) on the channel",
                     ends.len(),
@@ -79,13 +69,13 @@ fn channel(view: &View, c: Channel, pair: &mut [usize], diags: &mut Vec<Diagnost
     // differing sizes are an error — on any transport without total
     // per-channel ordering the pairing is ambiguous.
     if sends.len() >= 2 {
-        let bytes = |s: usize| view.ops[s].comm_meta().and_then(|m| m.bytes).unwrap_or(0);
+        let bytes = |s: usize| view.job.op(s).comm_meta().and_then(|m| m.bytes).unwrap_or(0);
         let sizes: Vec<u64> = sends.iter().map(|&s| bytes(s)).collect();
         let uniform = sizes.windows(2).all(|w| w[0] == w[1]);
         diags.push(Diagnostic {
             class: DiagClass::TagConflict,
             severity: if uniform { Severity::Warning } else { Severity::Error },
-            loc: view.loc(sends[1]),
+            loc: view.loc(src, sends[1]),
             message: format!(
                 "{} messages share channel {src}->{dst} tag {tag} ({}); \
                  FIFO-ordered reuse — sizes {:?}",
@@ -93,7 +83,7 @@ fn channel(view: &View, c: Channel, pair: &mut [usize], diags: &mut Vec<Diagnost
                 if uniform { "uniform sizes" } else { "DIFFERING sizes" },
                 sizes,
             ),
-            related: vec![view.loc(sends[0])],
+            related: vec![view.loc(src, sends[0])],
         });
     }
 }

@@ -46,23 +46,25 @@ struct LiveStore {
 
 pub(crate) fn check(view: &View) -> Vec<Diagnostic> {
     let mut diags = Vec::new();
-    // Folds of received values, as (fold, receive, slot, declared bytes).
-    // They are checked against their sends after the walk: the sends sit on
-    // other ranks, and a separate loop of independent lookups overlaps
-    // their cache misses instead of stalling the walk on each.
+    let job = view.job;
+    // Folds of received values, as (rank, fold, receive, slot, declared
+    // bytes). They are checked against their sends after the walk: the
+    // sends sit on other ranks, and a separate loop of independent lookups
+    // overlaps their cache misses instead of stalling the walk on each.
     let mut folds = Vec::new();
-    for r in 0..view.ranks() {
-        let mut state = vec![SlotState::Uninit; view.slots[r]];
-        let mut live: Vec<Option<LiveStore>> = vec![None; view.slots[r]];
+    for r in 0..job.ranks() {
+        let slots = job.slots_needed(r);
+        let mut state = vec![SlotState::Uninit; slots];
+        let mut live: Vec<Option<LiveStore>> = vec![None; slots];
         // slot → the matched receive whose value no op has touched since.
-        let mut delivered = vec![NONE; view.slots[r]];
+        let mut delivered = vec![NONE; slots];
 
-        for i in view.range(r) {
-            let op = &view.ops[i];
+        for i in job.rank_range(r) {
+            let op = &job.op(i);
             // A fold of an untouched received value declares its size.
             if let Op::ReduceLocal { from, bytes, .. } = *op {
                 if delivered[from] != NONE {
-                    folds.push((i, delivered[from], from, bytes));
+                    folds.push((r, i, delivered[from], from, bytes));
                 }
             }
             for slot in op.slots_read().into_iter().chain([op.slot_written()]).flatten() {
@@ -76,11 +78,11 @@ pub(crate) fn check(view: &View) -> Vec<Diagnostic> {
             // A read of a pending slot races the delivery.
             let hazard_check = |slot: usize, state: &mut [SlotState], diags: &mut Vec<Diagnostic>| {
                 if let SlotState::Pending(req, posted) = state[slot] {
-                    let posted = view.loc(posted);
+                    let posted = view.loc(r, posted);
                     diags.push(Diagnostic {
                         class: DiagClass::PendingRecvHazard,
                         severity: Severity::Warning,
-                        loc: view.loc(i),
+                        loc: view.loc(r, i),
                         message: format!(
                             "slot {slot} is accessed while the Irecv posted at {posted} \
                              (request {req}) is still undelivered; the delivery races \
@@ -113,7 +115,7 @@ pub(crate) fn check(view: &View) -> Vec<Diagnostic> {
                     SlotState::Uninit => diags.push(Diagnostic {
                         class: DiagClass::UseBeforeInit,
                         severity: Severity::Error,
-                        loc: view.loc(i),
+                        loc: view.loc(r, i),
                         message: format!("slot {slot} is consumed before anything initialized it"),
                         related: vec![],
                     }),
@@ -121,7 +123,7 @@ pub(crate) fn check(view: &View) -> Vec<Diagnostic> {
                         diags.push(Diagnostic {
                             class: DiagClass::SendFromClearedSlot,
                             severity: Severity::Error,
-                            loc: view.loc(i),
+                            loc: view.loc(r, i),
                             message: format!("send sources slot {slot} after it was cleared"),
                             related: vec![],
                         })
@@ -134,17 +136,17 @@ pub(crate) fn check(view: &View) -> Vec<Diagnostic> {
             match *op {
                 Op::InitSlot { slot, .. } | Op::CopySlot { into: slot, .. } => {
                     hazard_check(slot, &mut state, &mut diags);
-                    record_write(view, &mut live, &mut diags, slot, i, true);
+                    record_write(view, r, &mut live, &mut diags, slot, i, true);
                     state[slot] = SlotState::Init;
                 }
                 Op::ClearSlot { slot } => {
                     hazard_check(slot, &mut state, &mut diags);
-                    record_write(view, &mut live, &mut diags, slot, i, false);
+                    record_write(view, r, &mut live, &mut diags, slot, i, false);
                     state[slot] = SlotState::Cleared;
                 }
                 Op::Recv { slot, .. } => {
                     hazard_check(slot, &mut state, &mut diags);
-                    record_write(view, &mut live, &mut diags, slot, i, false);
+                    record_write(view, r, &mut live, &mut diags, slot, i, false);
                     state[slot] = SlotState::Init;
                 }
                 Op::Irecv { slot, req, .. } => {
@@ -153,11 +155,11 @@ pub(crate) fn check(view: &View) -> Vec<Diagnostic> {
                 }
                 Op::WaitAll { .. } => {
                     for &j in view.waited(i) {
-                        let Op::Irecv { slot, req, .. } = view.ops[j] else { continue };
+                        let Op::Irecv { slot, req, .. } = job.op(j) else { continue };
                         if let SlotState::Pending(p_req, posted) = state[slot] {
                             if p_req == req {
                                 // Delivery lands here.
-                                record_write(view, &mut live, &mut diags, slot, posted, false);
+                                record_write(view, r, &mut live, &mut diags, slot, posted, false);
                                 state[slot] = SlotState::Init;
                             }
                         }
@@ -173,28 +175,29 @@ pub(crate) fn check(view: &View) -> Vec<Diagnostic> {
             }
         }
     }
-    for (i, ri, from, bytes) in folds {
-        let sent = view.ops[view.pair[ri]].comm_meta().and_then(|m| m.bytes);
+    for (r, i, ri, from, bytes) in folds {
+        let sent = job.op(view.pair[ri]).comm_meta().and_then(|m| m.bytes);
         if let Some(sent) = sent.filter(|&b| b != bytes) {
             diags.push(Diagnostic {
                 class: DiagClass::SizeMismatch,
                 severity: Severity::Error,
-                loc: view.loc(i),
+                loc: view.loc(r, i),
                 message: format!(
                     "ReduceLocal consumes {bytes} B from slot {from} but the matched \
                      send delivered {sent} B"
                 ),
-                related: vec![view.loc(ri)],
+                related: vec![view.loc(r, ri)],
             });
         }
     }
     diags
 }
 
-/// Register a full write to `slot` by op `at`; flag the previous write when
+/// Register a full write to `slot` by op `at` of `rank`; flag the previous write when
 /// it was a program-authored value that nothing read.
 fn record_write(
     view: &View,
+    rank: usize,
     live: &mut [Option<LiveStore>],
     diags: &mut Vec<Diagnostic>,
     slot: usize,
@@ -203,11 +206,11 @@ fn record_write(
 ) {
     if let Some(prev) = live[slot].replace(LiveStore { at, authored }) {
         if prev.authored {
-            let loc = view.loc(at);
+            let loc = view.loc(rank, at);
             diags.push(Diagnostic {
                 class: DiagClass::DeadStore,
                 severity: Severity::Warning,
-                loc: view.loc(prev.at),
+                loc: view.loc(rank, prev.at),
                 message: format!(
                     "value written to slot {slot} is overwritten at {loc} before any read"
                 ),

@@ -50,6 +50,10 @@ pub enum DiagClass {
     /// A slot with an undelivered `Irecv` targeting it is touched before the
     /// completing `WaitAll`: the delivery races the program's access.
     PendingRecvHazard,
+    /// The job holds an index the op arena cannot store (at or past
+    /// `u32::MAX`; see `pap_sim::Job::invalid`): it cannot run, and no
+    /// other check runs on it.
+    InvalidJob,
 }
 
 impl DiagClass {
@@ -71,6 +75,7 @@ impl DiagClass {
             DiagClass::SendFromClearedSlot => "send_from_cleared_slot",
             DiagClass::DeadStore => "dead_store",
             DiagClass::PendingRecvHazard => "pending_recv_hazard",
+            DiagClass::InvalidJob => "invalid_job",
         }
     }
 }

@@ -20,9 +20,10 @@
 //! list keyed by the one op it needs and is woken exactly when that op
 //! becomes posted, never rescanned while the peer advances elsewhere; a
 //! `WaitAll` resumes at its first unsatisfied request; the pairing and the
-//! request table are the view's, built once. A whole `lint_job` takes
-//! 0.7–2.0× a steady noise-free engine run of the same job on the perfbench
-//! engine schedules (release, 2-vCPU AMD EPYC; table in DESIGN.md §7).
+//! request table are the view's, built once, and ops are read from the
+//! job's arena. A whole `lint_job` takes 0.6–1.9× a steady noise-free
+//! engine run of the same job on the perfbench engine schedules (release,
+//! 2-vCPU Intel Xeon; table in DESIGN.md §7).
 //!
 //! Two protocols are checked: the actual split (stuck cycle ⇒
 //! [`DiagClass::Deadlock`]) and, when that completes, all-rendezvous
@@ -102,9 +103,10 @@ pub(crate) fn execute(
     proto: Protocol,
     crashed: &[Option<usize>],
 ) -> Vec<Option<Stalled>> {
-    let ranks = view.ranks();
+    let job = view.job;
+    let ranks = job.ranks();
     let limit = |r: usize| crashed.get(r).copied().flatten();
-    let mut pos = view.start[..ranks].to_vec();
+    let mut pos: Vec<usize> = (0..ranks).map(|r| job.rank_range(r).start).collect();
     // Per rank, the first entry of `view.waited` its current WaitAll has
     // not yet seen satisfied (entries before it stay satisfied: completion
     // is monotone).
@@ -112,7 +114,7 @@ pub(crate) fn execute(
     // Stalled ranks parked on the op they need, as intrusive lists:
     // `parked[c]` heads the list of ranks waiting for op `c` to be posted,
     // `next[r]` links them (a stalled rank waits on exactly one op).
-    let mut parked = vec![NONE; view.ops.len()];
+    let mut parked = vec![NONE; job.total_ops()];
     let mut next = vec![NONE; ranks];
     let mut stalled: Vec<Option<Stalled>> = (0..ranks).map(|_| None).collect();
     let mut queue: Vec<usize> = Vec::with_capacity(ranks);
@@ -121,7 +123,7 @@ pub(crate) fn execute(
             // The completed prefix is a premise of the crash point, not
             // something to re-derive: pin the position and never run the
             // rank.
-            Some(k) => *pos += k.min(view.range(r).len()),
+            Some(k) => *pos += k.min(job.rank_range(r).len()),
             None => queue.push(r),
         }
     }
@@ -129,8 +131,8 @@ pub(crate) fn execute(
     // counterpart only counts if it *completed* before death: the op it
     // died attempting never entered the channels, so "blocking ops post on
     // arrival" does not hold at the crash position.
-    let wait = |pos: &[usize], j: usize| {
-        let m = view.ops[j].comm_meta().expect("a message op");
+    let wait = |pos: &[usize], j: usize, op: &Op| {
+        let m = op.comm_meta().expect("a message op");
         let c = view.pair[j];
         if m.dir == CommDir::Send && proto.is_some_and(|th| m.bytes.unwrap_or(0) <= th) {
             return Wait::Done;
@@ -139,9 +141,8 @@ pub(crate) fn execute(
         }
         let q = m.peer;
         let posted = match limit(q) {
-            Some(k) => c < view.start[q] + k,
-            None if view.ops[c].is_blocking() => pos[q] >= c,
-            None => pos[q] > c,
+            Some(k) => c < job.rank_range(q).start + k,
+            None => pos[q] > c || (pos[q] == c && job.op(c).is_blocking()),
         };
         if posted {
             Wait::Done
@@ -151,18 +152,19 @@ pub(crate) fn execute(
     };
 
     while let Some(r) = queue.pop() {
-        let end = view.start[r + 1];
+        let end = job.rank_range(r).end;
         while pos[r] < end {
             let i = pos[r];
-            let w = match &view.ops[i] {
-                Op::Send { .. } | Op::Recv { .. } => wait(&pos, i),
+            let w = match job.op(i) {
+                op @ (Op::Send { .. } | Op::Recv { .. }) => wait(&pos, i, &op),
                 Op::WaitAll { .. } => {
                     cursor[r] = cursor[r].max(view.wait_off[i]);
                     loop {
                         if cursor[r] == view.wait_off[i + 1] {
                             break Wait::Done;
                         }
-                        match wait(&pos, view.waited[cursor[r]]) {
+                        let j = view.waited[cursor[r]];
+                        match wait(&pos, j, &job.op(j)) {
                             Wait::Done => cursor[r] += 1,
                             w => break w,
                         }
@@ -177,7 +179,7 @@ pub(crate) fn execute(
                     // Passing op i posts it if it is non-blocking; arriving
                     // at op i + 1 posts that one if it is blocking.
                     wake(&mut parked, &mut next, &mut queue, i);
-                    if i + 1 < end && view.ops[i + 1].is_blocking() {
+                    if i + 1 < end && parked[i + 1] != NONE && job.op(i + 1).is_blocking() {
                         wake(&mut parked, &mut next, &mut queue, i + 1);
                     }
                 }
@@ -245,7 +247,7 @@ fn cycle_diagnostic(
             };
             let locs: Vec<OpLoc> = cycle
                 .iter()
-                .map(|&r| view.loc(stalled[r].as_ref().unwrap().at))
+                .map(|&r| view.loc(r, stalled[r].as_ref().unwrap().at))
                 .collect();
             let chain = cycle
                 .iter()

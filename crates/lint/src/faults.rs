@@ -88,26 +88,28 @@ impl CrashCone {
 /// # Panics
 ///
 /// Panics when a crash names a rank outside the job or lists the same rank
-/// twice; `op` is clamped to the rank's program length.
+/// twice, and on a job [`Job::new`] flagged invalid (see [`Job::invalid`]);
+/// `op` is clamped to the rank's program length.
 pub fn crash_cone(job: &Job, cfg: &LintConfig, crashes: &[CrashPoint]) -> CrashCone {
     cone_of(&View::new(job), cfg, crashes)
 }
 
 /// [`crash_cone`] over a built view (one view serves every cone of a job).
 pub(crate) fn cone_of(view: &View, cfg: &LintConfig, crashes: &[CrashPoint]) -> CrashCone {
-    let ranks = view.ranks();
+    assert!(view.job.invalid().is_none(), "{}", view.findings[0].message);
+    let ranks = view.job.ranks();
     let mut limits: Vec<Option<usize>> = vec![None; ranks];
     for c in crashes {
         assert!(c.rank < ranks, "crash rank {} out of range (ranks {})", c.rank, ranks);
         assert!(limits[c.rank].is_none(), "rank {} crashes twice", c.rank);
-        limits[c.rank] = Some(c.op.min(view.range(c.rank).len()));
+        limits[c.rank] = Some(c.op.min(view.job.rank_range(c.rank).len()));
     }
     let stalled = exec::execute(view, Some(cfg.eager_threshold), &limits);
     // Ranks in order, so the cone is sorted by rank.
     let starved: Vec<StarvedOp> = stalled
         .iter()
         .enumerate()
-        .filter_map(|(r, s)| s.as_ref().map(|s| StarvedOp { rank: r, loc: view.loc(s.at) }))
+        .filter_map(|(r, s)| s.as_ref().map(|s| StarvedOp { rank: r, loc: view.loc(r, s.at) }))
         .collect();
     CrashCone { crashes: crashes.to_vec(), starved }
 }
@@ -127,14 +129,15 @@ pub struct BlastRadius {
     pub(crate) mean_starved: f64,
 }
 
-/// Compute the entry cone of every rank (one fixpoint per rank).
+/// Compute the entry cone of every rank (one fixpoint per rank). Panics
+/// where [`crash_cone`] does.
 pub fn blast_radius(job: &Job, cfg: &LintConfig) -> BlastRadius {
     blast_of(&entry_cones(&View::new(job), cfg))
 }
 
 /// The entry cone of every rank of `view`, in rank order.
 fn entry_cones(view: &View, cfg: &LintConfig) -> Vec<CrashCone> {
-    (0..view.ranks()).map(|r| cone_of(view, cfg, &[CrashPoint::on_entry(r)])).collect()
+    (0..view.job.ranks()).map(|r| cone_of(view, cfg, &[CrashPoint::on_entry(r)])).collect()
 }
 
 /// Summarize the entry cones of a job, in rank order.
@@ -324,7 +327,7 @@ pub fn sweep_faults(cfg: &SweepConfig) -> FaultSweepSummary {
             .max_by_key(|&r| (blast.entry_starved[r], usize::MAX - r))
             .unwrap_or(0);
         let victim_starved = cones[victim].starved_ranks();
-        let repaired = crate::repair::repair_view(&job, &view, &lint_cfg, victim);
+        let repaired = crate::repair::repair_view(&view, &lint_cfg, victim);
         let repair = match crate::repair::certify(repaired, &lint_cfg) {
             Ok(_) => RepairVerdict::Certified,
             Err(e @ crate::repair::RepairError::Unsupported { .. }) => {
@@ -346,46 +349,31 @@ pub fn sweep_faults(cfg: &SweepConfig) -> FaultSweepSummary {
         }
     });
 
-    // One row per registered algorithm, in registry order.
-    let mut algo_rows: Vec<FaultAlgRow> = CollectiveKind::ALL
-        .into_iter()
-        .flat_map(algorithms)
-        .map(|a| FaultAlgRow {
-            collective: a.kind.name().to_string(),
-            alg: a.id,
-            name: a.name.to_string(),
-            cases: 0,
-            max_starved: 0,
-            mean_starved: 0.0,
-            critical_frac: 0.0,
-            repaired: 0,
-            unsupported: 0,
-            cert_failed: 0,
+    // One row per registered algorithm with cases, in registry order: the
+    // order of the cases, which list each algorithm's together.
+    let mut rest = &rows[..];
+    let algo_rows: Vec<FaultAlgRow> = cases
+        .chunk_by(|x, y| x.0 == y.0)
+        .map(|chunk| {
+            let (mine, tail) = rest.split_at(chunk.len());
+            rest = tail;
+            let (a, n) = (chunk[0].0, mine.len() as f64);
+            let mean = |f: fn(&FaultCaseRow) -> f64| mine.iter().map(f).sum::<f64>() / n;
+            let verdicts = |is: fn(&RepairVerdict) -> bool| mine.iter().filter(|r| is(&r.repair)).count();
+            FaultAlgRow {
+                collective: a.kind.name().to_string(),
+                alg: a.id,
+                name: a.name.to_string(),
+                cases: mine.len(),
+                max_starved: mine.iter().flat_map(|r| r.entry_starved.iter().copied()).max().unwrap_or(0),
+                mean_starved: mean(|r| r.entry_starved.iter().sum::<usize>() as f64 / r.entry_starved.len() as f64),
+                critical_frac: mean(|r| r.critical.len() as f64 / r.ranks as f64),
+                repaired: verdicts(|v| matches!(v, RepairVerdict::Certified)),
+                unsupported: verdicts(|v| matches!(v, RepairVerdict::Unsupported(_))),
+                cert_failed: verdicts(|v| matches!(v, RepairVerdict::CertFailed(_))),
+            }
         })
         .collect();
-    for row in &rows {
-        let entry = algo_rows
-            .iter_mut()
-            .find(|r| r.collective == row.collective && r.alg == row.alg)
-            .expect("cases come from the registry");
-        entry.cases += 1;
-        let case_max = row.entry_starved.iter().copied().max().unwrap_or(0);
-        entry.max_starved = entry.max_starved.max(case_max);
-        // Accumulate sums; normalized to means after the loop.
-        entry.mean_starved +=
-            row.entry_starved.iter().sum::<usize>() as f64 / row.entry_starved.len() as f64;
-        entry.critical_frac += row.critical.len() as f64 / row.ranks as f64;
-        match &row.repair {
-            RepairVerdict::Certified => entry.repaired += 1,
-            RepairVerdict::Unsupported(_) => entry.unsupported += 1,
-            RepairVerdict::CertFailed(_) => entry.cert_failed += 1,
-        }
-    }
-    algo_rows.retain(|r| r.cases > 0);
-    for r in &mut algo_rows {
-        r.mean_starved /= r.cases as f64;
-        r.critical_frac /= r.cases as f64;
-    }
 
     FaultSweepSummary {
         ranks: cfg.ranks.clone(),

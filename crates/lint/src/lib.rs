@@ -26,10 +26,12 @@
 //! 5. **Slot dataflow** — use-before-init, send-from-cleared-slot, dead
 //!    stores, and accesses racing a pending `Irecv` delivery.
 //!
-//! Every check reads one static view of the job, built once per entry
-//! point: the flattened ops, the FIFO send↔receive pairing and the request
-//! table. Building it finds checks 1, 3 and 4, except the size comparison
-//! of matched pairs, which runs with the slot dataflow.
+//! Every check reads the job's own op arena, op by op, through one static
+//! view built once per entry point: the FIFO send↔receive pairing and the
+//! request table. Building it finds checks 1, 3 and 4, except the size
+//! comparison of matched pairs, which runs with the slot dataflow. A job
+//! the arena cannot index ([`pap_sim::Job::invalid`]) is one finding and
+//! no check.
 //!
 //! ## Fault reachability and repair
 //!
@@ -53,6 +55,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unnameable_types)]
 
 mod channels;
 mod dataflow;
@@ -68,11 +71,11 @@ use pap_sim::{Job, Platform};
 
 use view::View;
 
-pub use diag::{DiagClass, Severity};
-pub(crate) use diag::{Diagnostic, LintReport};
-pub use faults::{blast_radius, crash_cone, sweep_faults, CrashPoint, RepairVerdict};
-pub use repair::{certified_repair, repair_job, RepairError};
-pub use sweep::{sweep_registry, SweepConfig, SweepSummary};
+pub use diag::{DiagClass, Diagnostic, LintReport, Severity};
+pub use faults::{blast_radius, crash_cone, sweep_faults, BlastRadius, CrashCone, CrashPoint, RepairVerdict, StarvedOp};
+pub use faults::{FaultAlgRow, FaultCaseRow, FaultSweepSummary};
+pub use repair::{certified_repair, repair_job, RepairError, RepairOutcome};
+pub use sweep::{sweep_registry, AlgRow, CaseFinding, SweepConfig, SweepSummary};
 
 /// Linter configuration.
 #[derive(Debug, Clone)]
@@ -106,12 +109,14 @@ pub fn lint_job(job: &Job, cfg: &LintConfig) -> LintReport {
 /// [`lint_job`] over an already built view.
 pub(crate) fn lint_view(view: &View, cfg: &LintConfig) -> LintReport {
     let mut diagnostics = view.findings.clone();
-    diagnostics.extend(dataflow::check(view));
-    diagnostics.extend(exec::check(view, cfg));
+    if view.job.invalid().is_none() {
+        diagnostics.extend(dataflow::check(view));
+        diagnostics.extend(exec::check(view, cfg));
+    }
 
     diagnostics.sort_by(|a, b| (a.loc, a.class, &a.message).cmp(&(b.loc, b.class, &b.message)));
     diagnostics.dedup();
-    LintReport { diagnostics, ranks: view.ranks(), ops: view.ops.len() }
+    LintReport { diagnostics, ranks: view.job.ranks(), ops: view.job.total_ops() }
 }
 
 #[cfg(test)]
@@ -148,5 +153,70 @@ mod tests {
         assert_eq!(report.warnings(), 0, "{}", report.render());
         assert_eq!(report.ranks, 2);
         assert_eq!(report.ops, 8);
+    }
+
+    #[test]
+    fn findings_locate_past_prefix_and_empty_segments() {
+        // Every rank runs an anonymous arrival prefix, an empty segment and
+        // a labelled collective, as the harness and the fault tests build.
+        let label = pap_sim::Label { kind: 3, seq: 1 };
+        let job = Job::new(
+            [
+                // Sends slot 0, which nothing initialized.
+                vec![Op::send(1, 5, 8, 0)],
+                // The second receive names a send rank 2 never makes.
+                vec![Op::recv(0, 5, 0), Op::recv(2, 9, 1)],
+                // The first write is overwritten unread.
+                vec![
+                    Op::InitSlot { slot: 0, init: pap_sim::SlotInit::Empty },
+                    Op::InitSlot { slot: 0, init: pap_sim::SlotInit::Empty },
+                ],
+            ]
+            .into_iter()
+            .map(|ops| {
+                let mut p = RankProgram::new();
+                p.push_anon(vec![Op::SleepUntil { time: 0.0 }, Op::delay(1e-6)]).push_anon(vec![]).push_labeled(label, ops);
+                p
+            })
+            .collect(),
+        );
+        let at = |rank, seg, op| diag::OpLoc { rank, seg, op };
+        let report = lint_job(&job, &LintConfig::default());
+        let found: Vec<_> = report.diagnostics.iter().map(|d| (d.class, d.loc, d.related.clone())).collect();
+        assert_eq!(
+            found,
+            vec![
+                (DiagClass::UseBeforeInit, at(0, 2, 0), vec![]),
+                (DiagClass::UnmatchedRecv, at(1, 2, 1), vec![]),
+                (DiagClass::DeadStore, at(2, 2, 0), vec![at(2, 2, 1)]),
+            ],
+            "{}",
+            report.render()
+        );
+        let cone = crash_cone(&job, &LintConfig::default(), &[CrashPoint::on_entry(0)]);
+        assert_eq!(cone.starved, vec![StarvedOp { rank: 1, loc: at(1, 2, 0) }]);
+    }
+
+    #[test]
+    fn an_unindexable_job_is_one_finding() {
+        // Slot `usize::MAX` does not fit the arena: the job's slot count
+        // reads back as `u32::MAX`, which no pass may size a table from.
+        let job = Job::new(vec![
+            RankProgram::from_ops(vec![Op::recv(1, 0, usize::MAX)]),
+            RankProgram::from_ops(vec![Op::send(0, 0, 8, 0)]),
+        ]);
+        let why = job.invalid().expect("the slot index does not fit in u32");
+        let cfg = LintConfig::default();
+        let report = lint_job(&job, &cfg);
+        assert_eq!(report.diagnostics.len(), 1, "{}", report.render());
+        let d = &report.diagnostics[0];
+        assert_eq!((d.class, d.severity), (DiagClass::InvalidJob, Severity::Error));
+        assert!(d.message.contains(why), "{}", d.message);
+        for repaired in [repair_job(&job, &cfg, 1), certified_repair(&job, &cfg, 1)] {
+            assert!(matches!(repaired, Err(RepairError::UncleanInput { errors: 1 })), "{repaired:?}");
+        }
+        let cone = std::panic::catch_unwind(|| crash_cone(&job, &cfg, &[CrashPoint::on_entry(1)]));
+        let msg = cone.expect_err("no cone of an unindexable job");
+        assert!(msg.downcast_ref::<String>().is_some_and(|m| m.contains(why)));
     }
 }

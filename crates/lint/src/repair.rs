@@ -43,7 +43,7 @@
 //! cancelling the survivors' participation).
 //!
 //! **Certification** ([`certified_repair`]) is external to the rewrite: the
-//! repaired job is re-linted from scratch against all 15 diagnostic classes
+//! repaired job is re-linted from scratch against all 16 diagnostic classes
 //! and its crash cone recomputed; a repair is only accepted if the re-lint
 //! finds no error and the cone is empty.
 
@@ -189,17 +189,12 @@ impl Edit {
 /// crashed rank's program is emptied. No certification — see
 /// [`certified_repair`] for the accepted-only variant.
 pub fn repair_job(job: &Job, cfg: &LintConfig, crashed: usize) -> Result<RepairOutcome, RepairError> {
-    repair_view(job, &View::new(job), cfg, crashed)
+    repair_view(&View::new(job), cfg, crashed)
 }
 
-/// [`repair_job`] over the view of `job`.
-pub(crate) fn repair_view(
-    job: &Job,
-    view: &View,
-    cfg: &LintConfig,
-    crashed: usize,
-) -> Result<RepairOutcome, RepairError> {
-    let ranks = view.ranks();
+/// [`repair_job`] over a built view.
+pub(crate) fn repair_view(view: &View, cfg: &LintConfig, crashed: usize) -> Result<RepairOutcome, RepairError> {
+    let (job, ranks) = (view.job, view.job.ranks());
     if crashed >= ranks {
         return Err(RepairError::BadRank { rank: crashed, ranks });
     }
@@ -220,7 +215,7 @@ pub(crate) fn repair_view(
     let mut deps: BTreeMap<usize, BTreeSet<usize>> = BTreeMap::new();
     {
         let mut taint: HashMap<Slot, BTreeSet<usize>> = HashMap::new();
-        for (i, op) in view.rank_ops(crashed).iter().enumerate() {
+        for (i, op) in view.job.rank_range(crashed).map(|g| view.job.op(g)).enumerate() {
             if let Some(m) = op.comm_meta() {
                 match m.dir {
                     CommDir::Recv => {
@@ -236,18 +231,18 @@ pub(crate) fn repair_view(
             }
             match op {
                 Op::InitSlot { slot, .. } | Op::ClearSlot { slot } => {
-                    taint.remove(slot);
+                    taint.remove(&slot);
                 }
                 Op::CopySlot { from, into } => {
-                    let t = taint.get(from).cloned().unwrap_or_default();
-                    taint.insert(*into, t);
+                    let t = taint.get(&from).cloned().unwrap_or_default();
+                    taint.insert(into, t);
                 }
                 // Read-modify-write merges: the target accumulates taint.
                 Op::ReduceLocal { from, into, .. }
                 | Op::MergeMove { from, into }
                 | Op::OverwriteMove { from, into } => {
-                    let t = taint.get(from).cloned().unwrap_or_default();
-                    taint.entry(*into).or_default().extend(t);
+                    let t = taint.get(&from).cloned().unwrap_or_default();
+                    taint.entry(into).or_default().extend(t);
                 }
                 _ => {}
             }
@@ -260,14 +255,14 @@ pub(crate) fn repair_view(
     // --- edit state ------------------------------------------------------
     let mut edits: Vec<Edit> = (0..ranks)
         .map(|r| Edit {
-            ops: view.rank_ops(r).iter().cloned().map(Some).collect(),
+            ops: job.program(r).segments.into_iter().flat_map(|seg| seg.ops).map(Some).collect(),
             inserts: BTreeMap::new(),
             tail_reqs: Vec::new(),
             next_req: job.reqs_needed(r),
             next_slot: job.slots_needed(r),
         })
         .collect();
-    let mut next_tag: Tag = fresh_tag_base(view);
+    let mut next_tag: Tag = fresh_tag_base(job);
     let mut notes = Vec::new();
     let mut stats = (0usize, 0usize, 0usize); // dropped, rewired, inserted
 
@@ -314,10 +309,7 @@ pub(crate) fn repair_view(
             Shape::FanOut => {
                 let i = comp.inbound[0];
                 let src = matched(crashed, i);
-                let src_slot = view.rank_ops(src.rank)[src.flat]
-                    .comm_meta()
-                    .expect("matched send is a comm op")
-                    .slot;
+                let src_slot = view.rank_op(src.rank, src.flat).comm_meta().expect("matched send is a comm op").slot;
                 let mut clones: Vec<Op> = Vec::new();
                 for &o in &comp.outbound {
                     let dst = matched(crashed, o);
@@ -334,8 +326,8 @@ pub(crate) fn repair_view(
                     }
                     let tag = next_tag;
                     next_tag += 1;
-                    let forward = &view.rank_ops(crashed)[o];
-                    let clone = forward_clone(forward, tag, src_slot, &mut edits[src.rank]);
+                    let forward = view.rank_op(crashed, o);
+                    let clone = forward_clone(&forward, tag, src_slot, &mut edits[src.rank]);
                     clones.push(clone);
                     rewire_recv(&mut edits[dst.rank], dst.flat, src.rank, tag);
                     stats.1 += 1;
@@ -348,10 +340,10 @@ pub(crate) fn repair_view(
                 replace_send(&mut edits[src.rank], src.flat, clones, &mut stats);
             }
             Shape::PipedFanOut => {
-                let sends = |rank: usize, idx: usize| match view.rank_ops(rank)[idx] {
+                let sends = |rank: usize, idx: usize| match view.rank_op(rank, idx) {
                     Op::Send { bytes, slot, filter, .. }
                     | Op::Isend { bytes, slot, filter, .. } => (bytes, slot, filter),
-                    ref other => unreachable!("matched send is a send: {other:?}"),
+                    other => unreachable!("matched send is a send: {other:?}"),
                 };
                 let sources: Vec<_> =
                     comp.inbound.iter().map(|&i| matched(crashed, i)).collect();
@@ -391,8 +383,8 @@ pub(crate) fn repair_view(
                     let (_, src_slot, _) = sends(src_rank, sources[seg].flat);
                     let tag = next_tag;
                     next_tag += 1;
-                    let forward = &view.rank_ops(crashed)[o];
-                    let clone = forward_clone(forward, tag, src_slot, &mut edits[src_rank]);
+                    let forward = view.rank_op(crashed, o);
+                    let clone = forward_clone(&forward, tag, src_slot, &mut edits[src_rank]);
                     clones_for[seg].push(clone);
                     rewire_recv(&mut edits[dst.rank], dst.flat, src_rank, tag);
                     stats.1 += 1;
@@ -414,13 +406,10 @@ pub(crate) fn repair_view(
             Shape::FanIn => {
                 let o = comp.outbound[0];
                 let dst = matched(crashed, o);
-                let recv_slot = view.rank_ops(dst.rank)[dst.flat]
-                    .comm_meta()
-                    .expect("matched receive is a comm op")
-                    .slot;
+                let recv_slot = view.rank_op(dst.rank, dst.flat).comm_meta().expect("matched receive is a comm op").slot;
                 // The fold ops on the consumer that digest the received
                 // value — cloned once per extra source.
-                let folds = fold_ops(view.rank_ops(dst.rank), dst.rank, dst.flat, recv_slot)?;
+                let folds = fold_ops(view, dst.rank, dst.flat, recv_slot)?;
                 let insert_at = folds.last().copied().unwrap_or(dst.flat);
                 let mut first = true;
                 for &i in &comp.inbound {
@@ -436,11 +425,8 @@ pub(crate) fn repair_view(
                         ));
                         continue;
                     }
-                    let bytes = view.rank_ops(src.rank)[src.flat]
-                        .comm_meta()
-                        .expect("matched send is a comm op")
-                        .bytes
-                        .expect("sends declare bytes");
+                    let meta = view.rank_op(src.rank, src.flat).comm_meta().expect("matched send is a comm op");
+                    let bytes = meta.bytes.expect("sends declare bytes");
                     let tag = next_tag;
                     next_tag += 1;
                     rewire_send(&mut edits[src.rank], src.flat, dst.rank, tag);
@@ -527,9 +513,10 @@ pub(crate) fn repair_view(
             continue;
         }
         let mut out = RankProgram::new();
-        for (label, range) in view.rank_segs(r) {
+        let start = view.job.rank_range(r).start;
+        for (label, range) in job.segments(r) {
             let mut ops: Vec<Op> = Vec::with_capacity(range.len());
-            for idx in range.map(|i| i - view.start[r]) {
+            for idx in range.map(|i| i - start) {
                 if let Some(op) = edit.ops[idx].clone() {
                     ops.push(op);
                 }
@@ -556,7 +543,7 @@ pub(crate) fn repair_view(
 }
 
 /// [`repair_job`], accepted only if the rewrite passes re-verification: the
-/// repaired job must lint with zero errors across all 15 diagnostic classes
+/// repaired job must lint with zero errors across all 16 diagnostic classes
 /// *and* have an empty crash cone for the repaired fault.
 pub fn certified_repair(
     job: &Job,
@@ -628,10 +615,9 @@ fn connected_components(
 }
 
 /// Largest tag in the job plus one: the base for fresh repair channels.
-fn fresh_tag_base(view: &View) -> Tag {
-    view.ops
-        .iter()
-        .filter_map(|op| op.comm_meta().map(|m| m.tag))
+fn fresh_tag_base(job: &Job) -> Tag {
+    (0..job.total_ops())
+        .filter_map(|i| job.op(i).comm_meta().map(|m| m.tag))
         .max()
         .map_or(0, |t| t + 1)
 }
@@ -703,14 +689,10 @@ fn replace_send(edit: &mut Edit, idx: usize, clones: Vec<Op>, stats: &mut (usize
 /// overwrite of the slot. A *communication* op consuming the slot means the
 /// consumer forwards the dead rank's aggregate onward; growing that pattern
 /// per extra source would duplicate messages, so it is unsupported.
-fn fold_ops(
-    prog: &[Op],
-    rank: usize,
-    recv_idx: usize,
-    recv_slot: Slot,
-) -> Result<Vec<usize>, RepairError> {
+fn fold_ops(view: &View, rank: usize, recv_idx: usize, recv_slot: Slot) -> Result<Vec<usize>, RepairError> {
     let mut folds = Vec::new();
-    for (j, op) in prog.iter().enumerate().skip(recv_idx + 1) {
+    for j in recv_idx + 1..view.job.rank_range(rank).len() {
+        let op = view.rank_op(rank, j);
         if op.slots_read().contains(&Some(recv_slot)) {
             if op.comm_meta().is_some() {
                 return Err(RepairError::Unsupported {

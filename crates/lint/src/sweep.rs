@@ -165,9 +165,7 @@ pub fn sweep_registry(cfg: &SweepConfig) -> SweepSummary {
         let spec = CollSpec::new(a.kind, a.id, bytes).with_root(root);
         match build(&spec, p) {
             Ok(built) => {
-                let programs: Vec<RankProgram> =
-                    built.rank_ops.into_iter().map(RankProgram::from_ops).collect();
-                let report = lint_job(&Job::new(programs), &lint_cfg);
+                let report = lint_job(&Job::new(built.rank_ops.into_iter().map(RankProgram::from_ops).collect()), &lint_cfg);
                 let lines = report.diagnostics.iter().map(Diagnostic::line).collect();
                 (report.errors(), report.warnings(), lines)
             }
@@ -175,17 +173,23 @@ pub fn sweep_registry(cfg: &SweepConfig) -> SweepSummary {
         }
     });
 
-    // One row per registered algorithm, in registry order.
-    let mut algo_rows: Vec<AlgRow> = CollectiveKind::ALL
-        .into_iter()
-        .flat_map(algorithms)
-        .map(|a| AlgRow {
-            collective: a.kind.name().to_string(),
-            alg: a.id,
-            name: a.name.to_string(),
-            cases: 0,
-            errors: 0,
-            warnings: 0,
+    // One row per registered algorithm with cases, in registry order: the
+    // order of the cases, which list each algorithm's together.
+    let mut rest = &results[..];
+    let algo_rows: Vec<AlgRow> = cases
+        .chunk_by(|x, y| x.0 == y.0)
+        .map(|chunk| {
+            let (mine, tail) = rest.split_at(chunk.len());
+            rest = tail;
+            let a = chunk[0].0;
+            AlgRow {
+                collective: a.kind.name().to_string(),
+                alg: a.id,
+                name: a.name.to_string(),
+                cases: mine.len(),
+                errors: mine.iter().map(|r| r.0).sum(),
+                warnings: mine.iter().map(|r| r.1).sum(),
+            }
         })
         .collect();
     let mut findings = Vec::new();
@@ -207,15 +211,7 @@ pub fn sweep_registry(cfg: &SweepConfig) -> SweepSummary {
                 diagnostics: lines.clone(),
             });
         }
-        let row = algo_rows
-            .iter_mut()
-            .find(|r| r.collective == a.kind.name() && r.alg == a.id)
-            .expect("cases come from the registry");
-        row.cases += 1;
-        row.errors += errs;
-        row.warnings += warns;
     }
-    algo_rows.retain(|r| r.cases > 0);
 
     SweepSummary {
         ranks: cfg.ranks.clone(),

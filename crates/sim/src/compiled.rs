@@ -12,8 +12,9 @@
 //! walks a flat slice with one indexed load per op, across segment
 //! boundaries. Blocking and non-blocking variants are merged (`req == CNIL`
 //! means blocking), which also halves the dispatch fan-out of the hot loop.
-//! [`Job::program`] decodes one rank back into the builder view for
-//! readers that want `Op`s (`pap-lint`, tests).
+//! [`Job::op`] decodes one op back into the builder view, without
+//! allocating (`pap-lint` reads the arena through it), [`Job::program`]
+//! one rank (tests, repair).
 //!
 //! What a message op moves — its bytes, tag and block filter — repeats
 //! across ranks: a collective uses a handful of sizes, tags and filters,
@@ -31,6 +32,7 @@
 //! hands the same walk's channels to `pap-lint`.
 
 use std::hash::{Hash, Hasher};
+use std::ops::Range;
 
 use crate::data::{BlockFilter, SlotInit};
 use crate::program::{Label, Op, RankProgram, Segment, Tag};
@@ -339,18 +341,58 @@ impl Job {
         self.descs.len()
     }
 
+    /// Why the arena cannot index this job (an index at or past `u32::MAX`,
+    /// or counts summing past it), if it cannot; no run takes such a job.
+    pub fn invalid(&self) -> Option<&str> {
+        self.invalid.as_deref()
+    }
+
+    /// Rank `rank`'s ops, as global indices into the job's ops (rank-major,
+    /// each rank's segments concatenated: the indices of [`Job::op`] and
+    /// [`Channel`]).
+    pub fn rank_range(&self, rank: usize) -> Range<usize> {
+        self.rank_ops[rank] as usize..self.rank_ops[rank + 1] as usize
+    }
+
+    /// Rank `rank`'s segments in program order: label and global op range.
+    pub fn segments(&self, rank: usize) -> impl Iterator<Item = (Option<Label>, Range<usize>)> + '_ {
+        let mut begin = self.rank_ops[rank] as usize;
+        self.segs[self.rank_segs[rank] as usize..self.rank_segs[rank + 1] as usize].iter().map(move |seg| {
+            let range = begin..seg.end as usize;
+            begin = seg.end as usize;
+            (seg.label, range)
+        })
+    }
+
     /// The builder view of rank `rank`'s program, decoded from the arena:
     /// the same segments, labels and ops it was built from (indices past
     /// `u32::MAX` read back saturated). Allocates; the engine never calls it.
     pub fn program(&self, rank: usize) -> RankProgram {
-        let segs = &self.segs[self.rank_segs[rank] as usize..self.rank_segs[rank + 1] as usize];
-        let mut start = self.rank_ops[rank] as usize;
-        let segments = segs.iter().map(|seg| {
-            let ops = self.ops[start..seg.end as usize].iter().map(|op| self.decode(op)).collect();
-            start = seg.end as usize;
-            Segment { label: seg.label, ops }
+        let segments = self.segments(rank).map(|(label, range)| Segment {
+            label,
+            ops: range.map(|i| self.decode(&self.ops[i])).collect(),
         });
         RankProgram { segments: segments.collect() }
+    }
+
+    /// Op `i` (a global index, see [`Job::rank_range`]) in builder form,
+    /// except that a `WaitAll` comes back with an empty request list, so
+    /// that reading an op never allocates; [`Job::wait_list`] has the list.
+    pub fn op(&self, i: usize) -> Op {
+        match self.ops[i] {
+            COp::WaitAll { .. } => Op::WaitAll { reqs: Vec::new() },
+            ref op => self.decode(op),
+        }
+    }
+
+    /// The requests `WaitAll` op `i` completes, in list order; none for any
+    /// other op.
+    pub fn wait_list(&self, i: usize) -> impl Iterator<Item = usize> + '_ {
+        let (off, len) = match self.ops[i] {
+            COp::WaitAll { off, len } => (off as usize, len as usize),
+            _ => (0, 0),
+        };
+        self.wait_reqs[off..off + len].iter().map(|&r| r as usize)
     }
 
     /// The builder form of one arena op (part of [`Job::program`]).
@@ -633,6 +675,21 @@ mod tests {
         let job = Job::new(programs.clone());
         for (r, prog) in programs.iter().enumerate() {
             assert_eq!(job.program(r).segments, prog.segments, "rank {r}");
+            // Op by op: a `WaitAll` reads back without its list, which
+            // `wait_list` holds.
+            let ops = prog.segments.iter().flat_map(|seg| &seg.ops);
+            for (i, op) in job.rank_range(r).zip(ops) {
+                match op {
+                    Op::WaitAll { reqs } => {
+                        assert_eq!(job.op(i), Op::WaitAll { reqs: vec![] });
+                        assert_eq!(job.wait_list(i).collect::<Vec<_>>(), *reqs);
+                    }
+                    op => {
+                        assert_eq!(job.op(i), *op, "op {i}");
+                        assert_eq!(job.wait_list(i).count(), 0);
+                    }
+                }
+            }
         }
         // Rank 1's ops differ from rank 0's only in the peer: every
         // descriptor is shared.

@@ -232,8 +232,8 @@ pub fn run_with_arrivals(
             arrivals.len()
         )));
     }
-    if let Some(why) = &job.invalid {
-        return Err(SimError::InvalidProgram(why.clone()));
+    if let Some(why) = job.invalid() {
+        return Err(SimError::InvalidProgram(why.into()));
     }
     if !cfg.faults.is_none() {
         // Reject out-of-range fault specs before the engine indexes its

@@ -48,6 +48,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![warn(unnameable_types)]
 
 mod compiled;
 pub mod data;
@@ -61,9 +62,9 @@ pub mod timeline;
 
 pub use data::{SlotInit, Value};
 pub use engine::{run, run_par, run_ref, run_with_arrivals, RunOutcome, SimError};
-pub use fault::{FaultSpec, ANY_NODE};
+pub use fault::{FaultSpec, LinkFault, NoiseStorm, RankCrash, RankStall, ANY_NODE};
 pub use noise::NoiseModel;
-pub use platform::{register_custom_platform, LinkParams, MachineId, Platform, PlatformSpec};
+pub use platform::{register_custom_platform, CustomTag, LinkParams, MachineId, Platform, PlatformSpec};
 pub use program::{Job, Label, Op, RankProgram, Segment};
 
 /// Engine configuration: RNG seed, noise model, and whether message payloads
